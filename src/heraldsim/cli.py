@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import io
 import json
@@ -156,18 +157,13 @@ def _summary_payload(config: ExperimentConfig, result) -> dict:
 
 
 def cmd_montecarlo(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads {args.threads} must be >= 1")
     config = _load_config(args.config)
     if args.pulses is not None:
-        config = ExperimentConfig(
-            source=config.source, noise=config.noise, elements=config.elements,
-            detectors=config.detectors, herald_ids=config.herald_ids,
-            bases=config.bases, pulses=args.pulses,
-            seed=config.seed if args.seed is None else args.seed)
-    elif args.seed is not None:
-        config = ExperimentConfig(
-            source=config.source, noise=config.noise, elements=config.elements,
-            detectors=config.detectors, herald_ids=config.herald_ids,
-            bases=config.bases, pulses=config.pulses, seed=args.seed)
+        config = dataclasses.replace(config, pulses=args.pulses)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -175,7 +171,8 @@ def cmd_montecarlo(args) -> int:
     print(f"running {len(config.bases) or 1} basis settings, "
           f"{config.pulses} pulses each", file=sys.stderr)
     tables = precompute_outcome_tables(config)
-    result = run_experiment(config, tables=tables, aggregate=args.aggregate)
+    result = run_experiment(config, tables=tables, aggregate=args.aggregate,
+                            threads=args.threads)
 
     outputs = []
     for record in result.records:
@@ -236,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--pulses", type=int)
     p_mc.add_argument("--seed", type=int)
     p_mc.add_argument("--threads", type=int, default=1,
-                      help="shards to process (counts merge associatively; "
-                      "1 guarantees the documented bit-exact mode)")
+                      help="worker threads for per-pulse sampling; counts "
+                      "are byte-identical for every value")
     p_mc.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
     p_mc.add_argument("--json", action="store_true")
     p_mc.add_argument("--aggregate", action="store_true",

@@ -4,14 +4,26 @@ Per pulse the simulator samples a source branch (pair number and dephasing
 pattern) and then a joint click pattern from an exact per-branch
 distribution, so there is no per-photon trajectory bias: sampling error is
 the only stochastic component.  Randomness is counter-based (Philox keyed by
-seed and basis index, one counter block per pulse), which makes results
-independent of sharding: pulse i always consumes counter block i.
+seed and basis index, one counter block per pulse): pulse i always consumes
+counter block i, whose first value u0 picks the branch by inverse CDF and
+whose second value u1 picks the click pattern.
+
+Both inversions are table lookups.  Within one basis, the pattern drawn by
+u1 depends only on the rank of u1 among the union of every branch's
+pattern-CDF values, so a (branch, rank) table gives it directly; the rank
+itself comes from a guide table over 2^16 equal buckets of [0, 1] (Chen &
+Asau 1974), with a binary search only for the few pulses whose bucket holds
+a CDF value.  The result equals `searchsorted` on the branch's own CDF for
+every u, so counts are exact, not approximate.  Pulses are cut into shards
+that run on a thread pool; shard histograms are integer counts merged by
+addition, so counts are byte-identical for any shard size and thread count.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -22,9 +34,11 @@ from .config import ExperimentConfig
 from .detect import THRESHOLD, DetectorSpec
 from .elements import BASIS_OUTCOMES, apply_circuit, measurement_rotation
 from .fock import ConfigError, PureState, key_occupation, substitute_modes
-from .source import dephased_branch_weights, pair_probability
+from .source import dephased_source
 
 _RAWS_PER_PULSE = 4  # one Philox counter block
+_GUIDE_SHIFT = 48  # top 16 bits of a raw value pick its guide bucket
+_GUIDE_BUCKETS = 1 << (64 - _GUIDE_SHIFT)
 
 
 @dataclass(frozen=True)
@@ -46,18 +60,56 @@ class McResult:
 
 
 @dataclass(frozen=True)
+class RankLookup:
+    """`rank(raws)` equals `np.searchsorted(breaks, raws * 2.0 ** -64,
+    side="right")`: the rank among `breaks` of the uniforms in [0, 1] that
+    64-bit random integers encode.
+
+    A guide table over 2^16 equal buckets of [0, 1], indexed by a raw
+    value's top 16 bits, holds the rank shared by every u in the closed
+    bucket [k/2^16, (k+1)/2^16], or -1 where a breakpoint splits it.  The
+    bucket is closed because rounding a raw value to a double can carry it
+    onto the upper edge.  Only raws in split buckets are converted and found
+    by binary search."""
+
+    breaks: np.ndarray  # sorted
+    guide: np.ndarray
+
+    @classmethod
+    def build(cls, breaks: np.ndarray) -> RankLookup:
+        edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+        lo = np.searchsorted(breaks, edges[:-1], side="right")
+        hi = np.searchsorted(breaks, edges[1:], side="right")
+        guide = np.where(lo == hi, lo, -1).astype(np.int32)
+        return cls(breaks=breaks, guide=guide)
+
+    def rank(self, raws: np.ndarray) -> np.ndarray:
+        # bucket numbers are below 2^16: viewing them as int64 (numpy's index
+        # type) is exact and skips the checked cast a uint64 index costs
+        rank = self.guide[(raws >> _GUIDE_SHIFT).view(np.int64)]
+        miss = np.flatnonzero(rank < 0)
+        if miss.size:
+            rank[miss] = np.searchsorted(self.breaks, raws[miss] * 2.0 ** -64,
+                                         side="right")
+        return rank
+
+
+@dataclass(frozen=True)
 class BasisTables:
-    """Exact per-branch click-pattern distributions for one basis setting."""
+    """Exact per-branch click-pattern distributions for one basis setting,
+    with the lookup tables that sample them."""
 
     basis: tuple[str, str]
     detector_ids: tuple[str, ...]
-    branch_cdf: np.ndarray               # over source branches (last = remainder)
-    pattern_cdfs: tuple[np.ndarray, ...]  # one CDF over patterns per branch
+    branch_weights: np.ndarray           # over source branches (last = remainder)
     pattern_probs: tuple[np.ndarray, ...]
-    branch_weights: np.ndarray
     is_trigger: np.ndarray               # per pattern
     outcome_index: np.ndarray            # per pattern, -1 if not a six-fold
     outcome_labels: tuple[tuple[str, str], ...]
+    branch_rank: RankLookup              # breaks: CDF over branches
+    pattern_rank: RankLookup             # breaks: all branches' pattern CDFs
+    # joint (branch, pattern) index by (branch rank, pattern rank)
+    joint_lut: np.ndarray
 
     def sixfold_probability_per_pulse(self) -> float:
         total = 0.0
@@ -102,21 +154,21 @@ def _pattern_vector(state: PureState, detectors: list[DetectorSpec]
     return out
 
 
-def _branch_states(config: ExperimentConfig):
-    """Source branches (weight, pure state) over (pair number, flips)."""
-    from .source import _pair_power_state
-
-    params, noise = config.source, config.noise
-    branches = []
-    for n in range(params.n_max + 1):
-        p_n = pair_probability(n, params.r)
-        if p_n <= 0.0:
-            continue
-        for j, w in enumerate(dephased_branch_weights(n, noise.visibility)):
-            if w <= 0.0:
-                continue
-            branches.append((n, p_n * w, _pair_power_state(n - j, j, 2 * n)))
-    return branches
+def _joint_lut(pattern_cdfs: list[np.ndarray], breaks: np.ndarray
+               ) -> np.ndarray:
+    """Table [branch rank, pattern rank] -> branch * n_pat + pattern, where
+    pattern = min(searchsorted(cdf_branch, u, "right"), n_pat - 1) for any u
+    of that pattern rank.  Branch rank n_b (u past the last branch CDF value)
+    maps to the last branch."""
+    n_b, n_pat = len(pattern_cdfs), len(pattern_cdfs[0])
+    # rank r >= 1 means breaks[r-1] <= u < breaks[r] and no CDF value lies
+    # strictly between, so a branch counts as many CDF values <= u as <=
+    # breaks[r-1]; rank 0 (u below every break) counts none
+    below = np.array([np.searchsorted(cdf, breaks, side="right")
+                      for cdf in pattern_cdfs])
+    pattern = np.minimum(np.pad(below, ((0, 0), (1, 0))), n_pat - 1)
+    rows = np.minimum(np.arange(n_b + 1), n_b - 1)
+    return (rows[:, None] * n_pat + pattern[rows]).astype(np.int32)
 
 
 def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
@@ -124,11 +176,11 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
     detectors = list(config.trigger_detectors()) + list(config.output_detectors())
     if any(d.kind != THRESHOLD for d in detectors):
         raise ConfigError("Monte Carlo tables support threshold detectors only")
-    n_trig = len(config.trigger_detectors())
     out_dets = config.output_detectors()
     arms = config.output_arms()
-    circuit = config.circuit()
-    branches = _branch_states(config)
+    if len(arms) != 2:
+        raise ConfigError("Monte Carlo counting needs exactly two output arms; "
+                          f"the output detectors sit on arms {list(arms)}")
 
     k = len(detectors)
     n_pat = 1 << k
@@ -144,7 +196,26 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
     for det in out_dets:
         arm_bits[det.mode[0]].append(bit[det.id])
     for arm in arms:
+        if len(arm_bits[arm]) != 2:
+            ids = [detectors[i].id for i in arm_bits[arm]]
+            raise ConfigError(f"Monte Carlo counting needs exactly two "
+                              f"detectors on output arm {arm!r}; it has {ids}")
         arm_bits[arm].sort(key=lambda i: detectors[i].mode[1])
+    outcome_index = np.full(n_pat, -1, dtype=np.int64)
+    for p in range(n_pat):
+        idx = 0
+        for arm in arms:
+            b0, b1 = arm_bits[arm]
+            c0, c1 = bool(p >> b0 & 1), bool(p >> b1 & 1)
+            if c0 == c1:
+                break
+            idx = idx * 2 + (1 if c1 else 0)
+        else:
+            outcome_index[p] = idx
+
+    circuit = config.circuit()
+    branches = [(w, apply_circuit(state, circuit)) for w, state in
+                dephased_source(config.source, config.noise).branches]
     tables = []
     for basis in (config.bases or (("HV", "HV"),)):
         outcome_labels = []
@@ -152,24 +223,9 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
             for o2 in range(2):
                 outcome_labels.append((BASIS_OUTCOMES[basis[0]][o1],
                                        BASIS_OUTCOMES[basis[1]][o2]))
-        outcome_index = np.full(n_pat, -1, dtype=np.int64)
-        if len(arms) == 2 and all(len(arm_bits[a]) == 2 for a in arms):
-            for p in range(n_pat):
-                idx = 0
-                ok = True
-                for pos, arm in enumerate(arms):
-                    b0, b1 = arm_bits[arm]
-                    c0, c1 = bool(p >> b0 & 1), bool(p >> b1 & 1)
-                    if c0 == c1:
-                        ok = False
-                        break
-                    idx = idx * 2 + (1 if c1 else 0)
-                if ok:
-                    outcome_index[p] = idx
         weights = []
         vectors = []
-        for n, w, state in branches:
-            out = apply_circuit(state, circuit)
+        for w, out in branches:
             for arm, b in zip(arms, basis):
                 out = substitute_modes(
                     out, measurement_rotation(arm, b).extended(out.occupied_modes()))
@@ -183,35 +239,63 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
         branch_weights = np.array(weights)
         branch_cdf = np.cumsum(branch_weights)
         branch_cdf[-1] = max(branch_cdf[-1], 1.0)
-        pattern_cdfs = tuple(np.cumsum(v / v.sum()) for v in vectors)
+        pattern_cdfs = [np.cumsum(v / v.sum()) for v in vectors]
+        pattern_breaks = np.unique(np.concatenate(pattern_cdfs))
         tables.append(BasisTables(
             basis=basis, detector_ids=tuple(d.id for d in detectors),
-            branch_cdf=branch_cdf, pattern_cdfs=pattern_cdfs,
-            pattern_probs=tuple(np.asarray(v) for v in vectors),
             branch_weights=branch_weights,
+            pattern_probs=tuple(np.asarray(v) for v in vectors),
             is_trigger=is_trigger, outcome_index=outcome_index,
-            outcome_labels=tuple(outcome_labels)))
+            outcome_labels=tuple(outcome_labels),
+            branch_rank=RankLookup.build(branch_cdf),
+            pattern_rank=RankLookup.build(pattern_breaks),
+            joint_lut=_joint_lut(pattern_cdfs, pattern_breaks)))
     return tables
 
 
 def _sample_shard(tables: BasisTables, key: tuple[int, int],
                   start: int, count: int) -> np.ndarray:
     """Exact per-pulse sampling of pulses [start, start+count); returns the
-    click-pattern histogram.  Pulse i always uses Philox counter block i."""
+    joint (branch, click pattern) histogram, flattened branch-major.  Pulse
+    i always uses Philox counter block i."""
     raws = Philox(key=key, counter=start).random_raw(_RAWS_PER_PULSE * count)
     raws = raws.reshape(count, _RAWS_PER_PULSE)
-    u = raws[:, :2] * 2.0 ** -64
-    branch = np.searchsorted(tables.branch_cdf, u[:, 0], side="right")
-    branch = np.minimum(branch, len(tables.pattern_cdfs) - 1)
-    n_pat = len(tables.is_trigger)
-    hist = np.zeros(n_pat, dtype=np.int64)
-    for b in range(len(tables.pattern_cdfs)):
-        mask = branch == b
-        if not mask.any():
-            continue
-        idx = np.searchsorted(tables.pattern_cdfs[b], u[mask, 1], side="right")
-        hist += np.bincount(np.minimum(idx, n_pat - 1), minlength=n_pat)
-    return hist
+    lut = tables.joint_lut
+    joint = lut.ravel()[tables.branch_rank.rank(raws[:, 0]) * lut.shape[1]
+                        + tables.pattern_rank.rank(raws[:, 1])]
+    return np.bincount(joint, minlength=len(tables.branch_weights)
+                       * len(tables.is_trigger))
+
+
+def _sample_pulses(tables: list[BasisTables], config: ExperimentConfig,
+                   shard_size: int, threads: int) -> list[np.ndarray]:
+    """Per-basis click-pattern histograms of the per-pulse sampler, with
+    every shard of every basis run on one pool of at most `threads`
+    workers."""
+    pulses = config.pulses
+    jobs = ((bi, start) for bi in range(len(tables))
+            for start in range(0, pulses, shard_size))
+    workers = min(threads, len(tables) * -(-pulses // shard_size))
+
+    def shard(bi: int, start: int) -> np.ndarray:
+        return _sample_shard(tables[bi], (config.seed, bi), start,
+                             min(shard_size, pulses - start))
+
+    joint = [np.zeros(len(t.branch_weights) * len(t.is_trigger), dtype=np.int64)
+             for t in tables]
+    # integer addition: the merge order cannot change the counts.  Shards are
+    # submitted as results are merged, so memory stays flat for any count.
+    in_flight = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for bi, start in jobs:
+            in_flight.append((bi, pool.submit(shard, bi, start)))
+            if len(in_flight) > 2 * workers:
+                done_bi, future = in_flight.popleft()
+                joint[done_bi] += future.result()
+        for done_bi, future in in_flight:
+            joint[done_bi] += future.result()
+    return [j.reshape(-1, len(t.is_trigger)).sum(axis=0)
+            for j, t in zip(joint, tables)]
 
 
 def _sample_aggregate(tables: BasisTables, key: tuple[int, int],
@@ -220,7 +304,8 @@ def _sample_aggregate(tables: BasisTables, key: tuple[int, int],
     multinomial over branches, then over patterns.  Deterministic for a
     fixed seed but not shard-invariant."""
     rng = Generator(Philox(key=key))
-    probs = tables.branch_weights / tables.branch_cdf[-1]
+    # the branch CDF's last value is the total weight, raised to 1.0 if short
+    probs = tables.branch_weights / tables.branch_rank.breaks[-1]
     per_branch = rng.multinomial(pulses, probs)
     n_pat = len(tables.is_trigger)
     hist = np.zeros(n_pat, dtype=np.int64)
@@ -248,24 +333,23 @@ def _record_from_hist(tables: BasisTables, hist: np.ndarray,
 
 def run_experiment(config: ExperimentConfig,
                    tables: list[BasisTables] | None = None,
-                   shard_size: int = 1 << 20,
-                   aggregate: bool = False) -> McResult:
-    """Run the pulse loop for every basis setting and derive estimates."""
+                   shard_size: int = 1 << 16,
+                   aggregate: bool = False,
+                   threads: int = 1) -> McResult:
+    """Run the pulse loop for every basis setting and derive estimates.
+
+    Per-pulse counts are identical for every `shard_size` and `threads`."""
+    if threads < 1:
+        raise ConfigError(f"threads={threads} must be >= 1")
     if tables is None:
         tables = precompute_outcome_tables(config)
-    records = []
-    for bi, t in enumerate(tables):
-        key = (config.seed, bi)
-        if aggregate:
-            hist = _sample_aggregate(t, key, config.pulses)
-        else:
-            hist = np.zeros(len(t.is_trigger), dtype=np.int64)
-            start = 0
-            while start < config.pulses:
-                count = min(shard_size, config.pulses - start)
-                hist += _sample_shard(t, key, start, count)
-                start += count
-        records.append(_record_from_hist(t, hist, config.pulses))
+    if aggregate:
+        hists = [_sample_aggregate(t, (config.seed, bi), config.pulses)
+                 for bi, t in enumerate(tables)]
+    else:
+        hists = _sample_pulses(tables, config, shard_size, threads)
+    records = [_record_from_hist(t, h, config.pulses)
+               for t, h in zip(tables, hists)]
 
     efficiency = None
     n_t = sum(r.n_t for r in records)

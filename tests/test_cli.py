@@ -122,6 +122,39 @@ def test_montecarlo_outputs_are_reproducible(boosted_file, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_montecarlo_thread_count_does_not_change_outputs(boosted_file,
+                                                        tmp_path):
+    outputs = {}
+    for threads in ("1", "64"):
+        out = tmp_path / f"t{threads}"
+        proc = run_cli("montecarlo", boosted_file, "--pulses", "5000",
+                       "--threads", threads, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "manifest.json"}
+    assert outputs["64"] == outputs["1"]
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_montecarlo_rejects_thread_count_below_one(boosted_file, tmp_path,
+                                                   value):
+    proc = run_cli("montecarlo", boosted_file, "--pulses", "1000",
+                   "--threads", value, "--out", str(tmp_path / "run"))
+    assert proc.returncode == 2
+    assert "--threads" in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
+def test_montecarlo_rejects_arm_without_two_detectors(tmp_path):
+    path = tmp_path / "three_outputs.exp"
+    path.write_text(SMALL_MC.replace("detector id=s4 mode=d:y\n", ""),
+                    encoding="utf-8")
+    proc = run_cli("montecarlo", str(path), "--pulses", "1000",
+                   "--out", str(tmp_path / "run"))
+    assert proc.returncode == 2
+    assert "arm 'd'" in proc.stderr and "s3" in proc.stderr
+
+
 def test_montecarlo_summary_schema_and_manifest(boosted_file, tmp_path):
     out = tmp_path / "run"
     proc = run_cli("montecarlo", boosted_file, "--out", str(out), "--json")

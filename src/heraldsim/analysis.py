@@ -79,15 +79,6 @@ def fidelity_phi_plus(corr: PauliCorrelation) -> FidelityEstimate:
     return FidelityEstimate(value, sigma)
 
 
-def fidelity_from_visibilities(vx: float, vy: float, vz: float) -> float:
-    """Singlet form F = (1 + Vx + Vy + Vz) / 4.
-
-    For the Phi+ target the circular-basis visibility enters with opposite
-    sign; use fidelity_phi_plus for that state.
-    """
-    return 0.25 * (1.0 + vx + vy + vz)
-
-
 def chsh_werner_threshold() -> float:
     """Fidelity above which a Werner state violates CHSH: (1 + 3/sqrt(2))/4."""
     return 0.25 * (1.0 + 3.0 / math.sqrt(2.0))

@@ -18,10 +18,10 @@ from pathlib import Path
 from . import __version__
 from .analysis import (chsh_werner_threshold, eff_theory, four_pair_correction,
                        violates_chsh)
-from .config import ExperimentConfig
+from .config import BsDecl, ExperimentConfig
 from .detect import decompose_s1, herald
 from .dsl import DslError, parse, validate
-from .elements import apply_circuit, heralding_circuit
+from .elements import apply_circuit
 from .fock import ConfigError
 from .mc import precompute_outcome_tables, run_experiment
 from .source import n_pair_state
@@ -108,13 +108,17 @@ def cmd_sweep(args) -> int:
         raise DslError(f"steps={args.steps} must be >= 2", 0, 0)
     eta_t = config.mean_trigger_eta()
     triggers = config.trigger_detectors()
+    arms = config.output_arms()[:2]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["R", "eff_theory", "eff_exact_enumerated",
                      "four_pair_corrected"])
     for i in range(args.steps):
         R = args.r_min + (args.r_max - args.r_min) * i / (args.steps - 1)
-        state = apply_circuit(n_pair_state(3), heralding_circuit(R))
-        result = herald(state, triggers)
+        swept = dataclasses.replace(config, elements=tuple(
+            dataclasses.replace(e, R=R) if isinstance(e, BsDecl) else e
+            for e in config.elements))
+        state = apply_circuit(n_pair_state(3), swept.circuit())
+        result = herald(state, triggers, output_arms=arms)
         exact = result.preparation_efficiency if result.heralded else 0.0
         if config.source.n_max >= 4 and R > 0.0:
             shift = four_pair_correction(config.source, R, eta_t)

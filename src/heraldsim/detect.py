@@ -1,8 +1,13 @@
-"""Detector semantics, loss application, click enumeration and heralding.
+"""Detector semantics, click enumeration and heralding.
 
-Losses are applied as beam-splitter dilations into environment modes which
-are then traced out, so threshold under-counting (the beta-class escape
-patterns) emerges from exhaustive enumeration rather than a closed form.
+Every detector measures its mode in the photon-number basis, so loss in
+front of it is binomial thinning of the photons that arrive (a beam
+splitter into an unobserved mode, traced out, leaves nothing else).
+`click_probability` is that model in closed form: detection efficiency eta
+and dark-count probability d map the n photons reaching a detector to the
+probability that it registers its event.  Threshold under-counting (the
+beta-class escape patterns) follows from weighting each exact post-circuit
+occupation pattern with it.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .elements import (OUTPUT_ARMS, TRIGGER_MODES, is_env_mode, loss_channel,
-                       measurement_rotation)
+from .elements import OUTPUT_ARMS, TRIGGER_MODES, measurement_rotation
 from .fock import (ConfigError, FockKey, MixedState, Mode, PureState,
                    as_mixed, key_occupation, substitute_modes)
 
@@ -61,52 +65,45 @@ def pnr_detector(id: str, mode: Mode, eta: float = 1.0) -> DetectorSpec:
     return DetectorSpec(id=id, mode=mode, kind=NUMBER_RESOLVING, coupling=eta)
 
 
-def apply_detector_losses(state: PureState | MixedState,
-                          detectors: list[DetectorSpec]) -> MixedState:
-    """Insert a loss channel with transmission eta before each detector and
-    trace the environment modes into mixture branches."""
-    from .fock import branch_on_modes
+def click_probability(det: DetectorSpec, n: int) -> float:
+    """Probability that `det` registers its event when n photons reach it.
 
-    mixed = as_mixed(state)
-    out = []
-    lossy = [d for d in detectors if d.eta < 1.0]
-    for weight, pure in mixed.branches:
-        universe = pure.occupied_modes()
-        for det in lossy:
-            if det.mode in universe:
-                pure = substitute_modes(
-                    pure, loss_channel(det.mode, det.eta).extended(universe))
-                universe = pure.occupied_modes()
-        env = [m for m in pure.occupied_modes() if is_env_mode(m)]
-        if env:
-            for w, branch in branch_on_modes(pure, env).branches:
-                out.append((weight * w, branch))
-        else:
-            out.append((weight, pure))
-    return MixedState(tuple(out))
-
-
-def _click_options(det: DetectorSpec, occupation: int
-                   ) -> list[tuple[object, float]]:
-    """Possible detector readings and probabilities given surviving photons.
-
-    Losses are assumed already applied, so `occupation` is the surviving
-    photon number at the detector mode.
+    A threshold detector's event is any click: 1 - (1-eta)^n (1-d).  A
+    number-resolving detector's event is a reading of exactly one photon:
+    n eta (1-eta)^(n-1) (1-d) + (1-eta)^n d.
     """
-    d = det.dark_probability
+    eta, d = det.eta, det.dark_probability
     if det.kind == THRESHOLD:
-        p_click = 1.0 if occupation >= 1 else d
+        # on vacuum the dark probability itself, not 1 - (1 - d)
+        return 1.0 - (1.0 - eta) ** n * (1.0 - d) if n else d
+    one_detected = n * eta * (1.0 - eta) ** (n - 1) if n else 0.0
+    return one_detected * (1.0 - d) + (1.0 - eta) ** n * d
+
+
+def _readings(det: DetectorSpec, n: int) -> list[tuple[object, float]]:
+    """Readings of `det` and their probabilities when n photons reach it.
+
+    A threshold detector reads True (a click) with `click_probability`.  A
+    number-resolving detector reads the Binomial(n, eta) count of detected
+    photons, one more with the dark probability d, so its probability of
+    reading 1 is `click_probability`.
+    """
+    if det.kind == THRESHOLD:
+        p_click = click_probability(det, n)
         return [(True, p_click), (False, 1.0 - p_click)]
-    # number-resolving: dark adds one extra count with probability d
-    if d == 0.0:
-        return [(occupation, 1.0)]
-    return [(occupation, 1.0 - d), (occupation + 1, d)]
+    eta, d = det.eta, det.dark_probability
+    detected = [math.comb(n, k) * eta ** k * (1.0 - eta) ** (n - k)
+                for k in range(n + 1)] + [0.0]
+    # reading r: r photons detected and no dark count, or r - 1 and one
+    return [(r, detected[r] * (1.0 - d) + (detected[r - 1] * d if r else 0.0))
+            for r in range(n + 2)]
 
 
 def click_distribution(state: PureState | MixedState,
                        detectors: list[DetectorSpec]
                        ) -> dict[tuple, float]:
-    """Distribution over joint click patterns (ordered as `detectors`).
+    """Distribution over joint readings (ordered as `detectors`) of the
+    photons that reach the detectors in `state`, the post-circuit state.
 
     Occupations of non-detector modes are marginalized; coherences between
     distinct joint occupation patterns never contribute to probabilities.
@@ -120,7 +117,7 @@ def click_distribution(state: PureState | MixedState,
             occ_probs[occ] = occ_probs.get(occ, 0.0) + weight * abs(amp) ** 2
     dist: dict[tuple, float] = {}
     for occ, p_occ in occ_probs.items():
-        options = [_click_options(det, n) for det, n in zip(detectors, occ)]
+        options = [_readings(det, n) for det, n in zip(detectors, occ)]
         for combo in iproduct(*options):
             prob = p_occ
             for _, p in combo:
@@ -129,19 +126,6 @@ def click_distribution(state: PureState | MixedState,
                 pattern = tuple(reading for reading, _ in combo)
                 dist[pattern] = dist.get(pattern, 0.0) + prob
     return dist
-
-
-def _trigger_probability(det: DetectorSpec, occupation: int) -> float:
-    """Probability this detector contributes to the four-fold trigger."""
-    d = det.dark_probability
-    if det.kind == THRESHOLD:
-        return 1.0 if occupation >= 1 else d
-    # number-resolving trigger requires a reading of exactly one photon
-    if occupation == 1:
-        return 1.0 - d
-    if occupation == 0:
-        return d
-    return 0.0
 
 
 @dataclass(frozen=True)
@@ -160,18 +144,6 @@ class HeraldResult:
     conditional_dm: np.ndarray  # 4x4 over (c,d) polarization, trace = prep eff
     preparation_efficiency: float
     heralded: bool
-    decomposition: HeraldDecomposition | None = None
-
-    @property
-    def remainder_weight(self) -> float:
-        """Conditional weight outside the one-photon-per-arm sector."""
-        return 1.0 - self.preparation_efficiency
-
-    def normalized_qubit_dm(self) -> np.ndarray:
-        t = np.trace(self.conditional_dm).real
-        if t <= 0.0:
-            raise ConfigError("empty qubit sector; nothing to normalize")
-        return self.conditional_dm / t
 
 
 QUBIT_BASIS = [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
@@ -197,22 +169,22 @@ def herald(state: PureState | MixedState,
            output_arms: tuple[str, str] = OUTPUT_ARMS) -> HeraldResult:
     """Condition on all four trigger detectors firing.
 
-    Applies trigger losses, enumerates every trigger-mode occupation pattern
-    with its click probability, and accumulates the conditional output state.
-    The conditional density matrix is restricted to the one-photon-per-arm
-    sector of the output modes; its trace (after normalization by the herald
-    probability) is the preparation efficiency.
+    Groups the terms of `state`, the post-circuit state, by the photons
+    reaching each trigger, weights each group by the product of the
+    triggers' `click_probability`, and accumulates the conditional output
+    state.  The conditional density matrix is restricted to the
+    one-photon-per-arm sector of the output modes; its trace (after
+    normalization by the herald probability) is the preparation efficiency.
     """
     if len(trigger_detectors) != 4:
         raise ConfigError("heralding requires exactly four trigger detectors")
-    mixed = apply_detector_losses(state, trigger_detectors)
     trig_modes = [d.mode for d in trigger_detectors]
     trig_set = set(trig_modes)
 
     herald_p = 0.0
     good_p = 0.0
     rho = np.zeros((4, 4), dtype=complex)
-    for weight, pure in mixed.branches:
+    for weight, pure in as_mixed(state).branches:
         groups: dict[tuple[int, ...], dict[FockKey, complex]] = {}
         for key, amp in pure.terms.items():
             occ = tuple(key_occupation(key, m) for m in trig_modes)
@@ -220,11 +192,8 @@ def herald(state: PureState | MixedState,
             bucket = groups.setdefault(occ, {})
             bucket[rest] = bucket.get(rest, 0.0) + amp
         for occ, rest_terms in groups.items():
-            p_click = 1.0
-            for det, n in zip(trigger_detectors, occ):
-                p_click *= _trigger_probability(det, n)
-                if p_click == 0.0:
-                    break
+            p_click = math.prod(click_probability(det, n)
+                                for det, n in zip(trigger_detectors, occ))
             if p_click == 0.0:
                 continue
             group_w = weight * p_click
@@ -283,7 +252,8 @@ def sixfold_probability(state: PureState | MixedState,
                         exclusive: bool = True) -> float:
     """Probability of a six-fold coincidence for one outcome pair.
 
-    Output arms are rotated into the measurement basis before detection.
+    Output arms of `state`, the post-circuit state, are rotated into the
+    measurement basis before detection.  Triggers fire as in `herald`.
     `outcome` selects which detector clicks in each arm (0 = the x-labeled
     port: H, + or R).  With `exclusive` the complementary output detectors
     must not click, matching coincidence-logic counting.
@@ -296,8 +266,7 @@ def sixfold_probability(state: PureState | MixedState,
                 pure, measurement_rotation(arm, b).extended(pure.occupied_modes()))
         rotated.append((weight, pure))
     detectors = list(trigger_detectors) + list(output_detectors)
-    lossy = apply_detector_losses(MixedState(tuple(rotated)), detectors)
-    dist = click_distribution(lossy, detectors)
+    dist = click_distribution(MixedState(tuple(rotated)), detectors)
 
     n_trig = len(trigger_detectors)
     by_arm: dict[str, list[int]] = {arm: [] for arm in output_arms}
@@ -310,7 +279,9 @@ def sixfold_probability(state: PureState | MixedState,
 
     total = 0.0
     for pattern, prob in dist.items():
-        if not all(pattern[i] for i in range(n_trig)):
+        # a trigger fires as in click_probability: a threshold click reads
+        # True == 1, a number-resolving trigger must read exactly one
+        if not all(pattern[i] == 1 for i in range(n_trig)):
             continue
         if not all(pattern[i] for i in wanted):
             continue

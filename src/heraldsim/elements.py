@@ -2,9 +2,9 @@
 
 Elements are expressed as linear maps on creation operators (the same real
 coefficients the annihilation-operator convention would use; for complex
-maps this fixes the conjugation convention).  Lossless elements are
-isometries on their declared input modes; loss is modeled by dilation into a
-fresh environment mode.
+maps this fixes the conjugation convention).  Every element is lossless,
+an isometry on its declared input modes; detector loss is not a circuit
+element but part of the detector model in `heraldsim.detect`.
 """
 
 from __future__ import annotations
@@ -13,24 +13,13 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .fock import (ConfigError, Mode, PureState, mode_str, substitute_modes)
+from .fock import ConfigError, Mode, PureState, substitute_modes
 
 POL_H = "x"
 POL_V = "y"
 POL_DIAG = ("xp", "yp")  # x', y' labels after the trigger-arm wave plate
 
-ENV_PREFIX = "~"
-
 LOSSLESS_ATOL = 1e-9
-
-
-def env_mode_for(m: Mode) -> Mode:
-    """Deterministic fresh environment label for loss on a physical mode."""
-    return (f"{ENV_PREFIX}{m[0]}:{m[1]}", m[1])
-
-
-def is_env_mode(m: Mode) -> bool:
-    return m[0].startswith(ENV_PREFIX)
 
 
 @dataclass(frozen=True)
@@ -38,14 +27,13 @@ class ModeTransform:
     """Linear map on creation operators, one column per input mode."""
 
     columns: dict[Mode, tuple[tuple[complex, Mode], ...]]
-    lossless: bool = True
 
     def extended(self, modes: set[Mode]) -> "ModeTransform":
         """Add identity columns for occupied modes this element ignores."""
         extra = {m: ((1.0 + 0.0j, m),) for m in modes if m not in self.columns}
         if not extra:
             return self
-        return ModeTransform({**self.columns, **extra}, lossless=self.lossless)
+        return ModeTransform({**self.columns, **extra})
 
     def gram_deviation(self) -> float:
         """Max deviation of the column Gram matrix from the identity."""
@@ -147,16 +135,6 @@ def polarizing_beam_splitter(input_spatial: str,
     return ModeTransform(columns)
 
 
-def loss_channel(m: Mode, eta: float) -> ModeTransform:
-    """Loss as a beam splitter into a fresh environment mode (dilation)."""
-    if not (0.0 <= eta <= 1.0):
-        raise ConfigError(f"loss transmission {eta} outside [0, 1] for {mode_str(m)}")
-    env = env_mode_for(m)
-    columns = {m: ((math.sqrt(eta) + 0.0j, m),
-                   (math.sqrt(1.0 - eta) + 0.0j, env))}
-    return ModeTransform(columns)
-
-
 def measurement_rotation(spatial: str, basis: str) -> ModeTransform:
     """Map H/V creation operators onto the detectors of a measurement basis.
 
@@ -187,9 +165,6 @@ class CircuitSpec:
     """Ordered pipeline of mode transforms (propagation order)."""
 
     transforms: tuple[ModeTransform, ...] = field(default_factory=tuple)
-
-    def then(self, transform: ModeTransform) -> "CircuitSpec":
-        return CircuitSpec(self.transforms + (transform,))
 
 
 def apply_circuit(state: PureState, circuit: CircuitSpec) -> PureState:

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from .elements import ModeTransform
 
 Mode = tuple[str, str]
 # Occupation pattern: sorted ((spatial, pol), count) pairs, counts > 0.
@@ -87,9 +90,6 @@ class PureState:
 
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.terms.values())
-
-    def is_normalized(self, tol: float = 1e-10) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
 
     def scaled(self, factor: complex) -> "PureState":
         return PureState({k: a * factor for k, a in self.terms.items()})
@@ -189,7 +189,7 @@ def _power_expansion(column: tuple[tuple[complex, Mode], ...],
     return out
 
 
-def substitute_modes(state: PureState, transform: "ModeTransformLike",
+def substitute_modes(state: PureState, transform: ModeTransform,
                      drop_tol: float = DROP_TOL) -> PureState:
     """Linear substitution of creation operators.
 
@@ -262,38 +262,9 @@ class MixedState:
 
     branches: tuple[tuple[float, PureState], ...]
 
-    def total_weight(self) -> float:
-        return sum(w for w, _ in self.branches)
-
     @classmethod
     def pure(cls, state: PureState, weight: float = 1.0) -> "MixedState":
         return cls(((weight, state),))
-
-
-def branch_on_modes(state: PureState, env_modes: Iterable[Mode]) -> MixedState:
-    """Trace out environment modes into an incoherent mixture.
-
-    One branch per environment occupation pattern; branch weight is the
-    marginal probability and branch states are renormalized.  Total weight
-    equals the input norm^2.
-    """
-    env = set(env_modes)
-    groups: dict[FockKey, dict[FockKey, complex]] = {}
-    for key, amp in state.terms.items():
-        env_part = tuple((m, n) for m, n in key if m in env)
-        sys_part = tuple((m, n) for m, n in key if m not in env)
-        bucket = groups.setdefault(env_part, {})
-        bucket[sys_part] = bucket.get(sys_part, 0.0) + amp
-    branches = []
-    for env_part in sorted(groups):
-        terms = groups[env_part]
-        weight = sum(abs(a) ** 2 for a in terms.values())
-        if weight <= 0.0:
-            continue
-        scale = 1.0 / math.sqrt(weight)
-        branches.append((weight,
-                         PureState({k: a * scale for k, a in terms.items()})))
-    return MixedState(tuple(branches))
 
 
 def as_mixed(state: PureState | MixedState) -> MixedState:
@@ -330,8 +301,3 @@ def deserialize_state(text: str) -> PureState:
             raise FockError(f"malformed state line {line!r}: {exc}") from exc
     return PureState(terms)
 
-
-class ModeTransformLike:
-    """Protocol stub: anything with a `.columns` mapping Mode -> column."""
-
-    columns: Mapping[Mode, tuple[tuple[complex, Mode], ...]]

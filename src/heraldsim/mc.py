@@ -31,7 +31,7 @@ from numpy.random import Generator, Philox
 from .analysis import (EfficiencyEstimate, FidelityEstimate, PauliCorrelation,
                        correlation_from_counts, eff_exp, fidelity_phi_plus)
 from .config import ExperimentConfig
-from .detect import THRESHOLD, DetectorSpec
+from .detect import THRESHOLD, DetectorSpec, click_probability
 from .elements import BASIS_OUTCOMES, apply_circuit, measurement_rotation
 from .fock import ConfigError, PureState, key_occupation, substitute_modes
 from .source import dephased_source
@@ -125,15 +125,6 @@ class BasisTables:
         return total
 
 
-def _survival_click_probability(det: DetectorSpec, occupation: int) -> float:
-    """P(click | n photons arrive) for a threshold detector with loss and
-    dark counts folded in classically (loss commutes with measurement here:
-    the dilation maps distinct arrival patterns to distinct joint
-    occupations, so no coherence survives)."""
-    p_all_lost = (1.0 - det.eta) ** occupation
-    return 1.0 - p_all_lost * (1.0 - det.dark_probability)
-
-
 def _pattern_vector(state: PureState, detectors: list[DetectorSpec]
                     ) -> np.ndarray:
     """Probability over the 2^k click patterns (bit i = detector i clicked)."""
@@ -145,7 +136,7 @@ def _pattern_vector(state: PureState, detectors: list[DetectorSpec]
         occ_probs[occ] = occ_probs.get(occ, 0.0) + abs(amp) ** 2
     out = np.zeros(1 << k)
     for occ, p_occ in occ_probs.items():
-        click_p = np.array([_survival_click_probability(d, n)
+        click_p = np.array([click_probability(d, n)
                             for d, n in zip(detectors, occ)])
         acc = np.array([p_occ])
         for i in range(k):

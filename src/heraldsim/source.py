@@ -70,8 +70,6 @@ _MODE_AY = ("a", "y")
 _MODE_BX = ("b", "x")
 _MODE_BY = ("b", "y")
 
-SOURCE_MODES = (_MODE_AX, _MODE_AY, _MODE_BX, _MODE_BY)
-
 
 def _apply_pair_operator(state: PureState, sign: float,
                          max_photons: int) -> PureState:

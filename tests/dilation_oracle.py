@@ -1,0 +1,217 @@
+"""Reference route for detector loss, kept as the oracle for
+`heraldsim.detect.click_probability`.
+
+Loss in front of a detector is a beam splitter of transmission eta into a
+fresh environment mode.  The environment modes are traced out into an
+incoherent mixture, one branch per environment occupation, and readings
+are then assigned to the photons that survive: an ideal threshold detector
+clicks on one or more, a number-resolving detector counts them, and a dark
+count adds a click (or one count) with probability d.  Nothing here is
+shared with the closed form beyond the state algebra, the detector specs
+and the indexing of the output qubit sector.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product as iproduct
+
+import numpy as np
+
+from heraldsim.detect import (THRESHOLD, DetectorSpec, HeraldResult,
+                              _qubit_index)
+from heraldsim.elements import OUTPUT_ARMS, ModeTransform, measurement_rotation
+from heraldsim.fock import (ConfigError, FockKey, MixedState, Mode, PureState,
+                            as_mixed, key_occupation, mode_str,
+                            substitute_modes)
+
+ENV_PREFIX = "~"
+
+
+def env_mode_for(m: Mode) -> Mode:
+    """Deterministic fresh environment label for loss on a physical mode."""
+    return (f"{ENV_PREFIX}{m[0]}:{m[1]}", m[1])
+
+
+def is_env_mode(m: Mode) -> bool:
+    return m[0].startswith(ENV_PREFIX)
+
+
+def loss_channel(m: Mode, eta: float) -> ModeTransform:
+    """Loss as a beam splitter into a fresh environment mode (dilation)."""
+    if not (0.0 <= eta <= 1.0):
+        raise ConfigError(f"loss transmission {eta} outside [0, 1] for {mode_str(m)}")
+    columns = {m: ((math.sqrt(eta) + 0.0j, m),
+                   (math.sqrt(1.0 - eta) + 0.0j, env_mode_for(m)))}
+    return ModeTransform(columns)
+
+
+def branch_on_modes(state: PureState, env_modes) -> MixedState:
+    """Trace out environment modes into an incoherent mixture.
+
+    One branch per environment occupation pattern; branch weight is the
+    marginal probability and branch states are renormalized.  Total weight
+    equals the input norm^2.
+    """
+    env = set(env_modes)
+    groups: dict[FockKey, dict[FockKey, complex]] = {}
+    for key, amp in state.terms.items():
+        env_part = tuple((m, n) for m, n in key if m in env)
+        sys_part = tuple((m, n) for m, n in key if m not in env)
+        bucket = groups.setdefault(env_part, {})
+        bucket[sys_part] = bucket.get(sys_part, 0.0) + amp
+    branches = []
+    for env_part in sorted(groups):
+        terms = groups[env_part]
+        weight = sum(abs(a) ** 2 for a in terms.values())
+        if weight <= 0.0:
+            continue
+        scale = 1.0 / math.sqrt(weight)
+        branches.append((weight,
+                         PureState({k: a * scale for k, a in terms.items()})))
+    return MixedState(tuple(branches))
+
+
+def apply_detector_losses(state: PureState | MixedState,
+                          detectors: list[DetectorSpec]) -> MixedState:
+    """Insert a loss channel with transmission eta before each detector and
+    trace the environment modes into mixture branches.  The channels act on
+    distinct modes, so they commute and are applied as one substitution."""
+    losses: dict = {}
+    for det in detectors:
+        if det.eta < 1.0:
+            losses.update(loss_channel(det.mode, det.eta).columns)
+    out = []
+    for weight, pure in as_mixed(state).branches:
+        pure = substitute_modes(
+            pure, ModeTransform(losses).extended(pure.occupied_modes()))
+        env = [m for m in pure.occupied_modes() if is_env_mode(m)]
+        if env:
+            for w, branch in branch_on_modes(pure, env).branches:
+                out.append((weight * w, branch))
+        else:
+            out.append((weight, pure))
+    return MixedState(tuple(out))
+
+
+def surviving_readings(det: DetectorSpec, occupation: int
+                       ) -> list[tuple[object, float]]:
+    """Readings and probabilities given the photons that survived loss."""
+    d = det.dark_probability
+    if det.kind == THRESHOLD:
+        p_click = 1.0 if occupation >= 1 else d
+        return [(True, p_click), (False, 1.0 - p_click)]
+    # number-resolving: dark adds one extra count with probability d
+    if d == 0.0:
+        return [(occupation, 1.0)]
+    return [(occupation, 1.0 - d), (occupation + 1, d)]
+
+
+def trigger_fires(det: DetectorSpec, reading) -> bool:
+    """A threshold trigger fires on a click, a number-resolving trigger on a
+    reading of exactly one photon."""
+    if det.kind == THRESHOLD:
+        return reading is True
+    return reading == 1
+
+
+def _surviving_occupations(lossy: MixedState, detectors: list[DetectorSpec]
+                           ) -> dict[tuple[int, ...], float]:
+    occ_probs: dict[tuple[int, ...], float] = {}
+    for weight, pure in lossy.branches:
+        for key, amp in pure.terms.items():
+            counts = dict(key)
+            occ = tuple(counts.get(d.mode, 0) for d in detectors)
+            occ_probs[occ] = occ_probs.get(occ, 0.0) + weight * abs(amp) ** 2
+    return occ_probs
+
+
+def click_distribution(state: PureState | MixedState,
+                       detectors: list[DetectorSpec]) -> dict[tuple, float]:
+    """Joint readings of `detectors` on the post-circuit `state`."""
+    lossy = apply_detector_losses(state, detectors)
+    dist: dict[tuple, float] = {}
+    for occ, p_occ in _surviving_occupations(lossy, detectors).items():
+        options = [surviving_readings(d, n) for d, n in zip(detectors, occ)]
+        for combo in iproduct(*options):
+            prob = p_occ * math.prod(p for _, p in combo)
+            if prob > 0.0:
+                pattern = tuple(reading for reading, _ in combo)
+                dist[pattern] = dist.get(pattern, 0.0) + prob
+    return dist
+
+
+def click_probability(det: DetectorSpec, n: int) -> float:
+    """Probability that `det` registers its event on the single-mode Fock
+    state |n>."""
+    state = PureState.from_occupations({det.mode: n})
+    return sum(p for (reading,), p in click_distribution(state, [det]).items()
+               if trigger_fires(det, reading))
+
+
+def herald(state: PureState | MixedState, trigger_detectors: list[DetectorSpec],
+           output_arms: tuple[str, str] = OUTPUT_ARMS) -> HeraldResult:
+    """Condition on all four triggers firing, with trigger losses dilated."""
+    lossy = apply_detector_losses(state, trigger_detectors)
+    trig_modes = [d.mode for d in trigger_detectors]
+    herald_p = good_p = 0.0
+    rho = np.zeros((4, 4), dtype=complex)
+    for weight, pure in lossy.branches:
+        groups: dict[tuple[int, ...], dict[FockKey, complex]] = {}
+        for key, amp in pure.terms.items():
+            occ = tuple(key_occupation(key, m) for m in trig_modes)
+            rest = tuple((m, n) for m, n in key if m not in trig_modes)
+            bucket = groups.setdefault(occ, {})
+            bucket[rest] = bucket.get(rest, 0.0) + amp
+        for occ, rest_terms in groups.items():
+            p_fire = math.prod(
+                sum(p for reading, p in surviving_readings(det, n)
+                    if trigger_fires(det, reading))
+                for det, n in zip(trigger_detectors, occ))
+            group_w = weight * p_fire
+            herald_p += group_w * sum(abs(a) ** 2 for a in rest_terms.values())
+            vec = np.zeros(4, dtype=complex)
+            for key, amp in rest_terms.items():
+                idx = _qubit_index(key, output_arms)
+                if idx is not None:
+                    vec[idx] = amp
+            good_p += group_w * float(np.vdot(vec, vec).real)
+            rho += group_w * np.outer(vec, vec.conjugate())
+    if herald_p <= 0.0:
+        return HeraldResult(0.0, np.zeros((4, 4), dtype=complex), 0.0, False)
+    return HeraldResult(herald_p, rho / herald_p, good_p / herald_p, True)
+
+
+def sixfold_probability(state: PureState | MixedState,
+                        trigger_detectors: list[DetectorSpec],
+                        output_detectors: list[DetectorSpec],
+                        basis: tuple[str, str],
+                        outcome: tuple[int, int] = (0, 0),
+                        output_arms: tuple[str, str] = OUTPUT_ARMS) -> float:
+    """Exclusive six-fold probability: every trigger fires, the selected
+    detector of each output arm clicks and the other output detectors
+    stay silent."""
+    rotated = []
+    for weight, pure in as_mixed(state).branches:
+        for arm, b in zip(output_arms, basis):
+            pure = substitute_modes(
+                pure, measurement_rotation(arm, b).extended(pure.occupied_modes()))
+        rotated.append((weight, pure))
+    wanted = set()
+    for arm, o in zip(output_arms, outcome):
+        ports = sorted((d for d in output_detectors if d.mode[0] == arm),
+                       key=lambda d: d.mode[1])
+        wanted.add(ports[o].id)
+
+    def p_event(det: DetectorSpec, n: int) -> float:
+        # given n surviving photons: a trigger fires, a wanted output
+        # detector clicks, any other output detector stays silent
+        readings = surviving_readings(det, n)
+        if det in trigger_detectors:
+            return sum(p for r, p in readings if trigger_fires(det, r))
+        return sum(p for r, p in readings if bool(r) == (det.id in wanted))
+
+    detectors = list(trigger_detectors) + list(output_detectors)
+    lossy = apply_detector_losses(MixedState(tuple(rotated)), detectors)
+    return sum(p_occ * math.prod(p_event(d, n) for d, n in zip(detectors, occ))
+               for occ, p_occ in _surviving_occupations(lossy, detectors).items())

@@ -17,7 +17,6 @@ from heraldsim.analysis import (
     dark_count_ratio,
     eff_exp,
     eff_theory,
-    fidelity_from_visibilities,
     fidelity_phi_plus,
     four_pair_correction,
     violates_chsh,
@@ -128,12 +127,6 @@ def test_fidelity_from_correlations_dual_path():
         est = fidelity_phi_plus(corr)
         assert est.value == pytest.approx(fidelity_to_phi_plus(dm), abs=1e-10)
         assert est.value == pytest.approx(f, abs=1e-10)
-
-
-def test_fidelity_from_visibilities():
-    assert fidelity_from_visibilities(1.0, 1.0, 1.0) == pytest.approx(1.0)
-    assert fidelity_from_visibilities(0.91, 0.91, 0.99) == pytest.approx(
-        (1.0 + 0.91 + 0.91 + 0.99) / 4.0, abs=1e-12)
 
 
 def test_correlation_from_counts():

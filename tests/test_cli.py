@@ -5,20 +5,26 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import heraldsim
 from heraldsim import fixture_path, schema_path
 
-from conftest import BOOSTED_CONFIG
+from conftest import BOOSTED_CONFIG, fixture_text
 
 
 SMALL_MC = BOOSTED_CONFIG.replace("pulses 2000000", "pulses 200000")
+# the directory this run imports heraldsim from, for the child processes
+PACKAGE_ROOT = str(Path(heraldsim.__file__).resolve().parents[1])
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -104,6 +110,27 @@ def test_sweep_two_steps(boosted_file):
     assert proc.returncode == 0
     lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
     assert len(lines) == 3  # header + 2 rows
+
+
+def test_sweep_follows_the_configs_own_labels(tmp_path):
+    # relabelling the trigger-arm polarizations changes no physics, so the
+    # sweep must print the fixture's rows, not zeros
+    text = (fixture_text("paper_5050.exp").replace("out=xp,yp", "out=u,v")
+            .replace("mode=f:xp", "mode=f:u").replace("mode=f:yp", "mode=f:v"))
+    path = tmp_path / "relabelled.exp"
+    path.write_text(text, encoding="utf-8")
+    fixture = str(fixture_path("paper_5050.exp"))
+
+    herald_reports = [json.loads(run_cli("herald", p, "--json").stdout)
+                      for p in (fixture, str(path))]
+    assert herald_reports[1]["preparation_efficiency"] == pytest.approx(
+        herald_reports[0]["preparation_efficiency"], abs=1e-12)
+
+    sweeps = [run_cli("sweep", p, "--steps", "2") for p in (fixture, str(path))]
+    assert [proc.returncode for proc in sweeps] == [0, 0]
+    assert sweeps[1].stdout == sweeps[0].stdout
+    rows = list(csv.DictReader(sweeps[1].stdout.splitlines()))
+    assert all(float(r["eff_exact_enumerated"]) > 0.0 for r in rows)
 
 
 def test_montecarlo_outputs_are_reproducible(boosted_file, tmp_path):

@@ -1,16 +1,22 @@
 """Detector semantics, click enumeration, and herald conditioning."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from heraldsim.fock import ConfigError, apply_creation, make_vacuum, mode
+from heraldsim.fock import (ConfigError, MixedState, PureState, apply_creation,
+                            make_vacuum, mode)
 from heraldsim.elements import TRIGGER_MODES, apply_circuit, heralding_circuit
-from heraldsim.source import n_pair_state
+from heraldsim.source import dephased_source, n_pair_state
 from heraldsim.detect import (
-    apply_detector_losses,
+    NUMBER_RESOLVING,
+    THRESHOLD,
+    DetectorSpec,
     click_distribution,
+    click_probability,
     decompose_s1,
     fidelity_to_phi_plus,
     herald,
@@ -19,6 +25,8 @@ from heraldsim.detect import (
     threshold_detector,
 )
 from heraldsim.analysis import eff_theory
+
+import dilation_oracle as oracle
 
 
 def trigger_set(kind="pnr", eta=1.0, dark=0.0, window=0.0):
@@ -44,7 +52,7 @@ def test_dark_click_probability_on_vacuum():
 def test_click_distribution_normalized():
     st = apply_circuit(n_pair_state(2), heralding_circuit(0.4))
     dets = trigger_set(kind="threshold", eta=0.3, dark=100.0, window=1e-8)
-    dist = click_distribution(apply_detector_losses(st, dets), dets)
+    dist = click_distribution(st, dets)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -56,7 +64,7 @@ def test_pnr_counts_are_binomial_under_loss():
         st = apply_creation(st, mode("c", "x"))
     st = st.normalized()
     det = pnr_detector("d", mode("c", "x"), eta=eta)
-    dist = click_distribution(apply_detector_losses(st, [det]), [det])
+    dist = click_distribution(st, [det])
     for k in range(n + 1):
         expect = math.comb(n, k) * eta ** k * (1 - eta) ** (n - k)
         assert dist[(k,)] == pytest.approx(expect, abs=1e-12)
@@ -70,8 +78,6 @@ def test_ideal_herald_reproduces_closed_form(R):
     assert res.herald_probability == pytest.approx(T ** 4 * R ** 2 / 2.0,
                                                    abs=1e-12)
     assert res.preparation_efficiency == pytest.approx(1.0, abs=1e-12)
-    assert fidelity_to_phi_plus(res.normalized_dm()) == pytest.approx(
-        1.0, abs=1e-12) if hasattr(res, "normalized_dm") else True
     dm = res.conditional_dm / np.trace(res.conditional_dm).real
     assert fidelity_to_phi_plus(dm) == pytest.approx(1.0, abs=1e-12)
 
@@ -151,3 +157,88 @@ def test_detector_parameter_validation():
         threshold_detector("d", mode("c", "x"), eta=1.3)
     with pytest.raises(ConfigError):
         threshold_detector("d", mode("c", "x"), dark_rate=1e9, window=1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=strategies.sampled_from([THRESHOLD, NUMBER_RESOLVING]),
+       n=strategies.integers(min_value=0, max_value=5),
+       eta=strategies.floats(min_value=0.0, max_value=1.0),
+       dark=strategies.floats(min_value=0.0, max_value=0.5, exclude_max=True))
+def test_click_probability_matches_dilation_oracle(kind, n, eta, dark):
+    det = DetectorSpec(id="d", mode=mode("c", "x"), kind=kind, coupling=eta,
+                       dark_rate=dark, window=1.0)
+    assert click_probability(det, n) == pytest.approx(
+        oracle.click_probability(det, n), abs=1e-12)
+    state = PureState.from_occupations({det.mode: n})
+    got = click_distribution(state, [det])
+    want = oracle.click_distribution(state, [det])
+    for reading in set(got) | set(want):
+        assert got.get(reading, 0.0) == pytest.approx(
+            want.get(reading, 0.0), abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def paper_5050_states(paper_5050):
+    """Post-circuit n = 3 and n = 4 states and the dephased source mixture
+    of the paper_5050 config."""
+    circuit = paper_5050.circuit()
+    mixture = dephased_source(paper_5050.source, paper_5050.noise)
+    return {
+        "n3": apply_circuit(n_pair_state(3), circuit),
+        "n4": apply_circuit(n_pair_state(4), circuit),
+        "dephased": MixedState(tuple((w, apply_circuit(s, circuit))
+                                     for w, s in mixture.branches)),
+    }
+
+
+def lossy_dark_detectors(config, trigger_kind):
+    """The config's detectors at eta_t = 0.7, eta_s = 0.6 and a dark-count
+    probability of 0.02, so multi-photon and dark terms carry weight."""
+    def lossy(det, eta, kind):
+        return dataclasses.replace(det, kind=kind, coupling=eta,
+                                   dark_rate=0.02, window=1.0)
+    return ([lossy(d, 0.7, trigger_kind) for d in config.trigger_detectors()],
+            [lossy(d, 0.6, THRESHOLD) for d in config.output_detectors()])
+
+
+@pytest.mark.parametrize("kind", [THRESHOLD, NUMBER_RESOLVING])
+@pytest.mark.parametrize("which", ["n3", "n4", "dephased"])
+def test_closed_form_matches_dilation_oracle(paper_5050, paper_5050_states,
+                                             which, kind):
+    state = paper_5050_states[which]
+    triggers, outputs = lossy_dark_detectors(paper_5050, kind)
+
+    got, want = herald(state, triggers), oracle.herald(state, triggers)
+    assert got.herald_probability == pytest.approx(want.herald_probability,
+                                                   abs=1e-12)
+    assert got.preparation_efficiency == pytest.approx(
+        want.preparation_efficiency, abs=1e-12)
+    assert np.abs(got.conditional_dm - want.conditional_dm).max() <= 1e-12
+
+    got_dist = click_distribution(state, triggers)
+    want_dist = oracle.click_distribution(state, triggers)
+    for pattern in set(got_dist) | set(want_dist):
+        assert got_dist.get(pattern, 0.0) == pytest.approx(
+            want_dist.get(pattern, 0.0), abs=1e-12)
+
+    basis, outcome = ("DA", "RL"), (0, 1)
+    assert sixfold_probability(state, triggers, outputs, basis, outcome) == \
+        pytest.approx(oracle.sixfold_probability(state, triggers, outputs,
+                                                 basis, outcome), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sixfold_pnr_triggers_fire_as_in_herald(paper_5050, n):
+    # ideal number-resolving triggers fire on exactly one photon in both
+    # herald and sixfold_probability, so with ideal threshold outputs the
+    # HV six-folds add up to the heralded one-photon-per-arm weight
+    state = apply_circuit(n_pair_state(n), paper_5050.circuit())
+    triggers = [pnr_detector(d.id, d.mode)
+                for d in paper_5050.trigger_detectors()]
+    outputs = [threshold_detector(d.id, d.mode)
+               for d in paper_5050.output_detectors()]
+    res = herald(state, triggers)
+    total = sum(sixfold_probability(state, triggers, outputs, ("HV", "HV"),
+                                    (a, b)) for a in (0, 1) for b in (0, 1))
+    assert total == pytest.approx(
+        res.herald_probability * res.preparation_efficiency, abs=1e-12)

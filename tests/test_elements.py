@@ -14,13 +14,14 @@ from heraldsim.elements import (
     beam_splitter,
     half_wave_plate,
     heralding_circuit,
-    loss_channel,
     measurement_rotation,
     polarizing_beam_splitter,
     validate_isometry,
 )
 from heraldsim.source import n_pair_state
 from heraldsim.detect import herald, pnr_detector
+
+from dilation_oracle import loss_channel
 
 
 def test_beam_splitter_amplitudes():

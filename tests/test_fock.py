@@ -8,7 +8,6 @@ from heraldsim.fock import (
     FockError,
     TruncationError,
     apply_creation,
-    branch_on_modes,
     deserialize_state,
     inner_product,
     make_vacuum,
@@ -22,8 +21,9 @@ from heraldsim.elements import (
     beam_splitter,
     half_wave_plate,
     WavePlateSpec,
-    loss_channel,
 )
+
+from dilation_oracle import branch_on_modes, loss_channel
 
 
 def n_photon_state(m, n, max_photons=10):

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
@@ -174,9 +175,12 @@ def cmd_montecarlo(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     print(f"running {len(config.bases) or 1} basis settings, "
           f"{config.pulses} pulses each", file=sys.stderr)
+    t0 = time.perf_counter()
     tables = precompute_outcome_tables(config)
+    t1 = time.perf_counter()
     result = run_experiment(config, tables=tables, aggregate=args.aggregate,
                             threads=args.threads)
+    t2 = time.perf_counter()
 
     outputs = []
     for record in result.records:
@@ -195,6 +199,7 @@ def cmd_montecarlo(args) -> int:
     summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     (out_dir / "summary.json").write_text(summary_text)
     outputs.append("summary.json")
+    t3 = time.perf_counter()
 
     manifest = {
         "command": " ".join(sys.argv),
@@ -204,6 +209,11 @@ def cmd_montecarlo(args) -> int:
         "outputs": outputs,
         "started": started,
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "stages": {"tables_s": t1 - t0, "sample_s": t2 - t1, "write_s": t3 - t2},
+        "tables": {"branches": len(tables[0].branch_weights),
+                   "patterns": len(tables[0].is_trigger),
+                   "fock_terms": {"_".join(t.basis): t.fock_terms
+                                  for t in tables}},
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     if args.json:

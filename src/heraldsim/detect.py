@@ -18,9 +18,10 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .elements import OUTPUT_ARMS, TRIGGER_MODES, measurement_rotation
+from .elements import (OUTPUT_ARMS, TRIGGER_MODES, CircuitSpec, apply_circuit,
+                       measurement_rotation)
 from .fock import (ConfigError, FockKey, MixedState, Mode, PureState,
-                   as_mixed, key_occupation, substitute_modes)
+                   as_mixed, key_occupation)
 
 THRESHOLD = "threshold"
 NUMBER_RESOLVING = "pnr"
@@ -75,9 +76,14 @@ def click_probability(det: DetectorSpec, n: int) -> float:
     eta, d = det.eta, det.dark_probability
     if det.kind == THRESHOLD:
         # on vacuum the dark probability itself, not 1 - (1 - d)
-        return 1.0 - (1.0 - eta) ** n * (1.0 - d) if n else d
+        return 1.0 - _silent_probability(det, n) if n else d
     one_detected = n * eta * (1.0 - eta) ** (n - 1) if n else 0.0
     return one_detected * (1.0 - d) + (1.0 - eta) ** n * d
+
+
+def _silent_probability(det: DetectorSpec, n: int) -> float:
+    """Probability that `det` reads nothing: all n photons lost, no dark count."""
+    return (1.0 - det.eta) ** n * (1.0 - det.dark_probability)
 
 
 def _readings(det: DetectorSpec, n: int) -> list[tuple[object, float]]:
@@ -99,6 +105,21 @@ def _readings(det: DetectorSpec, n: int) -> list[tuple[object, float]]:
             for r in range(n + 2)]
 
 
+def occupation_probabilities(state: PureState | MixedState, modes: list[Mode]
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct photon counts on `modes` in `state`, one int row each
+    (columns as `modes`), and their probabilities."""
+    rows, probs = [], []
+    for weight, pure in as_mixed(state).branches:
+        for key, amp in pure.terms.items():
+            occ = dict(key)
+            rows.append([occ.get(m, 0) for m in modes])
+            probs.append(weight * abs(amp) ** 2)
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(modes))
+    occ, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return occ, np.bincount(inverse.ravel(), weights=probs, minlength=len(occ))
+
+
 def click_distribution(state: PureState | MixedState,
                        detectors: list[DetectorSpec]
                        ) -> dict[tuple, float]:
@@ -108,15 +129,10 @@ def click_distribution(state: PureState | MixedState,
     Occupations of non-detector modes are marginalized; coherences between
     distinct joint occupation patterns never contribute to probabilities.
     """
-    mixed = as_mixed(state)
-    occ_probs: dict[tuple[int, ...], float] = {}
-    modes = [d.mode for d in detectors]
-    for weight, pure in mixed.branches:
-        for key, amp in pure.terms.items():
-            occ = tuple(key_occupation(key, m) for m in modes)
-            occ_probs[occ] = occ_probs.get(occ, 0.0) + weight * abs(amp) ** 2
+    occ_rows, occ_probs = occupation_probabilities(
+        state, [d.mode for d in detectors])
     dist: dict[tuple, float] = {}
-    for occ, p_occ in occ_probs.items():
+    for occ, p_occ in zip(occ_rows.tolist(), occ_probs.tolist()):
         options = [_readings(det, n) for det, n in zip(detectors, occ)]
         for combo in iproduct(*options):
             prob = p_occ
@@ -256,17 +272,15 @@ def sixfold_probability(state: PureState | MixedState,
     measurement basis before detection.  Triggers fire as in `herald`.
     `outcome` selects which detector clicks in each arm (0 = the x-labeled
     port: H, + or R).  With `exclusive` the complementary output detectors
-    must not click, matching coincidence-logic counting.
+    must not click, matching coincidence-logic counting.  The event is a
+    product of per-detector events: one factor per detector and pattern.
     """
-    mixed = as_mixed(state)
-    rotated = []
-    for weight, pure in mixed.branches:
-        for arm, b in zip(output_arms, basis):
-            pure = substitute_modes(
-                pure, measurement_rotation(arm, b).extended(pure.occupied_modes()))
-        rotated.append((weight, pure))
+    rotation = CircuitSpec(tuple(measurement_rotation(arm, b)
+                                 for arm, b in zip(output_arms, basis)))
+    rotated = MixedState(tuple((weight, apply_circuit(pure, rotation))
+                               for weight, pure in as_mixed(state).branches))
     detectors = list(trigger_detectors) + list(output_detectors)
-    dist = click_distribution(MixedState(tuple(rotated)), detectors)
+    occ, p_occ = occupation_probabilities(rotated, [d.mode for d in detectors])
 
     n_trig = len(trigger_detectors)
     by_arm: dict[str, list[int]] = {arm: [] for arm in output_arms}
@@ -277,20 +291,19 @@ def sixfold_probability(state: PureState | MixedState,
         ports = sorted(by_arm[arm], key=lambda i: detectors[i].mode[1])
         wanted.append(ports[outcome[arm_i]])
 
-    total = 0.0
-    for pattern, prob in dist.items():
-        # a trigger fires as in click_probability: a threshold click reads
-        # True == 1, a number-resolving trigger must read exactly one
-        if not all(pattern[i] == 1 for i in range(n_trig)):
+    counts = range(int(occ.max(initial=0)) + 1)
+    total = p_occ
+    for i, det in enumerate(detectors):
+        if i < n_trig:
+            factor = [click_probability(det, n) for n in counts]
+        elif i in wanted:  # any reading of one or more
+            factor = [1.0 - _silent_probability(det, n) for n in counts]
+        elif exclusive:
+            factor = [_silent_probability(det, n) for n in counts]
+        else:
             continue
-        if not all(pattern[i] for i in wanted):
-            continue
-        if exclusive:
-            others = [i for i in range(n_trig, len(detectors)) if i not in wanted]
-            if any(pattern[i] for i in others):
-                continue
-        total += prob
-    return total
+        total = total * np.array(factor)[occ[:, i]]
+    return float(total.sum())
 
 
 def fidelity_to_phi_plus(dm: np.ndarray) -> float:

@@ -166,11 +166,29 @@ class CircuitSpec:
 
     transforms: tuple[ModeTransform, ...] = field(default_factory=tuple)
 
+    def compile(self, modes: set[Mode]) -> ModeTransform:
+        """One column per mode of `modes`: the elements composed in
+        propagation order, each passing the modes it ignores unchanged.
+        Raises ConfigError unless the composed map is an isometry."""
+        columns = {}
+        for m in modes:
+            col: dict[Mode, complex] = {m: 1.0 + 0.0j}
+            for transform in self.transforms:
+                nxt: dict[Mode, complex] = {}
+                for om, c in col.items():
+                    for tc, tm in transform.columns.get(om, ((1.0, om),)):
+                        nxt[tm] = nxt.get(tm, 0.0) + c * tc
+                col = nxt
+            columns[m] = tuple((c, om) for om, c in col.items() if c != 0.0)
+        ok, dev = validate_isometry(ModeTransform(columns))
+        if not ok:
+            raise ConfigError("circuit is not lossless: its composed map "
+                              f"deviates from an isometry by {dev:.3g}")
+        return ModeTransform(columns)
+
 
 def apply_circuit(state: PureState, circuit: CircuitSpec) -> PureState:
-    for transform in circuit.transforms:
-        state = substitute_modes(state, transform.extended(state.occupied_modes()))
-    return state
+    return substitute_modes(state, circuit.compile(state.occupied_modes()))
 
 
 def heralding_circuit(R: float) -> CircuitSpec:

@@ -199,11 +199,16 @@ def substitute_modes(state: PureState, transform: ModeTransform,
     amplitudes stay in the orthonormal Fock basis.
     """
     columns = transform.columns
-    cache: dict[tuple[Mode, int], list] = {}
+    # a monomial is one int with its exponents over `out_modes` as digits in
+    # base photons+1; no exponent reaches the base, so products add the ints
+    out_modes = sorted({om for col in columns.values() for _, om in col})
+    base = state.max_photons() + 1
+    place = {om: base ** i for i, om in enumerate(out_modes)}
+    cache: dict[tuple[Mode, int], list[tuple[complex, int]]] = {}
+    unpacked: dict[int, tuple[FockKey, float]] = {}
     out: dict[FockKey, complex] = {}
     for key, amp in state.terms.items():
-        # partial products: output-mode power accumulator -> coefficient
-        partial: dict[tuple[tuple[Mode, int], ...], complex] = {(): amp}
+        partial: dict[int, complex] = {0: amp}
         for m, n in key:
             col = columns.get(m)
             if col is None:
@@ -211,25 +216,24 @@ def substitute_modes(state: PureState, transform: ModeTransform,
                     f"transform has no column for occupied mode {mode_str(m)}")
             exp = cache.get((m, n))
             if exp is None:
-                exp = [(c / math.sqrt(math.factorial(n)), powers)
+                exp = [(c / math.sqrt(math.factorial(n)),
+                        sum(p * place[om] for om, p in powers))
                        for c, powers in _power_expansion(col, n)]
                 cache[(m, n)] = exp
-            nxt: dict[tuple[tuple[Mode, int], ...], complex] = {}
-            for acc_powers, acc_coef in partial.items():
-                acc = dict(acc_powers)
-                for coef, powers in exp:
-                    merged = dict(acc)
-                    for om, p in powers:
-                        merged[om] = merged.get(om, 0) + p
-                    mkey = tuple(sorted(merged.items()))
-                    nxt[mkey] = nxt.get(mkey, 0.0) + acc_coef * coef
+            nxt: dict[int, complex] = {}
+            for acc, acc_coef in partial.items():
+                for coef, packed in exp:
+                    nxt[acc + packed] = nxt.get(acc + packed, 0.0) + acc_coef * coef
             partial = nxt
-        for powers, coef in partial.items():
-            factor = 1.0
-            for _, p in powers:
-                factor *= math.factorial(p)
-            out_key: FockKey = tuple(powers)
-            out[out_key] = out.get(out_key, 0.0) + coef * math.sqrt(factor)
+        for packed, coef in partial.items():
+            entry = unpacked.get(packed)
+            if entry is None:
+                powers = tuple((om, p) for om in out_modes
+                               if (p := packed // place[om] % base))
+                entry = unpacked[packed] = (powers, math.sqrt(
+                    math.prod(math.factorial(p) for _, p in powers)))
+            out_key, scale = entry
+            out[out_key] = out.get(out_key, 0.0) + coef * scale
     return PureState(out, drop_tol=drop_tol)
 
 

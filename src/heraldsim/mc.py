@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -31,9 +32,10 @@ from numpy.random import Generator, Philox
 from .analysis import (EfficiencyEstimate, FidelityEstimate, PauliCorrelation,
                        correlation_from_counts, eff_exp, fidelity_phi_plus)
 from .config import ExperimentConfig
-from .detect import THRESHOLD, DetectorSpec, click_probability
-from .elements import BASIS_OUTCOMES, apply_circuit, measurement_rotation
-from .fock import ConfigError, PureState, key_occupation, substitute_modes
+from .detect import (THRESHOLD, DetectorSpec, click_probability,
+                     occupation_probabilities)
+from .elements import BASIS_OUTCOMES, CircuitSpec, measurement_rotation
+from .fock import ConfigError, PureState, substitute_modes
 from .source import dephased_source
 
 _RAWS_PER_PULSE = 4  # one Philox counter block
@@ -110,6 +112,7 @@ class BasisTables:
     pattern_rank: RankLookup             # breaks: all branches' pattern CDFs
     # joint (branch, pattern) index by (branch rank, pattern rank)
     joint_lut: np.ndarray
+    fock_terms: int                      # post-circuit terms, all branches
 
     def sixfold_probability_per_pulse(self) -> float:
         total = 0.0
@@ -128,21 +131,15 @@ class BasisTables:
 def _pattern_vector(state: PureState, detectors: list[DetectorSpec]
                     ) -> np.ndarray:
     """Probability over the 2^k click patterns (bit i = detector i clicked)."""
-    k = len(detectors)
-    modes = [d.mode for d in detectors]
-    occ_probs: dict[tuple[int, ...], float] = {}
-    for key, amp in state.terms.items():
-        occ = tuple(key_occupation(key, m) for m in modes)
-        occ_probs[occ] = occ_probs.get(occ, 0.0) + abs(amp) ** 2
-    out = np.zeros(1 << k)
-    for occ, p_occ in occ_probs.items():
-        click_p = np.array([click_probability(d, n)
-                            for d, n in zip(detectors, occ)])
-        acc = np.array([p_occ])
-        for i in range(k):
-            acc = np.concatenate([acc * (1.0 - click_p[i]), acc * click_p[i]])
-        out += acc
-    return out
+    occ, p_occ = occupation_probabilities(state, [d.mode for d in detectors])
+    click = np.array([[click_probability(d, n)
+                       for n in range(int(occ.max(initial=0)) + 1)]
+                      for d in detectors])
+    acc = p_occ[:, None]
+    for i in range(len(detectors)):
+        c = click[i, occ[:, i]][:, None]
+        acc = np.concatenate([acc * (1.0 - c), acc * c], axis=1)
+    return acc.sum(axis=0)
 
 
 def _joint_lut(pattern_cdfs: list[np.ndarray], breaks: np.ndarray
@@ -205,21 +202,22 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
             outcome_index[p] = idx
 
     circuit = config.circuit()
-    branches = [(w, apply_circuit(state, circuit)) for w, state in
-                dephased_source(config.source, config.noise).branches]
+    source = dephased_source(config.source, config.noise).branches
+    source_modes = set().union(*(state.occupied_modes() for _, state in source))
     tables = []
     for basis in (config.bases or (("HV", "HV"),)):
-        outcome_labels = []
-        for o1 in range(2):
-            for o2 in range(2):
-                outcome_labels.append((BASIS_OUTCOMES[basis[0]][o1],
-                                       BASIS_OUTCOMES[basis[1]][o2]))
+        outcome_labels = tuple(product(BASIS_OUTCOMES[basis[0]],
+                                       BASIS_OUTCOMES[basis[1]]))
+        # source modes -> this basis's detector modes: one pass per branch
+        to_detectors = CircuitSpec(circuit.transforms + tuple(
+            measurement_rotation(arm, b) for arm, b in zip(arms, basis))
+        ).compile(source_modes)
         weights = []
         vectors = []
-        for w, out in branches:
-            for arm, b in zip(arms, basis):
-                out = substitute_modes(
-                    out, measurement_rotation(arm, b).extended(out.occupied_modes()))
+        fock_terms = 0
+        for w, state in source:
+            out = substitute_modes(state, to_detectors)
+            fock_terms += len(out)
             weights.append(w)
             vectors.append(_pattern_vector(out, detectors))
         remainder = max(1.0 - sum(weights), 0.0)
@@ -237,10 +235,11 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
             branch_weights=branch_weights,
             pattern_probs=tuple(np.asarray(v) for v in vectors),
             is_trigger=is_trigger, outcome_index=outcome_index,
-            outcome_labels=tuple(outcome_labels),
+            outcome_labels=outcome_labels,
             branch_rank=RankLookup.build(branch_cdf),
             pattern_rank=RankLookup.build(pattern_breaks),
-            joint_lut=_joint_lut(pattern_cdfs, pattern_breaks)))
+            joint_lut=_joint_lut(pattern_cdfs, pattern_breaks),
+            fock_terms=fock_terms))
     return tables
 
 

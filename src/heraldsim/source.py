@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq, minimize_scalar
-
 from .fock import (ConfigError, MixedState, PureState, TruncationError,
                    apply_creation, make_vacuum)
 
@@ -45,24 +43,21 @@ def pair_probability(n: int, r: float) -> float:
     return (n + 1) * math.tanh(r) ** (2 * n) / math.cosh(r) ** 4
 
 
-def _p1_peak() -> tuple[float, float]:
-    res = minimize_scalar(lambda r: -pair_probability(1, r),
-                          bounds=(1e-6, 3.0), method="bounded",
-                          options={"xatol": 1e-13})
-    return res.x, -res.fun
-
-
 def coupling_from_rate(p1: float) -> float:
-    """Invert p_1(r) = 2 tanh^2(r)/cosh^4(r) on its increasing branch."""
+    """Invert p_1(r) = 2 tanh^2(r)/cosh^4(r) on its increasing branch: with
+    x = tanh^2(r), p_1 = 2x(1-x)^2 rises on [0, 1/3] to 8/27.  The cubic's
+    smallest root by the trigonometric formula, then one Newton step for the
+    relative precision its cancellation loses at small p_1."""
     if p1 < 0:
         raise ConfigError(f"p1={p1} must be >= 0")
-    if p1 == 0.0:
-        return 0.0
-    r_peak, p_max = _p1_peak()
-    if p1 > p_max:
-        raise ConfigError(f"p1={p1} exceeds achievable maximum {p_max:.6g}")
-    return brentq(lambda r: pair_probability(1, r) - p1, 0.0, r_peak,
-                  xtol=1e-12, rtol=8.9e-16)
+    if p1 > 8.0 / 27.0:
+        raise ConfigError(f"p1={p1} exceeds achievable maximum {8.0 / 27.0:.6g}")
+    x = (2.0 + 2.0 * math.cos(
+        (math.acos(min(6.75 * p1 - 1.0, 1.0)) + 2.0 * math.pi) / 3.0)) / 3.0
+    slope = 2.0 * (1.0 - x) * (1.0 - 3.0 * x)
+    if slope > 0.0:  # zero at the peak; the tangent never crosses past it
+        x -= (2.0 * x * (1.0 - x) ** 2 - p1) / slope
+    return math.atanh(math.sqrt(x))
 
 
 _MODE_AX = ("a", "x")

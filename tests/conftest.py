@@ -37,6 +37,11 @@ def fixture_text(name):
         return fh.read()
 
 
+# paper_5050 with the trigger-arm polarizations relabelled: the same physics
+RELABELLED_5050 = (fixture_text("paper_5050.exp").replace("out=xp,yp", "out=u,v")
+                   .replace("mode=f:xp", "mode=f:u").replace("mode=f:yp", "mode=f:v"))
+
+
 @pytest.fixture(scope="session")
 def paper_5050():
     return parse(fixture_text("paper_5050.exp"))

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, file outputs, schema conformance."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import heraldsim
 from heraldsim import fixture_path, schema_path
 
-from conftest import BOOSTED_CONFIG, fixture_text
+from conftest import BOOSTED_CONFIG, RELABELLED_5050
 
 
 SMALL_MC = BOOSTED_CONFIG.replace("pulses 2000000", "pulses 200000")
@@ -21,15 +22,18 @@ SMALL_MC = BOOSTED_CONFIG.replace("pulses 2000000", "pulses 200000")
 PACKAGE_ROOT = str(Path(heraldsim.__file__).resolve().parents[1])
 
 
-def run_cli(*args, env_extra=None):
+def run_python(*args, env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "heraldsim.cli", *args],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env)
+
+
+def run_cli(*args, env_extra=None):
+    return run_python("-m", "heraldsim.cli", *args, env_extra=env_extra)
 
 
 @pytest.fixture()
@@ -115,10 +119,8 @@ def test_sweep_two_steps(boosted_file):
 def test_sweep_follows_the_configs_own_labels(tmp_path):
     # relabelling the trigger-arm polarizations changes no physics, so the
     # sweep must print the fixture's rows, not zeros
-    text = (fixture_text("paper_5050.exp").replace("out=xp,yp", "out=u,v")
-            .replace("mode=f:xp", "mode=f:u").replace("mode=f:yp", "mode=f:v"))
     path = tmp_path / "relabelled.exp"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(RELABELLED_5050, encoding="utf-8")
     fixture = str(fixture_path("paper_5050.exp"))
 
     herald_reports = [json.loads(run_cli("herald", p, "--json").stdout)
@@ -194,6 +196,32 @@ def test_montecarlo_summary_schema_and_manifest(boosted_file, tmp_path):
     listed = set(manifest["outputs"])
     present = {p.name for p in out.iterdir()} - {"manifest.json"}
     assert present <= listed or present == listed
+
+
+def test_montecarlo_manifest_telemetry(boosted_file, tmp_path):
+    out = tmp_path / "run"
+    proc = run_cli("montecarlo", boosted_file, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    stages = manifest["stages"]
+    assert set(stages) == {"tables_s", "sample_s", "write_s"}
+    assert all(v >= 0.0 for v in stages.values())
+    tables = manifest["tables"]
+    assert tables["branches"] >= 1 and tables["patterns"] == 256
+    assert set(tables["fock_terms"]) == {"HV_HV", "DA_DA", "RL_RL"}
+    assert all(n > 0 for n in tables["fock_terms"].values())
+    # summary.json as the release before the telemetry wrote it
+    digest = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
+    assert digest == ("0be13ae3e40ccb25a1d152181a7b5aef"
+                      "0381255a42c128f53ac2df09ee92de09")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = run_python(
+        "-c", "import sys, heraldsim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_montecarlo_env_var_out_dir(boosted_file, tmp_path):

@@ -1,12 +1,16 @@
-"""Linear-optical elements: splitters, wave plates, loss, basis rotations."""
+"""Linear-optical elements: splitters, wave plates, loss, basis rotations,
+and circuits compiled into one transform."""
 
 import math
 
 import pytest
 
-from heraldsim.fock import ConfigError, apply_creation, make_vacuum, mode
+from heraldsim.dsl import parse
+from heraldsim.fock import (ConfigError, apply_creation, make_vacuum, mode,
+                            substitute_modes)
 from heraldsim.elements import (
     BeamSplitterSpec,
+    CircuitSpec,
     ModeTransform,
     TRIGGER_MODES,
     WavePlateSpec,
@@ -21,7 +25,26 @@ from heraldsim.elements import (
 from heraldsim.source import n_pair_state
 from heraldsim.detect import herald, pnr_detector
 
+from conftest import RELABELLED_5050, fixture_text
 from dilation_oracle import loss_channel
+
+
+def apply_elementwise(state, circuit):
+    """Reference: substitute element by element, each extended with identity
+    columns for the occupied modes it ignores."""
+    for transform in circuit.transforms:
+        state = substitute_modes(state, transform.extended(state.occupied_modes()))
+    return state
+
+
+def max_amplitude_gap(a, b):
+    return max(abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0))
+               for k in set(a.terms) | set(b.terms))
+
+
+CIRCUIT_TEXTS = {name: fixture_text(name) for name in
+                 ("paper_5050.exp", "paper_6040.exp", "paper_7030.exp")}
+CIRCUIT_TEXTS["relabelled"] = RELABELLED_5050
 
 
 def test_beam_splitter_amplitudes():
@@ -121,3 +144,38 @@ def test_two_pair_herald_suppression():
 def test_circuit_norm_preserved_three_pairs():
     st = apply_circuit(n_pair_state(3), heralding_circuit(0.7))
     assert st.norm_sq() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(CIRCUIT_TEXTS))
+def test_compiled_circuit_matches_elementwise(name, n):
+    circuit = parse(CIRCUIT_TEXTS[name]).circuit()
+    st = n_pair_state(n)
+    compiled = apply_circuit(st, circuit)
+    reference = apply_elementwise(st, circuit)
+    assert max_amplitude_gap(compiled, reference) < 1e-12
+    assert compiled.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("basis", ["HV", "DA", "RL"])
+def test_compiled_basis_map_matches_circuit_then_rotation(paper_5050, basis):
+    circuit = paper_5050.circuit()
+    rotations = tuple(measurement_rotation(arm, basis) for arm in ("c", "d"))
+    st = n_pair_state(4)
+    to_detectors = CircuitSpec(circuit.transforms + rotations)
+    compiled = substitute_modes(st, to_detectors.compile(st.occupied_modes()))
+    reference = apply_elementwise(st, to_detectors)  # circuit, then rotations
+    assert max_amplitude_gap(compiled, reference) < 1e-12
+
+
+def test_compile_rejects_non_isometric_element():
+    bs = beam_splitter(BeamSplitterSpec(R=0.5, input="a", reflected_out="c",
+                                        transmitted_out="e"))
+    scaled = ModeTransform(
+        {m: tuple((0.9 * amp, om) for amp, om in col)
+         for m, col in bs.columns.items()})
+    circuit = CircuitSpec((scaled, polarizing_beam_splitter("e")))
+    with pytest.raises(ConfigError, match="deviates from an isometry by 0.19"):
+        circuit.compile({mode("a", "x"), mode("b", "y")})
+    with pytest.raises(ConfigError):
+        apply_circuit(n_pair_state(1), circuit)

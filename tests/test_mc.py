@@ -9,11 +9,11 @@ import pytest
 from numpy.random import Philox
 
 from heraldsim import mc
-from heraldsim.fock import ConfigError, MixedState
+from heraldsim.fock import ConfigError, MixedState, key_occupation
 from heraldsim.dsl import parse
-from heraldsim.elements import apply_circuit
+from heraldsim.elements import CircuitSpec, apply_circuit, measurement_rotation
 from heraldsim.source import dephased_source
-from heraldsim.detect import fidelity_to_phi_plus, herald
+from heraldsim.detect import click_probability, fidelity_to_phi_plus, herald
 from heraldsim.mc import (
     RankLookup,
     estimate_fidelity,
@@ -76,6 +76,26 @@ def mask_loop_shard(tables, key, start, count):
         idx = np.searchsorted(pattern_cdfs[b], u[mask, 1], side="right")
         hist[b] = np.bincount(np.minimum(idx, n_pat - 1), minlength=n_pat)
     return hist.ravel()
+
+
+def loop_pattern_vector(state, detectors):
+    """Reference: click-pattern probabilities by a loop over occupation
+    patterns, one Kronecker step per detector."""
+    k = len(detectors)
+    modes = [d.mode for d in detectors]
+    occ_probs = {}
+    for key, amp in state.terms.items():
+        occ = tuple(key_occupation(key, m) for m in modes)
+        occ_probs[occ] = occ_probs.get(occ, 0.0) + abs(amp) ** 2
+    out = np.zeros(1 << k)
+    for occ, p_occ in occ_probs.items():
+        click_p = np.array([click_probability(d, n)
+                            for d, n in zip(detectors, occ)])
+        acc = np.array([p_occ])
+        for i in range(k):
+            acc = np.concatenate([acc * (1.0 - click_p[i]), acc * click_p[i]])
+        out += acc
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -347,3 +367,23 @@ def test_tables_reject_number_resolving(boosted):
         boosted, detectors=(det,) + tuple(boosted.detectors[1:]))
     with pytest.raises(ConfigError):
         precompute_outcome_tables(cfg)
+
+
+@pytest.mark.parametrize("eta, dark", [(None, None), (0.7, 0.02)])
+@pytest.mark.parametrize("basis", ["HV", "DA", "RL"])
+def test_pattern_vector_matches_loop(paper_5050, basis, eta, dark):
+    # threshold detectors with dark counts: the fixture's own (eta 0.167 and
+    # 0.129, d 3.6e-6) and a bright lossy set
+    detectors = paper_5050.trigger_detectors() + paper_5050.output_detectors()
+    if eta is not None:
+        detectors = [dataclasses.replace(d, coupling=eta, quantum_efficiency=1.0,
+                                         dark_rate=dark / 1e-8, window=1e-8)
+                     for d in detectors]
+    to_detectors = CircuitSpec(paper_5050.circuit().transforms + tuple(
+        measurement_rotation(arm, basis) for arm in ("c", "d")))
+    for _, st in dephased_source(paper_5050.source, paper_5050.noise).branches:
+        out = apply_circuit(st, to_detectors)
+        # only the summation order differs: a few hundred terms <= 1 each
+        np.testing.assert_allclose(mc._pattern_vector(out, detectors),
+                                   loop_pattern_vector(out, detectors),
+                                   rtol=0.0, atol=1e-14)

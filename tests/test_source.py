@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from heraldsim.fock import ConfigError, inner_product, substitute_modes
 from heraldsim.source import (
@@ -42,9 +44,22 @@ def test_coupling_round_trip(p1):
     assert pair_probability(1, r) == pytest.approx(p1, abs=1e-10)
 
 
+def test_coupling_matches_brentq_reference():
+    # the closed form against a root search on the increasing branch, which
+    # ends at tanh^2(r) = 1/3
+    r_peak = math.atanh(math.sqrt(1.0 / 3.0))
+    for p1 in np.linspace(0.001, 0.29, 60):
+        reference = brentq(lambda r: pair_probability(1, r) - p1, 0.0, r_peak,
+                           xtol=1e-300, rtol=8.9e-16, maxiter=500)
+        assert coupling_from_rate(float(p1)) == pytest.approx(reference,
+                                                              rel=1e-12)
+
+
 def test_coupling_rejects_unreachable_rate():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="achievable maximum 0.296296"):
         coupling_from_rate(0.30)
+    assert pair_probability(1, coupling_from_rate(8.0 / 27.0)) == \
+        pytest.approx(8.0 / 27.0, rel=1e-15)
 
 
 def test_single_pair_is_polarization_singlet():

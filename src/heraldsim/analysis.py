@@ -92,13 +92,6 @@ def violates_chsh(estimate: FidelityEstimate) -> tuple[bool, float]:
     return excess > 0.0, excess / estimate.sigma
 
 
-def dark_count_ratio(n_d: float, t: float, eta: float) -> float:
-    """Leading dark-count contribution to six-folds: n_d * t / eta."""
-    if eta <= 0.0:
-        raise ConfigError("eta must be positive")
-    return n_d * t / eta
-
-
 def _sector_herald(n: int, R: float, eta_t: float):
     circuit = heralding_circuit(R)
     state = apply_circuit(n_pair_state(n), circuit)

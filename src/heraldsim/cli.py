@@ -20,10 +20,10 @@ from . import __version__
 from .analysis import (chsh_werner_threshold, eff_theory, four_pair_correction,
                        violates_chsh)
 from .config import BsDecl, ExperimentConfig
-from .detect import decompose_s1, herald
+from .detect import HeraldResult, decompose_s1, herald
 from .dsl import DslError, parse, validate
 from .elements import apply_circuit
-from .fock import ConfigError
+from .fock import ConfigError, PureState
 from .mc import precompute_outcome_tables, run_experiment
 from .source import n_pair_state
 
@@ -50,14 +50,20 @@ def _load_config(path: str) -> ExperimentConfig:
     return config
 
 
+def _three_pair_herald(config: ExperimentConfig
+                       ) -> tuple[PureState, HeraldResult]:
+    """The three-pair state after the config's circuit, and its herald on
+    the config's triggers."""
+    state = apply_circuit(n_pair_state(3), config.circuit())
+    return state, herald(state, config.trigger_detectors(),
+                         output_arms=config.output_arms()[:2])
+
+
 def _herald_report(config: ExperimentConfig) -> dict:
     R = config.beam_splitter_R()
     eta_t = config.mean_trigger_eta()
-    circuit = config.circuit()
-    state = apply_circuit(n_pair_state(3), circuit)
-    triggers = config.trigger_detectors()
-    result = herald(state, triggers, output_arms=config.output_arms()[:2])
-    trigger_modes = tuple(d.mode for d in triggers)
+    state, result = _three_pair_herald(config)
+    trigger_modes = tuple(d.mode for d in config.trigger_detectors())
     decomp = decompose_s1(state, trigger_modes=trigger_modes,
                           output_arms=config.output_arms()[:2])
     params_four = config.source
@@ -107,9 +113,10 @@ def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     if args.steps < 2:
         raise DslError(f"steps={args.steps} must be >= 2", 0, 0)
+    for flag, value in (("--r-min", args.r_min), ("--r-max", args.r_max)):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{flag} {value} outside [0, 1]")
     eta_t = config.mean_trigger_eta()
-    triggers = config.trigger_detectors()
-    arms = config.output_arms()[:2]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["R", "eff_theory", "eff_exact_enumerated",
                      "four_pair_corrected"])
@@ -118,8 +125,7 @@ def cmd_sweep(args) -> int:
         swept = dataclasses.replace(config, elements=tuple(
             dataclasses.replace(e, R=R) if isinstance(e, BsDecl) else e
             for e in config.elements))
-        state = apply_circuit(n_pair_state(3), swept.circuit())
-        result = herald(state, triggers, output_arms=arms)
+        _, result = _three_pair_herald(swept)
         exact = result.preparation_efficiency if result.heralded else 0.0
         if config.source.n_max >= 4 and R > 0.0:
             shift = four_pair_correction(config.source, R, eta_t)

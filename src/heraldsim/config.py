@@ -6,8 +6,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .detect import DetectorSpec
-from .elements import (BeamSplitterSpec, CircuitSpec, WavePlateSpec,
-                       beam_splitter, half_wave_plate,
+from .elements import (CircuitSpec, beam_splitter, half_wave_plate,
                        polarizing_beam_splitter)
 from .fock import ConfigError, Mode
 from .source import SourceNoise, SpdcParams
@@ -59,14 +58,12 @@ class ExperimentConfig:
         pols_by_spatial: dict[str, tuple[str, str]] = {}
         for decl in self.elements:
             if isinstance(decl, BsDecl):
-                transforms.append(beam_splitter(BeamSplitterSpec(
-                    R=decl.R, input=decl.input,
-                    reflected_out=decl.reflected_out,
-                    transmitted_out=decl.transmitted_out)))
+                transforms.append(beam_splitter(
+                    decl.R, decl.input, decl.reflected_out,
+                    decl.transmitted_out))
             elif isinstance(decl, HwpDecl):
-                transforms.append(half_wave_plate(WavePlateSpec(
-                    angle_deg=decl.angle_deg, target=decl.target,
-                    output_polarizations=decl.out_pols)))
+                transforms.append(half_wave_plate(
+                    decl.angle_deg, decl.target, decl.out_pols))
                 pols_by_spatial[decl.target] = decl.out_pols
             elif isinstance(decl, PbsDecl):
                 pols = pols_by_spatial.get(decl.target, ("x", "y"))

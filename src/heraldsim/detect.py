@@ -1,4 +1,4 @@
-"""Detector semantics, click enumeration and heralding.
+"""Detector semantics and heralding.
 
 Every detector measures its mode in the photon-number basis, so loss in
 front of it is binomial thinning of the photons that arrive (a beam
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -32,23 +31,21 @@ class DetectorSpec:
     id: str
     mode: Mode
     kind: str = THRESHOLD
-    coupling: float = 1.0            # fiber-coupling probability p
-    quantum_efficiency: float = 1.0  # detector quantum efficiency q
-    dark_rate: float = 0.0           # counts / second
-    window: float = 0.0              # coincidence window, seconds
+    coupling: float = 1.0   # detection efficiency eta
+    dark_rate: float = 0.0  # counts / second
+    window: float = 0.0     # coincidence window, seconds
 
     def __post_init__(self):
         if self.kind not in (THRESHOLD, NUMBER_RESOLVING):
             raise ConfigError(f"unknown detector kind {self.kind!r}")
-        if not (0.0 <= self.coupling <= 1.0 and 0.0 <= self.quantum_efficiency <= 1.0):
-            raise ConfigError(f"detector {self.id}: efficiencies outside [0, 1]")
+        if not (0.0 <= self.coupling <= 1.0):
+            raise ConfigError(f"detector {self.id}: efficiency outside [0, 1]")
         if not (0.0 <= self.dark_probability < 1.0):
             raise ConfigError(f"detector {self.id}: dark probability outside [0, 1)")
 
     @property
     def eta(self) -> float:
-        """Detection efficiency: coupling times quantum efficiency."""
-        return self.coupling * self.quantum_efficiency
+        return self.coupling
 
     @property
     def dark_probability(self) -> float:
@@ -86,25 +83,6 @@ def _silent_probability(det: DetectorSpec, n: int) -> float:
     return (1.0 - det.eta) ** n * (1.0 - det.dark_probability)
 
 
-def _readings(det: DetectorSpec, n: int) -> list[tuple[object, float]]:
-    """Readings of `det` and their probabilities when n photons reach it.
-
-    A threshold detector reads True (a click) with `click_probability`.  A
-    number-resolving detector reads the Binomial(n, eta) count of detected
-    photons, one more with the dark probability d, so its probability of
-    reading 1 is `click_probability`.
-    """
-    if det.kind == THRESHOLD:
-        p_click = click_probability(det, n)
-        return [(True, p_click), (False, 1.0 - p_click)]
-    eta, d = det.eta, det.dark_probability
-    detected = [math.comb(n, k) * eta ** k * (1.0 - eta) ** (n - k)
-                for k in range(n + 1)] + [0.0]
-    # reading r: r photons detected and no dark count, or r - 1 and one
-    return [(r, detected[r] * (1.0 - d) + (detected[r - 1] * d if r else 0.0))
-            for r in range(n + 2)]
-
-
 def occupation_probabilities(state: PureState | MixedState, modes: list[Mode]
                              ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct photon counts on `modes` in `state`, one int row each
@@ -118,30 +96,6 @@ def occupation_probabilities(state: PureState | MixedState, modes: list[Mode]
     rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(modes))
     occ, inverse = np.unique(rows, axis=0, return_inverse=True)
     return occ, np.bincount(inverse.ravel(), weights=probs, minlength=len(occ))
-
-
-def click_distribution(state: PureState | MixedState,
-                       detectors: list[DetectorSpec]
-                       ) -> dict[tuple, float]:
-    """Distribution over joint readings (ordered as `detectors`) of the
-    photons that reach the detectors in `state`, the post-circuit state.
-
-    Occupations of non-detector modes are marginalized; coherences between
-    distinct joint occupation patterns never contribute to probabilities.
-    """
-    occ_rows, occ_probs = occupation_probabilities(
-        state, [d.mode for d in detectors])
-    dist: dict[tuple, float] = {}
-    for occ, p_occ in zip(occ_rows.tolist(), occ_probs.tolist()):
-        options = [_readings(det, n) for det, n in zip(detectors, occ)]
-        for combo in iproduct(*options):
-            prob = p_occ
-            for _, p in combo:
-                prob *= p
-            if prob > 0.0:
-                pattern = tuple(reading for reading, _ in combo)
-                dist[pattern] = dist.get(pattern, 0.0) + prob
-    return dist
 
 
 @dataclass(frozen=True)
@@ -264,16 +218,15 @@ def sixfold_probability(state: PureState | MixedState,
                         output_detectors: list[DetectorSpec],
                         basis: tuple[str, str],
                         outcome: tuple[int, int] = (0, 0),
-                        output_arms: tuple[str, str] = OUTPUT_ARMS,
-                        exclusive: bool = True) -> float:
+                        output_arms: tuple[str, str] = OUTPUT_ARMS) -> float:
     """Probability of a six-fold coincidence for one outcome pair.
 
     Output arms of `state`, the post-circuit state, are rotated into the
     measurement basis before detection.  Triggers fire as in `herald`.
     `outcome` selects which detector clicks in each arm (0 = the x-labeled
-    port: H, + or R).  With `exclusive` the complementary output detectors
-    must not click, matching coincidence-logic counting.  The event is a
-    product of per-detector events: one factor per detector and pattern.
+    port: H, + or R), and the complementary output detectors must not click,
+    matching coincidence-logic counting.  The event is a product of
+    per-detector events: one factor per detector and pattern.
     """
     rotation = CircuitSpec(tuple(measurement_rotation(arm, b)
                                  for arm, b in zip(output_arms, basis)))
@@ -298,10 +251,8 @@ def sixfold_probability(state: PureState | MixedState,
             factor = [click_probability(det, n) for n in counts]
         elif i in wanted:  # any reading of one or more
             factor = [1.0 - _silent_probability(det, n) for n in counts]
-        elif exclusive:
-            factor = [_silent_probability(det, n) for n in counts]
         else:
-            continue
+            factor = [_silent_probability(det, n) for n in counts]
         total = total * np.array(factor)[occ[:, i]]
     return float(total.sum())
 

@@ -17,6 +17,7 @@ Grammar (one stanza per line, `#` starts a comment):
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -154,7 +155,13 @@ def parse(text: str) -> ExperimentConfig:
                 raise DslError(f"nmax={nmax} must be >= 1", tok.line, tok.col)
             vis = (_float(args["visibility"], "visibility", 0.0, 1.0)
                    if "visibility" in args else 1.0)
-            source = SpdcParams(r=coupling_from_rate(p1), n_max=nmax)
+            try:
+                r = coupling_from_rate(p1)
+            except ConfigError as exc:
+                tok = args["p1"]
+                raise DslError(str(exc), tok.line, tok.col,
+                               "the pair probability peaks at 8/27") from None
+            source = SpdcParams(r=r, n_max=nmax)
             noise = SourceNoise(visibility=vis)
         elif word == "bs":
             args = _kv_args(stanza, ["in", "refl", "trans", "R"])
@@ -193,11 +200,20 @@ def parse(text: str) -> ExperimentConfig:
             if kind not in (THRESHOLD, NUMBER_RESOLVING):
                 raise DslError(f"kind must be threshold or pnr, got {kind!r}",
                                kind_tok.line, kind_tok.col)
-            detectors.append(DetectorSpec(
-                id=det_id, mode=_mode(args["mode"]), kind=kind,
-                coupling=_float(args["eta"], "eta", 0.0, 1.0) if "eta" in args else 1.0,
-                dark_rate=_float(args["dark"], "dark") if "dark" in args else 0.0,
-                window=_float(args["window"], "window") if "window" in args else 0.0))
+            det_mode = _mode(args["mode"])
+            eta = _float(args["eta"], "eta", 0.0, 1.0) if "eta" in args else 1.0
+            dark = _float(args["dark"], "dark") if "dark" in args else 0.0
+            window = (_float(args["window"], "window")
+                      if "window" in args else 0.0)
+            if not 0.0 <= dark * window < 1.0:
+                # a finite window >= 0 leaves the dark rate to blame
+                tok = args["dark"] if 0.0 <= window < math.inf else args["window"]
+                raise DslError(f"dark probability dark*window={dark * window:g} "
+                               "outside [0, 1)", tok.line, tok.col,
+                               "dark is counts per second, window seconds")
+            detectors.append(DetectorSpec(id=det_id, mode=det_mode, kind=kind,
+                                          coupling=eta, dark_rate=dark,
+                                          window=window))
         elif word == "herald":
             if herald_ids:
                 raise DslError("duplicate herald stanza", kw.line, kw.col)

@@ -9,7 +9,6 @@ element but part of the detector model in `heraldsim.detect`.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -48,72 +47,34 @@ class ModeTransform:
         return dev
 
 
-def validate_isometry(transform: ModeTransform,
-                      atol: float = LOSSLESS_ATOL) -> tuple[bool, float]:
-    dev = transform.gram_deviation()
-    return dev <= atol, dev
+def beam_splitter(R: float, input: str, reflected_out: str,
+                  transmitted_out: str) -> ModeTransform:
+    """Non-polarizing partial-reflecting beam splitter, intensity R + T = 1."""
+    if not (0.0 <= R <= 1.0):
+        raise ConfigError(f"beam splitter R={R} outside [0, 1]")
+    r, t = math.sqrt(R) + 0.0j, math.sqrt(1.0 - R) + 0.0j
+    return ModeTransform({(input, pol): ((r, (reflected_out, pol)),
+                                         (t, (transmitted_out, pol)))
+                          for pol in (POL_H, POL_V)})
 
 
-@dataclass(frozen=True)
-class BeamSplitterSpec:
-    """Non-polarizing partial-reflecting beam splitter (intensity R + T = 1)."""
-
-    R: float
-    input: str
-    reflected_out: str
-    transmitted_out: str
-    T: float | None = None
-    phase: float = 0.0  # optional relative phase on the reflected port
-
-    def __post_init__(self):
-        t = 1.0 - self.R if self.T is None else self.T
-        object.__setattr__(self, "T", t)
-        if not (0.0 <= self.R <= 1.0):
-            raise ConfigError(f"beam splitter R={self.R} outside [0, 1]")
-        if abs(self.R + self.T - 1.0) > 1e-9:
-            raise ConfigError(
-                f"beam splitter R+T={self.R + self.T} != 1 (loss is modeled separately)")
-
-
-def beam_splitter(spec: BeamSplitterSpec) -> ModeTransform:
-    r = math.sqrt(spec.R) * cmath.exp(1j * spec.phase)
-    t = math.sqrt(spec.T)
-    columns = {}
-    for pol in (POL_H, POL_V):
-        columns[(spec.input, pol)] = (
-            (r, (spec.reflected_out, pol)),
-            (t + 0.0j, (spec.transmitted_out, pol)),
-        )
-    return ModeTransform(columns)
-
-
-@dataclass(frozen=True)
-class WavePlateSpec:
-    """Half-wave plate at a given angle, with output polarization labels."""
-
-    angle_deg: float
-    target: str
-    output_polarizations: tuple[str, str] = POL_DIAG
-
-    def __post_init__(self):
-        if not (-90.0 < self.angle_deg <= 90.0):
-            raise ConfigError(f"wave plate angle {self.angle_deg} outside (-90, 90]")
-
-
-def half_wave_plate(spec: WavePlateSpec) -> ModeTransform:
+def half_wave_plate(angle_deg: float, target: str,
+                    output_polarizations: tuple[str, str] = POL_DIAG
+                    ) -> ModeTransform:
     """HWP convention: h -> cos2t h' + sin2t v', v -> sin2t h' - cos2t v'.
 
     At -22.5 deg this reproduces f_x -> (f_x' - f_y')/sqrt(2) and
     f_y -> -(f_x' + f_y')/sqrt(2); the sign on the second row is an
     unobservable convention choice.
     """
-    c = math.cos(2.0 * math.radians(spec.angle_deg))
-    s = math.sin(2.0 * math.radians(spec.angle_deg))
-    p1, p2 = spec.output_polarizations
-    tgt = spec.target
+    if not (-90.0 < angle_deg <= 90.0):
+        raise ConfigError(f"wave plate angle {angle_deg} outside (-90, 90]")
+    c = math.cos(2.0 * math.radians(angle_deg))
+    s = math.sin(2.0 * math.radians(angle_deg))
+    p1, p2 = output_polarizations
     columns = {
-        (tgt, POL_H): ((c + 0.0j, (tgt, p1)), (s + 0.0j, (tgt, p2))),
-        (tgt, POL_V): ((s + 0.0j, (tgt, p1)), (-c + 0.0j, (tgt, p2))),
+        (target, POL_H): ((c + 0.0j, (target, p1)), (s + 0.0j, (target, p2))),
+        (target, POL_V): ((s + 0.0j, (target, p1)), (-c + 0.0j, (target, p2))),
     }
     return ModeTransform(columns)
 
@@ -180,11 +141,12 @@ class CircuitSpec:
                         nxt[tm] = nxt.get(tm, 0.0) + c * tc
                 col = nxt
             columns[m] = tuple((c, om) for om, c in col.items() if c != 0.0)
-        ok, dev = validate_isometry(ModeTransform(columns))
-        if not ok:
+        transform = ModeTransform(columns)
+        dev = transform.gram_deviation()
+        if dev > LOSSLESS_ATOL:
             raise ConfigError("circuit is not lossless: its composed map "
                               f"deviates from an isometry by {dev:.3g}")
-        return ModeTransform(columns)
+        return transform
 
 
 def apply_circuit(state: PureState, circuit: CircuitSpec) -> PureState:
@@ -199,11 +161,9 @@ def heralding_circuit(R: float) -> CircuitSpec:
     its PBS.  Trigger modes: e.x, e.y, f.xp, f.yp; output arms: c, d.
     """
     return CircuitSpec((
-        beam_splitter(BeamSplitterSpec(R=R, input="a",
-                                       reflected_out="c", transmitted_out="e")),
-        beam_splitter(BeamSplitterSpec(R=R, input="b",
-                                       reflected_out="d", transmitted_out="f")),
-        half_wave_plate(WavePlateSpec(angle_deg=-22.5, target="f")),
+        beam_splitter(R, "a", reflected_out="c", transmitted_out="e"),
+        beam_splitter(R, "b", reflected_out="d", transmitted_out="f"),
+        half_wave_plate(-22.5, "f"),
         polarizing_beam_splitter("e"),
         polarizing_beam_splitter("f", pols=POL_DIAG),
     ))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 if TYPE_CHECKING:
     from .elements import ModeTransform
@@ -44,13 +44,6 @@ def mode_str(m: Mode) -> str:
     return f"{m[0]}.{m[1]}"
 
 
-def parse_mode(text: str) -> Mode:
-    spatial, _, pol = text.partition(".")
-    if not spatial or not pol:
-        raise ValueError(f"bad mode literal {text!r}, expected spatial.pol")
-    return (spatial, pol)
-
-
 def canonical_key(occupations: Mapping[Mode, int]) -> FockKey:
     for m, n in occupations.items():
         if n < 0:
@@ -74,12 +67,11 @@ class PureState:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[FockKey, complex] | None = None,
-                 drop_tol: float = DROP_TOL):
+    def __init__(self, terms: Mapping[FockKey, complex] | None = None):
         clean: dict[FockKey, complex] = {}
         if terms:
             for key, amp in terms.items():
-                if abs(amp) > drop_tol:
+                if abs(amp) > DROP_TOL:
                     clean[key] = complex(amp)
         self.terms = clean
 
@@ -125,13 +117,7 @@ class PureState:
 VACUUM_KEY: FockKey = ()
 
 
-def make_vacuum(modes: Iterable[Mode] = ()) -> PureState:
-    """Vacuum over a declared mode universe (modes must be distinct)."""
-    seen = set()
-    for m in modes:
-        if m in seen:
-            raise ConfigError(f"duplicate mode {mode_str(m)}")
-        seen.add(m)
+def make_vacuum() -> PureState:
     return PureState({VACUUM_KEY: 1.0})
 
 
@@ -149,17 +135,6 @@ def apply_creation(state: PureState, m: Mode,
         new_key = canonical_key(occ)
         terms[new_key] = terms.get(new_key, 0.0) + amp * math.sqrt(n + 1)
     return PureState(terms)
-
-
-def inner_product(bra: PureState, ket: PureState) -> complex:
-    if len(bra.terms) > len(ket.terms):
-        return inner_product(ket, bra).conjugate()
-    total = 0.0 + 0.0j
-    for key, amp in bra.terms.items():
-        other = ket.terms.get(key)
-        if other is not None:
-            total += amp.conjugate() * other
-    return total
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -189,8 +164,7 @@ def _power_expansion(column: tuple[tuple[complex, Mode], ...],
     return out
 
 
-def substitute_modes(state: PureState, transform: ModeTransform,
-                     drop_tol: float = DROP_TOL) -> PureState:
+def substitute_modes(state: PureState, transform: ModeTransform) -> PureState:
     """Linear substitution of creation operators.
 
     Each occupied input mode must have a column in the transform.  Basis
@@ -234,30 +208,7 @@ def substitute_modes(state: PureState, transform: ModeTransform,
                     math.prod(math.factorial(p) for _, p in powers)))
             out_key, scale = entry
             out[out_key] = out.get(out_key, 0.0) + coef * scale
-    return PureState(out, drop_tol=drop_tol)
-
-
-def project_occupation(state: PureState,
-                       condition: Mapping[Mode, int]
-                       ) -> tuple[PureState, float]:
-    """Condition on exact occupations of the given modes.
-
-    Returns the renormalized conditional state over the remaining modes and
-    the probability of the condition.  A zero-probability condition yields an
-    empty state, not an error.
-    """
-    cond = dict(condition)
-    selected: dict[FockKey, complex] = {}
-    prob = 0.0
-    for key, amp in state.terms.items():
-        if all(key_occupation(key, m) == n for m, n in cond.items()):
-            prob += abs(amp) ** 2
-            rest = tuple((m, n) for m, n in key if m not in cond)
-            selected[rest] = selected.get(rest, 0.0) + amp
-    if prob <= 0.0:
-        return PureState(), 0.0
-    scale = 1.0 / math.sqrt(prob)
-    return PureState({k: a * scale for k, a in selected.items()}), prob
+    return PureState(out)
 
 
 @dataclass(frozen=True)
@@ -275,33 +226,3 @@ def as_mixed(state: PureState | MixedState) -> MixedState:
     if isinstance(state, MixedState):
         return state
     return MixedState.pure(state)
-
-
-def serialize_state(state: PureState) -> str:
-    """Canonical text form: one term per line, `re im | mode:count ...`."""
-    lines = []
-    for key in sorted(state.terms):
-        amp = state.terms[key]
-        mods = " ".join(f"{mode_str(m)}:{n}" for m, n in key)
-        lines.append(f"{amp.real:.17g} {amp.imag:.17g} | {mods}".rstrip())
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def deserialize_state(text: str) -> PureState:
-    terms: dict[FockKey, complex] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            head, _, tail = line.partition("|")
-            re_s, im_s = head.split()
-            occ: dict[Mode, int] = {}
-            for tok in tail.split():
-                mtxt, _, cnt = tok.rpartition(":")
-                occ[parse_mode(mtxt)] = int(cnt)
-            terms[canonical_key(occ)] = complex(float(re_s), float(im_s))
-        except (ValueError, KeyError) as exc:
-            raise FockError(f"malformed state line {line!r}: {exc}") from exc
-    return PureState(terms)
-

@@ -5,18 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fock import (ConfigError, MixedState, PureState, TruncationError,
-                   apply_creation, make_vacuum)
-
-DEFAULT_REP_RATE = 76e6  # pulses per second
+from .fock import ConfigError, MixedState, PureState, apply_creation, make_vacuum
 
 
 @dataclass(frozen=True)
 class SpdcParams:
     r: float
     n_max: int = 4
-    rep_rate: float = DEFAULT_REP_RATE
-    pair_rate: float | None = None  # detected pairs/second, for calibration
 
     def __post_init__(self):
         if self.r < 0:
@@ -88,34 +83,14 @@ def _pair_power_state(n_singlet: int, n_flipped: int,
     return state.normalized()
 
 
-def n_pair_state(n: int, n_max: int | None = None) -> PureState:
+def n_pair_state(n: int) -> PureState:
     """Normalized n-pair state: (a_x b_y - a_y b_x)^n |vac> up to norm.
 
     The unnormalized operator-power expansion has norm^2 = (n+1)(n!)^2.
     """
-    if n_max is not None and n > n_max:
-        raise TruncationError(f"n={n} exceeds pair truncation {n_max}")
     if n == 0:
         return make_vacuum()
     return _pair_power_state(n, 0, max_photons=2 * n)
-
-
-def unnormalized_pair_power_norm_sq(n: int) -> float:
-    return (n + 1) * math.factorial(n) ** 2
-
-
-def spdc_state(params: SpdcParams) -> PureState:
-    """Coherent superposition sum_n sqrt(p_n) |n pairs> up to n_max.
-
-    Sub-normalized: norm^2 equals the truncated sum of p_n.  Relative phases
-    across photon-number sectors are unobservable in detection statistics.
-    """
-    state = PureState()
-    for n in range(params.n_max + 1):
-        w = pair_probability(n, params.r)
-        if w > 0.0:
-            state = state.add(n_pair_state(n).scaled(math.sqrt(w)))
-    return state
 
 
 def truncation_deficit(params: SpdcParams) -> float:

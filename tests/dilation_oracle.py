@@ -2,9 +2,11 @@
 `heraldsim.detect.click_probability`.
 
 Loss in front of a detector is a beam splitter of transmission eta into a
-fresh environment mode.  The environment modes are traced out into an
-incoherent mixture, one branch per environment occupation, and readings
-are then assigned to the photons that survive: an ideal threshold detector
+fresh environment mode, applied to the whole state by one substitution.
+The environment modes are then traced out: probabilities of surviving
+photon counts sum |amplitude|^2 over the environment occupations, and the
+herald keeps one incoherent branch per environment occupation.  Readings
+are assigned to the photons that survive: an ideal threshold detector
 clicks on one or more, a number-resolving detector counts them, and a dark
 count adds a click (or one count) with probability d.  Nothing here is
 shared with the closed form beyond the state algebra, the detector specs
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from itertools import product as iproduct
+from typing import Iterator
 
 import numpy as np
 
@@ -54,15 +57,8 @@ def branch_on_modes(state: PureState, env_modes) -> MixedState:
     equals the input norm^2.
     """
     env = set(env_modes)
-    groups: dict[FockKey, dict[FockKey, complex]] = {}
-    for key, amp in state.terms.items():
-        env_part = tuple((m, n) for m, n in key if m in env)
-        sys_part = tuple((m, n) for m, n in key if m not in env)
-        bucket = groups.setdefault(env_part, {})
-        bucket[sys_part] = bucket.get(sys_part, 0.0) + amp
     branches = []
-    for env_part in sorted(groups):
-        terms = groups[env_part]
+    for env_part, terms in sorted(_group_by_env(state, env).items()):
         weight = sum(abs(a) ** 2 for a in terms.values())
         if weight <= 0.0:
             continue
@@ -72,26 +68,32 @@ def branch_on_modes(state: PureState, env_modes) -> MixedState:
     return MixedState(tuple(branches))
 
 
-def apply_detector_losses(state: PureState | MixedState,
-                          detectors: list[DetectorSpec]) -> MixedState:
-    """Insert a loss channel with transmission eta before each detector and
-    trace the environment modes into mixture branches.  The channels act on
-    distinct modes, so they commute and are applied as one substitution."""
+def _group_by_env(state: PureState, env: set[Mode]
+                  ) -> dict[FockKey, dict[FockKey, complex]]:
+    """Terms of `state` by their environment occupations: for each pattern,
+    the unnormalized state of the other modes."""
+    groups: dict[FockKey, dict[FockKey, complex]] = {}
+    for key, amp in state.terms.items():
+        env_part = tuple((m, n) for m, n in key if m in env)
+        sys_part = tuple((m, n) for m, n in key if m not in env)
+        bucket = groups.setdefault(env_part, {})
+        bucket[sys_part] = bucket.get(sys_part, 0.0) + amp
+    return groups
+
+
+def dilate(state: PureState | MixedState, detectors: list[DetectorSpec]
+           ) -> Iterator[tuple[float, PureState]]:
+    """Insert a loss channel with transmission eta before each detector,
+    keeping the environment modes in each branch's pure state.  The channels
+    act on distinct modes, so they commute and are applied as one
+    substitution."""
     losses: dict = {}
     for det in detectors:
         if det.eta < 1.0:
             losses.update(loss_channel(det.mode, det.eta).columns)
-    out = []
     for weight, pure in as_mixed(state).branches:
-        pure = substitute_modes(
+        yield weight, substitute_modes(
             pure, ModeTransform(losses).extended(pure.occupied_modes()))
-        env = [m for m in pure.occupied_modes() if is_env_mode(m)]
-        if env:
-            for w, branch in branch_on_modes(pure, env).branches:
-                out.append((weight * w, branch))
-        else:
-            out.append((weight, pure))
-    return MixedState(tuple(out))
 
 
 def surviving_readings(det: DetectorSpec, occupation: int
@@ -115,13 +117,19 @@ def trigger_fires(det: DetectorSpec, reading) -> bool:
     return reading == 1
 
 
-def _surviving_occupations(lossy: MixedState, detectors: list[DetectorSpec]
+def _surviving_occupations(state: PureState | MixedState,
+                           detectors: list[DetectorSpec]
                            ) -> dict[tuple[int, ...], float]:
+    """Probability of each count pattern of the photons that survive loss
+    at `detectors`.  The environment is traced out by summing |amplitude|^2
+    over the dilated state's terms: distinct Fock keys are orthogonal, so
+    no branch needs to be formed."""
+    modes = [d.mode for d in detectors]
     occ_probs: dict[tuple[int, ...], float] = {}
-    for weight, pure in lossy.branches:
+    for weight, pure in dilate(state, detectors):
         for key, amp in pure.terms.items():
             counts = dict(key)
-            occ = tuple(counts.get(d.mode, 0) for d in detectors)
+            occ = tuple(counts.get(m, 0) for m in modes)
             occ_probs[occ] = occ_probs.get(occ, 0.0) + weight * abs(amp) ** 2
     return occ_probs
 
@@ -129,9 +137,8 @@ def _surviving_occupations(lossy: MixedState, detectors: list[DetectorSpec]
 def click_distribution(state: PureState | MixedState,
                        detectors: list[DetectorSpec]) -> dict[tuple, float]:
     """Joint readings of `detectors` on the post-circuit `state`."""
-    lossy = apply_detector_losses(state, detectors)
     dist: dict[tuple, float] = {}
-    for occ, p_occ in _surviving_occupations(lossy, detectors).items():
+    for occ, p_occ in _surviving_occupations(state, detectors).items():
         options = [surviving_readings(d, n) for d, n in zip(detectors, occ)]
         for combo in iproduct(*options):
             prob = p_occ * math.prod(p for _, p in combo)
@@ -152,13 +159,18 @@ def click_probability(det: DetectorSpec, n: int) -> float:
 def herald(state: PureState | MixedState, trigger_detectors: list[DetectorSpec],
            output_arms: tuple[str, str] = OUTPUT_ARMS) -> HeraldResult:
     """Condition on all four triggers firing, with trigger losses dilated."""
-    lossy = apply_detector_losses(state, trigger_detectors)
     trig_modes = [d.mode for d in trigger_detectors]
     herald_p = good_p = 0.0
     rho = np.zeros((4, 4), dtype=complex)
-    for weight, pure in lossy.branches:
+    # each environment pattern is an incoherent branch, here left
+    # unnormalized with the mixture weight outside
+    branches = [(weight, env_terms)
+                for weight, pure in dilate(state, trigger_detectors)
+                for env_terms in _group_by_env(pure, {
+                    m for m in pure.occupied_modes() if is_env_mode(m)}).values()]
+    for weight, terms in branches:
         groups: dict[tuple[int, ...], dict[FockKey, complex]] = {}
-        for key, amp in pure.terms.items():
+        for key, amp in terms.items():
             occ = tuple(key_occupation(key, m) for m in trig_modes)
             rest = tuple((m, n) for m, n in key if m not in trig_modes)
             bucket = groups.setdefault(occ, {})
@@ -212,6 +224,6 @@ def sixfold_probability(state: PureState | MixedState,
         return sum(p for r, p in readings if bool(r) == (det.id in wanted))
 
     detectors = list(trigger_detectors) + list(output_detectors)
-    lossy = apply_detector_losses(MixedState(tuple(rotated)), detectors)
+    occ_probs = _surviving_occupations(MixedState(tuple(rotated)), detectors)
     return sum(p_occ * math.prod(p_event(d, n) for d, n in zip(detectors, occ))
-               for occ, p_occ in _surviving_occupations(lossy, detectors).items())
+               for occ, p_occ in occ_probs.items())

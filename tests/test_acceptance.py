@@ -32,7 +32,6 @@ from heraldsim.detect import (
 from heraldsim.analysis import (
     FidelityEstimate,
     chsh_werner_threshold,
-    dark_count_ratio,
     eff_exp,
     eff_theory,
     four_pair_correction,
@@ -157,7 +156,9 @@ def test_criterion_6_herald_probability_maximum(report):
 
 
 def test_criterion_7_dark_count_ratio(report):
-    ratio = dark_count_ratio(300.0, 12e-9, 0.15)
+    det = threshold_detector("s1", ("c", "x"), eta=0.15, dark_rate=300.0,
+                             window=12e-9)
+    ratio = det.dark_probability / det.eta
     ok = abs(ratio - 2.4e-5) < 1e-9 and 1e-5 <= ratio <= 1e-4
     report(7, ok, f"n_d*t/eta = {ratio:.2e}")
     assert ok

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize
 
-from heraldsim.fock import ConfigError
+from heraldsim.fock import ConfigError, mode
 from heraldsim.source import SpdcParams, coupling_from_rate
 from heraldsim.analysis import (
     EfficiencyEstimate,
@@ -14,14 +14,14 @@ from heraldsim.analysis import (
     PauliCorrelation,
     chsh_werner_threshold,
     correlation_from_counts,
-    dark_count_ratio,
     eff_exp,
     eff_theory,
     fidelity_phi_plus,
     four_pair_correction,
     violates_chsh,
 )
-from heraldsim.detect import fidelity_to_phi_plus
+from heraldsim.detect import (click_probability, fidelity_to_phi_plus,
+                              threshold_detector)
 
 
 def test_eff_theory_formula():
@@ -55,8 +55,13 @@ def test_eff_exp_validates_counts():
 
 
 def test_dark_count_ratio():
-    assert dark_count_ratio(300.0, 12e-9, 0.15) == pytest.approx(
-        2.4e-5, rel=1e-12)
+    # dark clicks on vacuum against clicks from one photon: n_d t / eta to
+    # leading order in the dark probability
+    det = threshold_detector("s1", mode("c", "x"), eta=0.15,
+                             dark_rate=300.0, window=12e-9)
+    assert det.dark_probability / det.eta == pytest.approx(2.4e-5, rel=1e-12)
+    ratio = click_probability(det, 0) / click_probability(det, 1)
+    assert ratio == pytest.approx(2.4e-5, rel=1e-4)
 
 
 def chsh_value(dm, angles):

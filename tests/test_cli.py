@@ -116,6 +116,21 @@ def test_sweep_two_steps(boosted_file):
     assert len(lines) == 3  # header + 2 rows
 
 
+@pytest.mark.parametrize("bounds, flag", [
+    (("--r-min", "0.9", "--r-max", "1.2"), "--r-max"),
+    (("--r-min=-0.1", "--r-max", "0.5"), "--r-min"),
+    (("--r-min", "nan"), "--r-min"),
+])
+def test_sweep_rejects_range_outside_unit_interval(bounds, flag):
+    # checked before the header, so stdout never holds a partial CSV
+    proc = run_cli("sweep", str(fixture_path("paper_5050.exp")), *bounds,
+                   "--steps", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"error: {flag} " in proc.stderr
+    assert "outside [0, 1]" in proc.stderr
+
+
 def test_sweep_follows_the_configs_own_labels(tmp_path):
     # relabelling the trigger-arm polarizations changes no physics, so the
     # sweep must print the fixture's rows, not zeros

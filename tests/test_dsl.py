@@ -5,8 +5,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heraldsim.dsl import DslError, parse, serialize, validate
-from heraldsim.source import pair_probability
+from heraldsim.config import BsDecl, ExperimentConfig, HwpDecl, PbsDecl
+from heraldsim.detect import NUMBER_RESOLVING, THRESHOLD, DetectorSpec
+from heraldsim.dsl import BASES, DslError, parse, serialize, validate
+from heraldsim.source import (SourceNoise, SpdcParams, coupling_from_rate,
+                              pair_probability)
 
 from conftest import BOOSTED_CONFIG, fixture_text
 
@@ -86,6 +89,38 @@ def test_bad_number_reports_location():
         parse(text)
     assert err.value.line == 3
     assert err.value.col > 0
+
+
+def value_location(text, token):
+    """(line, col) of the value in the first `key=value` token `token`."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if token in line.split():
+            return lineno, line.index(token) + 1 + token.index("=") + 1
+    raise AssertionError(f"{token} not in text")
+
+
+def test_unreachable_p1_reports_location():
+    text = fixture_text("paper_5050.exp").replace("p1=0.047", "p1=0.5")
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == value_location(text, "p1=0.5")
+    assert "p1=0.5 exceeds achievable maximum 0.296296" in str(err.value)
+
+
+@pytest.mark.parametrize("old, new, blamed", [
+    ("dark=300", "dark=1e12", "dark=1e12"),
+    ("dark=300", "dark=-300", "dark=-300"),
+    ("dark=300", "dark=nan", "dark=nan"),
+    ("window=12e-9", "window=-12e-9", "window=-12e-9"),
+    ("window=12e-9", "window=inf", "window=inf"),
+])
+def test_dark_probability_outside_unit_interval_reports_location(old, new,
+                                                                 blamed):
+    text = fixture_text("paper_5050.exp").replace(old, new, 1)
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == value_location(text, blamed)
+    assert "dark probability" in str(err.value)
 
 
 def test_unknown_keyword_rejected():
@@ -186,3 +221,72 @@ def test_parser_is_total_on_near_grammar_soup(text):
         parse(text)
     except DslError:
         pass
+
+
+# configs drawn over the whole grammar, numbers as short decimals so that
+# every value survives the serializer's nine significant digits
+label = st.text(alphabet="abcdefxyz", min_size=1, max_size=3)
+pol_label = st.text(alphabet="xyp", min_size=1, max_size=2).map(
+    lambda p: "x" + p)
+unit = st.integers(min_value=0, max_value=10 ** 6).map(lambda n: n / 1e6)
+
+
+@st.composite
+def configs(draw):
+    elements = draw(st.lists(st.one_of(
+        st.builds(BsDecl, input=label, reflected_out=label,
+                  transmitted_out=label, R=unit),
+        st.builds(HwpDecl, target=label,
+                  angle_deg=st.integers(-899999, 900000).map(lambda n: n / 1e4),
+                  out_pols=st.tuples(pol_label, pol_label)),
+        st.builds(PbsDecl, target=label)), max_size=6))
+    ids = draw(st.lists(label, min_size=1, max_size=8, unique=True))
+    detectors = tuple(DetectorSpec(
+        id=det_id, mode=(draw(label), draw(pol_label)),
+        kind=draw(st.sampled_from([THRESHOLD, NUMBER_RESOLVING])),
+        coupling=draw(unit), dark_rate=draw(st.integers(0, 10 ** 6)),
+        window=draw(st.integers(0, 10 ** 4)) * 1e-12) for det_id in ids)
+    p1 = draw(st.integers(0, 296296).map(lambda n: n / 1e6))
+    return ExperimentConfig(
+        source=SpdcParams(r=coupling_from_rate(p1),
+                          n_max=draw(st.integers(1, 12))),
+        noise=SourceNoise(visibility=draw(unit)),
+        elements=tuple(elements), detectors=detectors,
+        herald_ids=tuple(draw(st.lists(st.sampled_from(ids), max_size=5))),
+        bases=tuple(draw(st.lists(st.tuples(st.sampled_from(BASES),
+                                            st.sampled_from(BASES)),
+                                  max_size=3))),
+        pulses=draw(st.integers(1, 10 ** 12)),
+        seed=draw(st.integers(-2 ** 63, 2 ** 63)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs())
+def test_canonical_text_is_a_fixed_point(config):
+    text = serialize(config)
+    assert serialize(parse(text)) == text
+
+
+# values a config may not hold, or that look like numbers but are not
+HOSTILE_VALUES = ["0", "-0", "1", "-1", "0.3", "0.5", "8", "90", "-90",
+                  "1e12", "-1e12", "1e-300", "1e308", "1e999", "nan", "-nan",
+                  "inf", "-inf", "x", "", "=", "e:", ":x", "a:b", "x,y", "1_0"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs(), st.data())
+def test_parser_raises_only_dsl_errors_on_mutated_text(config, data):
+    lines = serialize(config).splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        words = lines[i].split()
+        j = data.draw(st.integers(0, len(words) - 1))
+        key, eq, _ = words[j].partition("=")
+        value = data.draw(st.sampled_from(HOSTILE_VALUES)
+                          | st.text(max_size=6))
+        words[j] = key + eq + value if eq else value
+        lines[i] = " ".join(words)
+    try:
+        parse("\n".join(lines))
+    except DslError as err:
+        assert err.line >= 0 and err.col >= 0

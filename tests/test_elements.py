@@ -9,18 +9,16 @@ from heraldsim.dsl import parse
 from heraldsim.fock import (ConfigError, apply_creation, make_vacuum, mode,
                             substitute_modes)
 from heraldsim.elements import (
-    BeamSplitterSpec,
+    LOSSLESS_ATOL,
     CircuitSpec,
     ModeTransform,
     TRIGGER_MODES,
-    WavePlateSpec,
     apply_circuit,
     beam_splitter,
     half_wave_plate,
     heralding_circuit,
     measurement_rotation,
     polarizing_beam_splitter,
-    validate_isometry,
 )
 from heraldsim.source import n_pair_state
 from heraldsim.detect import herald, pnr_detector
@@ -48,25 +46,23 @@ CIRCUIT_TEXTS["relabelled"] = RELABELLED_5050
 
 
 def test_beam_splitter_amplitudes():
-    bs = beam_splitter(BeamSplitterSpec(R=0.486, input="a",
-                                        reflected_out="c",
-                                        transmitted_out="e"))
+    bs = beam_splitter(0.486, "a", reflected_out="c", transmitted_out="e")
     col = dict((m, amp) for amp, m in bs.columns[mode("a", "x")])
     assert col[mode("c", "x")] == pytest.approx(math.sqrt(0.486))
     assert col[mode("e", "x")] == pytest.approx(math.sqrt(0.514))
 
 
 def test_beam_splitter_intensity_check():
-    with pytest.raises(ConfigError):
-        BeamSplitterSpec(R=0.6, input="a", reflected_out="c",
-                         transmitted_out="e", T=0.6)
-    with pytest.raises(ConfigError):
-        BeamSplitterSpec(R=1.2, input="a", reflected_out="c",
-                         transmitted_out="e")
+    for R in (1.2, -0.1, float("nan")):
+        with pytest.raises(ConfigError, match="outside"):
+            beam_splitter(R, "a", reflected_out="c", transmitted_out="e")
+    for angle in (-90.0, 90.5, float("nan")):
+        with pytest.raises(ConfigError, match="outside"):
+            half_wave_plate(angle, "f")
 
 
 def test_half_wave_plate_at_minus_22_5():
-    hw = half_wave_plate(WavePlateSpec(angle_deg=-22.5, target="f"))
+    hw = half_wave_plate(-22.5, "f")
     cx = dict((m, amp) for amp, m in hw.columns[mode("f", "x")])
     cy = dict((m, amp) for amp, m in hw.columns[mode("f", "y")])
     s = 1.0 / math.sqrt(2.0)
@@ -96,21 +92,17 @@ def test_loss_channel_column():
 
 def test_measurement_rotations_are_isometries():
     for basis in ("HV", "DA", "RL"):
-        rot = measurement_rotation("c", basis)
-        ok, dev = validate_isometry(rot)
-        assert ok, f"{basis} rotation deviates by {dev}"
+        dev = measurement_rotation("c", basis).gram_deviation()
+        assert dev <= LOSSLESS_ATOL, f"{basis} rotation deviates by {dev}"
 
 
 def test_isometry_validation_catches_scaling():
-    bs = beam_splitter(BeamSplitterSpec(R=0.5, input="a",
-                                        reflected_out="c",
-                                        transmitted_out="e"))
+    bs = beam_splitter(0.5, "a", reflected_out="c", transmitted_out="e")
     scaled = ModeTransform(
         {m: tuple((0.9 * amp, om) for amp, om in col)
          for m, col in bs.columns.items()})
-    ok, dev = validate_isometry(scaled)
-    assert not ok
-    assert dev == pytest.approx(1.0 - 0.81, abs=1e-12)
+    assert bs.gram_deviation() <= LOSSLESS_ATOL
+    assert scaled.gram_deviation() == pytest.approx(1.0 - 0.81, abs=1e-12)
 
 
 def test_heralding_circuit_structure():
@@ -169,8 +161,7 @@ def test_compiled_basis_map_matches_circuit_then_rotation(paper_5050, basis):
 
 
 def test_compile_rejects_non_isometric_element():
-    bs = beam_splitter(BeamSplitterSpec(R=0.5, input="a", reflected_out="c",
-                                        transmitted_out="e"))
+    bs = beam_splitter(0.5, "a", reflected_out="c", transmitted_out="e")
     scaled = ModeTransform(
         {m: tuple((0.9 * amp, om) for amp, om in col)
          for m, col in bs.columns.items()})

@@ -376,8 +376,8 @@ def test_pattern_vector_matches_loop(paper_5050, basis, eta, dark):
     # 0.129, d 3.6e-6) and a bright lossy set
     detectors = paper_5050.trigger_detectors() + paper_5050.output_detectors()
     if eta is not None:
-        detectors = [dataclasses.replace(d, coupling=eta, quantum_efficiency=1.0,
-                                         dark_rate=dark / 1e-8, window=1e-8)
+        detectors = [dataclasses.replace(d, coupling=eta, dark_rate=dark / 1e-8,
+                                         window=1e-8)
                      for d in detectors]
     to_detectors = CircuitSpec(paper_5050.circuit().transforms + tuple(
         measurement_rotation(arm, basis) for arm in ("c", "d")))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from heraldsim.fock import ConfigError, inner_product, substitute_modes
+from heraldsim.fock import (ConfigError, apply_creation, make_vacuum, mode,
+                            substitute_modes)
 from heraldsim.source import (
     SourceNoise,
     SpdcParams,
@@ -15,12 +16,9 @@ from heraldsim.source import (
     dephased_source,
     n_pair_state,
     pair_probability,
-    spdc_state,
     truncation_deficit,
-    unnormalized_pair_power_norm_sq,
 )
 from heraldsim.elements import ModeTransform
-from heraldsim.fock import mode
 
 
 def test_pair_probability_form():
@@ -85,30 +83,37 @@ def test_singlet_invariant_under_bilateral_rotation():
     for n in (1, 2):
         st = n_pair_state(n)
         out = substitute_modes(st, rot)
-        overlap = inner_product(st, out)
-        assert abs(abs(overlap) - 1.0) < 1e-10
+        # the same state up to a global phase, amplitude by amplitude
+        key = next(iter(st.terms))
+        phase = out.terms[key] / st.terms[key]
+        assert abs(abs(phase) - 1.0) < 1e-10
+        for k in set(st.terms) | set(out.terms):
+            assert abs(out.terms.get(k, 0.0)
+                       - phase * st.terms.get(k, 0.0)) < 1e-10
 
 
 def test_pair_power_norm():
     # brute-force norm of the unnormalized n-pair creation polynomial
     for n in (1, 2, 3):
-        st = n_pair_state(n)
-        raw = unnormalized_pair_power_norm_sq(n)
-        assert raw == pytest.approx((n + 1) * math.factorial(n) ** 2,
-                                    rel=1e-12)
-        assert st.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        raw = make_vacuum()
+        for _ in range(n):
+            raw = apply_creation(apply_creation(raw, mode("a", "x")),
+                                 mode("b", "y")).add(
+                apply_creation(apply_creation(raw, mode("a", "y")),
+                               mode("b", "x")).scaled(-1.0))
+        assert raw.norm_sq() == pytest.approx(
+            (n + 1) * math.factorial(n) ** 2, rel=1e-12)
+        assert n_pair_state(n).norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spdc_state_coefficients():
+    # at unit visibility the source holds n pairs with weight p_n
     params = SpdcParams(r=0.158, n_max=4)
-    st = spdc_state(params)
-    vac_amp = st.terms[()]
-    assert abs(vac_amp) ** 2 == pytest.approx(pair_probability(0, params.r),
-                                              rel=1e-12)
-    one = n_pair_state(1)
-    amp = inner_product(one, st)
-    assert abs(amp) ** 2 == pytest.approx(pair_probability(1, params.r),
-                                          rel=1e-10)
+    mix = dephased_source(params, SourceNoise(visibility=1.0))
+    weights = [w for w, _ in mix.branches]
+    assert weights == pytest.approx(
+        [pair_probability(n, params.r) for n in range(5)], rel=1e-12)
+    assert [st.max_photons() for _, st in mix.branches] == [0, 2, 4, 6, 8]
 
 
 def test_truncation_deficit_small_at_paper_rate():
@@ -135,15 +140,14 @@ def test_dephased_source_normalized():
 def test_dephased_source_reduces_to_pure_at_unit_visibility():
     params = SpdcParams(r=0.15, n_max=3)
     mix = dephased_source(params, SourceNoise(visibility=1.0))
-    ref = spdc_state(params)
-    acc = None
-    for w, st in mix.branches:
-        scaled = st.scaled(math.sqrt(w))
-        acc = scaled if acc is None else acc.add(scaled)
-    # the single surviving branch is the truncated coherent expansion itself,
-    # so the overlap equals its (slightly sub-unit) squared norm
-    assert abs(inner_product(ref, acc)) == pytest.approx(ref.norm_sq(),
-                                                         abs=1e-10)
+    # no flipped pairs: one branch per pair number n, the pure n-pair state
+    assert len(mix.branches) == params.n_max + 1
+    for n, (w, st) in enumerate(mix.branches):
+        assert w == pytest.approx(pair_probability(n, params.r), rel=1e-12)
+        ref = n_pair_state(n)
+        assert set(st.terms) == set(ref.terms)
+        for key, amp in ref.terms.items():
+            assert st.terms[key] == pytest.approx(amp, abs=1e-12)
 
 
 def test_visibility_bounds_checked():

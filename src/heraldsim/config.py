@@ -6,8 +6,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .detect import DetectorSpec
-from .elements import (CircuitSpec, beam_splitter, half_wave_plate,
-                       polarizing_beam_splitter)
+from .elements import CircuitSpec, beam_splitter, half_wave_plate
 from .fock import ConfigError, Mode
 from .source import SourceNoise, SpdcParams
 
@@ -54,8 +53,10 @@ class ExperimentConfig:
             raise ConfigError("pulses must be > 0")
 
     def circuit(self) -> CircuitSpec:
+        """The declared elements in propagation order.  A polarizing splitter
+        only separates modes the (spatial, polarization) algebra already
+        keeps apart, so it adds no transform."""
         transforms = []
-        pols_by_spatial: dict[str, tuple[str, str]] = {}
         for decl in self.elements:
             if isinstance(decl, BsDecl):
                 transforms.append(beam_splitter(
@@ -64,11 +65,7 @@ class ExperimentConfig:
             elif isinstance(decl, HwpDecl):
                 transforms.append(half_wave_plate(
                     decl.angle_deg, decl.target, decl.out_pols))
-                pols_by_spatial[decl.target] = decl.out_pols
-            elif isinstance(decl, PbsDecl):
-                pols = pols_by_spatial.get(decl.target, ("x", "y"))
-                transforms.append(polarizing_beam_splitter(decl.target, pols))
-            else:
+            elif not isinstance(decl, PbsDecl):
                 raise ConfigError(f"unknown element declaration {decl!r}")
         return CircuitSpec(tuple(transforms))
 

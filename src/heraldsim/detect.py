@@ -7,20 +7,21 @@ splitter into an unobserved mode, traced out, leaves nothing else).
 and dark-count probability d map the n photons reaching a detector to the
 probability that it registers its event.  Threshold under-counting (the
 beta-class escape patterns) follows from weighting each exact post-circuit
-occupation pattern with it.
+occupation pattern with it.  Every read-out of a post-circuit state (herald,
+trigger classes, click patterns, six-folds) goes through `occupations`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (OUTPUT_ARMS, TRIGGER_MODES, CircuitSpec, apply_circuit,
-                       measurement_rotation)
-from .fock import (ConfigError, FockKey, MixedState, Mode, PureState,
-                   as_mixed, key_occupation)
+from .elements import (OUTPUT_ARMS, POL_H, POL_V, TRIGGER_MODES, CircuitSpec,
+                       apply_circuit, measurement_rotation)
+from .fock import ConfigError, MixedState, Mode, PureState, as_mixed
 
 THRESHOLD = "threshold"
 NUMBER_RESOLVING = "pnr"
@@ -40,6 +41,8 @@ class DetectorSpec:
             raise ConfigError(f"unknown detector kind {self.kind!r}")
         if not (0.0 <= self.coupling <= 1.0):
             raise ConfigError(f"detector {self.id}: efficiency outside [0, 1]")
+        if not (self.dark_rate >= 0.0 and self.window >= 0.0):
+            raise ConfigError(f"detector {self.id}: negative dark rate or window")
         if not (0.0 <= self.dark_probability < 1.0):
             raise ConfigError(f"detector {self.id}: dark probability outside [0, 1)")
 
@@ -73,29 +76,97 @@ def click_probability(det: DetectorSpec, n: int) -> float:
     eta, d = det.eta, det.dark_probability
     if det.kind == THRESHOLD:
         # on vacuum the dark probability itself, not 1 - (1 - d)
-        return 1.0 - _silent_probability(det, n) if n else d
+        return 1.0 - (1.0 - eta) ** n * (1.0 - d) if n else d
     one_detected = n * eta * (1.0 - eta) ** (n - 1) if n else 0.0
     return one_detected * (1.0 - d) + (1.0 - eta) ** n * d
 
 
-def _silent_probability(det: DetectorSpec, n: int) -> float:
-    """Probability that `det` reads nothing: all n photons lost, no dark count."""
-    return (1.0 - det.eta) ** n * (1.0 - det.dark_probability)
+def occupations(state: PureState | MixedState, modes: list[Mode]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one read-out of a post-circuit state: per term, its branch index,
+    its photon counts on `modes` (a mode listed twice counts in its first
+    column) with one last column for the photons on every other mode, and
+    its amplitude times the square root of its branch weight."""
+    column: dict[Mode, int] = {}
+    for i, m in enumerate(modes):
+        column.setdefault(m, i)
+    other = len(modes)
+    branches = as_mixed(state).branches
+    rows, amps = [], []
+    for weight, pure in branches:
+        scale = math.sqrt(weight)
+        for key, amp in pure.terms.items():
+            row = [0] * (other + 1)
+            for m, n in key:
+                row[column.get(m, other)] += n
+            rows.append(row)
+            amps.append(amp * scale)
+    branch = np.repeat(np.arange(len(branches)),
+                       [len(pure.terms) for _, pure in branches])
+    return (branch, np.array(rows, dtype=np.int64).reshape(-1, other + 1),
+            np.array(amps, dtype=complex))
 
 
 def occupation_probabilities(state: PureState | MixedState, modes: list[Mode]
                              ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct photon counts on `modes` in `state`, one int row each
     (columns as `modes`), and their probabilities."""
-    rows, probs = [], []
-    for weight, pure in as_mixed(state).branches:
-        for key, amp in pure.terms.items():
-            occ = dict(key)
-            rows.append([occ.get(m, 0) for m in modes])
-            probs.append(weight * abs(amp) ** 2)
-    rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(modes))
-    occ, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return occ, np.bincount(inverse.ravel(), weights=probs, minlength=len(occ))
+    _, counts, amps = occupations(state, modes)
+    occ, inverse = np.unique(counts[:, :-1], axis=0, return_inverse=True)
+    return occ, np.bincount(inverse.ravel(), weights=np.abs(amps) ** 2,
+                            minlength=len(occ))
+
+
+def _event_probabilities(det: DetectorSpec, counts: np.ndarray) -> np.ndarray:
+    """`click_probability(det, n)` for every photon count n in `counts`."""
+    table = [click_probability(det, n)
+             for n in range(int(counts.max(initial=0)) + 1)]
+    return np.array(table)[counts]
+
+
+def click_pattern_probabilities(state: PureState | MixedState,
+                                detectors: list[DetectorSpec]) -> np.ndarray:
+    """Probability over the 2^k click patterns (bit i = detector i
+    registered its `click_probability` event)."""
+    occ, p_occ = occupation_probabilities(state, [d.mode for d in detectors])
+    acc = p_occ[:, None]
+    for i, det in enumerate(detectors):
+        c = _event_probabilities(det, occ[:, i])[:, None]
+        acc = np.concatenate([acc * (1.0 - c), acc * c], axis=1)
+    return acc.sum(axis=0)
+
+
+def sixfold_outcomes(trigger_detectors: list[DetectorSpec],
+                     output_detectors: list[DetectorSpec],
+                     output_arms: tuple[str, ...]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The six-fold rule on the click patterns of the triggers followed by
+    the output detectors (bit i = detector i clicked): per pattern, whether
+    every trigger clicked, and the outcome 2 o_0 + o_1, or -1 unless every
+    trigger and exactly one port of each output arm clicked.  Each of the two
+    arms holds exactly two ports; o_a = 0 if the one whose polarization label
+    sorts first (x: H, + or R after the measurement rotation) clicked."""
+    if len(output_arms) != 2:
+        raise ConfigError("six-fold counting needs exactly two output arms; "
+                          f"the output detectors sit on arms {list(output_arms)}")
+    n_trig = len(trigger_detectors)
+    patterns = np.arange(1 << (n_trig + len(output_detectors)))
+    all_triggers = (1 << n_trig) - 1
+    is_trigger = (patterns & all_triggers) == all_triggers
+    outcome = np.zeros_like(patterns)
+    valid = is_trigger
+    for arm in output_arms:
+        ports = sorted((i for i, d in enumerate(output_detectors)
+                        if d.mode[0] == arm),
+                       key=lambda i: output_detectors[i].mode[1])
+        if len(ports) != 2:
+            ids = [output_detectors[i].id for i in ports]
+            raise ConfigError("six-fold counting needs exactly two detectors "
+                              f"on output arm {arm!r}; it has {ids}")
+        first, second = (patterns >> (n_trig + i) & 1 for i in ports)
+        valid = valid & (first != second)
+        outcome = 2 * outcome + second
+    return is_trigger, np.where(valid, outcome, -1)
 
 
 @dataclass(frozen=True)
@@ -116,76 +187,43 @@ class HeraldResult:
     heralded: bool
 
 
-QUBIT_BASIS = [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
-
-
-def _qubit_index(key: FockKey, arms: tuple[str, str]) -> int | None:
-    """Index into QUBIT_BASIS if the key is exactly one photon per arm."""
-    pols = {arms[0]: None, arms[1]: None}
-    for (spatial, pol), n in key:
-        if spatial not in pols or n != 1 or pols[spatial] is not None:
-            return None
-        pols[spatial] = "x" if pol == "x" else ("y" if pol == "y" else None)
-        if pols[spatial] is None:
-            return None
-    pc, pd = pols[arms[0]], pols[arms[1]]
-    if pc is None or pd is None:
-        return None
-    return QUBIT_BASIS.index((pc, pd))
-
-
 def herald(state: PureState | MixedState,
            trigger_detectors: list[DetectorSpec],
            output_arms: tuple[str, str] = OUTPUT_ARMS) -> HeraldResult:
     """Condition on all four trigger detectors firing.
 
-    Groups the terms of `state`, the post-circuit state, by the photons
-    reaching each trigger, weights each group by the product of the
-    triggers' `click_probability`, and accumulates the conditional output
-    state.  The conditional density matrix is restricted to the
-    one-photon-per-arm sector of the output modes; its trace (after
-    normalization by the herald probability) is the preparation efficiency.
+    Each term of `state`, the post-circuit state, is weighted by the product
+    of the triggers' `click_probability`.  The terms of one source branch
+    with the same trigger counts are one coherent output state; its part
+    with one x- or y-polarized photon per output arm and nothing else is a
+    vector over the qubit basis (x,x), (x,y), (y,x), (y,y).  The weighted sum
+    of their outer products over the herald probability is the conditional
+    density matrix; its trace is the preparation efficiency.
     """
     if len(trigger_detectors) != 4:
         raise ConfigError("heralding requires exactly four trigger detectors")
-    trig_modes = [d.mode for d in trigger_detectors]
-    trig_set = set(trig_modes)
-
-    herald_p = 0.0
-    good_p = 0.0
-    rho = np.zeros((4, 4), dtype=complex)
-    for weight, pure in as_mixed(state).branches:
-        groups: dict[tuple[int, ...], dict[FockKey, complex]] = {}
-        for key, amp in pure.terms.items():
-            occ = tuple(key_occupation(key, m) for m in trig_modes)
-            rest = tuple((m, n) for m, n in key if m not in trig_set)
-            bucket = groups.setdefault(occ, {})
-            bucket[rest] = bucket.get(rest, 0.0) + amp
-        for occ, rest_terms in groups.items():
-            p_click = math.prod(click_probability(det, n)
-                                for det, n in zip(trigger_detectors, occ))
-            if p_click == 0.0:
-                continue
-            group_w = weight * p_click
-            herald_p += group_w * sum(abs(a) ** 2 for a in rest_terms.values())
-            vec = np.zeros(4, dtype=complex)
-            for key, amp in rest_terms.items():
-                idx = _qubit_index(key, output_arms)
-                if idx is not None:
-                    vec[idx] = amp
-            vnorm = float(np.vdot(vec, vec).real)
-            if vnorm > 0.0:
-                good_p += group_w * vnorm
-                rho += group_w * np.outer(vec, vec.conjugate())
-
+    arm_modes = [(arm, pol) for arm in output_arms for pol in (POL_H, POL_V)]
+    branch, counts, amps = occupations(
+        state, [d.mode for d in trigger_detectors] + arm_modes)
+    p_click = np.prod([_event_probabilities(det, counts[:, i])
+                       for i, det in enumerate(trigger_detectors)], axis=0)
+    herald_p = float(np.sum(p_click * np.abs(amps) ** 2))
     if herald_p <= 0.0:
-        return HeraldResult(herald_probability=0.0,
-                            conditional_dm=np.zeros((4, 4), dtype=complex),
-                            preparation_efficiency=0.0, heralded=False)
-    return HeraldResult(herald_probability=herald_p,
-                        conditional_dm=rho / herald_p,
-                        preparation_efficiency=good_p / herald_p,
-                        heralded=True)
+        return HeraldResult(0.0, np.zeros((4, 4), dtype=complex), 0.0, False)
+
+    x0, y0, x1, y1, elsewhere = counts[:, 4:].T
+    qubit = (x0 + y0 == 1) & (x1 + y1 == 1) & (elsewhere == 0)
+    groups, group = np.unique(
+        np.column_stack([branch[qubit], counts[qubit, :4]]), axis=0,
+        return_inverse=True)
+    group = group.ravel()
+    vectors = np.zeros((len(groups), 4), dtype=complex)
+    vectors[group, 2 * y0[qubit] + y1[qubit]] = amps[qubit]
+    group_p = np.zeros(len(groups))
+    group_p[group] = p_click[qubit]
+    rho = np.einsum("g,gi,gj->ij", group_p, vectors, vectors.conj())
+    return HeraldResult(herald_p, rho / herald_p,
+                        float(np.trace(rho).real) / herald_p, True)
 
 
 def decompose_s1(state: PureState,
@@ -194,23 +232,21 @@ def decompose_s1(state: PureState,
                  ) -> HeraldDecomposition:
     """Classify the lossless post-circuit state into trigger classes.
 
-    alpha^2: exactly one photon per trigger mode and two output photons;
+    alpha^2: exactly one photon per trigger mode and two output photons,
+    whatever their polarization labels;
     beta^2: at least one photon at every trigger mode, deficient output;
     gamma^2: everything else (no complete trigger).
     """
-    alpha_sq = beta_sq = gamma_sq = 0.0
-    arms = set(output_arms)
-    for key, amp in state.terms.items():
-        p = abs(amp) ** 2
-        trig = [key_occupation(key, m) for m in trigger_modes]
-        out_photons = sum(n for (spatial, _), n in key if spatial in arms)
-        if all(n == 1 for n in trig) and out_photons == 2:
-            alpha_sq += p
-        elif all(n >= 1 for n in trig):
-            beta_sq += p
-        else:
-            gamma_sq += p
-    return HeraldDecomposition(alpha_sq, beta_sq, gamma_sq)
+    arm_modes = sorted(m for m in state.occupied_modes() if m[0] in output_arms)
+    _, counts, amps = occupations(state, list(trigger_modes) + arm_modes)
+    p = np.abs(amps) ** 2
+    trig = counts[:, :len(trigger_modes)]
+    fired = (trig >= 1).all(axis=1)
+    alpha = (trig == 1).all(axis=1) & (
+        counts[:, len(trigger_modes):-1].sum(axis=1) == 2)
+    return HeraldDecomposition(float(p[alpha].sum()),
+                               float(p[fired & ~alpha].sum()),
+                               float(p[~fired].sum()))
 
 
 def sixfold_probability(state: PureState | MixedState,
@@ -223,38 +259,23 @@ def sixfold_probability(state: PureState | MixedState,
 
     Output arms of `state`, the post-circuit state, are rotated into the
     measurement basis before detection.  Triggers fire as in `herald`.
-    `outcome` selects which detector clicks in each arm (0 = the x-labeled
-    port: H, + or R), and the complementary output detectors must not click,
-    matching coincidence-logic counting.  The event is a product of
-    per-detector events: one factor per detector and pattern.
+    `outcome` selects which port clicks in each arm as in
+    `sixfold_outcomes`, and the other output detectors stay silent,
+    matching coincidence-logic counting.  An output port's event is any
+    reading of one or more photons, a threshold detector's click.
     """
     rotation = CircuitSpec(tuple(measurement_rotation(arm, b)
                                  for arm, b in zip(output_arms, basis)))
     rotated = MixedState(tuple((weight, apply_circuit(pure, rotation))
                                for weight, pure in as_mixed(state).branches))
-    detectors = list(trigger_detectors) + list(output_detectors)
-    occ, p_occ = occupation_probabilities(rotated, [d.mode for d in detectors])
-
-    n_trig = len(trigger_detectors)
-    by_arm: dict[str, list[int]] = {arm: [] for arm in output_arms}
-    for i, det in enumerate(output_detectors):
-        by_arm[det.mode[0]].append(n_trig + i)
-    wanted = []
-    for arm_i, arm in enumerate(output_arms):
-        ports = sorted(by_arm[arm], key=lambda i: detectors[i].mode[1])
-        wanted.append(ports[outcome[arm_i]])
-
-    counts = range(int(occ.max(initial=0)) + 1)
-    total = p_occ
-    for i, det in enumerate(detectors):
-        if i < n_trig:
-            factor = [click_probability(det, n) for n in counts]
-        elif i in wanted:  # any reading of one or more
-            factor = [1.0 - _silent_probability(det, n) for n in counts]
-        else:
-            factor = [_silent_probability(det, n) for n in counts]
-        total = total * np.array(factor)[occ[:, i]]
-    return float(total.sum())
+    _, outcomes = sixfold_outcomes(trigger_detectors, output_detectors,
+                                   output_arms)
+    # the least pattern of the outcome: no output detector off the arms clicks
+    pattern = np.flatnonzero(outcomes == 2 * outcome[0] + outcome[1])[0]
+    any_reading = [dataclasses.replace(d, kind=THRESHOLD)
+                   for d in output_detectors]
+    return float(click_pattern_probabilities(
+        rotated, list(trigger_detectors) + any_reading)[pattern])
 
 
 def fidelity_to_phi_plus(dm: np.ndarray) -> float:

@@ -202,12 +202,13 @@ def parse(text: str) -> ExperimentConfig:
                                kind_tok.line, kind_tok.col)
             det_mode = _mode(args["mode"])
             eta = _float(args["eta"], "eta", 0.0, 1.0) if "eta" in args else 1.0
-            dark = _float(args["dark"], "dark") if "dark" in args else 0.0
-            window = (_float(args["window"], "window")
+            dark = (_float(args["dark"], "dark", 0.0, math.inf)
+                    if "dark" in args else 0.0)
+            window = (_float(args["window"], "window", 0.0, math.inf)
                       if "window" in args else 0.0)
-            if not 0.0 <= dark * window < 1.0:
-                # a finite window >= 0 leaves the dark rate to blame
-                tok = args["dark"] if 0.0 <= window < math.inf else args["window"]
+            if not dark * window < 1.0:
+                # a finite window leaves the dark rate to blame
+                tok = args["dark"] if window < math.inf else args["window"]
                 raise DslError(f"dark probability dark*window={dark * window:g} "
                                "outside [0, 1)", tok.line, tok.col,
                                "dark is counts per second, window seconds")
@@ -265,18 +266,13 @@ def _pair_probability_p1(params: SpdcParams) -> float:
     return pair_probability(1, params.r)
 
 
-_ELEMENT_ORDER = {"bs": 0, "hwp": 1, "pbs": 2}
-
-
 def serialize(config: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(c)) structurally equals c."""
+    """Canonical text form; parse(serialize(c)) structurally equals c.
+    Elements keep their declared order, which is the propagation order."""
     lines = [f"source spdc nmax={config.source.n_max} "
              f"p1={_fmt(_pair_probability_p1(config.source))} "
              f"visibility={_fmt(config.noise.visibility)}"]
-    def element_key(decl: ElementDecl):
-        spatial = decl.input if isinstance(decl, BsDecl) else decl.target
-        return (_ELEMENT_ORDER[decl.kind], spatial)
-    for decl in sorted(config.elements, key=element_key):
+    for decl in config.elements:
         if isinstance(decl, BsDecl):
             lines.append(f"bs R={_fmt(decl.R)} in={decl.input} "
                          f"refl={decl.reflected_out} trans={decl.transmitted_out}")

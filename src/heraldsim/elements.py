@@ -79,23 +79,6 @@ def half_wave_plate(angle_deg: float, target: str,
     return ModeTransform(columns)
 
 
-def polarizing_beam_splitter(input_spatial: str,
-                             pols: tuple[str, str] = (POL_H, POL_V)
-                             ) -> ModeTransform:
-    """Ideal PBS: routes each polarization to its own output arm.
-
-    In the (spatial, polarization) mode algebra the two output arms are
-    already distinct channels, so the map is the identity relabeling; it
-    exists so circuits document where arms become separate detectors.
-    """
-    p1, p2 = pols
-    columns = {
-        (input_spatial, p1): ((1.0 + 0.0j, (input_spatial, p1)),),
-        (input_spatial, p2): ((1.0 + 0.0j, (input_spatial, p2)),),
-    }
-    return ModeTransform(columns)
-
-
 def measurement_rotation(spatial: str, basis: str) -> ModeTransform:
     """Map H/V creation operators onto the detectors of a measurement basis.
 
@@ -154,18 +137,18 @@ def apply_circuit(state: PureState, circuit: CircuitSpec) -> PureState:
 
 
 def heralding_circuit(R: float) -> CircuitSpec:
-    """The heralded-source circuit: two partial BS, trigger-arm HWP, two PBS.
+    """The heralded-source circuit: two partial BS and a trigger-arm HWP.
 
     Source arm a splits into output c and trigger e; arm b into output d and
-    trigger f.  The HWP rotates f into the diagonal (x', y') labels before
-    its PBS.  Trigger modes: e.x, e.y, f.xp, f.yp; output arms: c, d.
+    trigger f.  The HWP rotates f into the diagonal (x', y') labels.  The
+    polarizing splitters that follow in the experiment only separate modes
+    the (spatial, polarization) algebra already keeps apart, so they add no
+    transform.  Trigger modes: e.x, e.y, f.xp, f.yp; output arms: c, d.
     """
     return CircuitSpec((
         beam_splitter(R, "a", reflected_out="c", transmitted_out="e"),
         beam_splitter(R, "b", reflected_out="d", transmitted_out="f"),
         half_wave_plate(-22.5, "f"),
-        polarizing_beam_splitter("e"),
-        polarizing_beam_splitter("f", pols=POL_DIAG),
     ))
 
 

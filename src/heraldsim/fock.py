@@ -55,13 +55,6 @@ def key_photons(key: FockKey) -> int:
     return sum(n for _, n in key)
 
 
-def key_occupation(key: FockKey, m: Mode) -> int:
-    for km, n in key:
-        if km == m:
-            return n
-    return 0
-
-
 class PureState:
     """Sparse superposition of Fock basis states with complex amplitudes."""
 

@@ -32,10 +32,9 @@ from numpy.random import Generator, Philox
 from .analysis import (EfficiencyEstimate, FidelityEstimate, PauliCorrelation,
                        correlation_from_counts, eff_exp, fidelity_phi_plus)
 from .config import ExperimentConfig
-from .detect import (THRESHOLD, DetectorSpec, click_probability,
-                     occupation_probabilities)
+from .detect import THRESHOLD, click_pattern_probabilities, sixfold_outcomes
 from .elements import BASIS_OUTCOMES, CircuitSpec, measurement_rotation
-from .fock import ConfigError, PureState, substitute_modes
+from .fock import ConfigError, make_vacuum, substitute_modes
 from .source import dephased_source
 
 _RAWS_PER_PULSE = 4  # one Philox counter block
@@ -114,32 +113,15 @@ class BasisTables:
     joint_lut: np.ndarray
     fock_terms: int                      # post-circuit terms, all branches
 
+    def _per_pulse(self, patterns: np.ndarray) -> float:
+        return sum(w * float(probs[patterns].sum())
+                   for w, probs in zip(self.branch_weights, self.pattern_probs))
+
     def sixfold_probability_per_pulse(self) -> float:
-        total = 0.0
-        for w, probs in zip(self.branch_weights, self.pattern_probs):
-            total += w * float(probs[self.is_trigger
-                                     & (self.outcome_index >= 0)].sum())
-        return total
+        return self._per_pulse(self.outcome_index >= 0)
 
     def trigger_probability_per_pulse(self) -> float:
-        total = 0.0
-        for w, probs in zip(self.branch_weights, self.pattern_probs):
-            total += w * float(probs[self.is_trigger].sum())
-        return total
-
-
-def _pattern_vector(state: PureState, detectors: list[DetectorSpec]
-                    ) -> np.ndarray:
-    """Probability over the 2^k click patterns (bit i = detector i clicked)."""
-    occ, p_occ = occupation_probabilities(state, [d.mode for d in detectors])
-    click = np.array([[click_probability(d, n)
-                       for n in range(int(occ.max(initial=0)) + 1)]
-                      for d in detectors])
-    acc = p_occ[:, None]
-    for i in range(len(detectors)):
-        c = click[i, occ[:, i]][:, None]
-        acc = np.concatenate([acc * (1.0 - c), acc * c], axis=1)
-    return acc.sum(axis=0)
+        return self._per_pulse(self.is_trigger)
 
 
 def _joint_lut(pattern_cdfs: list[np.ndarray], breaks: np.ndarray
@@ -161,45 +143,12 @@ def _joint_lut(pattern_cdfs: list[np.ndarray], breaks: np.ndarray
 
 def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
     """Exact categorical click-pattern tables per (basis, source branch)."""
-    detectors = list(config.trigger_detectors()) + list(config.output_detectors())
+    triggers, outputs = config.trigger_detectors(), config.output_detectors()
+    detectors = triggers + outputs
     if any(d.kind != THRESHOLD for d in detectors):
         raise ConfigError("Monte Carlo tables support threshold detectors only")
-    out_dets = config.output_detectors()
     arms = config.output_arms()
-    if len(arms) != 2:
-        raise ConfigError("Monte Carlo counting needs exactly two output arms; "
-                          f"the output detectors sit on arms {list(arms)}")
-
-    k = len(detectors)
-    n_pat = 1 << k
-    bit = {det.id: i for i, det in enumerate(detectors)}
-    trig_mask = 0
-    for det in config.trigger_detectors():
-        trig_mask |= 1 << bit[det.id]
-    pattern_ids = np.arange(n_pat)
-    is_trigger = (pattern_ids & trig_mask) == trig_mask
-
-    # six-fold outcome: triggers fired plus exactly one click per output arm
-    arm_bits = {arm: [] for arm in arms}
-    for det in out_dets:
-        arm_bits[det.mode[0]].append(bit[det.id])
-    for arm in arms:
-        if len(arm_bits[arm]) != 2:
-            ids = [detectors[i].id for i in arm_bits[arm]]
-            raise ConfigError(f"Monte Carlo counting needs exactly two "
-                              f"detectors on output arm {arm!r}; it has {ids}")
-        arm_bits[arm].sort(key=lambda i: detectors[i].mode[1])
-    outcome_index = np.full(n_pat, -1, dtype=np.int64)
-    for p in range(n_pat):
-        idx = 0
-        for arm in arms:
-            b0, b1 = arm_bits[arm]
-            c0, c1 = bool(p >> b0 & 1), bool(p >> b1 & 1)
-            if c0 == c1:
-                break
-            idx = idx * 2 + (1 if c1 else 0)
-        else:
-            outcome_index[p] = idx
+    is_trigger, outcome_index = sixfold_outcomes(triggers, outputs, arms)
 
     circuit = config.circuit()
     source = dephased_source(config.source, config.noise).branches
@@ -219,12 +168,12 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
             out = substitute_modes(state, to_detectors)
             fock_terms += len(out)
             weights.append(w)
-            vectors.append(_pattern_vector(out, detectors))
+            vectors.append(click_pattern_probabilities(out, detectors))
         remainder = max(1.0 - sum(weights), 0.0)
         if remainder > 0.0:
             # truncated tail: treated as dark-count-only pulses
             weights.append(remainder)
-            vectors.append(_pattern_vector(PureState({(): 1.0}), detectors))
+            vectors.append(click_pattern_probabilities(make_vacuum(), detectors))
         branch_weights = np.array(weights)
         branch_cdf = np.cumsum(branch_weights)
         branch_cdf[-1] = max(branch_cdf[-1], 1.0)
@@ -309,16 +258,11 @@ def _sample_aggregate(tables: BasisTables, key: tuple[int, int],
 
 def _record_from_hist(tables: BasisTables, hist: np.ndarray,
                       pulses: int) -> CountRecord:
-    n_t = int(hist[tables.is_trigger].sum())
-    outcomes: dict[tuple[str, str], int] = {}
-    n_s = 0
-    for k, label in enumerate(tables.outcome_labels):
-        mask = tables.is_trigger & (tables.outcome_index == k)
-        c = int(hist[mask].sum())
-        outcomes[label] = c
-        n_s += c
-    return CountRecord(basis=tables.basis, pulses=pulses, n_t=n_t, n_s=n_s,
-                       outcomes=outcomes)
+    outcomes = {label: int(hist[tables.outcome_index == k].sum())
+                for k, label in enumerate(tables.outcome_labels)}
+    return CountRecord(basis=tables.basis, pulses=pulses,
+                       n_t=int(hist[tables.is_trigger].sum()),
+                       n_s=sum(outcomes.values()), outcomes=outcomes)
 
 
 def run_experiment(config: ExperimentConfig,

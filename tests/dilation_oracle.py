@@ -9,8 +9,8 @@ herald keeps one incoherent branch per environment occupation.  Readings
 are assigned to the photons that survive: an ideal threshold detector
 clicks on one or more, a number-resolving detector counts them, and a dark
 count adds a click (or one count) with probability d.  Nothing here is
-shared with the closed form beyond the state algebra, the detector specs
-and the indexing of the output qubit sector.
+shared with the closed form beyond the state algebra and the detector
+specs.
 """
 
 from __future__ import annotations
@@ -21,14 +21,33 @@ from typing import Iterator
 
 import numpy as np
 
-from heraldsim.detect import (THRESHOLD, DetectorSpec, HeraldResult,
-                              _qubit_index)
+from heraldsim.detect import THRESHOLD, DetectorSpec, HeraldResult
 from heraldsim.elements import OUTPUT_ARMS, ModeTransform, measurement_rotation
 from heraldsim.fock import (ConfigError, FockKey, MixedState, Mode, PureState,
-                            as_mixed, key_occupation, mode_str,
-                            substitute_modes)
+                            as_mixed, mode_str, substitute_modes)
 
 ENV_PREFIX = "~"
+QUBIT_BASIS = [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
+
+
+def key_occupation(key: FockKey, m: Mode) -> int:
+    return dict(key).get(m, 0)
+
+
+def qubit_index(key: FockKey, arms: tuple[str, str]) -> int | None:
+    """Index into QUBIT_BASIS if the key is exactly one x- or y-polarized
+    photon per output arm and nothing else."""
+    pols = {arms[0]: None, arms[1]: None}
+    for (spatial, pol), n in key:
+        if spatial not in pols or n != 1 or pols[spatial] is not None:
+            return None
+        pols[spatial] = "x" if pol == "x" else ("y" if pol == "y" else None)
+        if pols[spatial] is None:
+            return None
+    pc, pd = pols[arms[0]], pols[arms[1]]
+    if pc is None or pd is None:
+        return None
+    return QUBIT_BASIS.index((pc, pd))
 
 
 def env_mode_for(m: Mode) -> Mode:
@@ -184,7 +203,7 @@ def herald(state: PureState | MixedState, trigger_detectors: list[DetectorSpec],
             herald_p += group_w * sum(abs(a) ** 2 for a in rest_terms.values())
             vec = np.zeros(4, dtype=complex)
             for key, amp in rest_terms.items():
-                idx = _qubit_index(key, output_arms)
+                idx = qubit_index(key, output_arms)
                 if idx is not None:
                     vec[idx] = amp
             good_p += group_w * float(np.vdot(vec, vec).real)

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,86 @@ from conftest import BOOSTED_CONFIG, RELABELLED_5050
 
 
 SMALL_MC = BOOSTED_CONFIG.replace("pulses 2000000", "pulses 200000")
+
+# `herald --json` reports and the default `sweep` of paper_5050.exp,
+# recorded before the herald read-out became array code.  Numbers must
+# hold to 1e-12 relative (the sweep prints 9 digits: 1e-8), everything
+# else exactly; the fixtures' digests pin their canonical text.
+HERALD_GOLDEN = {
+    "paper_5050.exp": {
+        "config_digest": ("29b3e57607b61a644b2c22c8c9a82354"
+                          "f12147315f7e4eb2c3ec061d16ba2a2c"),
+        "R": 0.486,
+        "eta_t": 0.167,
+        "herald_probability": 2.487665144354779e-05,
+        "preparation_efficiency": 0.25785273873385656,
+        "heralded": True,
+        "eff_theory": 0.2578547577752424,
+        "four_pair_correction": -0.004085273650802138,
+        "s1": {"alpha_sq": 0.008243184470676767,
+               "beta_sq": 0.011023194908536423,
+               "gamma_sq": 0.9807336206207866},
+    },
+    "paper_6040.exp": {
+        "config_digest": ("375d544276c156c63db4fcd72efd64f6"
+                          "d10386c0b6474cab7b5fd6e4363ecd7c"),
+        "R": 0.57,
+        "eta_t": 0.173,
+        "herald_probability": 1.4201842252078945e-05,
+        "preparation_efficiency": 0.35045175746844653,
+        "heralded": True,
+        "eff_theory": 0.3504879065568969,
+        "four_pair_correction": -0.04339035566240726,
+        "s1": {"alpha_sq": 0.005553842224499997,
+               "beta_sq": 0.004979911006624998,
+               "gamma_sq": 0.9894662467688751},
+    },
+    "paper_7030.exp": {
+        "config_digest": ("ae2f640d5435774778a3c6acf730dd35"
+                          "594d73bfd228b780d264a43446816d10"),
+        "R": 0.685,
+        "eta_t": 0.207,
+        "herald_probability": 8.46406111128529e-06,
+        "preparation_efficiency": 0.501251072688229,
+        "heralded": True,
+        "eff_theory": 0.5013848667249744,
+        "four_pair_correction": -0.08618053460262652,
+        "s1": {"alpha_sq": 0.002309900976632809,
+               "beta_sq": 0.001184333452681638,
+               "gamma_sq": 0.9965057655706854},
+    },
+    "relabelled": {
+        "config_digest": ("70bed8923267501f3235af6b621c64df"
+                          "f5518a07e542fb9150c7523758e0df4d"),
+        "R": 0.486,
+        "eta_t": 0.167,
+        "herald_probability": 2.487665144354779e-05,
+        "preparation_efficiency": 0.25785273873385656,
+        "heralded": True,
+        "eff_theory": 0.2578547577752424,
+        "four_pair_correction": -0.004085273650802138,
+        "s1": {"alpha_sq": 0.008243184470676767,
+               "beta_sq": 0.011023194908536423,
+               "gamma_sq": 0.9807336206207866},
+    },
+}
+
+SWEEP_5050_GOLDEN = """\
+R,eff_theory,eff_exact_enumerated,four_pair_corrected
+0.3,0.101520964,0.10153373,0.112353873
+0.35,0.136963974,0.136977308,0.147050188
+0.4,0.177322648,0.177334037,0.184946316
+0.45,0.22246413,0.222469709,0.225746218
+0.5,0.272259068,0.272253103,0.269240518
+0.55,0.326581506,0.326555596,0.315302185
+0.6,0.385308792,0.385250563,0.363882191
+0.65,0.448321479,0.44821235,0.415004949
+0.7,0.515503232,0.51531432,0.468763087
+0.75,0.586740745,0.586424669,0.525310445
+0.8,0.661923646,0.661396111,0.584849911
+0.85,0.740944422,0.740035135,0.647603791
+0.9,0.823698332,0.821979485,0.713705214
+"""
 # the directory this run imports heraldsim from, for the child processes
 PACKAGE_ROOT = str(Path(heraldsim.__file__).resolve().parents[1])
 
@@ -148,6 +229,43 @@ def test_sweep_follows_the_configs_own_labels(tmp_path):
     assert sweeps[1].stdout == sweeps[0].stdout
     rows = list(csv.DictReader(sweeps[1].stdout.splitlines()))
     assert all(float(r["eff_exact_enumerated"]) > 0.0 for r in rows)
+
+
+def assert_matches_golden(got, want, rel, where):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and set(got) == set(want), where
+        for key in want:
+            assert_matches_golden(got[key], want[key], rel, f"{where}.{key}")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=rel, abs_tol=0.0), \
+            f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("name", sorted(HERALD_GOLDEN))
+def test_herald_json_matches_golden(name, tmp_path):
+    path = fixture_path(name)
+    if name == "relabelled":
+        path = tmp_path / "relabelled.exp"
+        path.write_text(RELABELLED_5050, encoding="utf-8")
+    proc = run_cli("herald", str(path), "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert_matches_golden(json.loads(proc.stdout), HERALD_GOLDEN[name], 1e-12,
+                          name)
+
+
+def test_sweep_matches_golden():
+    proc = run_cli("sweep", str(fixture_path("paper_5050.exp")))
+    assert proc.returncode == 0, proc.stderr
+    got = list(csv.reader(proc.stdout.splitlines()))
+    want = list(csv.reader(SWEEP_5050_GOLDEN.splitlines()))
+    assert got[0] == want[0] and len(got) == len(want) == 14
+    for i, (got_row, want_row) in enumerate(zip(got[1:], want[1:])):
+        assert len(got_row) == len(want_row)
+        for column, g, w in zip(want[0], got_row, want_row):
+            assert_matches_golden(float(g), float(w), 1e-8,
+                                  f"sweep row {i} {column}")
 
 
 def test_montecarlo_outputs_are_reproducible(boosted_file, tmp_path):

@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from heraldsim import mc
-from heraldsim.fock import ConfigError, MixedState, mode
-from heraldsim.elements import TRIGGER_MODES, apply_circuit, heralding_circuit
+from heraldsim.dsl import parse
+from heraldsim.fock import ConfigError, FockKey, MixedState, as_mixed, mode
+from heraldsim.elements import (OUTPUT_ARMS, TRIGGER_MODES, apply_circuit,
+                                heralding_circuit)
 from heraldsim.source import dephased_source, n_pair_state
 from heraldsim.detect import (
     NUMBER_RESOLVING,
     THRESHOLD,
     DetectorSpec,
+    HeraldDecomposition,
+    HeraldResult,
+    click_pattern_probabilities,
     click_probability,
     decompose_s1,
     fidelity_to_phi_plus,
@@ -26,6 +30,8 @@ from heraldsim.detect import (
 from heraldsim.analysis import eff_theory
 
 import dilation_oracle as oracle
+from conftest import RELABELLED_5050, fixture_text
+from dilation_oracle import key_occupation, qubit_index
 
 
 def trigger_set(kind="pnr", eta=1.0, dark=0.0, window=0.0):
@@ -37,6 +43,53 @@ def trigger_set(kind="pnr", eta=1.0, dark=0.0, window=0.0):
             dets.append(threshold_detector(f"t{i}", m, eta=eta,
                                            dark_rate=dark, window=window))
     return dets
+
+
+def loop_herald(state, trigger_detectors, output_arms=OUTPUT_ARMS):
+    """Reference: the herald as a loop over the terms of each branch,
+    grouping the dict keys by their trigger occupations."""
+    trig_modes = [d.mode for d in trigger_detectors]
+    trig_set = set(trig_modes)
+    herald_p = good_p = 0.0
+    rho = np.zeros((4, 4), dtype=complex)
+    for weight, pure in as_mixed(state).branches:
+        groups: dict[tuple[int, ...], dict[FockKey, complex]] = {}
+        for key, amp in pure.terms.items():
+            occ = tuple(key_occupation(key, m) for m in trig_modes)
+            rest = tuple((m, n) for m, n in key if m not in trig_set)
+            bucket = groups.setdefault(occ, {})
+            bucket[rest] = bucket.get(rest, 0.0) + amp
+        for occ, rest_terms in groups.items():
+            group_w = weight * math.prod(
+                click_probability(det, n)
+                for det, n in zip(trigger_detectors, occ))
+            herald_p += group_w * sum(abs(a) ** 2 for a in rest_terms.values())
+            vec = np.zeros(4, dtype=complex)
+            for key, amp in rest_terms.items():
+                idx = qubit_index(key, output_arms)
+                if idx is not None:
+                    vec[idx] = amp
+            good_p += group_w * float(np.vdot(vec, vec).real)
+            rho += group_w * np.outer(vec, vec.conjugate())
+    if herald_p <= 0.0:
+        return HeraldResult(0.0, np.zeros((4, 4), dtype=complex), 0.0, False)
+    return HeraldResult(herald_p, rho / herald_p, good_p / herald_p, True)
+
+
+def loop_decompose_s1(state, trigger_modes, output_arms):
+    """Reference: the trigger classes by a loop over the terms."""
+    alpha_sq = beta_sq = gamma_sq = 0.0
+    for key, amp in state.terms.items():
+        p = abs(amp) ** 2
+        trig = [key_occupation(key, m) for m in trigger_modes]
+        out_photons = sum(n for (spatial, _), n in key if spatial in output_arms)
+        if all(n == 1 for n in trig) and out_photons == 2:
+            alpha_sq += p
+        elif all(n >= 1 for n in trig):
+            beta_sq += p
+        else:
+            gamma_sq += p
+    return HeraldDecomposition(alpha_sq, beta_sq, gamma_sq)
 
 
 def test_dark_click_probability_on_vacuum():
@@ -51,7 +104,7 @@ def test_dark_click_probability_on_vacuum():
 def test_click_distribution_normalized():
     st = apply_circuit(n_pair_state(2), heralding_circuit(0.4))
     dets = trigger_set(kind="threshold", eta=0.3, dark=100.0, window=1e-8)
-    patterns = mc._pattern_vector(st, dets)
+    patterns = click_pattern_probabilities(st, dets)
     assert len(patterns) == 2 ** len(dets)
     assert patterns.min() >= 0.0
     assert patterns.sum() == pytest.approx(1.0, abs=1e-10)
@@ -156,6 +209,13 @@ def test_detector_parameter_validation():
         threshold_detector("d", mode("c", "x"), dark_rate=1e9, window=1.0)
 
 
+@pytest.mark.parametrize("dark, window", [(-300.0, -1e-9), (-300.0, 0.0),
+                                          (0.0, -1e-9), (float("nan"), 1e-9)])
+def test_negative_dark_rate_or_window_rejected(dark, window):
+    with pytest.raises(ConfigError, match="negative dark rate or window"):
+        threshold_detector("d", mode("c", "x"), dark_rate=dark, window=window)
+
+
 @settings(max_examples=200, deadline=None)
 @given(kind=strategies.sampled_from([THRESHOLD, NUMBER_RESOLVING]),
        n=strategies.integers(min_value=0, max_value=5),
@@ -227,3 +287,48 @@ def test_sixfold_pnr_triggers_fire_as_in_herald(paper_5050, n):
                                     (a, b)) for a in (0, 1) for b in (0, 1))
     assert total == pytest.approx(
         res.herald_probability * res.preparation_efficiency, abs=1e-12)
+
+
+def assert_herald_matches_loop(state, triggers, arms):
+    got, want = herald(state, triggers, arms), loop_herald(state, triggers, arms)
+    assert got.heralded and want.heralded
+    np.testing.assert_allclose(
+        [got.herald_probability, got.preparation_efficiency],
+        [want.herald_probability, want.preparation_efficiency],
+        rtol=1e-12, atol=0.0)
+    assert np.abs(got.conditional_dm - want.conditional_dm).max() <= 1e-12
+
+
+def as_kind(detectors, kind):
+    return [dataclasses.replace(d, kind=kind) for d in detectors]
+
+
+@pytest.mark.parametrize("kind", [THRESHOLD, NUMBER_RESOLVING])
+@pytest.mark.parametrize("name, n", [
+    ("paper_5050.exp", 3), ("paper_5050.exp", 4), ("paper_6040.exp", 3),
+    ("paper_6040.exp", 4), ("paper_7030.exp", 3), ("paper_7030.exp", 4),
+    ("relabelled", 3)])
+def test_herald_and_trigger_classes_match_loop(name, n, kind):
+    cfg = parse(RELABELLED_5050 if name == "relabelled" else fixture_text(name))
+    state = apply_circuit(n_pair_state(n), cfg.circuit())
+    arms = cfg.output_arms()[:2]
+    assert_herald_matches_loop(state, as_kind(cfg.trigger_detectors(), kind),
+                               arms)
+    trigger_modes = tuple(d.mode for d in cfg.trigger_detectors())
+    got = decompose_s1(state, trigger_modes, arms)
+    want = loop_decompose_s1(state, trigger_modes, arms)
+    np.testing.assert_allclose(dataclasses.astuple(got),
+                               dataclasses.astuple(want), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", [THRESHOLD, NUMBER_RESOLVING])
+def test_herald_of_mixture_matches_loop(paper_5050, paper_5050_states, kind):
+    mixture = paper_5050_states["dephased"]
+    assert_herald_matches_loop(
+        mixture, as_kind(paper_5050.trigger_detectors(), kind), OUTPUT_ARMS)
+    for _, pure in mixture.branches:
+        np.testing.assert_allclose(
+            dataclasses.astuple(decompose_s1(pure)),
+            dataclasses.astuple(loop_decompose_s1(pure, TRIGGER_MODES,
+                                                  OUTPUT_ARMS)),
+            rtol=1e-12, atol=0.0)

@@ -1,15 +1,17 @@
 """Experiment description language: parsing, diagnostics, canonical form."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heraldsim.config import BsDecl, ExperimentConfig, HwpDecl, PbsDecl
-from heraldsim.detect import NUMBER_RESOLVING, THRESHOLD, DetectorSpec
+from heraldsim.detect import NUMBER_RESOLVING, THRESHOLD, DetectorSpec, herald
 from heraldsim.dsl import BASES, DslError, parse, serialize, validate
+from heraldsim.elements import apply_circuit
 from heraldsim.source import (SourceNoise, SpdcParams, coupling_from_rate,
-                              pair_probability)
+                              n_pair_state, pair_probability)
 
 from conftest import BOOSTED_CONFIG, fixture_text
 
@@ -58,12 +60,38 @@ def test_serialized_fixture_preserves_structure():
 def test_canonical_ordering():
     shuffled = "\n".join(reversed(BOOSTED_CONFIG.strip().splitlines()))
     canon = serialize(parse(shuffled))
-    lines = [ln.split()[0] for ln in canon.splitlines() if ln.strip()]
+    lines = [ln.split() for ln in canon.splitlines() if ln.strip()]
     order = {k: i for i, k in enumerate(
-        ["source", "bs", "hwp", "pbs", "detector", "herald", "basis",
-         "pulses", "seed"])}
-    ranks = [order[k] for k in lines]
+        ["source", "element", "detector", "herald", "basis", "pulses",
+         "seed"])}
+    kinds = ["element" if ln[0] in ("bs", "hwp", "pbs") else ln[0]
+             for ln in lines]
+    ranks = [order[k] for k in kinds]
     assert ranks == sorted(ranks)
+    # elements are the propagation order: they keep their declared order
+    elements = [(ln[0], next(w for w in ln if w.startswith(("in=", "on="))))
+                for ln in lines if ln[0] in ("bs", "hwp", "pbs")]
+    assert elements == [("pbs", "on=f"), ("pbs", "on=e"), ("hwp", "on=f"),
+                        ("bs", "in=b"), ("bs", "in=a")]
+
+
+def test_serialize_keeps_element_order():
+    # a plate on arm a ahead of its splitter acts on the source photons
+    text = fixture_text("paper_5050.exp").replace(
+        "bs in=a", "hwp on=a angle=10 out=x,y\nbs in=a", 1)
+    cfg = parse(text)
+    again = parse(serialize(cfg))
+    assert again.elements == cfg.elements
+    assert validate(cfg) == validate(again) == []
+    # sorted by kind, the plate lands behind the splitter: another circuit
+    by_kind = dataclasses.replace(cfg, elements=tuple(sorted(
+        cfg.elements, key=lambda e: ("bs", "hwp", "pbs").index(e.kind))))
+    assert validate(by_kind) != []
+    assert again.digest() == cfg.digest() != by_kind.digest()
+    effs = [herald(apply_circuit(n_pair_state(3), c.circuit()),
+                   c.trigger_detectors()).preparation_efficiency
+            for c in (cfg, again)]
+    assert effs[1] == effs[0] == pytest.approx(0.2578539, abs=5e-8)
 
 
 def test_duplicate_detector_id_rejected():
@@ -120,7 +148,26 @@ def test_dark_probability_outside_unit_interval_reports_location(old, new,
     with pytest.raises(DslError) as err:
         parse(text)
     assert (err.value.line, err.value.col) == value_location(text, blamed)
-    assert "dark probability" in str(err.value)
+    key, value = blamed.split("=")
+    if float(value) >= 0.0:  # each value in range, their product not
+        assert "dark probability" in str(err.value)
+    else:  # negative or NaN: the value itself is out of range
+        assert f"{key}={float(value)} outside [0, inf]" in str(err.value)
+
+
+@pytest.mark.parametrize("new, blamed", [
+    ("dark=-300 window=-1e-9", "dark=-300"),
+    ("dark=-300", "dark=-300"),
+    ("dark=0 window=-1e-9", "window=-1e-9"),
+])
+def test_negative_dark_rate_or_window_reports_location(new, blamed):
+    # the product alone would pass: 3e-7, -0.0 and -0.0
+    text = fixture_text("paper_5050.exp").replace("dark=300 window=12e-9",
+                                                  new, 1)
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == value_location(text, blamed)
+    assert "outside [0, inf]" in str(err.value)
 
 
 def test_unknown_keyword_rejected():

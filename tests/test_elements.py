@@ -18,7 +18,6 @@ from heraldsim.elements import (
     half_wave_plate,
     heralding_circuit,
     measurement_rotation,
-    polarizing_beam_splitter,
 )
 from heraldsim.source import n_pair_state
 from heraldsim.detect import herald, pnr_detector
@@ -70,13 +69,6 @@ def test_half_wave_plate_at_minus_22_5():
     assert cx[mode("f", "yp")] == pytest.approx(-s)
     assert cy[mode("f", "xp")] == pytest.approx(-s)
     assert cy[mode("f", "yp")] == pytest.approx(-s)
-
-
-def test_pbs_is_identity_relabel():
-    pbs = polarizing_beam_splitter("e")
-    for pol in ("x", "y"):
-        col = pbs.columns[mode("e", pol)]
-        assert col == ((1.0 + 0.0j, mode("e", pol)),)
 
 
 def test_loss_channel_column():
@@ -165,7 +157,7 @@ def test_compile_rejects_non_isometric_element():
     scaled = ModeTransform(
         {m: tuple((0.9 * amp, om) for amp, om in col)
          for m, col in bs.columns.items()})
-    circuit = CircuitSpec((scaled, polarizing_beam_splitter("e")))
+    circuit = CircuitSpec((scaled,))
     with pytest.raises(ConfigError, match="deviates from an isometry by 0.19"):
         circuit.compile({mode("a", "x"), mode("b", "y")})
     with pytest.raises(ConfigError):

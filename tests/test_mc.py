@@ -9,11 +9,13 @@ import pytest
 from numpy.random import Philox
 
 from heraldsim import mc
-from heraldsim.fock import ConfigError, MixedState, key_occupation
+from heraldsim.fock import ConfigError, MixedState
 from heraldsim.dsl import parse
 from heraldsim.elements import CircuitSpec, apply_circuit, measurement_rotation
 from heraldsim.source import dephased_source
-from heraldsim.detect import click_probability, fidelity_to_phi_plus, herald
+from heraldsim.detect import (click_pattern_probabilities, click_probability,
+                              fidelity_to_phi_plus, herald,
+                              sixfold_probability)
 from heraldsim.mc import (
     RankLookup,
     estimate_fidelity,
@@ -22,6 +24,7 @@ from heraldsim.mc import (
 )
 
 from conftest import BOOSTED_CONFIG
+from dilation_oracle import key_occupation
 
 # Click-pattern histograms {pattern: count} of paper_5050.exp at its seed
 # (42), 200000 pulses per basis, recorded from the branch-by-branch
@@ -384,6 +387,30 @@ def test_pattern_vector_matches_loop(paper_5050, basis, eta, dark):
     for _, st in dephased_source(paper_5050.source, paper_5050.noise).branches:
         out = apply_circuit(st, to_detectors)
         # only the summation order differs: a few hundred terms <= 1 each
-        np.testing.assert_allclose(mc._pattern_vector(out, detectors),
+        np.testing.assert_allclose(click_pattern_probabilities(out, detectors),
                                    loop_pattern_vector(out, detectors),
                                    rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["boosted", "paper_5050"])
+def test_tables_and_sixfold_probability_agree(name, boosted, boosted_tables,
+                                              paper_5050, paper_5050_tables):
+    # two routes to the six-fold rates of the source mixture: the tables'
+    # per-branch click patterns weighted by the branch weights, and
+    # sixfold_probability of the whole mixture after the config's circuit
+    cfg, tables = {"boosted": (boosted, boosted_tables),
+                   "paper_5050": (paper_5050, paper_5050_tables)}[name]
+    source = dephased_source(cfg.source, cfg.noise).branches
+    circuit = cfg.circuit()
+    mixture = MixedState(tuple((w, apply_circuit(st, circuit))
+                               for w, st in source))
+    for tab in tables:
+        patterns = [np.flatnonzero(tab.outcome_index == k) for k in range(4)]
+        assert all(len(p) == 1 for p in patterns)
+        from_tables = [sum(w * probs[p[0]] for w, probs in zip(
+            tab.branch_weights[:len(source)], tab.pattern_probs))
+            for p in patterns]
+        direct = [sixfold_probability(
+            mixture, cfg.trigger_detectors(), cfg.output_detectors(),
+            tab.basis, divmod(k, 2)) for k in range(4)]
+        np.testing.assert_allclose(direct, from_tables, rtol=1e-12, atol=0.0)

@@ -11,20 +11,23 @@ import dataclasses
 import datetime
 import io
 import json
+import math
 import os
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import (chsh_werner_threshold, eff_theory, four_pair_correction,
                        violates_chsh)
-from .config import BsDecl, ExperimentConfig
+from .config import COUNT_END, COUNT_LOW, BsDecl, ExperimentConfig
 from .detect import HeraldResult, decompose_s1, herald
 from .dsl import DslError, parse, validate
 from .elements import apply_circuit
 from .fock import ConfigError, PureState
-from .mc import precompute_outcome_tables, run_experiment
+from .mc import pattern_sums, precompute_outcome_tables, run_experiment
 from .source import n_pair_state
 
 EXIT_OK = 0
@@ -167,9 +170,29 @@ def _summary_payload(config: ExperimentConfig, result) -> dict:
     return payload
 
 
+def _expected_vs_observed(tables, records) -> dict:
+    """Per basis: n_t, n_s and each outcome count, the exact expectation
+    pulses * q[mask].sum() next to the observed count, with its z-score."""
+    report = {}
+    for t, r in zip(tables, records):
+        observed = {"n_t": r.n_t, "n_s": r.n_s,
+                    **{a + b: c for (a, b), c in r.outcomes.items()}}
+        rows = report["_".join(t.basis)] = {}
+        for name, p in pattern_sums(t, t.pattern_probs).items():
+            mean, sigma = r.pulses * p, math.sqrt(r.pulses * p * (1.0 - p))
+            rows[name] = {"expected": mean, "observed": observed[name],
+                          "z": ((observed[name] - mean) / sigma
+                                if sigma > 0.0 else None)}
+    return report
+
+
 def cmd_montecarlo(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads {args.threads} must be >= 1")
+    for name, low in COUNT_LOW.items():
+        value = getattr(args, name)
+        if value is not None and not low <= value < COUNT_END:
+            raise ConfigError(f"--{name} {value} outside [{low}, 2^63)")
     config = _load_config(args.config)
     if args.pulses is not None:
         config = dataclasses.replace(config, pulses=args.pulses)
@@ -184,8 +207,7 @@ def cmd_montecarlo(args) -> int:
     t0 = time.perf_counter()
     tables = precompute_outcome_tables(config)
     t1 = time.perf_counter()
-    result = run_experiment(config, tables=tables, aggregate=args.aggregate,
-                            threads=args.threads)
+    result = run_experiment(config, tables=tables)
     t2 = time.perf_counter()
 
     outputs = []
@@ -212,6 +234,7 @@ def cmd_montecarlo(args) -> int:
         "config_digest": config.digest(),
         "seed": config.seed,
         "tool_version": __version__,
+        "numpy_version": np.__version__,
         "outputs": outputs,
         "started": started,
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -220,6 +243,7 @@ def cmd_montecarlo(args) -> int:
                    "patterns": len(tables[0].is_trigger),
                    "fock_terms": {"_".join(t.basis): t.fock_terms
                                   for t in tables}},
+        "expected": _expected_vs_observed(tables, result.records),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     if args.json:
@@ -253,13 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--pulses", type=int)
     p_mc.add_argument("--seed", type=int)
     p_mc.add_argument("--threads", type=int, default=1,
-                      help="worker threads for per-pulse sampling; counts "
-                      "are byte-identical for every value")
+                      help="no effect (each basis is one multinomial draw); "
+                      "kept because perfbench passes it; must be >= 1")
     p_mc.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
     p_mc.add_argument("--json", action="store_true")
     p_mc.add_argument("--aggregate", action="store_true",
-                      help="branch-level multinomial sampling for very large "
-                      "pulse counts (deterministic, not shard-invariant)")
+                      help="no effect (every run draws each basis's "
+                      "histogram as one multinomial); kept because "
+                      "perfbench passes it")
     p_mc.set_defaults(func=cmd_montecarlo)
     return parser
 

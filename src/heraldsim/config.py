@@ -10,6 +10,11 @@ from .elements import CircuitSpec, beam_splitter, half_wave_plate
 from .fock import ConfigError, Mode
 from .source import SourceNoise, SpdcParams
 
+# the lowest pulse count and seed; both lie below COUNT_END because numpy's
+# Philox key and multinomial count are int64
+COUNT_LOW = {"pulses": 1, "seed": 0}
+COUNT_END = 2 ** 63
+
 
 @dataclass(frozen=True)
 class BsDecl:
@@ -49,8 +54,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pulses <= 0:
-            raise ConfigError("pulses must be > 0")
+        for name, low in COUNT_LOW.items():
+            if not low <= getattr(self, name) < COUNT_END:
+                raise ConfigError(f"{name}={getattr(self, name)} outside "
+                                  f"[{low}, 2^63)")
 
     def circuit(self) -> CircuitSpec:
         """The declared elements in propagation order.  A polarizing splitter

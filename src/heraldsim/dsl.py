@@ -21,8 +21,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from .config import (BsDecl, ElementDecl, ExperimentConfig, HwpDecl, PbsDecl,
-                     initial_modes)
+from .config import (COUNT_END, COUNT_LOW, BsDecl, ElementDecl,
+                     ExperimentConfig, HwpDecl, PbsDecl, initial_modes)
 from .detect import NUMBER_RESOLVING, THRESHOLD, DetectorSpec
 from .fock import ConfigError
 from .source import SourceNoise, SpdcParams, coupling_from_rate
@@ -104,12 +104,17 @@ def _float(tok: Token, name: str, lo: float | None = None,
     return value
 
 
-def _int(tok: Token, name: str) -> int:
+def _int(tok: Token, name: str, lo: int | None = None) -> int:
+    """The integer at `tok`; with `lo`, it must lie in [lo, COUNT_END)."""
     try:
-        return int(tok.text)
+        value = int(tok.text)
     except ValueError:
         raise DslError(f"{name} must be an integer, got {tok.text!r}",
                        tok.line, tok.col) from None
+    if lo is not None and not lo <= value < COUNT_END:
+        raise DslError(f"{name}={value} outside [{lo}, 2^63)", tok.line,
+                       tok.col, "pick a value inside the bound")
+    return value
 
 
 _POL_RE = re.compile(r"^[a-z][a-z0-9']*$")
@@ -133,8 +138,7 @@ def parse(text: str) -> ExperimentConfig:
     detectors: list[DetectorSpec] = []
     herald_ids: tuple[str, ...] = ()
     bases: list[tuple[str, str]] = []
-    pulses = 1_000_000
-    seed = 0
+    counts: dict[str, int] = {}  # pulses and seed, if given
 
     for stanza in stanzas:
         kw = stanza.keyword
@@ -231,17 +235,10 @@ def parse(text: str) -> ExperimentConfig:
                     raise DslError(f"basis must be one of {'/'.join(BASES)}, "
                                    f"got {tok.text!r}", tok.line, tok.col)
             bases.append((stanza.args[0].text, stanza.args[1].text))
-        elif word == "pulses":
+        elif word in COUNT_LOW:
             if len(stanza.args) != 1:
-                raise DslError("pulses needs one integer", kw.line, kw.col)
-            pulses = _int(stanza.args[0], "pulses")
-            if pulses <= 0:
-                tok = stanza.args[0]
-                raise DslError(f"pulses={pulses} must be > 0", tok.line, tok.col)
-        elif word == "seed":
-            if len(stanza.args) != 1:
-                raise DslError("seed needs one integer", kw.line, kw.col)
-            seed = _int(stanza.args[0], "seed")
+                raise DslError(f"{word} needs one integer", kw.line, kw.col)
+            counts[word] = _int(stanza.args[0], word, COUNT_LOW[word])
         else:
             raise DslError(f"unknown keyword {word!r}", kw.line, kw.col,
                            "known: source bs hwp pbs detector herald basis "
@@ -254,7 +251,7 @@ def parse(text: str) -> ExperimentConfig:
                             elements=tuple(elements),
                             detectors=tuple(detectors),
                             herald_ids=herald_ids, bases=tuple(bases),
-                            pulses=pulses, seed=seed)
+                            **counts)
 
 
 def _fmt(value: float) -> str:

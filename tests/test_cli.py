@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import heraldsim
@@ -286,15 +287,20 @@ def test_montecarlo_outputs_are_reproducible(boosted_file, tmp_path):
 
 def test_montecarlo_thread_count_does_not_change_outputs(boosted_file,
                                                         tmp_path):
+    # --threads and --aggregate have no effect: every run is one
+    # multinomial draw per basis
     outputs = {}
-    for threads in ("1", "64"):
-        out = tmp_path / f"t{threads}"
+    for flags in (("--threads", "1"), ("--threads", "2"), ("--threads", "64"),
+                  ("--aggregate",)):
+        out = tmp_path / "_".join(flags).strip("-")
         proc = run_cli("montecarlo", boosted_file, "--pulses", "5000",
-                       "--threads", threads, "--out", str(out))
+                       *flags, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
-        outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()
-                            if p.name != "manifest.json"}
-    assert outputs["64"] == outputs["1"]
+        outputs[flags] = {p.name: p.read_bytes() for p in out.iterdir()
+                          if p.name != "manifest.json"}
+    first = outputs[("--threads", "1")]
+    assert "summary.json" in first and "counts_HV_HV.csv" in first
+    assert all(files == first for files in outputs.values())
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
@@ -304,6 +310,19 @@ def test_montecarlo_rejects_thread_count_below_one(boosted_file, tmp_path,
                    "--threads", value, "--out", str(tmp_path / "run"))
     assert proc.returncode == 2
     assert "--threads" in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--seed", str(2 ** 63)), ("--seed", str(2 ** 64)), ("--seed", "-1"),
+    ("--pulses", str(2 ** 63)), ("--pulses", "0")])
+def test_montecarlo_rejects_seed_or_pulses_outside_int64(boosted_file,
+                                                         tmp_path, flag,
+                                                         value):
+    proc = run_cli("montecarlo", boosted_file, flag, value,
+                   "--out", str(tmp_path / "run"))
+    assert proc.returncode == 2, proc.stderr
+    assert f"{flag} {value} outside [" in proc.stderr
     assert not (tmp_path / "run").exists()
 
 
@@ -343,10 +362,35 @@ def test_montecarlo_manifest_telemetry(boosted_file, tmp_path):
     assert tables["branches"] >= 1 and tables["patterns"] == 256
     assert set(tables["fock_terms"]) == {"HV_HV", "DA_DA", "RL_RL"}
     assert all(n > 0 for n in tables["fock_terms"].values())
-    # summary.json as the release before the telemetry wrote it
+    assert manifest["numpy_version"] == np.__version__
+    # per basis: exact expectation, observed count and z-score of n_t, n_s
+    # and each outcome, the observed side read back from summary.json
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    expected = manifest["expected"]
+    assert set(expected) == set(tables["fock_terms"])
+    for record in summary["records"]:
+        rows = expected["_".join(record["basis"])]
+        observed = {"n_t": record["n_t"], "n_s": record["n_s"],
+                    **record["outcomes"]}
+        assert set(rows) == set(observed)
+        for name, row in rows.items():
+            assert row["observed"] == observed[name]
+            p = row["expected"] / record["pulses"]
+            assert 0.0 <= p <= 1.0
+            if row["expected"] == 0.0:
+                assert row["observed"] == 0 and row["z"] is None
+                continue
+            sigma = math.sqrt(row["expected"] * (1.0 - p))
+            assert row["z"] == pytest.approx(
+                (row["observed"] - row["expected"]) / sigma, rel=1e-12)
+            assert abs(row["z"]) < 5.0
+        assert rows["n_s"]["expected"] == pytest.approx(
+            sum(rows[k]["expected"] for k in record["outcomes"]), rel=1e-12)
+        assert 0.0 < rows["n_s"]["expected"] < rows["n_t"]["expected"]
+    # summary.json of the one-multinomial-per-basis draw (numpy 2.4.6)
     digest = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
-    assert digest == ("0be13ae3e40ccb25a1d152181a7b5aef"
-                      "0381255a42c128f53ac2df09ee92de09")
+    assert digest == ("6741ee4d3efae3efe58111e4b3f26b27"
+                      "faf52173b0d1502830bd3cfd575ce574")
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -10,6 +10,7 @@ from heraldsim.config import BsDecl, ExperimentConfig, HwpDecl, PbsDecl
 from heraldsim.detect import NUMBER_RESOLVING, THRESHOLD, DetectorSpec, herald
 from heraldsim.dsl import BASES, DslError, parse, serialize, validate
 from heraldsim.elements import apply_circuit
+from heraldsim.fock import ConfigError
 from heraldsim.source import (SourceNoise, SpdcParams, coupling_from_rate,
                               n_pair_state, pair_probability)
 
@@ -170,6 +171,33 @@ def test_negative_dark_rate_or_window_reports_location(new, blamed):
     assert "outside [0, inf]" in str(err.value)
 
 
+@pytest.mark.parametrize("line", [
+    "seed 9223372036854775808", "seed 9223372036854776808",
+    "seed 18446744073709551616", "seed -1",
+    "pulses 9223372036854775808", "pulses 0", "pulses -3"])
+def test_seed_and_pulses_outside_int64_report_location(line):
+    # the Philox key and the multinomial count are int64: 2^63 and 2^63+1000
+    # would draw one stream, and 2^64 would fail only at run time
+    key = line.split()[0]
+    text = "\n".join(line if ln.split()[:1] == [key] else ln
+                     for ln in BOOSTED_CONFIG.splitlines())
+    with pytest.raises(DslError) as err:
+        parse(text)
+    lineno = text.splitlines().index(line) + 1
+    assert (err.value.line, err.value.col) == (lineno, len(key) + 2)
+    assert f"{key}={line.split()[1]} outside [" in str(err.value)
+
+
+def test_seed_and_pulses_at_int64_edges_parse():
+    text = (BOOSTED_CONFIG.replace("seed 7", "seed 9223372036854775807")
+            .replace("pulses 2000000", "pulses 9223372036854775807"))
+    cfg = parse(text)
+    assert cfg.seed == cfg.pulses == 2 ** 63 - 1
+    assert parse(BOOSTED_CONFIG.replace("seed 7", "seed 0")).seed == 0
+    with pytest.raises(ConfigError, match="seed"):
+        dataclasses.replace(cfg, seed=2 ** 63)
+
+
 def test_unknown_keyword_rejected():
     with pytest.raises(DslError):
         parse(BOOSTED_CONFIG + "\nwidget foo=1\n")
@@ -304,7 +332,7 @@ def configs(draw):
                                             st.sampled_from(BASES)),
                                   max_size=3))),
         pulses=draw(st.integers(1, 10 ** 12)),
-        seed=draw(st.integers(-2 ** 63, 2 ** 63)))
+        seed=draw(st.integers(0, 2 ** 63 - 1)))
 
 
 @settings(max_examples=150, deadline=None)

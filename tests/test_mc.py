@@ -1,15 +1,16 @@
-"""Monte Carlo sampling: determinism, shard merging, oracle agreement."""
+"""Monte Carlo sampling: determinism, statistical and exact oracles."""
 
 import dataclasses
+import json
 import math
-import sys
 
 import numpy as np
 import pytest
 from numpy.random import Philox
+from scipy import stats
 
-from heraldsim import mc
-from heraldsim.fock import ConfigError, MixedState
+from heraldsim import cli, mc
+from heraldsim.fock import ConfigError, MixedState, make_vacuum
 from heraldsim.dsl import parse
 from heraldsim.elements import CircuitSpec, apply_circuit, measurement_rotation
 from heraldsim.source import dephased_source
@@ -17,7 +18,6 @@ from heraldsim.detect import (click_pattern_probabilities, click_probability,
                               fidelity_to_phi_plus, herald,
                               sixfold_probability)
 from heraldsim.mc import (
-    RankLookup,
     estimate_fidelity,
     precompute_outcome_tables,
     run_experiment,
@@ -27,58 +27,105 @@ from conftest import BOOSTED_CONFIG
 from dilation_oracle import key_occupation
 
 # Click-pattern histograms {pattern: count} of paper_5050.exp at its seed
-# (42), 200000 pulses per basis, recorded from the branch-by-branch
-# searchsorted sampler that the table lookup replaced.  At the published
-# brightness no pulse heralds, so the six-fold records are all zero and
-# these histograms are what pins the random stream.
+# (42), 200000 pulses per basis, recorded from the one-multinomial-per-basis
+# draw (numpy 2.4.6) after the statistical oracles below passed.  At the
+# published brightness no pulse heralds, so the six-fold records are all
+# zero and these histograms are what pins the random stream.
 PAPER_5050_PATTERNS = {
     ("HV", "HV"): {
-        0: 197279, 1: 346, 2: 344, 4: 342, 5: 22, 6: 20, 8: 362, 9: 15,
-        10: 27, 12: 1, 16: 273, 17: 2, 18: 1, 20: 12, 24: 13, 32: 256, 33: 2,
-        34: 1, 36: 18, 38: 1, 40: 16, 48: 1, 64: 273, 65: 2, 66: 32, 68: 1,
-        72: 2, 80: 1, 96: 17, 104: 1, 128: 263, 129: 28, 144: 25, 224: 1},
+        0: 197266, 1: 377, 2: 361, 4: 331, 5: 22, 6: 18, 8: 347, 9: 22,
+        10: 18, 11: 1, 12: 2, 16: 240, 17: 1, 18: 1, 20: 14, 24: 11, 32: 283,
+        33: 1, 34: 2, 36: 12, 40: 15, 64: 280, 65: 1, 66: 24, 67: 1, 72: 2,
+        96: 10, 98: 1, 112: 1, 128: 280, 129: 32, 130: 2, 132: 1, 136: 1,
+        144: 18, 152: 1},
     ("DA", "DA"): {
-        0: 197287, 1: 385, 2: 394, 4: 338, 5: 22, 6: 20, 8: 342, 9: 25,
-        10: 25, 12: 3, 16: 254, 18: 1, 20: 27, 24: 2, 32: 251, 33: 1, 36: 1,
-        40: 27, 44: 1, 45: 1, 64: 253, 65: 14, 66: 11, 72: 1, 80: 1, 96: 13,
-        128: 240, 129: 21, 130: 12, 132: 1, 137: 1, 144: 25},
+        0: 197261, 1: 373, 2: 348, 3: 2, 4: 367, 5: 19, 6: 17, 8: 346, 9: 22,
+        10: 22, 16: 267, 17: 2, 18: 2, 19: 1, 20: 21, 24: 2, 32: 272, 34: 1,
+        36: 3, 40: 23, 42: 1, 64: 277, 65: 16, 66: 11, 80: 1, 96: 20,
+        128: 259, 129: 16, 130: 9, 132: 3, 136: 1, 144: 14, 148: 1},
     ("RL", "RL"): {
-        0: 197332, 1: 357, 2: 356, 4: 369, 5: 16, 6: 14, 8: 379, 9: 16,
-        10: 14, 12: 1, 16: 244, 18: 1, 20: 14, 24: 12, 32: 234, 33: 2, 36: 14,
-        40: 16, 42: 1, 64: 251, 65: 13, 66: 12, 72: 1, 80: 5, 96: 20,
-        128: 256, 129: 21, 130: 10, 136: 2, 144: 16, 160: 1},
+        0: 197267, 1: 359, 2: 350, 3: 3, 4: 356, 5: 21, 6: 24, 8: 358, 9: 23,
+        10: 18, 12: 1, 16: 251, 20: 15, 24: 9, 32: 280, 33: 1, 36: 16, 40: 9,
+        44: 1, 64: 255, 65: 11, 66: 19, 74: 1, 80: 1, 96: 20, 128: 273,
+        129: 16, 130: 13, 132: 1, 138: 1, 144: 25, 145: 1, 160: 1},
 }
 
 # (n_t, n_s, outcomes) of the boosted config at its seed (7), 300000 pulses
-# per basis, recorded from the same sampler.
+# per basis, recorded from the same draw.
 BOOSTED_300K_RECORDS = {
-    ("HV", "HV"): (99, 44, {"HH": 22, "HV": 0, "VH": 0, "VV": 22}),
-    ("DA", "DA"): (95, 46, {"++": 25, "+-": 0, "-+": 0, "--": 21}),
-    ("RL", "RL"): (110, 45, {"RR": 0, "RL": 21, "LR": 24, "LL": 0}),
+    ("HV", "HV"): (88, 44, {"HH": 27, "HV": 0, "VH": 0, "VV": 17}),
+    ("DA", "DA"): (105, 48, {"++": 22, "+-": 0, "-+": 0, "--": 26}),
+    ("RL", "RL"): (90, 34, {"RR": 0, "RL": 15, "LR": 19, "LL": 0}),
 }
 
 
-def mask_loop_shard(tables, key, start, count):
-    """Reference sampler: per-branch boolean masks and a binary search in
-    each branch's own pattern CDF.  Returns the joint (branch, pattern)
-    histogram, flattened branch-major."""
-    branch_cdf = np.cumsum(tables.branch_weights)
+def mask_loop_shard(branch_weights, branch_vectors, key, start, count):
+    """Per-pulse reference sampler: pulse i takes Philox counter block i,
+    picks a source branch by inverse CDF on its first uniform and a click
+    pattern by a binary search in that branch's own pattern CDF on its
+    second.  Returns the click-pattern histogram."""
+    branch_cdf = np.cumsum(branch_weights)
     branch_cdf[-1] = max(branch_cdf[-1], 1.0)
-    pattern_cdfs = [np.cumsum(v / v.sum()) for v in tables.pattern_probs]
+    pattern_cdfs = [np.cumsum(v / v.sum()) for v in branch_vectors]
     raws = Philox(key=key, counter=start).random_raw(4 * count)
     raws = raws.reshape(count, 4)
     u = raws[:, :2] * 2.0 ** -64
     branch = np.searchsorted(branch_cdf, u[:, 0], side="right")
     branch = np.minimum(branch, len(pattern_cdfs) - 1)
-    n_pat = len(tables.is_trigger)
-    hist = np.zeros((len(pattern_cdfs), n_pat), dtype=np.int64)
+    n_pat = len(branch_vectors[0])
+    hist = np.zeros(n_pat, dtype=np.int64)
     for b in range(len(pattern_cdfs)):
         mask = branch == b
         if not mask.any():
             continue
         idx = np.searchsorted(pattern_cdfs[b], u[mask, 1], side="right")
-        hist[b] = np.bincount(np.minimum(idx, n_pat - 1), minlength=n_pat)
-    return hist.ravel()
+        hist += np.bincount(np.minimum(idx, n_pat - 1), minlength=n_pat)
+    return hist
+
+
+def branch_vectors(cfg, basis):
+    """Per source branch of `cfg`, in `basis`: its weight and its own
+    click-pattern vector, the truncated tail as a vacuum branch.  Built
+    branch by branch with `apply_circuit`, not through the tables."""
+    detectors = cfg.trigger_detectors() + cfg.output_detectors()
+    to_detectors = CircuitSpec(cfg.circuit().transforms + tuple(
+        measurement_rotation(arm, b)
+        for arm, b in zip(cfg.output_arms(), basis)))
+    source = dephased_source(cfg.source, cfg.noise).branches
+    weights = [w for w, _ in source]
+    vectors = [click_pattern_probabilities(apply_circuit(st, to_detectors),
+                                           detectors) for _, st in source]
+    if 1.0 - sum(weights) > 0.0:
+        weights.append(1.0 - sum(weights))
+        vectors.append(click_pattern_probabilities(make_vacuum(), detectors))
+    return np.array(weights), vectors
+
+
+def pool_bins(expected, *counts, minimum=20.0):
+    """Merge bins, in order of rising expectation, until every merged bin
+    expects at least `minimum`; a short remainder joins the last group."""
+    groups, group, total = [], [], 0.0
+    for i in np.argsort(expected, kind="stable"):
+        group.append(i)
+        total += expected[i]
+        if total >= minimum:
+            groups.append(group)
+            group, total = [], 0.0
+    if group:
+        groups[-1].extend(group)
+    return [np.array([v[g].sum() for g in groups])
+            for v in (expected,) + counts]
+
+
+def binomial_tail(observed, pulses, p):
+    """The smaller one-sided binomial tail probability of `observed`."""
+    return min(stats.binom.cdf(observed, pulses, p),
+               stats.binom.sf(observed - 1, pulses, p))
+
+
+# one-sided tail of a 5 sigma normal deviate
+FIVE_SIGMA_TAIL = stats.norm.sf(5.0)
+CHI2_ALPHA = 1e-3
 
 
 def loop_pattern_vector(state, detectors):
@@ -123,11 +170,9 @@ def boosted_result(boosted, boosted_tables):
 
 def test_tables_normalized(boosted_tables):
     for tab in boosted_tables:
-        for probs in tab.pattern_probs:
-            assert probs.sum() <= 1.0 + 1e-9
-        total = sum(w * p.sum() for w, p in zip(tab.branch_weights,
-                                                tab.pattern_probs))
-        assert total == pytest.approx(1.0, abs=1e-9)
+        assert tab.branch_weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert tab.pattern_probs.min() >= 0.0
+        assert tab.pattern_probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tables_match_exact_herald_probability(boosted, boosted_tables):
@@ -150,142 +195,112 @@ def test_runs_are_deterministic(boosted, boosted_tables):
     assert a.fidelity == b.fidelity
 
 
-def test_shard_merge_invariance(boosted, boosted_tables):
-    a = run_experiment(boosted, tables=boosted_tables, shard_size=123457)
-    b = run_experiment(boosted, tables=boosted_tables, shard_size=1 << 20)
-    c = run_experiment(boosted, tables=boosted_tables, shard_size=99991,
-                       threads=2)
-    assert a.records == b.records == c.records
-
-
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_thread_count_invariance(boosted, boosted_tables, boosted_result,
-                                 threads):
-    # frequent thread switches, so a lost update in the merge would show
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        other = run_experiment(boosted, tables=boosted_tables,
-                               threads=threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert other.records == boosted_result.records
+def test_thread_count_invariance(boosted_result, tmp_path, threads):
+    # --threads is accepted and has no effect: the command line writes the
+    # library's counts, one multinomial draw per basis
+    path = tmp_path / "boosted.exp"
+    path.write_text(BOOSTED_CONFIG, encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["montecarlo", str(path), "--threads", str(threads),
+                     "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert [(tuple(r["basis"]), r["n_t"], r["n_s"], r["outcomes"])
+            for r in summary["records"]] == [
+        (r.basis, r.n_t, r.n_s,
+         {a + b: c for (a, b), c in sorted(r.outcomes.items())})
+        for r in boosted_result.records]
 
 
 def test_boosted_golden_records(boosted, boosted_tables):
     cfg = dataclasses.replace(boosted, pulses=300_000)
-    for threads in (1, 2):
-        result = run_experiment(cfg, tables=boosted_tables, threads=threads)
-        got = {r.basis: (r.n_t, r.n_s,
-                         {a + b: c for (a, b), c in r.outcomes.items()})
-               for r in result.records}
-        assert got == BOOSTED_300K_RECORDS
+    result = run_experiment(cfg, tables=boosted_tables)
+    got = {r.basis: (r.n_t, r.n_s,
+                     {a + b: c for (a, b), c in r.outcomes.items()})
+           for r in result.records}
+    assert got == BOOSTED_300K_RECORDS
 
 
 def test_paper_5050_golden_patterns(paper_5050, paper_5050_tables):
     cfg = dataclasses.replace(paper_5050, pulses=200_000)
-    tables = paper_5050_tables
-    for threads in (1, 2):
-        hists = mc._sample_pulses(tables, cfg, 1 << 16, threads)
-        for tab, hist in zip(tables, hists):
-            got = {int(p): int(c) for p, c in enumerate(hist) if c}
-            assert got == PAPER_5050_PATTERNS[tab.basis], tab.basis
-    result = run_experiment(cfg, tables=tables, threads=2)
+    for bi, tab in enumerate(paper_5050_tables):
+        hist = mc.sample_histogram(tab, (cfg.seed, bi), cfg.pulses)
+        got = {int(p): int(c) for p, c in enumerate(hist) if c}
+        assert got == PAPER_5050_PATTERNS[tab.basis], tab.basis
+    result = run_experiment(cfg, tables=paper_5050_tables)
     assert [(r.n_t, r.n_s) for r in result.records] == [(0, 0)] * 3
 
 
-@pytest.mark.parametrize("start,count", [(0, 1), (12345, 300_000)])
-def test_lookup_shard_matches_mask_loop(boosted, boosted_tables, paper_5050,
-                                        paper_5050_tables, start, count):
-    for cfg, tables in ((boosted, boosted_tables),
-                        (paper_5050, paper_5050_tables)):
-        for bi, tab in enumerate(tables):
-            key = (cfg.seed, bi)
-            np.testing.assert_array_equal(
-                mc._sample_shard(tab, key, start, count),
-                mask_loop_shard(tab, key, start, count))
+@pytest.mark.parametrize("name", ["boosted", "paper_5050"])
+def test_pattern_distribution_is_branch_mixture(name, boosted, boosted_tables,
+                                                paper_5050, paper_5050_tables):
+    # q = sum_b w_b p_b with every p_b built on its own
+    cfg, tables = {"boosted": (boosted, boosted_tables),
+                   "paper_5050": (paper_5050, paper_5050_tables)}[name]
+    for tab in tables:
+        weights, vectors = branch_vectors(cfg, tab.basis)
+        np.testing.assert_allclose(tab.branch_weights, weights,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            tab.pattern_probs, sum(w * v for w, v in zip(weights, vectors)),
+            rtol=1e-12, atol=0.0)
 
 
-def _raws_near(values):
-    """Raw 64-bit values whose uniforms land on and next to `values`."""
-    out = set()
-    for v in values:
-        for w in (v, np.nextafter(v, -1.0), np.nextafter(v, 2.0)):
-            if 0.0 <= w < 1.0:
-                r = int(w * 2.0 ** 64)
-                out.update(r + d for d in (-2049, -1025, -1024, -1, 0, 1,
-                                           1023, 1024, 2048))
-    top = 2 ** 64 - 1
-    out.update(top - d for d in (0, 1, 1023, 1024, 1025, 2047, 2048))
-    for k in (1, 2, 31, 32, 33, 4096, 32768, 65534, 65535):
-        edge = k << 48
-        out.update(edge + d for d in (-1025, -1024, -1023, -1, 0, 1))
-    return np.array(sorted(r for r in out if 0 <= r <= top), dtype=np.uint64)
+@pytest.mark.parametrize("name", ["boosted", "paper_5050"])
+def test_counts_within_binomial_tails(name, boosted, boosted_tables,
+                                      paper_5050, paper_5050_tables):
+    # each config at its own seed and pulse count
+    cfg, tables = {"boosted": (boosted, boosted_tables),
+                   "paper_5050": (paper_5050, paper_5050_tables)}[name]
+    result = run_experiment(cfg, tables=tables)
+    for tab, rec in zip(tables, result.records):
+        observed = {"n_t": rec.n_t, "n_s": rec.n_s,
+                    **{a + b: c for (a, b), c in rec.outcomes.items()}}
+        probs = mc.pattern_sums(tab, tab.pattern_probs)
+        assert set(probs) == set(observed)
+        for name, p in probs.items():
+            assert binomial_tail(observed[name], rec.pulses, p) > (
+                FIVE_SIGMA_TAIL), (tab.basis, name, rec.pulses * p)
 
 
-def test_rank_lookup_matches_searchsorted(boosted_tables):
-    tab = boosted_tables[1]
-    edges = np.array([k / 2 ** 16 for k in (0, 1, 2, 33, 4096, 65535)])
-    cases = [
-        tab.pattern_rank.breaks,
-        tab.branch_rank.breaks,
-        # breakpoints exactly on bucket edges, at 0 and 1, and just past 1
-        np.concatenate([edges, [0.5, 1.0, np.nextafter(1.0, 2.0)]]),
-        np.array([1.0]),
-        np.array([np.nextafter(1.0, 0.0)]),
-    ]
-    rng = np.random.default_rng(3)
-    for breaks in cases:
-        breaks = np.unique(breaks)
-        lookup = RankLookup.build(breaks)
-        raws = np.concatenate([
-            _raws_near(np.concatenate([breaks, edges, [1.0]])),
-            rng.integers(0, 2 ** 64 - 1, size=20000, dtype=np.uint64,
-                         endpoint=True)])
-        expect = np.searchsorted(breaks, raws * 2.0 ** -64, side="right")
-        np.testing.assert_array_equal(lookup.rank(raws), expect)
-        # a strided column, as the sampler passes it
-        pairs = np.stack([raws, raws[::-1]], axis=1)
-        np.testing.assert_array_equal(lookup.rank(pairs[:, 1]), expect[::-1])
+@pytest.mark.parametrize("name", ["boosted", "paper_5050"])
+def test_pattern_histogram_chi_square(name, boosted, boosted_tables,
+                                      paper_5050, paper_5050_tables):
+    cfg, tables = {"boosted": (boosted, boosted_tables),
+                   "paper_5050": (paper_5050, paper_5050_tables)}[name]
+    for bi, tab in enumerate(tables):
+        hist = mc.sample_histogram(tab, (cfg.seed, bi), cfg.pulses)
+        q = tab.pattern_probs / tab.pattern_probs.sum()
+        expected, observed = pool_bins(cfg.pulses * q, hist)
+        assert len(expected) >= 5
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        p_value = stats.chi2.sf(chi2, len(expected) - 1)
+        assert p_value > CHI2_ALPHA, (tab.basis, chi2, len(expected) - 1)
 
 
-def test_joint_lut_matches_branch_searchsorted(boosted_tables,
-                                               paper_5050_tables):
-    for tab in boosted_tables + paper_5050_tables:
-        breaks = tab.pattern_rank.breaks
-        n_b, n_pat = len(tab.branch_weights), len(tab.is_trigger)
-        # every pattern rank, and the uniforms at the top of [0, 1]
-        u = np.concatenate([[0.0], breaks, [np.nextafter(1.0, 0.0), 1.0]])
-        u = u[u <= 1.0]
-        rank = np.searchsorted(breaks, u, side="right")
-        for row in range(n_b + 1):
-            b = min(row, n_b - 1)
-            cdf = np.cumsum(tab.pattern_probs[b] / tab.pattern_probs[b].sum())
-            pattern = np.minimum(np.searchsorted(cdf, u, side="right"),
-                                 n_pat - 1)
-            np.testing.assert_array_equal(tab.joint_lut[row, rank],
-                                          b * n_pat + pattern)
-
-
-def test_thread_pool_never_exceeds_shard_count(boosted, boosted_tables,
-                                               monkeypatch):
-    sizes = []
-    real = mc.ThreadPoolExecutor
-
-    def recording(max_workers):
-        sizes.append(max_workers)
-        return real(max_workers=max_workers)
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", recording)
-    cfg = dataclasses.replace(boosted, pulses=1000)
-    result = run_experiment(cfg, tables=boosted_tables, threads=64)
-    assert sizes == [len(boosted_tables)]  # one shard per basis
-    assert result.records == run_experiment(cfg, tables=boosted_tables).records
-
-
-def test_threads_must_be_positive(boosted, boosted_tables):
-    with pytest.raises(ConfigError, match="threads"):
-        run_experiment(boosted, tables=boosted_tables, threads=0)
+@pytest.mark.parametrize("name", ["boosted", "paper_5050"])
+def test_multinomial_matches_per_pulse_reference(name, boosted,
+                                                 boosted_tables, paper_5050,
+                                                 paper_5050_tables):
+    # two samples of one distribution: the multinomial draw and the
+    # per-pulse reference fed the per-branch vectors
+    cfg, tables = {"boosted": (boosted, boosted_tables),
+                   "paper_5050": (paper_5050, paper_5050_tables)}[name]
+    pulses = 300_000
+    for bi, tab in enumerate(tables):
+        weights, vectors = branch_vectors(cfg, tab.basis)
+        reference = mask_loop_shard(weights, vectors, (cfg.seed, bi), 0,
+                                    pulses)
+        drawn = mc.sample_histogram(tab, (cfg.seed, bi), pulses)
+        assert reference.sum() == drawn.sum() == pulses
+        q = tab.pattern_probs / tab.pattern_probs.sum()
+        _, a, b = pool_bins(pulses * q, reference, drawn)
+        assert len(a) >= 5
+        chi2 = float(((a - b) ** 2 / (a + b)).sum())
+        p_value = stats.chi2.sf(chi2, len(a) - 1)
+        assert p_value > CHI2_ALPHA, (tab.basis, chi2, len(a) - 1)
+        n_t = [h[tab.is_trigger].sum() for h in (reference, drawn)]
+        assert abs(n_t[0] - n_t[1]) <= 5.0 * math.sqrt(max(sum(n_t), 1))
 
 
 def test_seed_changes_counts(boosted, boosted_tables):
@@ -295,15 +310,12 @@ def test_seed_changes_counts(boosted, boosted_tables):
     assert a.records != b.records
 
 
-def test_aggregate_mode_is_deterministic(boosted, boosted_tables):
+def test_aggregate_mode_is_deterministic(boosted, boosted_tables,
+                                        boosted_result):
+    # `aggregate` is accepted and has no effect
     a = run_experiment(boosted, tables=boosted_tables, aggregate=True)
     b = run_experiment(boosted, tables=boosted_tables, aggregate=True)
-    assert a.records == b.records
-    # statistics agree with per-pulse sampling at the 4-sigma level
-    per_pulse = run_experiment(boosted, tables=boosted_tables)
-    for ra, rp in zip(a.records, per_pulse.records):
-        sig = math.sqrt(max(rp.n_t, 1.0))
-        assert abs(ra.n_t - rp.n_t) < 5.0 * sig
+    assert a.records == b.records == boosted_result.records
 
 
 def test_trigger_rate_matches_tables(boosted, boosted_tables, boosted_result):
@@ -402,14 +414,15 @@ def test_tables_and_sixfold_probability_agree(name, boosted, boosted_tables,
                    "paper_5050": (paper_5050, paper_5050_tables)}[name]
     source = dephased_source(cfg.source, cfg.noise).branches
     circuit = cfg.circuit()
-    mixture = MixedState(tuple((w, apply_circuit(st, circuit))
-                               for w, st in source))
+    branches = [(w, apply_circuit(st, circuit)) for w, st in source]
+    remainder = 1.0 - sum(w for w, _ in source)
+    if remainder > 0.0:
+        branches.append((remainder, make_vacuum()))
+    mixture = MixedState(tuple(branches))
     for tab in tables:
         patterns = [np.flatnonzero(tab.outcome_index == k) for k in range(4)]
         assert all(len(p) == 1 for p in patterns)
-        from_tables = [sum(w * probs[p[0]] for w, probs in zip(
-            tab.branch_weights[:len(source)], tab.pattern_probs))
-            for p in patterns]
+        from_tables = [tab.pattern_probs[p[0]] for p in patterns]
         direct = [sixfold_probability(
             mixture, cfg.trigger_detectors(), cfg.output_detectors(),
             tab.basis, divmod(k, 2)) for k in range(4)]

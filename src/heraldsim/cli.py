@@ -242,7 +242,8 @@ def cmd_montecarlo(args) -> int:
         "tables": {"branches": len(tables[0].branch_weights),
                    "patterns": len(tables[0].is_trigger),
                    "fock_terms": {"_".join(t.basis): t.fock_terms
-                                  for t in tables}},
+                                  for t in tables},
+                   "truncated_weight": tables[0].truncated_weight},
         "expected": _expected_vs_observed(tables, result.records),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .elements import (OUTPUT_ARMS, POL_H, POL_V, TRIGGER_MODES, CircuitSpec,
                        apply_circuit, measurement_rotation)
-from .fock import ConfigError, MixedState, Mode, PureState, as_mixed
+from .fock import ConfigError, MixedState, Mode, PureState, as_mixed, places
 
 THRESHOLD = "threshold"
 NUMBER_RESOLVING = "pnr"
@@ -90,31 +90,33 @@ def occupations(state: PureState | MixedState, modes: list[Mode]
     column: dict[Mode, int] = {}
     for i, m in enumerate(modes):
         column.setdefault(m, i)
-    other = len(modes)
     branches = as_mixed(state).branches
     rows, amps = [], []
     for weight, pure in branches:
-        scale = math.sqrt(weight)
-        for key, amp in pure.terms.items():
-            row = [0] * (other + 1)
-            for m, n in key:
-                row[column.get(m, other)] += n
-            rows.append(row)
-            amps.append(amp * scale)
+        # state mode -> read-out column, applied to the key digits
+        to_column = np.zeros((len(pure.modes), len(modes) + 1), np.int64)
+        for i, m in enumerate(pure.modes):
+            to_column[i, column.get(m, len(modes))] = 1
+        rows.append(pure.counts() @ to_column)
+        amps.append(pure.amps * math.sqrt(weight))
     branch = np.repeat(np.arange(len(branches)),
-                       [len(pure.terms) for _, pure in branches])
-    return (branch, np.array(rows, dtype=np.int64).reshape(-1, other + 1),
-            np.array(amps, dtype=complex))
+                       [len(pure) for _, pure in branches])
+    return branch, np.concatenate(rows), np.concatenate(amps)
 
 
 def occupation_probabilities(state: PureState | MixedState, modes: list[Mode]
                              ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct photon counts on `modes` in `state`, one int row each
-    (columns as `modes`), and their probabilities."""
+    (columns as `modes`, rows in lexicographic order), and their
+    probabilities."""
     _, counts, amps = occupations(state, modes)
-    occ, inverse = np.unique(counts[:, :-1], axis=0, return_inverse=True)
-    return occ, np.bincount(inverse.ravel(), weights=np.abs(amps) ** 2,
-                            minlength=len(occ))
+    base = int(counts[:, :-1].max(initial=0)) + 1
+    # packed with the first column most significant: sorted keys are the
+    # rows in lexicographic order
+    place = places(base, len(modes))[::-1]
+    keys, inverse = np.unique(counts[:, :-1] @ place, return_inverse=True)
+    return keys[:, None] // place % base, np.bincount(
+        inverse, weights=np.abs(amps) ** 2, minlength=len(keys))
 
 
 def _event_probabilities(det: DetectorSpec, counts: np.ndarray) -> np.ndarray:

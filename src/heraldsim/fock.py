@@ -1,17 +1,24 @@
-"""Sparse algebra of multi-mode bosonic Fock states.
+"""Multi-mode bosonic Fock states as packed integer arrays.
 
-A mode is a (spatial, polarization) label pair.  States are stored as sparse
-maps from occupation patterns to complex amplitudes in the orthonormal Fock
-basis, so norms and probabilities are direct sums of |amplitude|^2.  All
-values are immutable after construction and every operation is a pure
-function.
+A mode is a (spatial, polarization) label pair.  A `PureState` is a sorted
+mode tuple, one int64 key per term and the terms' complex amplitudes in the
+orthonormal Fock basis.  A key writes the term's photon counts as digits in
+base `base` over the mode tuple, the first mode least significant.  While
+the base exceeds every photon number involved, multiplying creation-operator
+monomials adds their keys, so a linear substitution of creation operators is
+polynomial multiplication on arrays: broadcast key sums, with equal keys
+merged by `np.unique` and `bincount`.  Norms and probabilities are sums of
+|amplitude|^2.  States are not modified after construction.
 """
 
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Mapping
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .elements import ModeTransform
@@ -21,18 +28,13 @@ Mode = tuple[str, str]
 FockKey = tuple[tuple[Mode, int], ...]
 
 DROP_TOL = 1e-12
-DEFAULT_MAX_PHOTONS = 8
 
 
-class FockError(Exception):
-    pass
-
-
-class ConfigError(FockError):
+class ConfigError(Exception):
     """Invalid configuration (duplicate modes, unmapped modes, bad ranges)."""
 
 
-class TruncationError(FockError):
+class TruncationError(Exception):
     """Photon-number truncation exceeded."""
 
 
@@ -44,164 +46,151 @@ def mode_str(m: Mode) -> str:
     return f"{m[0]}.{m[1]}"
 
 
-def canonical_key(occupations: Mapping[Mode, int]) -> FockKey:
-    for m, n in occupations.items():
-        if n < 0:
-            raise ConfigError(f"negative occupation for mode {mode_str(m)}")
-    return tuple(sorted((m, n) for m, n in occupations.items() if n > 0))
+def places(base: int, n_modes: int) -> np.ndarray:
+    """Place value of each mode's digit in a packed key."""
+    if base ** n_modes >= 2 ** 63:
+        raise TruncationError(
+            f"{n_modes} modes holding up to {base - 1} photons overflow a "
+            "64-bit packed key")
+    return base ** np.arange(n_modes, dtype=np.int64)
 
 
-def key_photons(key: FockKey) -> int:
-    return sum(n for _, n in key)
+@dataclass(frozen=True, eq=False)
+class Polynomial:
+    """Creation-operator polynomial sum_k coefs[k] prod_m (a_m^dag)^p_km,
+    the exponents p_km packed into `keys` as in `PureState`."""
+
+    keys: np.ndarray
+    coefs: np.ndarray
+
+    @classmethod
+    def merged(cls, keys: np.ndarray, coefs: np.ndarray) -> "Polynomial":
+        """Sum the coefficients of equal keys."""
+        out, inverse = np.unique(keys, return_inverse=True)
+        return cls(out, np.bincount(inverse, coefs.real, len(out))
+                   + 1j * np.bincount(inverse, coefs.imag, len(out)))
+
+    @classmethod
+    def linear(cls, column: tuple[tuple[complex, Mode], ...],
+               place: Mapping[Mode, int]) -> "Polynomial":
+        return cls.merged(np.array([place[m] for _, m in column], np.int64),
+                          np.array([c for c, _ in column], complex))
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return Polynomial.merged(np.concatenate([self.keys, other.keys]),
+                                 np.concatenate([self.coefs, other.coefs]))
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(self.keys, -self.coefs)
+
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        return Polynomial.merged((self.keys[:, None] + other.keys).ravel(),
+                                 (self.coefs[:, None] * other.coefs).ravel())
+
+    def on_vacuum(self, modes: tuple[Mode, ...], base: int,
+                  scale: float = 1.0) -> "PureState":
+        """The state `scale` P|0> on `modes` (keys in `base`): a monomial
+        prod_m (a_m^dag)^p_m makes sqrt(prod_m p_m!) |p>.  Terms at or
+        below DROP_TOL are dropped."""
+        digits = self.keys[:, None] // places(base, len(modes)) % base
+        amps = self.coefs * scale * np.prod(
+            np.sqrt([math.factorial(p) for p in range(base)])[digits], axis=1)
+        keep = np.abs(amps) > DROP_TOL
+        return PureState(modes, base, self.keys[keep], amps[keep])
+
+
+ONE = Polynomial(np.zeros(1, np.int64), np.ones(1, complex))
 
 
 class PureState:
-    """Sparse superposition of Fock basis states with complex amplitudes."""
+    """Superposition of Fock basis states: packed keys over the sorted
+    `modes` in a `base` above every term's photon number, and the terms'
+    complex amplitudes."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("modes", "base", "keys", "amps", "_terms")
 
-    def __init__(self, terms: Mapping[FockKey, complex] | None = None):
-        clean: dict[FockKey, complex] = {}
-        if terms:
-            for key, amp in terms.items():
-                if abs(amp) > DROP_TOL:
-                    clean[key] = complex(amp)
-        self.terms = clean
+    def __init__(self, modes: tuple[Mode, ...], base: int, keys: np.ndarray,
+                 amps: np.ndarray):
+        keys.flags.writeable = amps.flags.writeable = False
+        self.modes, self.base, self.keys, self.amps = modes, base, keys, amps
+        self._terms = None
 
     @classmethod
-    def from_occupations(cls, occupations: Mapping[Mode, int],
-                         amplitude: complex = 1.0) -> "PureState":
-        return cls({canonical_key(occupations): amplitude})
+    def from_terms(cls, terms: Mapping[FockKey, complex]) -> "PureState":
+        """From a {FockKey: amplitude} map, dropping terms at or below
+        DROP_TOL."""
+        terms = {k: a for k, a in terms.items() if abs(a) > DROP_TOL}
+        modes = tuple(sorted({m for key in terms for m, _ in key}))
+        base = max((sum(n for _, n in key) for key in terms), default=0) + 1
+        place = dict(zip(modes, places(base, len(modes)).tolist()))
+        return cls(modes, base, np.array(
+            [sum(n * place[m] for m, n in key) for key in terms], np.int64),
+            np.array(list(terms.values()), complex))
+
+    @property
+    def terms(self) -> Mapping[FockKey, complex]:
+        """Read-only {FockKey: amplitude} view, built on first use."""
+        if self._terms is None:
+            self._terms = types.MappingProxyType({
+                tuple((m, n) for m, n in zip(self.modes, row) if n): amp
+                for row, amp in zip(self.counts().tolist(), self.amps.tolist())})
+        return self._terms
+
+    def counts(self) -> np.ndarray:
+        """Photon counts, one row per term and one column per mode."""
+        return self.keys[:, None] // places(self.base, len(self.modes)) % self.base
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.terms.values())
-
-    def scaled(self, factor: complex) -> "PureState":
-        return PureState({k: a * factor for k, a in self.terms.items()})
-
-    def normalized(self) -> "PureState":
-        n2 = self.norm_sq()
-        if n2 == 0.0:
-            return PureState()
-        return self.scaled(1.0 / math.sqrt(n2))
-
-    def add(self, other: "PureState") -> "PureState":
-        terms = dict(self.terms)
-        for key, amp in other.terms.items():
-            terms[key] = terms.get(key, 0.0) + amp
-        return PureState(terms)
+        return float(np.vdot(self.amps, self.amps).real)
 
     def occupied_modes(self) -> set[Mode]:
-        out: set[Mode] = set()
-        for key in self.terms:
-            out.update(m for m, _ in key)
-        return out
+        return {m for m, n in zip(self.modes, self.counts().any(axis=0)) if n}
 
     def max_photons(self) -> int:
-        return max((key_photons(k) for k in self.terms), default=0)
+        return int(self.counts().sum(axis=1).max(initial=0))
 
     def __len__(self) -> int:
-        return len(self.terms)
-
-    def __repr__(self) -> str:
-        return f"PureState({len(self.terms)} terms, norm^2={self.norm_sq():.6g})"
-
-
-VACUUM_KEY: FockKey = ()
+        return len(self.keys)
 
 
 def make_vacuum() -> PureState:
-    return PureState({VACUUM_KEY: 1.0})
-
-
-def apply_creation(state: PureState, m: Mode,
-                   max_photons: int = DEFAULT_MAX_PHOTONS) -> PureState:
-    """Apply a creation operator: |n> -> sqrt(n+1) |n+1> on the given mode."""
-    terms: dict[FockKey, complex] = {}
-    for key, amp in state.terms.items():
-        if key_photons(key) + 1 > max_photons:
-            raise TruncationError(
-                f"creation on {mode_str(m)} exceeds truncation {max_photons}")
-        occ = dict(key)
-        n = occ.get(m, 0)
-        occ[m] = n + 1
-        new_key = canonical_key(occ)
-        terms[new_key] = terms.get(new_key, 0.0) + amp * math.sqrt(n + 1)
-    return PureState(terms)
-
-
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write n as an ordered sum of k non-negative integers."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
-def _power_expansion(column: tuple[tuple[complex, Mode], ...],
-                     n: int) -> list[tuple[complex, tuple[tuple[Mode, int], ...]]]:
-    """Multinomial expansion of (sum_j c_j b_j^dag)^n as monomial powers."""
-    out = []
-    k = len(column)
-    for split in _compositions(n, k):
-        coef = float(math.factorial(n))
-        powers = []
-        for (c, m), kj in zip(column, split):
-            coef /= math.factorial(kj)
-            if kj:
-                coef = coef * c ** kj
-                powers.append((m, kj))
-        out.append((coef, tuple(powers)))
-    return out
+    return PureState((), 1, np.zeros(1, np.int64), np.ones(1, complex))
 
 
 def substitute_modes(state: PureState, transform: ModeTransform) -> PureState:
     """Linear substitution of creation operators.
 
-    Each occupied input mode must have a column in the transform.  Basis
-    states are re-expanded as products of substituted creation-operator
-    monomials acting on vacuum, with sqrt(n!) conversion factors applied so
-    amplitudes stay in the orthonormal Fock basis.
+    Each occupied input mode must have a column in the transform.  The term
+    prod_m (a_m^dag)^n_m / sqrt(n_m!) |0> becomes the product over its modes
+    of the powers L_m^n_m / sqrt(n_m!) of their columns' linear forms, each
+    power computed once and applied as a broadcast key sum; equal keys are
+    merged once and the result is put back on the orthonormal Fock basis.
     """
-    columns = transform.columns
-    # a monomial is one int with its exponents over `out_modes` as digits in
-    # base photons+1; no exponent reaches the base, so products add the ints
-    out_modes = sorted({om for col in columns.values() for _, om in col})
-    base = state.max_photons() + 1
-    place = {om: base ** i for i, om in enumerate(out_modes)}
-    cache: dict[tuple[Mode, int], list[tuple[complex, int]]] = {}
-    unpacked: dict[int, tuple[FockKey, float]] = {}
-    out: dict[FockKey, complex] = {}
-    for key, amp in state.terms.items():
-        partial: dict[int, complex] = {0: amp}
-        for m, n in key:
-            col = columns.get(m)
-            if col is None:
-                raise ConfigError(
-                    f"transform has no column for occupied mode {mode_str(m)}")
-            exp = cache.get((m, n))
-            if exp is None:
-                exp = [(c / math.sqrt(math.factorial(n)),
-                        sum(p * place[om] for om, p in powers))
-                       for c, powers in _power_expansion(col, n)]
-                cache[(m, n)] = exp
-            nxt: dict[int, complex] = {}
-            for acc, acc_coef in partial.items():
-                for coef, packed in exp:
-                    nxt[acc + packed] = nxt.get(acc + packed, 0.0) + acc_coef * coef
-            partial = nxt
-        for packed, coef in partial.items():
-            entry = unpacked.get(packed)
-            if entry is None:
-                powers = tuple((om, p) for om in out_modes
-                               if (p := packed // place[om] % base))
-                entry = unpacked[packed] = (powers, math.sqrt(
-                    math.prod(math.factorial(p) for _, p in powers)))
-            out_key, scale = entry
-            out[out_key] = out.get(out_key, 0.0) + coef * scale
-    return PureState(out)
+    counts = state.counts()
+    occupied = [i for i in range(len(state.modes)) if counts[:, i].any()]
+    for i in occupied:
+        if state.modes[i] not in transform.columns:
+            raise ConfigError("transform has no column for occupied mode "
+                              f"{mode_str(state.modes[i])}")
+    columns = [transform.columns[state.modes[i]] for i in occupied]
+    out_modes = tuple(sorted({om for col in columns for _, om in col}))
+    base = int(counts.sum(axis=1).max(initial=0)) + 1
+    place = dict(zip(out_modes, places(base, len(out_modes)).tolist()))
+    rows = np.arange(len(state))
+    keys, coefs = np.zeros(len(state), np.int64), state.amps
+    for i, col in zip(occupied, columns):
+        linear, power, parts = Polynomial.linear(col, place), ONE, []
+        photons = counts[rows, i]
+        for p in range(int(photons.max()) + 1):
+            # the partial products whose term holds p photons in this mode
+            power = power * linear if p else ONE
+            sel = np.flatnonzero(photons == p)
+            parts.append((np.repeat(rows[sel], len(power.keys)),
+                          (keys[sel, None] + power.keys).ravel(),
+                          (coefs[sel, None] * power.coefs).ravel()
+                          / math.sqrt(math.factorial(p))))
+        rows, keys, coefs = (np.concatenate(part) for part in zip(*parts))
+    return Polynomial.merged(keys, coefs).on_vacuum(out_modes, base)
 
 
 @dataclass(frozen=True)
@@ -210,12 +199,6 @@ class MixedState:
 
     branches: tuple[tuple[float, PureState], ...]
 
-    @classmethod
-    def pure(cls, state: PureState, weight: float = 1.0) -> "MixedState":
-        return cls(((weight, state),))
-
 
 def as_mixed(state: PureState | MixedState) -> MixedState:
-    if isinstance(state, MixedState):
-        return state
-    return MixedState.pure(state)
+    return state if isinstance(state, MixedState) else MixedState(((1.0, state),))

@@ -3,7 +3,11 @@
 Pulses are i.i.d. and a run reports only each basis setting's click-pattern
 histogram, which for N pulses is exactly Multinomial(N, q), where q is the
 exact pattern distribution of the source mixture (the truncated tail as
-vacuum) after the circuit and the basis rotation.  So each basis draws its
+vacuum) after the circuit and the basis rotation.  The circuit and each
+basis's rotation compile into one source -> detector map; the two pair
+operators are taken through it once and every source branch is built in
+detector modes from them (`source.pair_power_states`), with no per-branch
+substitution.  So each basis draws its
 histogram directly, as one multinomial from Philox keyed by (seed, basis
 index): sampling error is the only stochastic component, and the cost does
 not grow with N.  numpy does not promise stable `multinomial` streams across
@@ -23,8 +27,8 @@ from .analysis import (EfficiencyEstimate, FidelityEstimate, PauliCorrelation,
 from .config import ExperimentConfig
 from .detect import THRESHOLD, click_pattern_probabilities, sixfold_outcomes
 from .elements import BASIS_OUTCOMES, CircuitSpec, measurement_rotation
-from .fock import ConfigError, MixedState, make_vacuum, substitute_modes
-from .source import dephased_source
+from .fock import ConfigError, MixedState, make_vacuum
+from .source import SOURCE_MODES, dephased_source
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,7 @@ class BasisTables:
     outcome_index: np.ndarray            # per pattern, -1 if not a six-fold
     outcome_labels: tuple[tuple[str, str], ...]
     fock_terms: int                      # post-circuit terms, all branches
+    truncated_weight: float              # source tail counted as vacuum
 
     def sixfold_probability_per_pulse(self) -> float:
         return float(self.pattern_probs[self.outcome_index >= 0].sum())
@@ -74,18 +79,18 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
     is_trigger, outcome_index = sixfold_outcomes(triggers, outputs, arms)
 
     circuit = config.circuit()
-    source = dephased_source(config.source, config.noise).branches
-    source_modes = set().union(*(state.occupied_modes() for _, state in source))
     tables = []
     for basis in (config.bases or (("HV", "HV"),)):
         outcome_labels = tuple(product(BASIS_OUTCOMES[basis[0]],
                                        BASIS_OUTCOMES[basis[1]]))
-        # source modes -> this basis's detector modes: one pass per branch
+        # source modes -> this basis's detector modes, compiled once; every
+        # branch is built in detector modes from the compiled pair operators
         to_detectors = CircuitSpec(circuit.transforms + tuple(
             measurement_rotation(arm, b) for arm, b in zip(arms, basis))
-        ).compile(source_modes)
-        branches = [(w, substitute_modes(state, to_detectors))
-                    for w, state in source]
+        ).compile(set(SOURCE_MODES))
+        branches = list(dephased_source(config.source, config.noise,
+                                        to_detectors).branches)
+        fock_terms = sum(len(out) for _, out in branches)
         remainder = max(1.0 - sum(w for w, _ in branches), 0.0)
         if remainder > 0.0:
             # truncated tail: treated as dark-count-only pulses
@@ -95,8 +100,8 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
             pattern_probs=click_pattern_probabilities(
                 MixedState(tuple(branches)), detectors),
             is_trigger=is_trigger, outcome_index=outcome_index,
-            outcome_labels=outcome_labels,
-            fock_terms=sum(len(out) for _, out in branches[:len(source)])))
+            outcome_labels=outcome_labels, fock_terms=fock_terms,
+            truncated_weight=remainder))
     return tables
 
 

@@ -1,11 +1,19 @@
-"""Multi-pair SPDC source states and the imperfect-visibility noise model."""
+"""Multi-pair SPDC source states and the imperfect-visibility noise model.
+
+Every source branch is P-^k P+^j |0>, k ideal and j phase-flipped pairs,
+where P-/+ = a_x^dag b_y^dag -/+ a_y^dag b_x^dag.  `pair_power_states`
+makes every branch by multiplying the two pair polynomials, in the source
+modes or taken once through a compiled circuit.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .fock import ConfigError, MixedState, PureState, apply_creation, make_vacuum
+from .elements import ModeTransform
+from .fock import (ONE, ConfigError, MixedState, Mode, Polynomial, PureState,
+                   places)
 
 
 @dataclass(frozen=True)
@@ -55,32 +63,36 @@ def coupling_from_rate(p1: float) -> float:
     return math.atanh(math.sqrt(x))
 
 
-_MODE_AX = ("a", "x")
-_MODE_AY = ("a", "y")
-_MODE_BX = ("b", "x")
-_MODE_BY = ("b", "y")
+SOURCE_MODES: tuple[Mode, ...] = (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
 
 
-def _apply_pair_operator(state: PureState, sign: float,
-                         max_photons: int) -> PureState:
-    """Apply a_x b_y + sign * a_y b_x (creation operators)."""
-    first = apply_creation(apply_creation(state, _MODE_AX, max_photons),
-                           _MODE_BY, max_photons)
-    second = apply_creation(apply_creation(state, _MODE_AY, max_photons),
-                            _MODE_BX, max_photons)
-    return first.add(second.scaled(sign))
+def pair_power_states(powers: list[tuple[int, int]],
+                      transform: ModeTransform | None = None
+                      ) -> list[PureState]:
+    """P-^k P+^j |0> for each (k, j) of `powers`, normalized by its norm on
+    the source modes.  With `transform` (columns on the source modes) P-/+
+    are taken through it once and the states are built in its output modes."""
+    base = 2 * max(k + j for k, j in powers) + 1
+    source = ModeTransform({m: ((1.0, m),) for m in SOURCE_MODES})
+    built = []
+    for t in (source, transform or source):
+        modes = tuple(sorted({m for c in SOURCE_MODES for _, m in t.columns[c]}))
+        place = dict(zip(modes, places(base, len(modes)).tolist()))
+        ax, ay, bx, by = (Polynomial.linear(t.columns[m], place)
+                          for m in SOURCE_MODES)
+        minus, plus = ax * by + -(ay * bx), ax * by + ay * bx
+        polys = {(0, 0): ONE}
 
-
-def _pair_power_state(n_singlet: int, n_flipped: int,
-                      max_photons: int) -> PureState:
-    """Normalized state from n_singlet singlet-pair ops and n_flipped
-    phase-flipped ones applied to vacuum."""
-    state = make_vacuum()
-    for _ in range(n_singlet):
-        state = _apply_pair_operator(state, -1.0, max_photons)
-    for _ in range(n_flipped):
-        state = _apply_pair_operator(state, +1.0, max_photons)
-    return state.normalized()
+        def power(k: int, j: int) -> Polynomial:
+            # memoized: every P-^k prefix and P-^k P+^j is built once
+            if (k, j) not in polys:
+                polys[k, j] = (power(k, j - 1) * plus if j
+                               else power(k - 1, 0) * minus)
+            return polys[k, j]
+        built.append([(modes, power(k, j)) for k, j in powers])
+    return [poly.on_vacuum(modes, base, 1.0 / math.sqrt(
+        src.on_vacuum(src_modes, base).norm_sq()))
+        for (src_modes, src), (modes, poly) in zip(*built)]
 
 
 def n_pair_state(n: int) -> PureState:
@@ -88,9 +100,7 @@ def n_pair_state(n: int) -> PureState:
 
     The unnormalized operator-power expansion has norm^2 = (n+1)(n!)^2.
     """
-    if n == 0:
-        return make_vacuum()
-    return _pair_power_state(n, 0, max_photons=2 * n)
+    return pair_power_states([(n, 0)])[0]
 
 
 def truncation_deficit(params: SpdcParams) -> float:
@@ -110,18 +120,16 @@ def dephased_branch_weights(n: int, visibility: float) -> list[float]:
             for j in range(n + 1)]
 
 
-def dephased_source(params: SpdcParams, noise: SourceNoise) -> MixedState:
-    """Incoherent mixture over (pair number, number of flipped pairs).
+def dephased_source(params: SpdcParams, noise: SourceNoise,
+                    transform: ModeTransform | None = None) -> MixedState:
+    """Incoherent mixture over (pair number n, flipped pairs j), the branch
+    P-^(n-j) P+^j |0> of `pair_power_states`, through `transform` if given.
 
     The one-pair branch reproduces diagonal-basis visibility V exactly.
     """
-    branches = []
-    for n in range(params.n_max + 1):
-        p_n = pair_probability(n, params.r)
-        if p_n <= 0.0:
-            continue
-        for j, w in enumerate(dephased_branch_weights(n, noise.visibility)):
-            if w <= 0.0:
-                continue
-            branches.append((p_n * w, _pair_power_state(n - j, j, 2 * n)))
-    return MixedState(tuple(branches))
+    cells = [(n, j, p_n * w) for n in range(params.n_max + 1)
+             if (p_n := pair_probability(n, params.r)) > 0.0
+             for j, w in enumerate(dephased_branch_weights(n, noise.visibility))
+             if w > 0.0]
+    states = pair_power_states([(n - j, j) for n, j, _ in cells], transform)
+    return MixedState(tuple((w, st) for (_, _, w), st in zip(cells, states)))

@@ -82,8 +82,8 @@ def branch_on_modes(state: PureState, env_modes) -> MixedState:
         if weight <= 0.0:
             continue
         scale = 1.0 / math.sqrt(weight)
-        branches.append((weight,
-                         PureState({k: a * scale for k, a in terms.items()})))
+        branches.append((weight, PureState.from_terms(
+            {k: a * scale for k, a in terms.items()})))
     return MixedState(tuple(branches))
 
 
@@ -170,7 +170,7 @@ def click_distribution(state: PureState | MixedState,
 def click_probability(det: DetectorSpec, n: int) -> float:
     """Probability that `det` registers its event on the single-mode Fock
     state |n>."""
-    state = PureState.from_occupations({det.mode: n})
+    state = PureState.from_terms({((det.mode, n),) if n else (): 1.0})
     return sum(p for (reading,), p in click_distribution(state, [det]).items()
                if trigger_fires(det, reading))
 

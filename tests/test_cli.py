@@ -15,6 +15,8 @@ import pytest
 
 import heraldsim
 from heraldsim import fixture_path, schema_path
+from heraldsim.dsl import parse
+from heraldsim.source import truncation_deficit
 
 from conftest import BOOSTED_CONFIG, RELABELLED_5050
 
@@ -362,6 +364,10 @@ def test_montecarlo_manifest_telemetry(boosted_file, tmp_path):
     assert tables["branches"] >= 1 and tables["patterns"] == 256
     assert set(tables["fock_terms"]) == {"HV_HV", "DA_DA", "RL_RL"}
     assert all(n > 0 for n in tables["fock_terms"].values())
+    # the source tail past nmax, counted as vacuum pulses
+    assert tables["truncated_weight"] == pytest.approx(
+        truncation_deficit(parse(BOOSTED_CONFIG).source), rel=1e-12)
+    assert 0.0 < tables["truncated_weight"] < 0.1
     assert manifest["numpy_version"] == np.__version__
     # per basis: exact expectation, observed count and z-score of n_t, n_s
     # and each outcome, the observed side read back from summary.json

@@ -6,8 +6,7 @@ import math
 import pytest
 
 from heraldsim.dsl import parse
-from heraldsim.fock import (ConfigError, apply_creation, make_vacuum, mode,
-                            substitute_modes)
+from heraldsim.fock import ConfigError, mode, substitute_modes
 from heraldsim.elements import (
     LOSSLESS_ATOL,
     CircuitSpec,

@@ -1,20 +1,22 @@
-"""Sparse Fock-state algebra: creation operators, substitutions, branching."""
+"""Fock-state algebra: packed keys, substitutions, branching, and the
+array route against the term-by-term oracle."""
 
+import collections
 import math
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from heraldsim.detect import occupation_probabilities
-from heraldsim.fock import (
-    TruncationError,
-    apply_creation,
-    make_vacuum,
-    mode,
-    substitute_modes,
-)
+from heraldsim.fock import (PureState, TruncationError, make_vacuum, mode,
+                            substitute_modes)
 from heraldsim.elements import ModeTransform, beam_splitter, half_wave_plate
+from heraldsim.source import SOURCE_MODES
 
+import fock_oracle
+from conftest import detector_map
 from dilation_oracle import branch_on_modes, loss_channel
+from fock_oracle import add, apply_creation, canonical_key, normalized
 
 
 def n_photon_state(m, n, max_photons=10):
@@ -54,12 +56,12 @@ def test_inner_product_orthonormality():
     a, b = mode("a", "x"), mode("a", "y")
     one = n_photon_state(a, 1)
     other = n_photon_state(b, 1)
-    two = n_photon_state(a, 2).normalized()
+    two = normalized(n_photon_state(a, 2))
     for u in (one, two):
         assert u.norm_sq() == pytest.approx(1.0)
     for u, v in ((one, other), (one, two), (two, other)):
         for phase in (1.0, 1j):
-            assert u.add(v.scaled(phase)).norm_sq() == pytest.approx(2.0)
+            assert add(u, v, phase).norm_sq() == pytest.approx(2.0)
 
 
 def test_hong_ou_mandel_cancellation():
@@ -86,7 +88,7 @@ def test_substitution_preserves_norm_many_photons():
     for spatial, pol, n in layout:
         for _ in range(n):
             st = apply_creation(st, mode(spatial, pol), max_photons=8)
-    st = st.normalized()
+    st = normalized(st)
     bs = beam_splitter(0.37, "a", reflected_out="c", transmitted_out="e")
     hw = half_wave_plate(-22.5, "b")
     out = substitute_modes(st, bs.extended(st.occupied_modes()))
@@ -99,7 +101,7 @@ def test_projection_probabilities_partition():
     st = apply_creation(st, mode("a", "x"))
     st = apply_creation(st, mode("a", "x"))
     st = apply_creation(st, mode("a", "y"))
-    st = st.normalized()
+    st = normalized(st)
     bs = beam_splitter(0.3, "a", reflected_out="c", transmitted_out="e")
     out = substitute_modes(st, bs.extended(st.occupied_modes()))
     # the two x photons split binomially between c.x and e.x
@@ -114,7 +116,7 @@ def test_loss_branching_is_binomial():
     eta = 0.62
     n = 3
     m = mode("a", "x")
-    st = n_photon_state(m, n).normalized()
+    st = normalized(n_photon_state(m, n))
     lost = substitute_modes(st, loss_channel(m, eta).extended(st.occupied_modes()))
     env = [k for k in lost.occupied_modes() if k != m]
     mix = branch_on_modes(lost, env)
@@ -130,9 +132,73 @@ def test_branch_weights_sum_to_norm():
     st = make_vacuum()
     for m in (mode("a", "x"), mode("a", "x"), mode("b", "y")):
         st = apply_creation(st, m)
-    st = st.normalized()
+    st = normalized(st)
     lost = substitute_modes(
         st, loss_channel(mode("a", "x"), 0.4).extended(st.occupied_modes()))
     env = [m for m in lost.occupied_modes() if m[0].startswith("~")]
     mix = branch_on_modes(lost, env)
     assert sum(w for w, _ in mix.branches) == pytest.approx(1.0, abs=1e-12)
+
+
+@strategies.composite
+def small_states(draw):
+    """At most 4 photons per term on at most 4 source modes, amplitudes of
+    modulus 0.1 to 1 with any phase."""
+    modes = draw(strategies.lists(strategies.sampled_from(SOURCE_MODES),
+                                  min_size=1, max_size=4, unique=True))
+    terms = {}
+    for _ in range(draw(strategies.integers(1, 6))):
+        photons = draw(strategies.lists(strategies.sampled_from(modes),
+                                        max_size=4))
+        size = draw(strategies.floats(0.1, 1.0))
+        phase = draw(strategies.floats(0.0, 2.0 * math.pi))
+        terms[canonical_key(collections.Counter(photons))] = size * complex(
+            math.cos(phase), math.sin(phase))
+    return PureState.from_terms(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=small_states(), R=strategies.floats(0.05, 0.95),
+       angle=strategies.floats(5.0, 40.0), flip=strategies.booleans(),
+       basis=strategies.tuples(*[strategies.sampled_from(["HV", "DA", "RL"])]
+                               * 2))
+def test_substitution_matches_term_by_term_oracle(state, R, angle, flip,
+                                                  basis):
+    transform = detector_map(R, -angle if flip else angle, basis)
+    got = substitute_modes(state, transform)
+    want = fock_oracle.substitute_modes(state, transform)
+    assert set(got.terms) == set(want.terms)
+    assert max(abs(got.terms[k] - a) for k, a in want.terms.items()) < 1e-12
+
+
+def test_terms_view_round_trips_packed_keys():
+    # the term at DROP_TOL's order is dropped on construction
+    state = PureState.from_terms({
+        ((mode("a", "x"), 2), (mode("b", "y"), 1)): 0.6,
+        ((mode("a", "y"), 3),): 0.8j, (): 1e-13})
+    assert state.modes == (mode("a", "x"), mode("a", "y"), mode("b", "y"))
+    assert state.base == 4 and len(state) == 2
+    assert dict(state.terms) == {
+        ((mode("a", "x"), 2), (mode("b", "y"), 1)): 0.6,
+        ((mode("a", "y"), 3),): 0.8j}
+    with pytest.raises(TypeError):
+        state.terms[()] = 1.0
+    with pytest.raises(ValueError):
+        state.amps[0] = 0.0
+
+
+def test_packed_key_overflow_is_a_truncation_error():
+    # keys are int64: base^modes must stay below 2^63.  One photon on each of
+    # 62 modes packs in base 2; a 63rd mode reaches 2^63
+    modes = [mode(f"m{i}", "x") for i in range(63)]
+    fits = PureState.from_terms({((m, 1),): 1.0 for m in modes[:62]})
+    assert fits.occupied_modes() == set(modes[:62])
+    with pytest.raises(TruncationError, match="63 modes holding up to 1 "):
+        PureState.from_terms({((m, 1),): 1.0 for m in modes})
+    # a substitution spreading 15 photons over 16 output modes needs base
+    # 16, and 16^16 = 2^64
+    state = PureState.from_terms({((mode("a", "x"), 15),): 1.0})
+    spread = ModeTransform({mode("a", "x"): tuple(
+        (0.25 + 0j, mode(f"o{i}", "x")) for i in range(16))})
+    with pytest.raises(TruncationError, match="16 modes holding up to 15 "):
+        substitute_modes(state, spread)

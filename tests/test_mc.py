@@ -1,19 +1,21 @@
 """Monte Carlo sampling: determinism, statistical and exact oracles."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.random import Philox
 from scipy import stats
 
-from heraldsim import cli, mc
+from heraldsim import cli, fixture_path, mc
 from heraldsim.fock import ConfigError, MixedState, make_vacuum
 from heraldsim.dsl import parse
 from heraldsim.elements import CircuitSpec, apply_circuit, measurement_rotation
-from heraldsim.source import dephased_source
+from heraldsim.source import SOURCE_MODES, dephased_source
 from heraldsim.detect import (click_pattern_probabilities, click_probability,
                               fidelity_to_phi_plus, herald,
                               sixfold_probability)
@@ -23,6 +25,7 @@ from heraldsim.mc import (
     run_experiment,
 )
 
+import fock_oracle
 from conftest import BOOSTED_CONFIG
 from dilation_oracle import key_occupation
 
@@ -427,3 +430,70 @@ def test_tables_and_sixfold_probability_agree(name, boosted, boosted_tables,
             mixture, cfg.trigger_detectors(), cfg.output_detectors(),
             tab.basis, divmod(k, 2)) for k in range(4)]
         np.testing.assert_allclose(direct, from_tables, rtol=1e-12, atol=0.0)
+
+
+def seeded_configs(workload, seed):
+    """The benchmark's generated configs of one workload and seed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs",
+        Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.workload_configs(workload, seed)
+
+
+def oracle_config(name):
+    """A fixture, the boosted config, a seed-11 benchmark config or
+    paper_7030 at a raised n_max ("paper_7030.exp@6"), with threshold
+    detectors throughout."""
+    if name == "boosted":
+        cfg = parse(BOOSTED_CONFIG)
+    elif name.endswith(".exp"):
+        cfg = parse(fixture_path(name).read_text(encoding="utf-8"))
+    elif "@" in name:
+        fixture, n_max = name.split("@")
+        cfg = oracle_config(fixture)
+        cfg = dataclasses.replace(cfg, source=dataclasses.replace(
+            cfg.source, n_max=int(n_max)))
+    else:
+        workload, index = name.rsplit("_", 1)
+        cfg = seeded_configs(workload, 11)[int(index)]
+    return dataclasses.replace(cfg, detectors=tuple(
+        dataclasses.replace(d, kind="threshold") for d in cfg.detectors))
+
+
+def oracle_tables(cfg):
+    """Per basis: the click-pattern distribution and the post-circuit term
+    count by the term-by-term route, every oracle source branch substituted
+    through the compiled basis map."""
+    detectors = cfg.trigger_detectors() + cfg.output_detectors()
+    source = fock_oracle.dephased_branches(cfg.source, cfg.noise)
+    out = []
+    for basis in cfg.bases:
+        to_detectors = CircuitSpec(cfg.circuit().transforms + tuple(
+            measurement_rotation(arm, b)
+            for arm, b in zip(cfg.output_arms(), basis))
+        ).compile(set(SOURCE_MODES))
+        branches = [(w, fock_oracle.substitute_modes(st, to_detectors))
+                    for w, st in source]
+        terms = sum(len(st) for _, st in branches)
+        remainder = 1.0 - sum(w for w, _ in branches)
+        if remainder > 0.0:
+            branches.append((remainder, make_vacuum()))
+        out.append((click_pattern_probabilities(MixedState(tuple(branches)),
+                                                detectors), terms))
+    return out
+
+
+@pytest.mark.parametrize("name", [
+    "paper_5050.exp", "paper_6040.exp", "paper_7030.exp", "boosted",
+    "exact_0", "exact_1", "exact_2", "mc_pulse_0", "paper_7030.exp@5",
+    "paper_7030.exp@6"])
+def test_tables_match_term_by_term_oracle(name):
+    cfg = oracle_config(name)
+    tables = precompute_outcome_tables(cfg)
+    assert len(tables) == len(cfg.bases) == 3
+    for tab, (probs, terms) in zip(tables, oracle_tables(cfg)):
+        assert tab.fock_terms == terms, tab.basis
+        np.testing.assert_allclose(tab.pattern_probs, probs, rtol=1e-12,
+                                   atol=0.0, err_msg=str(tab.basis))

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from heraldsim.fock import (ConfigError, apply_creation, make_vacuum, mode,
-                            substitute_modes)
+from heraldsim.fock import ConfigError, make_vacuum, mode, substitute_modes
 from heraldsim.source import (
+    SOURCE_MODES,
     SourceNoise,
     SpdcParams,
     coupling_from_rate,
@@ -19,6 +19,10 @@ from heraldsim.source import (
     truncation_deficit,
 )
 from heraldsim.elements import ModeTransform
+
+import fock_oracle
+from conftest import detector_map
+from fock_oracle import add, apply_creation
 
 
 def test_pair_probability_form():
@@ -97,10 +101,10 @@ def test_pair_power_norm():
     for n in (1, 2, 3):
         raw = make_vacuum()
         for _ in range(n):
-            raw = apply_creation(apply_creation(raw, mode("a", "x")),
-                                 mode("b", "y")).add(
-                apply_creation(apply_creation(raw, mode("a", "y")),
-                               mode("b", "x")).scaled(-1.0))
+            raw = add(apply_creation(apply_creation(raw, mode("a", "x")),
+                                     mode("b", "y")),
+                      apply_creation(apply_creation(raw, mode("a", "y")),
+                                     mode("b", "x")), -1.0)
         assert raw.norm_sq() == pytest.approx(
             (n + 1) * math.factorial(n) ** 2, rel=1e-12)
         assert n_pair_state(n).norm_sq() == pytest.approx(1.0, abs=1e-12)
@@ -153,3 +157,28 @@ def test_dephased_source_reduces_to_pure_at_unit_visibility():
 def test_visibility_bounds_checked():
     with pytest.raises(ConfigError):
         SourceNoise(visibility=1.5)
+
+
+def assert_same_state(got, want):
+    assert set(got.terms) == set(want.terms)
+    assert max(abs(got.terms[k] - a) for k, a in want.terms.items()) < 1e-12
+
+
+@pytest.mark.parametrize("R, angle, basis", [(0.486, -22.5, ("DA", "DA")),
+                                             (0.3, 17.0, ("RL", "HV"))])
+def test_branches_match_pair_operator_oracle(R, angle, basis):
+    # each branch built from the compiled pair operators is the oracle's
+    # pair-by-pair source state substituted term by term; without a map the
+    # same function gives the oracle's source states themselves
+    params, noise = SpdcParams(r=0.3, n_max=4), SourceNoise(visibility=0.8)
+    transform = detector_map(R, angle, basis)
+    reference = fock_oracle.dephased_branches(params, noise)
+    built = dephased_source(params, noise, transform).branches
+    assert len(built) == len(reference) == 15
+    for (w, got), (w_ref, source) in zip(built, reference):
+        assert w == w_ref
+        assert_same_state(got, fock_oracle.substitute_modes(source, transform))
+    for (_, got), (_, source) in zip(dephased_source(params, noise).branches,
+                                     reference):
+        assert set(got.modes) <= set(SOURCE_MODES)
+        assert_same_state(got, source)

@@ -1,6 +1,9 @@
-"""Closed-form estimators: efficiencies, fidelity, CHSH threshold, errors.
+"""Closed-form estimators: efficiencies, fidelity, CHSH threshold, errors,
+and the four-pair correction.
 
-Error bars use first-order propagation on independent Poisson counts.
+Error bars use first-order propagation on independent Poisson counts.  The
+four-pair correction builds its sectors with `source.pair_power_states`
+through the compiled heralding circuit, substituting no state.
 """
 
 from __future__ import annotations
@@ -10,9 +13,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .detect import herald, threshold_detector
-from .elements import TRIGGER_MODES, apply_circuit, heralding_circuit
+from .elements import TRIGGER_MODES, heralding_circuit
 from .fock import ConfigError
-from .source import SpdcParams, n_pair_state, pair_probability
+from .source import (SOURCE_MODES, SpdcParams, pair_power_states,
+                     pair_probability)
 
 
 @dataclass(frozen=True)
@@ -92,20 +96,14 @@ def violates_chsh(estimate: FidelityEstimate) -> tuple[bool, float]:
     return excess > 0.0, excess / estimate.sigma
 
 
-def _sector_herald(n: int, R: float, eta_t: float):
-    circuit = heralding_circuit(R)
-    state = apply_circuit(n_pair_state(n), circuit)
-    triggers = [threshold_detector(f"t{i}", m, eta=eta_t)
-                for i, m in enumerate(TRIGGER_MODES, start=1)]
-    return herald(state, triggers)
-
-
 def four_pair_correction(params: SpdcParams, R: float,
                          eta_t: float = 1.0) -> float:
     """Relative efficiency shift from adding the four-pair emission sector.
 
     Both sectors are pushed through the full enumeration (circuit, trigger
-    losses, threshold clicks); sector weights are p_3 and p_4.  The default
+    losses, threshold clicks); sector weights are p_3 and p_4.  The two
+    sectors are built together from the pair operators taken once through
+    `heralding_circuit(R)`, sharing the P-^3 prefix.  The default
     eta_t=1 classifies triggers by arrival (at least one photon per trigger
     mode), which reproduces the quoted ~4.5% size of the effect; at low
     trigger efficiency the four-pair and three-pair herald classes happen to
@@ -115,11 +113,13 @@ def four_pair_correction(params: SpdcParams, R: float,
         raise ConfigError("four-pair correction requires n_max >= 4")
     p3 = pair_probability(3, params.r)
     p4 = pair_probability(4, params.r)
-    res3 = _sector_herald(3, R, eta_t)
-    eff3 = res3.preparation_efficiency
     if p4 == 0.0:
         return 0.0
-    res4 = _sector_herald(4, R, eta_t)
+    triggers = [threshold_detector(f"t{i}", m, eta=eta_t)
+                for i, m in enumerate(TRIGGER_MODES, start=1)]
+    res3, res4 = (herald(state, triggers) for state in pair_power_states(
+        [(3, 0), (4, 0)], heralding_circuit(R).compile(set(SOURCE_MODES))))
+    eff3 = res3.preparation_efficiency
     good = (p3 * res3.herald_probability * res3.preparation_efficiency
             + p4 * res4.herald_probability * res4.preparation_efficiency)
     trig = p3 * res3.herald_probability + p4 * res4.herald_probability

@@ -1,11 +1,19 @@
 """Command-line front end: herald report, efficiency sweep, Monte Carlo runs.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error.
+Every command builds its source branches with `source.pair_power_states`
+from the pair operators taken through the compiled circuit; none
+substitutes a state.
+
+Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
+error names its stage, `runtime error in <stage>: ...`: `herald`,
+`four_pair_correction`, `row R=<R>` of a sweep, or a Monte Carlo run's
+`tables`, `sample` or `write`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime
@@ -25,16 +33,31 @@ from .analysis import (chsh_werner_threshold, eff_theory, four_pair_correction,
 from .config import COUNT_END, COUNT_LOW, BsDecl, ExperimentConfig
 from .detect import HeraldResult, decompose_s1, herald
 from .dsl import DslError, parse, validate
-from .elements import apply_circuit
 from .fock import ConfigError, PureState
 from .mc import pattern_sums, precompute_outcome_tables, run_experiment
-from .source import n_pair_state
+from .source import SOURCE_MODES, pair_power_states
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 OUT_DIR_ENV = "HERALDSIM_OUT"
+
+
+class StageError(Exception):
+    """A runtime failure, named by the stage it came from."""
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Re-raise a runtime failure inside the block as a StageError naming
+    `name`; configuration errors pass unchanged."""
+    try:
+        yield
+    except (DslError, ConfigError):
+        raise
+    except Exception as exc:
+        raise StageError(f"runtime error in {name}: {exc}") from exc
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -55,23 +78,26 @@ def _load_config(path: str) -> ExperimentConfig:
 
 def _three_pair_herald(config: ExperimentConfig
                        ) -> tuple[PureState, HeraldResult]:
-    """The three-pair state after the config's circuit, and its herald on
-    the config's triggers."""
-    state = apply_circuit(n_pair_state(3), config.circuit())
+    """The three-pair state after the config's circuit, built from the pair
+    operators taken through the compiled circuit, and its herald on the
+    config's triggers."""
+    [state] = pair_power_states(
+        [(3, 0)], config.circuit().compile(set(SOURCE_MODES)))
     return state, herald(state, config.trigger_detectors(),
-                         output_arms=config.output_arms()[:2])
+                         output_arms=config.output_arms())
 
 
 def _herald_report(config: ExperimentConfig) -> dict:
     R = config.beam_splitter_R()
     eta_t = config.mean_trigger_eta()
-    state, result = _three_pair_herald(config)
-    trigger_modes = tuple(d.mode for d in config.trigger_detectors())
-    decomp = decompose_s1(state, trigger_modes=trigger_modes,
-                          output_arms=config.output_arms()[:2])
-    params_four = config.source
-    correction = (four_pair_correction(params_four, R, eta_t)
-                  if params_four.n_max >= 4 else None)
+    with _stage("herald"):
+        state, result = _three_pair_herald(config)
+        trigger_modes = tuple(d.mode for d in config.trigger_detectors())
+        decomp = decompose_s1(state, trigger_modes=trigger_modes,
+                              output_arms=config.output_arms())
+    with _stage("four_pair_correction"):
+        correction = (four_pair_correction(config.source, R, eta_t)
+                      if config.source.n_max >= 4 else None)
     return {
         "config_digest": config.digest(),
         "R": R,
@@ -128,13 +154,14 @@ def cmd_sweep(args) -> int:
         swept = dataclasses.replace(config, elements=tuple(
             dataclasses.replace(e, R=R) if isinstance(e, BsDecl) else e
             for e in config.elements))
-        _, result = _three_pair_herald(swept)
-        exact = result.preparation_efficiency if result.heralded else 0.0
-        if config.source.n_max >= 4 and R > 0.0:
-            shift = four_pair_correction(config.source, R, eta_t)
-            corrected = exact * (1.0 + shift)
-        else:
-            corrected = exact
+        with _stage(f"row R={R:.9g}"):
+            _, result = _three_pair_herald(swept)
+            exact = result.preparation_efficiency if result.heralded else 0.0
+            if config.source.n_max >= 4 and R > 0.0:
+                shift = four_pair_correction(config.source, R, eta_t)
+                corrected = exact * (1.0 + shift)
+            else:
+                corrected = exact
         writer.writerow([f"{R:.9g}", f"{eff_theory(R, eta_t):.9g}",
                          f"{exact:.9g}", f"{corrected:.9g}"])
     return EXIT_OK
@@ -186,30 +213,10 @@ def _expected_vs_observed(tables, records) -> dict:
     return report
 
 
-def cmd_montecarlo(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"--threads {args.threads} must be >= 1")
-    for name, low in COUNT_LOW.items():
-        value = getattr(args, name)
-        if value is not None and not low <= value < COUNT_END:
-            raise ConfigError(f"--{name} {value} outside [{low}, 2^63)")
-    config = _load_config(args.config)
-    if args.pulses is not None:
-        config = dataclasses.replace(config, pulses=args.pulses)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    print(f"running {len(config.bases) or 1} basis settings, "
-          f"{config.pulses} pulses each", file=sys.stderr)
-    t0 = time.perf_counter()
-    tables = precompute_outcome_tables(config)
-    t1 = time.perf_counter()
-    result = run_experiment(config, tables=tables)
-    t2 = time.perf_counter()
-
+def _write_outputs(out_dir: Path, config: ExperimentConfig, result
+                   ) -> tuple[list[str], str]:
+    """Write each basis's count CSV and summary.json; returns the file names
+    and the summary text."""
     outputs = []
     for record in result.records:
         name = f"counts_{record.basis[0]}_{record.basis[1]}.csv"
@@ -227,26 +234,60 @@ def cmd_montecarlo(args) -> int:
     summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     (out_dir / "summary.json").write_text(summary_text)
     outputs.append("summary.json")
-    t3 = time.perf_counter()
+    return outputs, summary_text
 
-    manifest = {
-        "command": " ".join(sys.argv),
-        "config_digest": config.digest(),
-        "seed": config.seed,
-        "tool_version": __version__,
-        "numpy_version": np.__version__,
-        "outputs": outputs,
-        "started": started,
-        "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "stages": {"tables_s": t1 - t0, "sample_s": t2 - t1, "write_s": t3 - t2},
-        "tables": {"branches": len(tables[0].branch_weights),
-                   "patterns": len(tables[0].is_trigger),
-                   "fock_terms": {"_".join(t.basis): t.fock_terms
-                                  for t in tables},
-                   "truncated_weight": tables[0].truncated_weight},
-        "expected": _expected_vs_observed(tables, result.records),
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+def cmd_montecarlo(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads {args.threads} must be >= 1")
+    for name, low in COUNT_LOW.items():
+        value = getattr(args, name)
+        if value is not None and not low <= value < COUNT_END:
+            raise ConfigError(f"--{name} {value} outside [{low}, 2^63)")
+    config = _load_config(args.config)
+    if args.pulses is not None:
+        config = dataclasses.replace(config, pulses=args.pulses)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
+    with _stage("write"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+
+    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    print(f"running {len(config.bases) or 1} basis settings, "
+          f"{config.pulses} pulses each", file=sys.stderr)
+    t0 = time.perf_counter()
+    with _stage("tables"):
+        tables = precompute_outcome_tables(config)
+    t1 = time.perf_counter()
+    with _stage("sample"):
+        result = run_experiment(config, tables=tables)
+    t2 = time.perf_counter()
+
+    with _stage("write"):
+        outputs, summary_text = _write_outputs(out_dir, config, result)
+        t3 = time.perf_counter()
+        manifest = {
+            "command": " ".join(sys.argv),
+            "config_digest": config.digest(),
+            "seed": config.seed,
+            "tool_version": __version__,
+            "numpy_version": np.__version__,
+            "outputs": outputs,
+            "started": started,
+            "finished": datetime.datetime.now(
+                datetime.timezone.utc).isoformat(),
+            "stages": {"tables_s": t1 - t0, "sample_s": t2 - t1,
+                       "write_s": t3 - t2},
+            "tables": {"branches": len(tables[0].branch_weights),
+                       "patterns": len(tables[0].is_trigger),
+                       "fock_terms": {"_".join(t.basis): t.fock_terms
+                                      for t in tables},
+                       "truncated_weight": tables[0].truncated_weight},
+            "expected": _expected_vs_observed(tables, result.records),
+        }
+        (out_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2) + "\n")
     if args.json:
         sys.stdout.write(summary_text)
     else:
@@ -301,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except StageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception as exc:  # runtime failure, not a config problem
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

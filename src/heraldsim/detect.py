@@ -189,22 +189,44 @@ class HeraldResult:
     heralded: bool
 
 
+def _output_arm_modes(state: PureState | MixedState,
+                      output_arms: tuple[str, ...]) -> list[Mode]:
+    """Each output arm's two polarization modes in `state`, sorted by label
+    as `sixfold_outcomes` sorts ports.  An arm no photon reaches (R = 0)
+    gets x and y, which hold nothing."""
+    if len(output_arms) != 2:
+        raise ConfigError("heralding needs exactly two output arms; the "
+                          f"output detectors sit on arms {list(output_arms)}")
+    modes = {m for _, pure in as_mixed(state).branches for m in pure.modes}
+    arm_modes = []
+    for arm in output_arms:
+        labels = sorted(pol for spatial, pol in modes if spatial == arm)
+        if labels and len(labels) != 2:
+            raise ConfigError(f"heralding reads one qubit per output arm from "
+                              f"two polarization labels; arm {arm!r} carries "
+                              f"{labels}")
+        arm_modes += [(arm, pol) for pol in labels or (POL_H, POL_V)]
+    return arm_modes
+
+
 def herald(state: PureState | MixedState,
            trigger_detectors: list[DetectorSpec],
-           output_arms: tuple[str, str] = OUTPUT_ARMS) -> HeraldResult:
+           output_arms: tuple[str, ...] = OUTPUT_ARMS) -> HeraldResult:
     """Condition on all four trigger detectors firing.
 
     Each term of `state`, the post-circuit state, is weighted by the product
     of the triggers' `click_probability`.  The terms of one source branch
     with the same trigger counts are one coherent output state; its part
-    with one x- or y-polarized photon per output arm and nothing else is a
-    vector over the qubit basis (x,x), (x,y), (y,x), (y,y).  The weighted sum
-    of their outer products over the herald probability is the conditional
-    density matrix; its trace is the preparation efficiency.
+    with one photon per output arm, on either of the arm's two polarization
+    modes (`_output_arm_modes`), and nothing else is a vector over the qubit
+    basis (first, first), (first, second), (second, first), (second,
+    second).  The weighted sum of their outer products over the herald
+    probability is the conditional density matrix; its trace is the
+    preparation efficiency.
     """
     if len(trigger_detectors) != 4:
         raise ConfigError("heralding requires exactly four trigger detectors")
-    arm_modes = [(arm, pol) for arm in output_arms for pol in (POL_H, POL_V)]
+    arm_modes = _output_arm_modes(state, output_arms)
     branch, counts, amps = occupations(
         state, [d.mode for d in trigger_detectors] + arm_modes)
     p_click = np.prod([_event_probabilities(det, counts[:, i])

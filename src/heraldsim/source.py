@@ -8,6 +8,7 @@ modes or taken once through a compiled circuit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,33 +67,52 @@ def coupling_from_rate(p1: float) -> float:
 SOURCE_MODES: tuple[Mode, ...] = (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
 
 
+def _pair_polynomials(transform: ModeTransform,
+                      powers: tuple[tuple[int, int], ...], base: int
+                      ) -> tuple[tuple[Mode, ...], list[Polynomial]]:
+    """The output modes of `transform` (columns on the source modes) and
+    P-^k P+^j in them for each (k, j) of `powers`, keys in `base`."""
+    modes = tuple(sorted({m for c in SOURCE_MODES
+                          for _, m in transform.columns[c]}))
+    place = dict(zip(modes, places(base, len(modes)).tolist()))
+    ax, ay, bx, by = (Polynomial.linear(transform.columns[m], place)
+                      for m in SOURCE_MODES)
+    minus, plus = ax * by + -(ay * bx), ax * by + ay * bx
+    polys = {(0, 0): ONE}
+
+    def power(k: int, j: int) -> Polynomial:
+        # memoized: every P-^k prefix and P-^k P+^j is built once
+        if (k, j) not in polys:
+            polys[k, j] = (power(k, j - 1) * plus if j
+                           else power(k - 1, 0) * minus)
+        return polys[k, j]
+    return modes, [power(k, j) for k, j in powers]
+
+
+_SOURCE = ModeTransform({m: ((1.0, m),) for m in SOURCE_MODES})
+
+
+@functools.lru_cache(maxsize=64)
+def _source_scales(powers: tuple[tuple[int, int], ...]) -> tuple[float, ...]:
+    """1 / ||P-^k P+^j |0>|| on the source modes for each (k, j) of
+    `powers`; it depends on nothing else, so it is computed once."""
+    base = 2 * max(k + j for k, j in powers) + 1
+    modes, polys = _pair_polynomials(_SOURCE, powers, base)
+    return tuple(1.0 / math.sqrt(p.on_vacuum(modes, base).norm_sq())
+                 for p in polys)
+
+
 def pair_power_states(powers: list[tuple[int, int]],
                       transform: ModeTransform | None = None
                       ) -> list[PureState]:
     """P-^k P+^j |0> for each (k, j) of `powers`, normalized by its norm on
     the source modes.  With `transform` (columns on the source modes) P-/+
     are taken through it once and the states are built in its output modes."""
+    powers = tuple((k, j) for k, j in powers)
     base = 2 * max(k + j for k, j in powers) + 1
-    source = ModeTransform({m: ((1.0, m),) for m in SOURCE_MODES})
-    built = []
-    for t in (source, transform or source):
-        modes = tuple(sorted({m for c in SOURCE_MODES for _, m in t.columns[c]}))
-        place = dict(zip(modes, places(base, len(modes)).tolist()))
-        ax, ay, bx, by = (Polynomial.linear(t.columns[m], place)
-                          for m in SOURCE_MODES)
-        minus, plus = ax * by + -(ay * bx), ax * by + ay * bx
-        polys = {(0, 0): ONE}
-
-        def power(k: int, j: int) -> Polynomial:
-            # memoized: every P-^k prefix and P-^k P+^j is built once
-            if (k, j) not in polys:
-                polys[k, j] = (power(k, j - 1) * plus if j
-                               else power(k - 1, 0) * minus)
-            return polys[k, j]
-        built.append([(modes, power(k, j)) for k, j in powers])
-    return [poly.on_vacuum(modes, base, 1.0 / math.sqrt(
-        src.on_vacuum(src_modes, base).norm_sq()))
-        for (src_modes, src), (modes, poly) in zip(*built)]
+    modes, polys = _pair_polynomials(transform or _SOURCE, powers, base)
+    return [poly.on_vacuum(modes, base, scale)
+            for poly, scale in zip(polys, _source_scales(powers))]
 
 
 def n_pair_state(n: int) -> PureState:

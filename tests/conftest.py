@@ -44,6 +44,13 @@ def fixture_text(name):
 RELABELLED_5050 = (fixture_text("paper_5050.exp").replace("out=xp,yp", "out=u,v")
                    .replace("mode=f:xp", "mode=f:u").replace("mode=f:yp", "mode=f:v"))
 
+# paper_5050 with a wave plate on output arm c that relabels its modes u, v:
+# a local rotation, so the one-photon-per-arm herald is the same
+ROTATED_ARM_5050 = (fixture_text("paper_5050.exp").replace(
+    "hwp on=f angle=-22.5 out=xp,yp\n",
+    "hwp on=f angle=-22.5 out=xp,yp\nhwp on=c angle=10 out=u,v\n")
+    .replace("mode=c:x", "mode=c:u").replace("mode=c:y", "mode=c:v"))
+
 
 @pytest.fixture(scope="session")
 def paper_5050():

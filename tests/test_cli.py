@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 import heraldsim
-from heraldsim import fixture_path, schema_path
+from heraldsim import cli, fixture_path, schema_path
 from heraldsim.dsl import parse
+from heraldsim.fock import ConfigError
 from heraldsim.source import truncation_deficit
 
-from conftest import BOOSTED_CONFIG, RELABELLED_5050
+from conftest import (BOOSTED_CONFIG, RELABELLED_5050, ROTATED_ARM_5050,
+                      fixture_text)
 
 
 SMALL_MC = BOOSTED_CONFIG.replace("pulses 2000000", "pulses 200000")
@@ -232,6 +234,83 @@ def test_sweep_follows_the_configs_own_labels(tmp_path):
     assert sweeps[1].stdout == sweeps[0].stdout
     rows = list(csv.DictReader(sweeps[1].stdout.splitlines()))
     assert all(float(r["eff_exact_enumerated"]) > 0.0 for r in rows)
+
+
+def test_herald_reads_a_relabelled_output_arm(tmp_path):
+    # a wave plate on output arm c relabels its modes u, v; the herald must
+    # read the qubit on those labels and report the fixture's numbers
+    path = tmp_path / "rotated.exp"
+    path.write_text(ROTATED_ARM_5050, encoding="utf-8")
+    proc = run_cli("herald", str(path), "--json")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    want = dict(HERALD_GOLDEN["paper_5050.exp"])
+    assert report.pop("config_digest") != want.pop("config_digest")
+    assert_matches_golden(report, want, 1e-12, "rotated")
+    sweeps = [run_cli("sweep", p, "--steps", "2")
+              for p in (str(fixture_path("paper_5050.exp")), str(path))]
+    assert [proc.returncode for proc in sweeps] == [0, 0]
+    assert sweeps[1].stdout == sweeps[0].stdout
+
+
+def test_herald_rejects_a_single_output_arm(tmp_path):
+    path = tmp_path / "one_arm.exp"
+    path.write_text("".join(
+        line for line in fixture_text("paper_5050.exp").splitlines(
+            keepends=True)
+        if "mode=d:" not in line), encoding="utf-8")
+    for command in ("herald", "sweep"):
+        proc = run_cli(command, str(path), *(("--steps", "2")
+                                             if command == "sweep" else ()))
+        assert proc.returncode == 2, proc.stderr
+        assert "exactly two output arms" in proc.stderr
+        assert "['c']" in proc.stderr
+        assert "runtime error" not in proc.stderr
+
+
+def _fail(*args, **kwargs):
+    raise RuntimeError("injected failure")
+
+
+@pytest.mark.parametrize("command, stage_function, stage", [
+    ("herald", "herald", "herald"),
+    ("herald", "four_pair_correction", "four_pair_correction"),
+    ("sweep", "herald", "row R=0.3"),
+    ("sweep", "four_pair_correction", "row R=0.3"),
+    ("montecarlo", "precompute_outcome_tables", "tables"),
+    ("montecarlo", "run_experiment", "sample"),
+    ("montecarlo", "_write_outputs", "write"),
+])
+def test_runtime_error_names_its_stage(command, stage_function, stage,
+                                       monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(cli, stage_function, _fail)
+    argv = [command, str(fixture_path("paper_5050.exp"))]
+    if command == "sweep":
+        argv += ["--steps", "2"]
+    if command == "montecarlo":
+        argv += ["--pulses", "1000", "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"runtime error in {stage}: injected failure" in err
+
+
+def test_configuration_error_inside_a_stage_exits_two(monkeypatch, capsys):
+    def bad_layout(*args, **kwargs):
+        raise ConfigError("bad layout")
+    monkeypatch.setattr(cli, "herald", bad_layout)
+    assert cli.main(["herald", str(fixture_path("paper_5050.exp"))]) == 2
+    err = capsys.readouterr().err
+    assert "error: bad layout" in err and "runtime error" not in err
+
+
+def test_unwritable_output_directory_names_the_write_stage(boosted_file,
+                                                          tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    proc = run_cli("montecarlo", boosted_file, "--pulses", "1000",
+                   "--out", str(blocker))
+    assert proc.returncode == 3
+    assert "runtime error in write: " in proc.stderr
 
 
 def assert_matches_golden(got, want, rel, where):

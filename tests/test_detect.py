@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from heraldsim.dsl import parse
-from heraldsim.fock import ConfigError, FockKey, MixedState, as_mixed, mode
+from heraldsim.fock import (ConfigError, FockKey, MixedState, PureState,
+                            as_mixed, mode)
 from heraldsim.elements import (OUTPUT_ARMS, TRIGGER_MODES, apply_circuit,
                                 heralding_circuit)
 from heraldsim.source import dephased_source, n_pair_state
@@ -30,7 +31,7 @@ from heraldsim.detect import (
 from heraldsim.analysis import eff_theory
 
 import dilation_oracle as oracle
-from conftest import RELABELLED_5050, fixture_text
+from conftest import RELABELLED_5050, ROTATED_ARM_5050, fixture_text
 from dilation_oracle import key_occupation, qubit_index
 
 
@@ -332,3 +333,38 @@ def test_herald_of_mixture_matches_loop(paper_5050, paper_5050_states, kind):
             dataclasses.astuple(loop_decompose_s1(pure, TRIGGER_MODES,
                                                   OUTPUT_ARMS)),
             rtol=1e-12, atol=0.0)
+
+
+def test_herald_reads_each_arms_own_labels(paper_5050):
+    # a local rotation on an output arm cannot change the probability of
+    # one photon per arm, whatever the arm's polarization labels are
+    rotated = parse(ROTATED_ARM_5050)
+    got, want = (herald(apply_circuit(n_pair_state(3), cfg.circuit()),
+                        cfg.trigger_detectors(), cfg.output_arms())
+                 for cfg in (rotated, paper_5050))
+    assert got.preparation_efficiency > 0.25
+    np.testing.assert_allclose(
+        [got.herald_probability, got.preparation_efficiency],
+        [want.herald_probability, want.preparation_efficiency],
+        rtol=1e-12, atol=0.0)
+
+
+def test_herald_rejects_output_layout_without_a_qubit():
+    state = apply_circuit(n_pair_state(3), heralding_circuit(0.486))
+    with pytest.raises(ConfigError, match=r"two output arms.*\['c'\]"):
+        herald(state, trigger_set(), ("c",))
+    with pytest.raises(ConfigError, match=r"\['c', 'd', 'e'\]"):
+        herald(state, trigger_set(), ("c", "d", "e"))
+    three_labels = PureState.from_terms({
+        ((mode("c", pol), 1), (mode("d", "x"), 1)): 0.5
+        for pol in ("u", "x", "y")})
+    with pytest.raises(ConfigError, match=r"arm 'c' carries \['u', 'x', 'y'\]"):
+        herald(three_labels, trigger_set())
+
+
+def test_herald_on_an_arm_no_photon_reaches():
+    # at R = 0 the output arms carry no mode at all: nothing is heralded
+    # into them, which is not a layout error
+    res = herald(apply_circuit(n_pair_state(3), heralding_circuit(0.0)),
+                 trigger_set("threshold"))
+    assert res.heralded and res.preparation_efficiency == 0.0

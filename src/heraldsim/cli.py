@@ -54,7 +54,7 @@ def _stage(name: str):
     `name`; configuration errors pass unchanged."""
     try:
         yield
-    except (DslError, ConfigError):
+    except ConfigError:
         raise
     except Exception as exc:
         raise StageError(f"runtime error in {name}: {exc}") from exc
@@ -336,9 +336,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,8 +6,9 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .detect import DetectorSpec
-from .elements import CircuitSpec, beam_splitter, half_wave_plate
-from .fock import ConfigError, Mode
+from .elements import (CircuitSpec, ModeTransform, beam_splitter,
+                       half_wave_plate)
+from .fock import ConfigError
 from .source import SourceNoise, SpdcParams
 
 # the lowest pulse count and seed; both lie below COUNT_END because numpy's
@@ -42,6 +43,20 @@ class PbsDecl:
 ElementDecl = BsDecl | HwpDecl | PbsDecl
 
 
+def element_transform(decl: ElementDecl) -> ModeTransform | None:
+    """The transform a declared element applies.  A polarizing splitter
+    only separates modes the (spatial, polarization) algebra already keeps
+    apart, so it has none."""
+    if isinstance(decl, BsDecl):
+        return beam_splitter(decl.R, decl.input, decl.reflected_out,
+                             decl.transmitted_out)
+    if isinstance(decl, HwpDecl):
+        return half_wave_plate(decl.angle_deg, decl.target, decl.out_pols)
+    if isinstance(decl, PbsDecl):
+        return None
+    raise ConfigError(f"unknown element declaration {decl!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     source: SpdcParams
@@ -60,21 +75,9 @@ class ExperimentConfig:
                                   f"[{low}, 2^63)")
 
     def circuit(self) -> CircuitSpec:
-        """The declared elements in propagation order.  A polarizing splitter
-        only separates modes the (spatial, polarization) algebra already
-        keeps apart, so it adds no transform."""
-        transforms = []
-        for decl in self.elements:
-            if isinstance(decl, BsDecl):
-                transforms.append(beam_splitter(
-                    decl.R, decl.input, decl.reflected_out,
-                    decl.transmitted_out))
-            elif isinstance(decl, HwpDecl):
-                transforms.append(half_wave_plate(
-                    decl.angle_deg, decl.target, decl.out_pols))
-            elif not isinstance(decl, PbsDecl):
-                raise ConfigError(f"unknown element declaration {decl!r}")
-        return CircuitSpec(tuple(transforms))
+        """The declared elements' transforms in propagation order."""
+        transforms = (element_transform(decl) for decl in self.elements)
+        return CircuitSpec(tuple(t for t in transforms if t is not None))
 
     def detector_by_id(self, det_id: str) -> DetectorSpec:
         for det in self.detectors:
@@ -116,8 +119,3 @@ class ExperimentConfig:
         """Structural digest; changes iff the canonical serialization does."""
         from .dsl import serialize
         return hashlib.sha256(serialize(self).encode()).hexdigest()
-
-
-def initial_modes() -> set[Mode]:
-    """Modes the SPDC source emits into."""
-    return {("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")}

@@ -1,6 +1,13 @@
 """Line-oriented experiment description language: parser, validator,
 canonical serializer.
 
+`validate` walks the transform of each declared element
+(`config.element_transform`, the ones `ExperimentConfig.circuit()`
+composes) from the source modes: an element must read modes that carry
+light and may feed only modes that do not.  Diagnostics name an element by
+its canonical stanza.  The parser rejects an element whose two outputs
+coincide, which the walk cannot see.
+
 Grammar (one stanza per line, `#` starts a comment):
 
     source spdc p1=<float> nmax=<int> visibility=<float>
@@ -22,10 +29,11 @@ import re
 from dataclasses import dataclass
 
 from .config import (COUNT_END, COUNT_LOW, BsDecl, ElementDecl,
-                     ExperimentConfig, HwpDecl, PbsDecl, initial_modes)
+                     ExperimentConfig, HwpDecl, PbsDecl, element_transform)
 from .detect import NUMBER_RESOLVING, THRESHOLD, DetectorSpec
 from .fock import ConfigError
-from .source import SourceNoise, SpdcParams, coupling_from_rate
+from .source import (SOURCE_MODES, SourceNoise, SpdcParams,
+                     coupling_from_rate, pair_probability)
 
 BASES = ("HV", "DA", "RL")
 
@@ -169,6 +177,10 @@ def parse(text: str) -> ExperimentConfig:
             noise = SourceNoise(visibility=vis)
         elif word == "bs":
             args = _kv_args(stanza, ["in", "refl", "trans", "R"])
+            if args["trans"].text == args["refl"].text:
+                tok = args["trans"]
+                raise DslError(f"refl and trans are both {tok.text!r}",
+                               tok.line, tok.col, "the outputs must differ")
             elements.append(BsDecl(input=args["in"].text,
                                    reflected_out=args["refl"].text,
                                    transmitted_out=args["trans"].text,
@@ -177,10 +189,11 @@ def parse(text: str) -> ExperimentConfig:
             args = _kv_args(stanza, ["on", "angle", "out"])
             out_tok = args["out"]
             parts = out_tok.text.split(",")
-            if len(parts) != 2 or not all(_POL_RE.match(p) for p in parts):
-                raise DslError(f"out must be two polarization labels, got "
-                               f"{out_tok.text!r}", out_tok.line, out_tok.col,
-                               "e.g. out=xp,yp")
+            if (len(parts) != 2 or parts[0] == parts[1]
+                    or not all(_POL_RE.match(p) for p in parts)):
+                raise DslError(f"out must be two different polarization "
+                               f"labels, got {out_tok.text!r}", out_tok.line,
+                               out_tok.col, "e.g. out=xp,yp")
             angle = _float(args["angle"], "angle")
             if not (-90.0 < angle <= 90.0):
                 tok = args["angle"]
@@ -258,26 +271,24 @@ def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
-def _pair_probability_p1(params: SpdcParams) -> float:
-    from .source import pair_probability
-    return pair_probability(1, params.r)
+def _element_line(decl: ElementDecl) -> str:
+    """An element's canonical stanza, which also names it in diagnostics."""
+    if isinstance(decl, BsDecl):
+        return (f"bs R={_fmt(decl.R)} in={decl.input} "
+                f"refl={decl.reflected_out} trans={decl.transmitted_out}")
+    if isinstance(decl, HwpDecl):
+        return (f"hwp angle={_fmt(decl.angle_deg)} on={decl.target} "
+                f"out={decl.out_pols[0]},{decl.out_pols[1]}")
+    return f"pbs on={decl.target}"
 
 
 def serialize(config: ExperimentConfig) -> str:
     """Canonical text form; parse(serialize(c)) structurally equals c.
     Elements keep their declared order, which is the propagation order."""
     lines = [f"source spdc nmax={config.source.n_max} "
-             f"p1={_fmt(_pair_probability_p1(config.source))} "
+             f"p1={_fmt(pair_probability(1, config.source.r))} "
              f"visibility={_fmt(config.noise.visibility)}"]
-    for decl in config.elements:
-        if isinstance(decl, BsDecl):
-            lines.append(f"bs R={_fmt(decl.R)} in={decl.input} "
-                         f"refl={decl.reflected_out} trans={decl.transmitted_out}")
-        elif isinstance(decl, HwpDecl):
-            lines.append(f"hwp angle={_fmt(decl.angle_deg)} on={decl.target} "
-                         f"out={decl.out_pols[0]},{decl.out_pols[1]}")
-        else:
-            lines.append(f"pbs on={decl.target}")
+    lines += [_element_line(decl) for decl in config.elements]
     for det in sorted(config.detectors, key=lambda d: d.id):
         lines.append(f"detector dark={_fmt(det.dark_rate)} eta={_fmt(det.eta)} "
                      f"id={det.id} kind={det.kind} "
@@ -296,45 +307,63 @@ def validate(config: ExperimentConfig) -> list[str]:
     """Cross-reference checks; returns diagnostics instead of raising."""
     diagnostics: list[str] = []
     ids = {d.id for d in config.detectors}
-    if config.herald_ids:
-        if len(config.herald_ids) != 4:
-            diagnostics.append("error: herald requires four trigger detectors, "
-                               f"got {len(config.herald_ids)}")
-        for det_id in config.herald_ids:
-            if det_id not in ids:
-                diagnostics.append(f"error: herald names unknown detector "
-                                   f"{det_id!r}")
-        if config.source.n_max < 3:
-            diagnostics.append(f"warning: nmax={config.source.n_max} cannot "
-                               "emit the three pairs a herald needs")
+    # every command heralds on four triggers
+    if len(config.herald_ids) != 4:
+        diagnostics.append("error: herald requires four trigger detectors, "
+                           f"got {len(config.herald_ids)}")
+    for det_id in dict.fromkeys(config.herald_ids):
+        if det_id not in ids:
+            diagnostics.append(f"error: herald names unknown detector "
+                               f"{det_id!r}")
+        elif config.herald_ids.count(det_id) > 1:
+            diagnostics.append(f"error: herald names detector {det_id!r} "
+                               "more than once")
+    if config.source.n_max < 3:
+        diagnostics.append(f"warning: nmax={config.source.n_max} cannot "
+                           "emit the three pairs a herald needs")
 
-    # walk the circuit to find every mode that can carry photons at the end
-    live = set(initial_modes())
+    # walk the transforms `config.circuit()` composes, from the source
+    # modes; `live` maps each mode that carries light to the stanza feeding it
+    live = dict.fromkeys(SOURCE_MODES, "source")
     for decl in config.elements:
-        if isinstance(decl, BsDecl):
-            for pol in ("x", "y"):
-                if (decl.input, pol) in live:
-                    live.discard((decl.input, pol))
-                    live.add((decl.reflected_out, pol))
-                    live.add((decl.transmitted_out, pol))
-                else:
-                    diagnostics.append(f"error: bs input mode "
-                                       f"{decl.input}:{pol} is never produced")
-        elif isinstance(decl, HwpDecl):
-            for pol, out in zip(("x", "y"), decl.out_pols):
-                if (decl.target, pol) in live:
-                    live.discard((decl.target, pol))
-                    live.add((decl.target, out))
-                else:
-                    diagnostics.append(f"error: hwp target mode "
-                                       f"{decl.target}:{pol} is never produced")
-        elif isinstance(decl, PbsDecl):
+        stanza, transform = _element_line(decl), element_transform(decl)
+        if transform is None:
             if not any(m[0] == decl.target for m in live):
-                diagnostics.append(f"error: pbs target {decl.target!r} carries "
-                                   "no modes")
+                diagnostics.append(f"error: {stanza}: arm {decl.target!r} "
+                                   "carries no modes")
+            continue
+        for m in transform.columns:
+            if live.pop(m, None) is None:
+                diagnostics.append(f"error: {stanza} reads mode {m[0]}:{m[1]}"
+                                   " which no element produces")
+        for m in dict.fromkeys(m for col in transform.columns.values()
+                               for _, m in col):
+            if m in live:
+                diagnostics.append(f"error: {stanza} and {live[m]} both "
+                                   f"feed mode {m[0]}:{m[1]}")
+            live[m] = stanza
+    # each mode is read once: by one detector, and by no trigger if it lies
+    # on an output arm, whose modes the herald reads together
+    arms = config.output_arms()
+    watcher: dict[tuple[str, str], str] = {}
     for det in config.detectors:
+        mode = f"{det.mode[0]}:{det.mode[1]}"
         if det.mode not in live:
             diagnostics.append(f"error: detector {det.id!r} watches mode "
-                               f"{det.mode[0]}:{det.mode[1]} which no element "
-                               "produces")
+                               f"{mode} which no element produces")
+        if det.mode in watcher:
+            diagnostics.append(f"error: detectors {watcher[det.mode]!r} and "
+                               f"{det.id!r} both watch mode {mode}")
+        elif det.id in config.herald_ids and det.mode[0] in arms:
+            diagnostics.append(f"error: trigger {det.id!r} watches mode "
+                               f"{mode} on output arm {det.mode[0]!r}")
+        watcher.setdefault(det.mode, det.id)
+    if len(arms) != 2:
+        diagnostics.append("error: heralding needs exactly two output arms; "
+                           f"the output detectors sit on arms {list(arms)}")
+    for arm in arms:
+        pols = sorted(pol for spatial, pol in live if spatial == arm)
+        if len(pols) != 2:
+            diagnostics.append(f"error: output arm {arm!r} carries modes "
+                               f"{pols}; heralding reads one qubit from two")
     return diagnostics

@@ -1,21 +1,26 @@
 """Command-line front end: exit codes, file outputs, schema conformance."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import heraldsim
 from heraldsim import cli, fixture_path, schema_path
-from heraldsim.dsl import parse
+from heraldsim.dsl import DslError, parse, validate
 from heraldsim.fock import ConfigError
 from heraldsim.source import truncation_deficit
 
@@ -253,19 +258,156 @@ def test_herald_reads_a_relabelled_output_arm(tmp_path):
     assert sweeps[1].stdout == sweeps[0].stdout
 
 
+COMMAND_FLAGS = {"herald": ("--json",), "sweep": ("--steps", "2"),
+                 "montecarlo": ("--pulses", "1000")}
+
+
 def test_herald_rejects_a_single_output_arm(tmp_path):
     path = tmp_path / "one_arm.exp"
     path.write_text("".join(
         line for line in fixture_text("paper_5050.exp").splitlines(
             keepends=True)
         if "mode=d:" not in line), encoding="utf-8")
-    for command in ("herald", "sweep"):
-        proc = run_cli(command, str(path), *(("--steps", "2")
-                                             if command == "sweep" else ()))
+    for command, flags in COMMAND_FLAGS.items():
+        # validation rejects the layout before any output is written
+        out = tmp_path / f"{command}_run"
+        if command == "montecarlo":
+            flags += ("--out", str(out))
+        proc = run_cli(command, str(path), *flags)
         assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
         assert "exactly two output arms" in proc.stderr
         assert "['c']" in proc.stderr
         assert "runtime error" not in proc.stderr
+
+
+def _without(text, *fragments):
+    """`text` without the lines holding any of `fragments`."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not any(f in line for f in fragments))
+
+
+PAPER_7030 = fixture_text("paper_7030.exp")
+
+# layouts each command would refuse, or run to a wrong answer; validation
+# (or the parser) must reject them, naming the stanzas or detector ids
+BAD_LAYOUTS = {
+    # two splitters feed output arm c
+    "merge": (_without(PAPER_7030.replace("bs in=b refl=d", "bs in=b refl=c"),
+                       "mode=d:"),
+              ["error: bs R=0.685 in=b refl=c trans=f and bs R=0.685 in=a "
+               "refl=c trans=e both feed mode c:x"]),
+    "no_herald": (_without(PAPER_7030, "herald "),
+                  ["herald requires four trigger detectors, got 0"]),
+    "trigger_mode_twice": (PAPER_7030.replace("id=t4 mode=f:yp",
+                                              "id=t4 mode=f:xp"),
+                           ["detectors 't3' and 't4' both watch mode f:xp"]),
+    "output_mode_twice": (PAPER_7030.replace("id=s4 mode=d:y",
+                                             "id=s4 mode=d:x"),
+                          ["detectors 's3' and 's4' both watch mode d:x"]),
+    "trigger_on_output_arm": (
+        _without(PAPER_7030.replace("id=t4 mode=f:yp", "id=t4 mode=c:x"),
+                 "id=s1 "),
+        ["trigger 't4' watches mode c:x on output arm 'c'"]),
+    "herald_id_twice": (
+        _without(PAPER_7030.replace("t3 t4", "t3 t3"), "id=t4 "),
+        ["herald names detector 't3' more than once"]),
+    # a plate turns arm c to xp, yp, and a later splitter adds x, y to it
+    "arm_with_four_modes": ("""\
+source spdc p1=0.047 nmax=3 visibility=0.91
+bs in=a refl=c trans=e R=0.685
+hwp on=c angle=-22.5 out=xp,yp
+bs in=b refl=c trans=f R=0.685
+bs in=e refl=d trans=g R=0.5
+detector id=t1 mode=g:x
+detector id=t2 mode=g:y
+detector id=t3 mode=f:x
+detector id=t4 mode=f:y
+detector id=s1 mode=c:x
+detector id=s2 mode=c:y
+detector id=s3 mode=d:x
+detector id=s4 mode=d:y
+herald t1 t2 t3 t4
+""", ["output arm 'c' carries modes ['x', 'xp', 'y', 'yp']"]),
+    "hwp_outputs_coincide": (
+        PAPER_7030.replace("out=xp,yp", "out=xp,xp")
+        .replace("id=t4 mode=f:yp", "id=t4 mode=f:xp"),
+        ["out must be two different polarization labels, got 'xp,xp'"]),
+    "bs_outputs_coincide": (PAPER_7030.replace("refl=c trans=e",
+                                               "refl=e trans=e"),
+                            ["refl and trans are both 'e'"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LAYOUTS))
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_bad_layout_exits_two_at_load_time(name, command, tmp_path, capsys):
+    text, needles = BAD_LAYOUTS[name]
+    path = tmp_path / f"{name}.exp"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "run"
+    argv = [command, str(path), *COMMAND_FLAGS[command]]
+    if command == "montecarlo":
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not out.exists()
+    for needle in needles:
+        assert needle in captured.err
+    assert "runtime error" not in captured.err
+
+
+SPATIAL = tuple("abcdef")
+POLS = ("x", "y", "xp", "yp")
+
+
+def _label_slots(text):
+    """(start, end, choices) of every spatial and polarization label in the
+    element and detector stanzas of `text`."""
+    slots = []
+    for pattern, choices in ((r"\b(?:in|refl|trans|on)=(\w+)", [SPATIAL]),
+                             (r"\bout=(\w+),(\w+)", [POLS, POLS]),
+                             (r"\bmode=(\w+):(\w+)", [SPATIAL, POLS])):
+        for m in re.finditer(pattern, text):
+            slots += [(*m.span(i + 1), c) for i, c in enumerate(choices)]
+    return sorted(slots)
+
+
+@st.composite
+def relabelled_layouts(draw):
+    """paper_7030 at nmax 3 with its labels redrawn: each label is renamed
+    the same way everywhere, to itself about three times in four, and at
+    most one single label is then redrawn on its own."""
+    text = PAPER_7030.replace("nmax=4", "nmax=3")
+    slots = _label_slots(text)
+    rename = {old: draw(st.sampled_from((old,) * 3 * len(choices) + choices))
+              for choices in (SPATIAL, POLS) for old in choices}
+    labels = [rename[text[start:end]] for start, end, _ in slots]
+    for i in draw(st.lists(st.integers(0, len(slots) - 1), max_size=1)):
+        labels[i] = draw(st.sampled_from(slots[i][2]))
+    for (start, end, _), label in reversed(list(zip(slots, labels))):
+        text = text[:start] + label + text[end:]
+    return text
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_layouts())
+def test_herald_runs_every_layout_validation_accepts(text):
+    try:
+        errors = [d for d in validate(parse(text)) if d.startswith("error")]
+    except DslError as exc:
+        errors = [str(exc)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "layout.exp")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["herald", path, "--json"])
+    assert code == (2 if errors else 0), (text, err.getvalue())
 
 
 def _fail(*args, **kwargs):

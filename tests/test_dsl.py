@@ -14,15 +14,18 @@ from heraldsim.fock import ConfigError
 from heraldsim.source import (SourceNoise, SpdcParams, coupling_from_rate,
                               n_pair_state, pair_probability)
 
-from conftest import BOOSTED_CONFIG, fixture_text
+from conftest import (BOOSTED_CONFIG, RELABELLED_5050, ROTATED_ARM_5050,
+                      fixture_text)
 
 
 FIXTURES = ["paper_5050.exp", "paper_6040.exp", "paper_7030.exp"]
 
 
-@pytest.mark.parametrize("name", FIXTURES)
-def test_fixtures_parse_clean(name):
-    cfg = parse(fixture_text(name))
+@pytest.mark.parametrize("text", [fixture_text(n) for n in FIXTURES] + [
+    BOOSTED_CONFIG, RELABELLED_5050, ROTATED_ARM_5050],
+    ids=FIXTURES + ["boosted", "relabelled", "rotated_arm"])
+def test_fixtures_parse_clean(text):
+    cfg = parse(text)
     assert validate(cfg) == []
     assert len(cfg.detectors) == 8
     assert len(cfg.herald_ids) == 4
@@ -171,6 +174,19 @@ def test_negative_dark_rate_or_window_reports_location(new, blamed):
     assert "outside [0, inf]" in str(err.value)
 
 
+@pytest.mark.parametrize("old, new, blamed", [
+    ("out=xp,yp", "out=xp,xp", "out=xp,xp"),
+    ("refl=c trans=e", "refl=e trans=e", "trans=e"),
+])
+def test_coinciding_element_outputs_report_location(old, new, blamed):
+    # each element's transform feeds both of its outputs, so a walk over
+    # live modes cannot tell two outputs that coincide; the parser does
+    text = fixture_text("paper_5050.exp").replace(old, new, 1)
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == value_location(text, blamed)
+
+
 @pytest.mark.parametrize("line", [
     "seed 9223372036854775808", "seed 9223372036854776808",
     "seed 18446744073709551616", "seed -1",
@@ -299,7 +315,8 @@ def test_parser_is_total_on_near_grammar_soup(text):
 
 
 # configs drawn over the whole grammar, numbers as short decimals so that
-# every value survives the serializer's nine significant digits
+# every value survives the serializer's nine significant digits; an
+# element's two outputs differ, as the parser requires
 label = st.text(alphabet="abcdefxyz", min_size=1, max_size=3)
 pol_label = st.text(alphabet="xyp", min_size=1, max_size=2).map(
     lambda p: "x" + p)
@@ -310,10 +327,12 @@ unit = st.integers(min_value=0, max_value=10 ** 6).map(lambda n: n / 1e6)
 def configs(draw):
     elements = draw(st.lists(st.one_of(
         st.builds(BsDecl, input=label, reflected_out=label,
-                  transmitted_out=label, R=unit),
+                  transmitted_out=label, R=unit).filter(
+                      lambda bs: bs.reflected_out != bs.transmitted_out),
         st.builds(HwpDecl, target=label,
                   angle_deg=st.integers(-899999, 900000).map(lambda n: n / 1e4),
-                  out_pols=st.tuples(pol_label, pol_label)),
+                  out_pols=st.lists(pol_label, min_size=2, max_size=2,
+                                    unique=True).map(tuple)),
         st.builds(PbsDecl, target=label)), max_size=6))
     ids = draw(st.lists(label, min_size=1, max_size=8, unique=True))
     detectors = tuple(DetectorSpec(

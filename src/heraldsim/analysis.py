@@ -3,7 +3,7 @@ and the four-pair correction.
 
 Error bars use first-order propagation on independent Poisson counts.  The
 four-pair correction builds its sectors with `source.pair_power_states`
-through the compiled heralding circuit, substituting no state.
+through the composed heralding circuit, substituting no state.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from typing import Mapping
 from .detect import herald, threshold_detector
 from .elements import TRIGGER_MODES, heralding_circuit
 from .fock import ConfigError
-from .source import (SOURCE_MODES, SpdcParams, pair_power_states,
-                     pair_probability)
+from .source import SpdcParams, pair_power_states, pair_probability
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def four_pair_correction(params: SpdcParams, R: float,
     triggers = [threshold_detector(f"t{i}", m, eta=eta_t)
                 for i, m in enumerate(TRIGGER_MODES, start=1)]
     res3, res4 = (herald(state, triggers) for state in pair_power_states(
-        [(3, 0), (4, 0)], heralding_circuit(R).compile(set(SOURCE_MODES))))
+        [(3, 0), (4, 0)], heralding_circuit(R)))
     eff3 = res3.preparation_efficiency
     good = (p3 * res3.herald_probability * res3.preparation_efficiency
             + p4 * res4.herald_probability * res4.preparation_efficiency)

@@ -1,7 +1,7 @@
 """Command-line front end: herald report, efficiency sweep, Monte Carlo runs.
 
 Every command builds its source branches with `source.pair_power_states`
-from the pair operators taken through the compiled circuit; none
+from the pair operators taken through the composed circuit; none
 substitutes a state.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
@@ -35,7 +35,7 @@ from .detect import HeraldResult, decompose_s1, herald
 from .dsl import DslError, parse, validate
 from .fock import ConfigError, PureState
 from .mc import pattern_sums, precompute_outcome_tables, run_experiment
-from .source import SOURCE_MODES, pair_power_states
+from .source import pair_power_states
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,10 +79,9 @@ def _load_config(path: str) -> ExperimentConfig:
 def _three_pair_herald(config: ExperimentConfig
                        ) -> tuple[PureState, HeraldResult]:
     """The three-pair state after the config's circuit, built from the pair
-    operators taken through the compiled circuit, and its herald on the
+    operators taken through the composed circuit, and its herald on the
     config's triggers."""
-    [state] = pair_power_states(
-        [(3, 0)], config.circuit().compile(set(SOURCE_MODES)))
+    [state] = pair_power_states([(3, 0)], config.circuit())
     return state, herald(state, config.trigger_detectors(),
                          output_arms=config.output_arms())
 
@@ -191,8 +190,7 @@ def _summary_payload(config: ExperimentConfig, result) -> dict:
         violated, n_sigma = violates_chsh(result.fidelity)
         payload["chsh"] = {"threshold": chsh_werner_threshold(),
                            "violates": violated,
-                           "n_sigmas": (n_sigma if n_sigma not in
-                                        (float("inf"), float("-inf"))
+                           "n_sigmas": (n_sigma if math.isfinite(n_sigma)
                                         else None)}
     return payload
 
@@ -250,8 +248,6 @@ def cmd_montecarlo(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
-    with _stage("write"):
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     print(f"running {len(config.bases) or 1} basis settings, "
@@ -265,6 +261,8 @@ def cmd_montecarlo(args) -> int:
     t2 = time.perf_counter()
 
     with _stage("write"):
+        # made only now: a config the tables reject leaves no directory
+        out_dir.mkdir(parents=True, exist_ok=True)
         outputs, summary_text = _write_outputs(out_dir, config, result)
         t3 = time.perf_counter()
         manifest = {

@@ -6,7 +6,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .detect import DetectorSpec
-from .elements import (CircuitSpec, ModeTransform, beam_splitter,
+from .elements import (SOURCE_MODES, ModeTransform, beam_splitter, compose,
                        half_wave_plate)
 from .fock import ConfigError
 from .source import SourceNoise, SpdcParams
@@ -74,10 +74,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}={getattr(self, name)} outside "
                                   f"[{low}, 2^63)")
 
-    def circuit(self) -> CircuitSpec:
-        """The declared elements' transforms in propagation order."""
-        transforms = (element_transform(decl) for decl in self.elements)
-        return CircuitSpec(tuple(t for t in transforms if t is not None))
+    def circuit(self) -> ModeTransform:
+        """The declared elements composed on the source modes."""
+        transforms = filter(None, map(element_transform, self.elements))
+        return compose(tuple(transforms), SOURCE_MODES)
 
     def detector_by_id(self, det_id: str) -> DetectorSpec:
         for det in self.detectors:
@@ -89,15 +89,10 @@ class ExperimentConfig:
         return [self.detector_by_id(i) for i in self.herald_ids]
 
     def output_detectors(self) -> list[DetectorSpec]:
-        herald = set(self.herald_ids)
-        return [d for d in self.detectors if d.id not in herald]
+        return [d for d in self.detectors if d.id not in self.herald_ids]
 
     def output_arms(self) -> tuple[str, ...]:
-        arms = []
-        for det in self.output_detectors():
-            if det.mode[0] not in arms:
-                arms.append(det.mode[0])
-        return tuple(arms)
+        return tuple(dict.fromkeys(d.mode[0] for d in self.output_detectors()))
 
     def beam_splitter_R(self) -> float:
         for decl in self.elements:

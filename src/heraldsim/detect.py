@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (OUTPUT_ARMS, POL_H, POL_V, TRIGGER_MODES, CircuitSpec,
-                       apply_circuit, measurement_rotation)
-from .fock import ConfigError, MixedState, Mode, PureState, as_mixed, places
+from .elements import (OUTPUT_ARMS, POL_H, POL_V, TRIGGER_MODES, ModeTransform,
+                       compose, measurement_rotation)
+from .fock import (ConfigError, MixedState, Mode, PureState, as_mixed, places,
+                   substitute_modes)
 
 THRESHOLD = "threshold"
 NUMBER_RESOLVING = "pnr"
@@ -138,6 +139,29 @@ def click_pattern_probabilities(state: PureState | MixedState,
     return acc.sum(axis=0)
 
 
+def _arm_ports(output_detectors: list[DetectorSpec], arm: str) -> list[int]:
+    """The indices of the two output detectors on `arm` by polarization
+    label: the first registers H, + or R after the measurement rotation."""
+    ports = sorted((i for i, d in enumerate(output_detectors)
+                    if d.mode[0] == arm),
+                   key=lambda i: output_detectors[i].mode[1])
+    if len(ports) != 2:
+        ids = [output_detectors[i].id for i in ports]
+        raise ConfigError("six-fold counting needs exactly two detectors "
+                          f"on output arm {arm!r}; it has {ids}")
+    return ports
+
+
+def basis_rotations(output_detectors: list[DetectorSpec],
+                    output_arms: tuple[str, ...], basis: tuple[str, str]
+                    ) -> tuple[ModeTransform, ...]:
+    """Each output arm's measurement rotation in `basis`, onto the modes of
+    its two detectors in the order `sixfold_outcomes` reads them."""
+    return tuple(measurement_rotation(arm, b, tuple(
+        output_detectors[i].mode[1] for i in _arm_ports(output_detectors, arm))
+    ) for arm, b in zip(output_arms, basis))
+
+
 def sixfold_outcomes(trigger_detectors: list[DetectorSpec],
                      output_detectors: list[DetectorSpec],
                      output_arms: tuple[str, ...]
@@ -146,8 +170,8 @@ def sixfold_outcomes(trigger_detectors: list[DetectorSpec],
     the output detectors (bit i = detector i clicked): per pattern, whether
     every trigger clicked, and the outcome 2 o_0 + o_1, or -1 unless every
     trigger and exactly one port of each output arm clicked.  Each of the two
-    arms holds exactly two ports; o_a = 0 if the one whose polarization label
-    sorts first (x: H, + or R after the measurement rotation) clicked."""
+    arms holds exactly two ports (`_arm_ports`); o_a = 0 if the first
+    clicked."""
     if len(output_arms) != 2:
         raise ConfigError("six-fold counting needs exactly two output arms; "
                           f"the output detectors sit on arms {list(output_arms)}")
@@ -158,14 +182,8 @@ def sixfold_outcomes(trigger_detectors: list[DetectorSpec],
     outcome = np.zeros_like(patterns)
     valid = is_trigger
     for arm in output_arms:
-        ports = sorted((i for i, d in enumerate(output_detectors)
-                        if d.mode[0] == arm),
-                       key=lambda i: output_detectors[i].mode[1])
-        if len(ports) != 2:
-            ids = [output_detectors[i].id for i in ports]
-            raise ConfigError("six-fold counting needs exactly two detectors "
-                              f"on output arm {arm!r}; it has {ids}")
-        first, second = (patterns >> (n_trig + i) & 1 for i in ports)
+        first, second = (patterns >> (n_trig + i) & 1
+                         for i in _arm_ports(output_detectors, arm))
         valid = valid & (first != second)
         outcome = 2 * outcome + second
     return is_trigger, np.where(valid, outcome, -1)
@@ -288,12 +306,12 @@ def sixfold_probability(state: PureState | MixedState,
     matching coincidence-logic counting.  An output port's event is any
     reading of one or more photons, a threshold detector's click.
     """
-    rotation = CircuitSpec(tuple(measurement_rotation(arm, b)
-                                 for arm, b in zip(output_arms, basis)))
-    rotated = MixedState(tuple((weight, apply_circuit(pure, rotation))
-                               for weight, pure in as_mixed(state).branches))
     _, outcomes = sixfold_outcomes(trigger_detectors, output_detectors,
                                    output_arms)
+    rotations = basis_rotations(output_detectors, output_arms, basis)
+    rotated = MixedState(tuple(
+        (w, substitute_modes(pure, compose(rotations, pure.occupied_modes())))
+        for w, pure in as_mixed(state).branches))
     # the least pattern of the outcome: no output detector off the arms clicks
     pattern = np.flatnonzero(outcomes == 2 * outcome[0] + outcome[1])[0]
     any_reading = [dataclasses.replace(d, kind=THRESHOLD)

@@ -31,23 +31,19 @@ from dataclasses import dataclass
 from .config import (COUNT_END, COUNT_LOW, BsDecl, ElementDecl,
                      ExperimentConfig, HwpDecl, PbsDecl, element_transform)
 from .detect import NUMBER_RESOLVING, THRESHOLD, DetectorSpec
+from .elements import SOURCE_MODES
 from .fock import ConfigError
-from .source import (SOURCE_MODES, SourceNoise, SpdcParams,
-                     coupling_from_rate, pair_probability)
+from .source import (SourceNoise, SpdcParams, coupling_from_rate,
+                     pair_probability)
 
 BASES = ("HV", "DA", "RL")
 
 
 class DslError(ConfigError):
     def __init__(self, message: str, line: int, col: int, hint: str = ""):
-        self.message = message
-        self.line = line
-        self.col = col
-        self.hint = hint
-        text = f"line {line}, col {col}: {message}"
-        if hint:
-            text += f" ({hint})"
-        super().__init__(text)
+        self.line, self.col, self.hint = line, col, hint
+        super().__init__(f"line {line}, col {col}: {message}"
+                         + (f" ({hint})" if hint else ""))
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ def _int(tok: Token, name: str, lo: int | None = None) -> int:
     return value
 
 
-_POL_RE = re.compile(r"^[a-z][a-z0-9']*$")
+_POL_RE = r"[a-z][a-z0-9']*"
 
 
 def _mode(tok: Token) -> tuple[str, str]:
@@ -190,7 +186,7 @@ def parse(text: str) -> ExperimentConfig:
             out_tok = args["out"]
             parts = out_tok.text.split(",")
             if (len(parts) != 2 or parts[0] == parts[1]
-                    or not all(_POL_RE.match(p) for p in parts)):
+                    or not all(re.fullmatch(_POL_RE, p) for p in parts)):
                 raise DslError(f"out must be two different polarization "
                                f"labels, got {out_tok.text!r}", out_tok.line,
                                out_tok.col, "e.g. out=xp,yp")

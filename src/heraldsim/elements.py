@@ -1,16 +1,18 @@
-"""Linear optical elements and circuit application.
+"""Linear optical elements and circuits, each a `ModeTransform`.
 
 Elements are expressed as linear maps on creation operators (the same real
 coefficients the annihilation-operator convention would use; for complex
 maps this fixes the conjugation convention).  Every element is lossless,
 an isometry on its declared input modes; detector loss is not a circuit
-element but part of the detector model in `heraldsim.detect`.
+element but part of the detector model in `heraldsim.detect`.  A circuit
+is its elements composed into one map (`compose`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from .fock import ConfigError, Mode, PureState, substitute_modes
 
@@ -20,6 +22,9 @@ POL_DIAG = ("xp", "yp")  # x', y' labels after the trigger-arm wave plate
 
 LOSSLESS_ATOL = 1e-9
 
+# the two SPDC arms, where every circuit starts
+SOURCE_MODES: tuple[Mode, ...] = (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
+
 
 @dataclass(frozen=True)
 class ModeTransform:
@@ -27,24 +32,17 @@ class ModeTransform:
 
     columns: dict[Mode, tuple[tuple[complex, Mode], ...]]
 
-    def extended(self, modes: set[Mode]) -> "ModeTransform":
-        """Add identity columns for occupied modes this element ignores."""
-        extra = {m: ((1.0 + 0.0j, m),) for m in modes if m not in self.columns}
-        if not extra:
-            return self
-        return ModeTransform({**self.columns, **extra})
+    def extended(self, modes: Iterable[Mode]) -> "ModeTransform":
+        """This map on `modes`, identity on the ones it ignores."""
+        return compose((self,), modes)
 
     def gram_deviation(self) -> float:
         """Max deviation of the column Gram matrix from the identity."""
-        cols = list(self.columns.items())
-        dev = 0.0
-        for i, (_, ci) in enumerate(cols):
-            di = dict((m, c) for c, m in ci)
-            for j, (_, cj) in enumerate(cols):
-                g = sum(di.get(m, 0.0).conjugate() * c for c, m in cj)
-                target = 1.0 if i == j else 0.0
-                dev = max(dev, abs(g - target))
-        return dev
+        cols = [dict((m, c) for c, m in col) for col in self.columns.values()]
+        return max((abs(sum(ci.get(m, 0.0).conjugate() * c
+                            for m, c in cj.items()) - (i == j))
+                    for i, ci in enumerate(cols) for j, cj in enumerate(cols)),
+                   default=0.0)
 
 
 def beam_splitter(R: float, input: str, reflected_out: str,
@@ -79,14 +77,15 @@ def half_wave_plate(angle_deg: float, target: str,
     return ModeTransform(columns)
 
 
-def measurement_rotation(spatial: str, basis: str) -> ModeTransform:
-    """Map H/V creation operators onto the detectors of a measurement basis.
-
-    After the rotation the detector on (spatial, x) registers the first
-    outcome of the basis (H, + or R) and (spatial, y) the second.
-    """
-    hx: Mode = (spatial, POL_H)
-    vy: Mode = (spatial, POL_V)
+def measurement_rotation(spatial: str, basis: str,
+                         pols: tuple[str, str] = (POL_H, POL_V)
+                         ) -> ModeTransform:
+    """Map an arm's two polarization modes onto the detectors of a
+    measurement basis: after it the detector on (spatial, pols[0]) registers
+    the first outcome of the basis (H, + or R) and (spatial, pols[1]) the
+    second."""
+    hx: Mode = (spatial, pols[0])
+    vy: Mode = (spatial, pols[1])
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     if basis == "HV":
         columns = {hx: ((1.0 + 0.0j, hx),), vy: ((1.0 + 0.0j, vy),)}
@@ -104,39 +103,34 @@ def measurement_rotation(spatial: str, basis: str) -> ModeTransform:
 BASIS_OUTCOMES = {"HV": ("H", "V"), "DA": ("+", "-"), "RL": ("R", "L")}
 
 
-@dataclass(frozen=True)
-class CircuitSpec:
-    """Ordered pipeline of mode transforms (propagation order)."""
-
-    transforms: tuple[ModeTransform, ...] = field(default_factory=tuple)
-
-    def compile(self, modes: set[Mode]) -> ModeTransform:
-        """One column per mode of `modes`: the elements composed in
-        propagation order, each passing the modes it ignores unchanged.
-        Raises ConfigError unless the composed map is an isometry."""
-        columns = {}
-        for m in modes:
-            col: dict[Mode, complex] = {m: 1.0 + 0.0j}
-            for transform in self.transforms:
-                nxt: dict[Mode, complex] = {}
-                for om, c in col.items():
-                    for tc, tm in transform.columns.get(om, ((1.0, om),)):
-                        nxt[tm] = nxt.get(tm, 0.0) + c * tc
-                col = nxt
-            columns[m] = tuple((c, om) for om, c in col.items() if c != 0.0)
-        transform = ModeTransform(columns)
-        dev = transform.gram_deviation()
-        if dev > LOSSLESS_ATOL:
-            raise ConfigError("circuit is not lossless: its composed map "
-                              f"deviates from an isometry by {dev:.3g}")
-        return transform
+def compose(transforms: tuple[ModeTransform, ...], modes: Iterable[Mode]
+            ) -> ModeTransform:
+    """One column per mode of `modes`: `transforms` composed in propagation
+    order, each passing the modes it ignores unchanged.  Raises ConfigError
+    unless the composed map is an isometry."""
+    columns = {}
+    for m in modes:
+        col: dict[Mode, complex] = {m: 1.0 + 0.0j}
+        for transform in transforms:
+            nxt: dict[Mode, complex] = {}
+            for om, c in col.items():
+                for tc, tm in transform.columns.get(om, ((1.0, om),)):
+                    nxt[tm] = nxt.get(tm, 0.0) + c * tc
+            col = nxt
+        columns[m] = tuple((c, om) for om, c in col.items() if c != 0.0)
+    transform = ModeTransform(columns)
+    dev = transform.gram_deviation()
+    if dev > LOSSLESS_ATOL:
+        raise ConfigError("circuit is not lossless: its composed map "
+                          f"deviates from an isometry by {dev:.3g}")
+    return transform
 
 
-def apply_circuit(state: PureState, circuit: CircuitSpec) -> PureState:
-    return substitute_modes(state, circuit.compile(state.occupied_modes()))
+def apply_circuit(state: PureState, circuit: ModeTransform) -> PureState:
+    return substitute_modes(state, compose((circuit,), state.occupied_modes()))
 
 
-def heralding_circuit(R: float) -> CircuitSpec:
+def heralding_circuit(R: float) -> ModeTransform:
     """The heralded-source circuit: two partial BS and a trigger-arm HWP.
 
     Source arm a splits into output c and trigger e; arm b into output d and
@@ -145,11 +139,11 @@ def heralding_circuit(R: float) -> CircuitSpec:
     the (spatial, polarization) algebra already keeps apart, so they add no
     transform.  Trigger modes: e.x, e.y, f.xp, f.yp; output arms: c, d.
     """
-    return CircuitSpec((
+    return compose((
         beam_splitter(R, "a", reflected_out="c", transmitted_out="e"),
         beam_splitter(R, "b", reflected_out="d", transmitted_out="f"),
         half_wave_plate(-22.5, "f"),
-    ))
+    ), SOURCE_MODES)
 
 
 TRIGGER_MODES: tuple[Mode, ...] = (("e", "x"), ("e", "y"),

@@ -4,14 +4,14 @@ Pulses are i.i.d. and a run reports only each basis setting's click-pattern
 histogram, which for N pulses is exactly Multinomial(N, q), where q is the
 exact pattern distribution of the source mixture (the truncated tail as
 vacuum) after the circuit and the basis rotation.  The circuit and each
-basis's rotation compile into one source -> detector map; the two pair
+basis's rotations compose into one source -> detector map; the two pair
 operators are taken through it once and every source branch is built in
 detector modes from them (`source.pair_power_states`), with no per-branch
-substitution.  So each basis draws its
-histogram directly, as one multinomial from Philox keyed by (seed, basis
-index): sampling error is the only stochastic component, and the cost does
-not grow with N.  numpy does not promise stable `multinomial` streams across
-versions (NEP 19); the run manifest records the numpy version.
+substitution.  So each basis draws its histogram directly, as one
+multinomial from Philox keyed by (seed, basis index): sampling error is the
+only stochastic component, and the cost does not grow with N.  numpy does
+not promise stable `multinomial` streams across versions (NEP 19); the run
+manifest records the numpy version.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from numpy.random import Generator, Philox
 from .analysis import (EfficiencyEstimate, FidelityEstimate, PauliCorrelation,
                        correlation_from_counts, eff_exp, fidelity_phi_plus)
 from .config import ExperimentConfig
-from .detect import THRESHOLD, click_pattern_probabilities, sixfold_outcomes
-from .elements import BASIS_OUTCOMES, CircuitSpec, measurement_rotation
+from .detect import (THRESHOLD, basis_rotations, click_pattern_probabilities,
+                     sixfold_outcomes)
+from .elements import BASIS_OUTCOMES, SOURCE_MODES, compose
 from .fock import ConfigError, MixedState, make_vacuum
-from .source import SOURCE_MODES, dephased_source
+from .source import dephased_source
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,9 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
     """Exact click-pattern distribution per basis setting."""
     triggers, outputs = config.trigger_detectors(), config.output_detectors()
     detectors = triggers + outputs
-    if any(d.kind != THRESHOLD for d in detectors):
-        raise ConfigError("Monte Carlo tables support threshold detectors only")
+    if pnr := [d.id for d in detectors if d.kind != THRESHOLD]:
+        raise ConfigError("Monte Carlo tables support threshold detectors "
+                          f"only; not threshold: {', '.join(pnr)}")
     arms = config.output_arms()
     is_trigger, outcome_index = sixfold_outcomes(triggers, outputs, arms)
 
@@ -83,11 +85,10 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
     for basis in (config.bases or (("HV", "HV"),)):
         outcome_labels = tuple(product(BASIS_OUTCOMES[basis[0]],
                                        BASIS_OUTCOMES[basis[1]]))
-        # source modes -> this basis's detector modes, compiled once; every
-        # branch is built in detector modes from the compiled pair operators
-        to_detectors = CircuitSpec(circuit.transforms + tuple(
-            measurement_rotation(arm, b) for arm, b in zip(arms, basis))
-        ).compile(set(SOURCE_MODES))
+        # source modes -> this basis's detector modes, composed once; every
+        # branch is built in detector modes through it
+        to_detectors = compose(
+            (circuit, *basis_rotations(outputs, arms, basis)), SOURCE_MODES)
         branches = list(dephased_source(config.source, config.noise,
                                         to_detectors).branches)
         fock_terms = sum(len(out) for _, out in branches)

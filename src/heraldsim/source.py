@@ -3,7 +3,7 @@
 Every source branch is P-^k P+^j |0>, k ideal and j phase-flipped pairs,
 where P-/+ = a_x^dag b_y^dag -/+ a_y^dag b_x^dag.  `pair_power_states`
 makes every branch by multiplying the two pair polynomials, in the source
-modes or taken once through a compiled circuit.
+modes or taken once through a circuit composed on them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .elements import ModeTransform
+from .elements import SOURCE_MODES, ModeTransform
 from .fock import (ONE, ConfigError, MixedState, Mode, Polynomial, PureState,
                    places)
 
@@ -62,9 +62,6 @@ def coupling_from_rate(p1: float) -> float:
     if slope > 0.0:  # zero at the peak; the tangent never crosses past it
         x -= (2.0 * x * (1.0 - x) ** 2 - p1) / slope
     return math.atanh(math.sqrt(x))
-
-
-SOURCE_MODES: tuple[Mode, ...] = (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
 
 
 def _pair_polynomials(transform: ModeTransform,

@@ -4,7 +4,7 @@ import pytest
 
 from heraldsim import fixture_path
 from heraldsim.dsl import parse
-from heraldsim.elements import (CircuitSpec, beam_splitter, half_wave_plate,
+from heraldsim.elements import (beam_splitter, compose, half_wave_plate,
                                 measurement_rotation)
 from heraldsim.source import SOURCE_MODES
 
@@ -67,12 +67,12 @@ def close(a, b, tol=1e-12):
 
 
 def detector_map(R, angle, basis):
-    """A compiled source -> detector map: both splitters at R, a plate at
+    """A composed source -> detector map: both splitters at R, a plate at
     `angle` on trigger arm f and the measurement rotations of output arms c
     and d."""
-    return CircuitSpec((
+    return compose((
         beam_splitter(R, "a", reflected_out="c", transmitted_out="e"),
         beam_splitter(R, "b", reflected_out="d", transmitted_out="f"),
         half_wave_plate(angle, "f"),
         measurement_rotation("c", basis[0]),
-        measurement_rotation("d", basis[1]))).compile(set(SOURCE_MODES))
+        measurement_rotation("d", basis[1])), SOURCE_MODES)

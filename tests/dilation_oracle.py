@@ -136,6 +136,25 @@ def trigger_fires(det: DetectorSpec, reading) -> bool:
     return reading == 1
 
 
+def _columns(pure: PureState, modes: list[Mode]) -> np.ndarray:
+    """Photon counts of each term of `pure` on `modes`, one column per mode
+    (zeros for a mode the state does not carry)."""
+    counts, out = pure.counts(), np.zeros((len(pure), len(modes)), np.int64)
+    for j, m in enumerate(modes):
+        if m in pure.modes:
+            out[:, j] = counts[:, pure.modes.index(m)]
+    return out
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a non-negative int array and each row's index
+    among them, by packing every row into one integer."""
+    place = (int(rows.max(initial=0)) + 1) ** np.arange(rows.shape[1])
+    _, first, inverse = np.unique(rows @ place, return_index=True,
+                                  return_inverse=True)
+    return rows[first], inverse.ravel()
+
+
 def _surviving_occupations(state: PureState | MixedState,
                            detectors: list[DetectorSpec]
                            ) -> dict[tuple[int, ...], float]:
@@ -146,10 +165,10 @@ def _surviving_occupations(state: PureState | MixedState,
     modes = [d.mode for d in detectors]
     occ_probs: dict[tuple[int, ...], float] = {}
     for weight, pure in dilate(state, detectors):
-        for key, amp in pure.terms.items():
-            counts = dict(key)
-            occ = tuple(counts.get(m, 0) for m in modes)
-            occ_probs[occ] = occ_probs.get(occ, 0.0) + weight * abs(amp) ** 2
+        occs, inverse = _distinct_rows(_columns(pure, modes))
+        probs = np.bincount(inverse, np.abs(pure.amps) ** 2, len(occs))
+        for occ, p in zip(map(tuple, occs.tolist()), probs.tolist()):
+            occ_probs[occ] = occ_probs.get(occ, 0.0) + weight * p
     return occ_probs
 
 
@@ -179,35 +198,33 @@ def herald(state: PureState | MixedState, trigger_detectors: list[DetectorSpec],
            output_arms: tuple[str, str] = OUTPUT_ARMS) -> HeraldResult:
     """Condition on all four triggers firing, with trigger losses dilated."""
     trig_modes = [d.mode for d in trigger_detectors]
+    arm_modes = [(arm, pol) for arm in output_arms for pol in ("x", "y")]
     herald_p = good_p = 0.0
     rho = np.zeros((4, 4), dtype=complex)
-    # each environment pattern is an incoherent branch, here left
-    # unnormalized with the mixture weight outside
-    branches = [(weight, env_terms)
-                for weight, pure in dilate(state, trigger_detectors)
-                for env_terms in _group_by_env(pure, {
-                    m for m in pure.occupied_modes() if is_env_mode(m)}).values()]
-    for weight, terms in branches:
-        groups: dict[tuple[int, ...], dict[FockKey, complex]] = {}
-        for key, amp in terms.items():
-            occ = tuple(key_occupation(key, m) for m in trig_modes)
-            rest = tuple((m, n) for m, n in key if m not in trig_modes)
-            bucket = groups.setdefault(occ, {})
-            bucket[rest] = bucket.get(rest, 0.0) + amp
-        for occ, rest_terms in groups.items():
-            p_fire = math.prod(
-                sum(p for reading, p in surviving_readings(det, n)
-                    if trigger_fires(det, reading))
-                for det, n in zip(trigger_detectors, occ))
-            group_w = weight * p_fire
-            herald_p += group_w * sum(abs(a) ** 2 for a in rest_terms.values())
-            vec = np.zeros(4, dtype=complex)
-            for key, amp in rest_terms.items():
-                idx = qubit_index(key, output_arms)
-                if idx is not None:
-                    vec[idx] = amp
-            good_p += group_w * float(np.vdot(vec, vec).real)
-            rho += group_w * np.outer(vec, vec.conjugate())
+    for weight, pure in dilate(state, trigger_detectors):
+        # each environment pattern is an incoherent branch; within one, the
+        # terms with the same trigger counts are one coherent output state
+        env = _columns(pure, [m for m in pure.modes if is_env_mode(m)])
+        trig, arms = _columns(pure, trig_modes), _columns(pure, arm_modes)
+        groups, inverse = _distinct_rows(np.hstack([env, trig]))
+        p_fire = np.array([math.prod(
+            sum(p for reading, p in surviving_readings(det, n)
+                if trigger_fires(det, reading))
+            for det, n in zip(trigger_detectors, occ))
+            for occ in groups[:, env.shape[1]:].tolist()])
+        herald_p += weight * float(p_fire @ np.bincount(
+            inverse, np.abs(pure.amps) ** 2, len(groups)))
+        # the qubit part: one x- or y-polarized photon per output arm and
+        # nothing on any other mode but the environment and the triggers
+        others = (pure.counts().sum(axis=1) - env.sum(axis=1)
+                  - trig.sum(axis=1) - arms.sum(axis=1))
+        x0, y0, x1, y1 = arms.T
+        qubit = (x0 + y0 == 1) & (x1 + y1 == 1) & (others == 0)
+        vectors = np.zeros((len(groups), 4), dtype=complex)
+        vectors[inverse[qubit], (2 * y0 + y1)[qubit]] = pure.amps[qubit]
+        group_w = weight * p_fire
+        good_p += float(group_w @ (np.abs(vectors) ** 2).sum(axis=1))
+        rho += np.einsum("g,gi,gj->ij", group_w, vectors, vectors.conj())
     if herald_p <= 0.0:
         return HeraldResult(0.0, np.zeros((4, 4), dtype=complex), 0.0, False)
     return HeraldResult(herald_p, rho / herald_p, good_p / herald_p, True)

@@ -559,6 +559,19 @@ def test_montecarlo_rejects_arm_without_two_detectors(tmp_path):
     assert "arm 'd'" in proc.stderr and "s3" in proc.stderr
 
 
+def test_montecarlo_rejects_number_resolving_detectors(tmp_path):
+    path = tmp_path / "pnr_triggers.exp"
+    path.write_text(SMALL_MC.replace("mode=e:y\n", "mode=e:y kind=pnr\n")
+                    .replace("mode=f:yp\n", "mode=f:yp kind=pnr\n"),
+                    encoding="utf-8")
+    proc = run_cli("montecarlo", str(path), "--pulses", "1000",
+                   "--out", str(tmp_path / "run"))
+    assert proc.returncode == 2, proc.stderr
+    assert "threshold detectors only" in proc.stderr
+    assert "t2, t4" in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
 def test_montecarlo_summary_schema_and_manifest(boosted_file, tmp_path):
     out = tmp_path / "run"
     proc = run_cli("montecarlo", boosted_file, "--out", str(out), "--json")

@@ -1,19 +1,20 @@
 """Linear-optical elements: splitters, wave plates, loss, basis rotations,
-and circuits compiled into one transform."""
+and circuits composed into one transform."""
 
 import math
 
 import pytest
 
+from heraldsim.config import element_transform
 from heraldsim.dsl import parse
 from heraldsim.fock import ConfigError, mode, substitute_modes
 from heraldsim.elements import (
     LOSSLESS_ATOL,
-    CircuitSpec,
     ModeTransform,
     TRIGGER_MODES,
     apply_circuit,
     beam_splitter,
+    compose,
     half_wave_plate,
     heralding_circuit,
     measurement_rotation,
@@ -25,10 +26,17 @@ from conftest import RELABELLED_5050, fixture_text
 from dilation_oracle import loss_channel
 
 
-def apply_elementwise(state, circuit):
+def element_transforms(config):
+    """The transforms of `config`'s declared elements in propagation order,
+    the ones `config.circuit()` composes."""
+    transforms = (element_transform(decl) for decl in config.elements)
+    return tuple(t for t in transforms if t is not None)
+
+
+def apply_elementwise(state, transforms):
     """Reference: substitute element by element, each extended with identity
     columns for the occupied modes it ignores."""
-    for transform in circuit.transforms:
+    for transform in transforms:
         state = substitute_modes(state, transform.extended(state.occupied_modes()))
     return state
 
@@ -132,21 +140,20 @@ def test_circuit_norm_preserved_three_pairs():
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("name", sorted(CIRCUIT_TEXTS))
 def test_compiled_circuit_matches_elementwise(name, n):
-    circuit = parse(CIRCUIT_TEXTS[name]).circuit()
+    config = parse(CIRCUIT_TEXTS[name])
     st = n_pair_state(n)
-    compiled = apply_circuit(st, circuit)
-    reference = apply_elementwise(st, circuit)
+    compiled = apply_circuit(st, config.circuit())
+    reference = apply_elementwise(st, element_transforms(config))
     assert max_amplitude_gap(compiled, reference) < 1e-12
     assert compiled.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("basis", ["HV", "DA", "RL"])
 def test_compiled_basis_map_matches_circuit_then_rotation(paper_5050, basis):
-    circuit = paper_5050.circuit()
     rotations = tuple(measurement_rotation(arm, basis) for arm in ("c", "d"))
     st = n_pair_state(4)
-    to_detectors = CircuitSpec(circuit.transforms + rotations)
-    compiled = substitute_modes(st, to_detectors.compile(st.occupied_modes()))
+    to_detectors = element_transforms(paper_5050) + rotations
+    compiled = substitute_modes(st, compose(to_detectors, st.occupied_modes()))
     reference = apply_elementwise(st, to_detectors)  # circuit, then rotations
     assert max_amplitude_gap(compiled, reference) < 1e-12
 
@@ -156,8 +163,7 @@ def test_compile_rejects_non_isometric_element():
     scaled = ModeTransform(
         {m: tuple((0.9 * amp, om) for amp, om in col)
          for m, col in bs.columns.items()})
-    circuit = CircuitSpec((scaled,))
     with pytest.raises(ConfigError, match="deviates from an isometry by 0.19"):
-        circuit.compile({mode("a", "x"), mode("b", "y")})
+        compose((scaled,), {mode("a", "x"), mode("b", "y")})
     with pytest.raises(ConfigError):
-        apply_circuit(n_pair_state(1), circuit)
+        apply_circuit(n_pair_state(1), scaled)

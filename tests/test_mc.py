@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 from pathlib import Path
@@ -14,8 +15,8 @@ from scipy import stats
 from heraldsim import cli, fixture_path, mc
 from heraldsim.fock import ConfigError, MixedState, make_vacuum
 from heraldsim.dsl import parse
-from heraldsim.elements import CircuitSpec, apply_circuit, measurement_rotation
-from heraldsim.source import SOURCE_MODES, dephased_source
+from heraldsim.elements import apply_circuit, compose, measurement_rotation
+from heraldsim.source import SOURCE_MODES, dephased_source, n_pair_state
 from heraldsim.detect import (click_pattern_probabilities, click_probability,
                               fidelity_to_phi_plus, herald,
                               sixfold_probability)
@@ -91,9 +92,9 @@ def branch_vectors(cfg, basis):
     click-pattern vector, the truncated tail as a vacuum branch.  Built
     branch by branch with `apply_circuit`, not through the tables."""
     detectors = cfg.trigger_detectors() + cfg.output_detectors()
-    to_detectors = CircuitSpec(cfg.circuit().transforms + tuple(
+    to_detectors = compose((cfg.circuit(), *(
         measurement_rotation(arm, b)
-        for arm, b in zip(cfg.output_arms(), basis)))
+        for arm, b in zip(cfg.output_arms(), basis))), SOURCE_MODES)
     source = dephased_source(cfg.source, cfg.noise).branches
     weights = [w for w, _ in source]
     vectors = [click_pattern_probabilities(apply_circuit(st, to_detectors),
@@ -387,6 +388,36 @@ def test_tables_reject_number_resolving(boosted):
         precompute_outcome_tables(cfg)
 
 
+def plate_on_output_arm(out):
+    """The boosted config with a wave plate on output arm c whose two
+    outputs, and the c detectors, carry the labels `out`."""
+    a, b = out
+    return parse(BOOSTED_CONFIG.replace(
+        "hwp on=f angle=-22.5 out=xp,yp\n",
+        f"hwp on=f angle=-22.5 out=xp,yp\nhwp on=c angle=10 out={a},{b}\n")
+        .replace("mode=c:x", f"mode=c:{a}").replace("mode=c:y", f"mode=c:{b}"))
+
+
+def test_relabelled_output_arm_is_measured_in_every_basis():
+    # the same setup twice: only the labels of the plate's outputs differ,
+    # so every basis must rotate the relabelled arm as it does the plain one
+    relabelled, plain = (plate_on_output_arm(out)
+                         for out in (("u", "v"), ("x", "y")))
+    for got, want in zip(precompute_outcome_tables(relabelled),
+                         precompute_outcome_tables(plain)):
+        np.testing.assert_allclose(got.pattern_probs, want.pattern_probs,
+                                   rtol=0.0, atol=1e-12)
+    states = [apply_circuit(n_pair_state(3), cfg.circuit())
+              for cfg in (relabelled, plain)]
+    for basis in itertools.product(("HV", "DA", "RL"), repeat=2):
+        for outcome in itertools.product((0, 1), repeat=2):
+            got, want = (sixfold_probability(
+                st, cfg.trigger_detectors(), cfg.output_detectors(), basis,
+                outcome, cfg.output_arms())
+                for st, cfg in zip(states, (relabelled, plain)))
+            assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("eta, dark", [(None, None), (0.7, 0.02)])
 @pytest.mark.parametrize("basis", ["HV", "DA", "RL"])
 def test_pattern_vector_matches_loop(paper_5050, basis, eta, dark):
@@ -397,8 +428,8 @@ def test_pattern_vector_matches_loop(paper_5050, basis, eta, dark):
         detectors = [dataclasses.replace(d, coupling=eta, dark_rate=dark / 1e-8,
                                          window=1e-8)
                      for d in detectors]
-    to_detectors = CircuitSpec(paper_5050.circuit().transforms + tuple(
-        measurement_rotation(arm, basis) for arm in ("c", "d")))
+    to_detectors = compose((paper_5050.circuit(), *(
+        measurement_rotation(arm, basis) for arm in ("c", "d"))), SOURCE_MODES)
     for _, st in dephased_source(paper_5050.source, paper_5050.noise).branches:
         out = apply_circuit(st, to_detectors)
         # only the summation order differs: a few hundred terms <= 1 each
@@ -465,15 +496,14 @@ def oracle_config(name):
 def oracle_tables(cfg):
     """Per basis: the click-pattern distribution and the post-circuit term
     count by the term-by-term route, every oracle source branch substituted
-    through the compiled basis map."""
+    through the composed basis map."""
     detectors = cfg.trigger_detectors() + cfg.output_detectors()
     source = fock_oracle.dephased_branches(cfg.source, cfg.noise)
     out = []
     for basis in cfg.bases:
-        to_detectors = CircuitSpec(cfg.circuit().transforms + tuple(
+        to_detectors = compose((cfg.circuit(), *(
             measurement_rotation(arm, b)
-            for arm, b in zip(cfg.output_arms(), basis))
-        ).compile(set(SOURCE_MODES))
+            for arm, b in zip(cfg.output_arms(), basis))), SOURCE_MODES)
         branches = [(w, fock_oracle.substitute_modes(st, to_detectors))
                     for w, st in source]
         terms = sum(len(st) for _, st in branches)

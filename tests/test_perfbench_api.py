@@ -1,0 +1,49 @@
+"""The library names the benchmark in `perfbench/` calls still work.
+
+perfbench imports `heraldsim` directly (`apply_circuit(state,
+config.circuit())`, `measurement_rotation(arm, basis).extended(...)`,
+`run_experiment(..., aggregate=True)` and more), and its own suite is not
+part of this one.  These tests import its harness and run its layer probes
+and herald check in process, writing nothing.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from heraldsim import cli, fixture_path
+from heraldsim.dsl import parse
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import checks
+        import harness
+        import tracing
+    finally:
+        sys.path.remove(str(BENCH))
+    assert harness.checks is checks and harness.tracing is tracing
+    return checks, tracing
+
+
+def test_layer_probes_run(perfbench):
+    _, tracing = perfbench
+    probes = tracing.layer_probes([fixture_path("paper_5050.exp")],
+                                  lambda: 0.0, smoke=True)
+    assert probes["cli.import_s"] == 0.0
+    assert probes["fock.terms_out"] > 0 and probes["mc.patterns"] == 256
+
+
+@pytest.mark.parametrize("name", ["paper_5050.exp", "paper_7030.exp"])
+def test_herald_report_passes_the_benchmark_check(perfbench, name):
+    checks, _ = perfbench
+    cfg = parse(fixture_path(name).read_text(encoding="utf-8"))
+    schema = checks.load_schema("herald.schema.json")
+    assert checks.check_herald(json.dumps(cli._herald_report(cfg)),
+                               checks.herald_reference(cfg), schema) == []

@@ -2,7 +2,7 @@
 
 `herald`, `sweep` and `four_pair_correction` build their three- and
 four-pair sectors with `source.pair_power_states` from the pair operators
-taken through the compiled circuit.  The reference kept here is the route
+taken through the composed circuit.  The reference kept here is the route
 they replaced: the normalized n-pair source state substituted through the
 circuit with `apply_circuit`, then heralded.
 """
@@ -17,9 +17,8 @@ from heraldsim.analysis import four_pair_correction
 from heraldsim.detect import herald, threshold_detector
 from heraldsim.dsl import parse
 from heraldsim.elements import TRIGGER_MODES, apply_circuit, heralding_circuit
-from heraldsim.source import (SOURCE_MODES, SpdcParams, coupling_from_rate,
-                              n_pair_state, pair_power_states,
-                              pair_probability)
+from heraldsim.source import (SpdcParams, coupling_from_rate, n_pair_state,
+                              pair_power_states, pair_probability)
 
 from conftest import RELABELLED_5050, fixture_text
 
@@ -69,8 +68,7 @@ def heralding_circuits():
 @pytest.mark.parametrize("circuit, triggers, arms",
                          config_circuits() + heralding_circuits())
 def test_sectors_match_substitution_route(circuit, triggers, arms):
-    built = pair_power_states([(3, 0), (4, 0)],
-                              circuit.compile(set(SOURCE_MODES)))
+    built = pair_power_states([(3, 0), (4, 0)], circuit)
     for n, got in zip((3, 4), built):
         want = reference_sector(n, circuit)
         assert set(got.terms) == set(want.terms)
@@ -136,8 +134,7 @@ def test_closed_form_norm_of_n_pairs():
 @pytest.mark.parametrize("with_map", [False, True])
 def test_repeated_call_is_bit_identical(with_map):
     powers = [(3, 0), (2, 1), (4, 0), (1, 3)]
-    transform = (heralding_circuit(0.486).compile(set(SOURCE_MODES))
-                 if with_map else None)
+    transform = heralding_circuit(0.486) if with_map else None
     source._source_scales.cache_clear()
     first = pair_power_states(powers, transform)
     assert source._source_scales.cache_info().misses == 1

@@ -19,25 +19,11 @@ from .source import SpdcParams, pair_power_states, pair_probability
 
 
 @dataclass(frozen=True)
-class EfficiencyEstimate:
+class Estimate:
+    """An estimated quantity and its standard error."""
+
     value: float
     sigma: float
-
-
-@dataclass(frozen=True)
-class FidelityEstimate:
-    value: float
-    sigma: float
-
-
-@dataclass(frozen=True)
-class PauliCorrelation:
-    xx: float
-    yy: float
-    zz: float
-    sigma_xx: float = 0.0
-    sigma_yy: float = 0.0
-    sigma_zz: float = 0.0
 
 
 def eff_theory(R: float, eta_t: float) -> float:
@@ -48,7 +34,7 @@ def eff_theory(R: float, eta_t: float) -> float:
     return R ** 2 / (1.0 - eta_t * T / 2.0) ** 2
 
 
-def eff_exp(n_s: int, n_t: int, eta_s: float) -> EfficiencyEstimate:
+def eff_exp(n_s: int, n_t: int, eta_s: float) -> Estimate:
     """Experimental efficiency n_s / (n_t eta_s^2) with Poisson errors."""
     if n_t <= 0:
         raise ConfigError("cannot estimate efficiency with n_t = 0")
@@ -56,14 +42,14 @@ def eff_exp(n_s: int, n_t: int, eta_s: float) -> EfficiencyEstimate:
         raise ConfigError(f"eta_s={eta_s} outside (0, 1]")
     value = n_s / (n_t * eta_s ** 2)
     if n_s == 0:
-        return EfficiencyEstimate(0.0, 0.0)
+        return Estimate(0.0, 0.0)
     sigma = value * math.sqrt(1.0 / n_s + 1.0 / n_t)
-    return EfficiencyEstimate(value, sigma)
+    return Estimate(value, sigma)
 
 
-def correlation_from_counts(counts: Mapping[tuple[str, str], int]
-                            ) -> tuple[float, float]:
-    """Expectation value (N_same - N_diff)/N_total and its standard error."""
+def correlation_from_counts(counts: Mapping[str, int]) -> tuple[float, float]:
+    """Expectation value (N_same - N_diff)/N_total and its standard error,
+    from counts keyed by two-letter outcome labels ("HV", "+-", ...)."""
     n_same = sum(c for (a, b), c in counts.items() if a == b)
     n_diff = sum(c for (a, b), c in counts.items() if a != b)
     total = n_same + n_diff
@@ -74,12 +60,13 @@ def correlation_from_counts(counts: Mapping[tuple[str, str], int]
     return e, sigma
 
 
-def fidelity_phi_plus(corr: PauliCorrelation) -> FidelityEstimate:
-    """F = (1 + <xx> - <yy> + <zz>) / 4 for the Phi+ target state."""
-    value = 0.25 * (1.0 + corr.xx - corr.yy + corr.zz)
-    sigma = 0.25 * math.sqrt(corr.sigma_xx ** 2 + corr.sigma_yy ** 2
-                             + corr.sigma_zz ** 2)
-    return FidelityEstimate(value, sigma)
+def fidelity_phi_plus(corr: Mapping[str, tuple[float, float]]) -> Estimate:
+    """F = (1 + <xx> - <yy> + <zz>) / 4 for the Phi+ target state, from
+    {"xx": (value, sigma), "yy": ..., "zz": ...}."""
+    (xx, s_xx), (yy, s_yy), (zz, s_zz) = corr["xx"], corr["yy"], corr["zz"]
+    value = 0.25 * (1.0 + xx - yy + zz)
+    sigma = 0.25 * math.sqrt(s_xx ** 2 + s_yy ** 2 + s_zz ** 2)
+    return Estimate(value, sigma)
 
 
 def chsh_werner_threshold() -> float:
@@ -87,7 +74,7 @@ def chsh_werner_threshold() -> float:
     return 0.25 * (1.0 + 3.0 / math.sqrt(2.0))
 
 
-def violates_chsh(estimate: FidelityEstimate) -> tuple[bool, float]:
+def violates_chsh(estimate: Estimate) -> tuple[bool, float]:
     """Whether F exceeds the Werner CHSH bound, and by how many sigmas."""
     excess = estimate.value - chsh_werner_threshold()
     if estimate.sigma == 0.0:

@@ -169,24 +169,17 @@ def cmd_sweep(args) -> int:
 def _summary_payload(config: ExperimentConfig, result) -> dict:
     payload = {
         "config_digest": config.digest(),
-        "seed": result.seed,
-        "pulses_per_basis": result.pulses_per_basis,
-        "records": [
-            {"basis": list(r.basis), "pulses": r.pulses, "n_t": r.n_t,
-             "n_s": r.n_s,
-             "outcomes": {f"{a}{b}": c for (a, b), c in sorted(r.outcomes.items())}}
-            for r in result.records
-        ],
+        "seed": config.seed,
+        "pulses_per_basis": config.pulses,
+        "records": [dataclasses.asdict(r) for r in result.records],
         "eff_exp": None,
         "fidelity": None,
         "chsh": None,
     }
     if result.efficiency is not None:
-        payload["eff_exp"] = {"value": result.efficiency.value,
-                              "sigma": result.efficiency.sigma}
+        payload["eff_exp"] = dataclasses.asdict(result.efficiency)
     if result.fidelity is not None:
-        payload["fidelity"] = {"value": result.fidelity.value,
-                               "sigma": result.fidelity.sigma}
+        payload["fidelity"] = dataclasses.asdict(result.fidelity)
         violated, n_sigma = violates_chsh(result.fidelity)
         payload["chsh"] = {"threshold": chsh_werner_threshold(),
                            "violates": violated,
@@ -200,8 +193,7 @@ def _expected_vs_observed(tables, records) -> dict:
     pulses * q[mask].sum() next to the observed count, with its z-score."""
     report = {}
     for t, r in zip(tables, records):
-        observed = {"n_t": r.n_t, "n_s": r.n_s,
-                    **{a + b: c for (a, b), c in r.outcomes.items()}}
+        observed = {"n_t": r.n_t, "n_s": r.n_s, **r.outcomes}
         rows = report["_".join(t.basis)] = {}
         for name, p in pattern_sums(t, t.pattern_probs).items():
             mean, sigma = r.pulses * p, math.sqrt(r.pulses * p * (1.0 - p))
@@ -221,8 +213,7 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, result
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["outcome", "count"])
-        for (a, b), c in sorted(record.outcomes.items()):
-            writer.writerow([f"{a}{b}", c])
+        writer.writerows(sorted(record.outcomes.items()))
         writer.writerow(["n_t", record.n_t])
         writer.writerow(["n_s", record.n_s])
         (out_dir / name).write_text(buf.getvalue())

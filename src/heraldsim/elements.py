@@ -100,9 +100,6 @@ def measurement_rotation(spatial: str, basis: str,
     return ModeTransform(columns)
 
 
-BASIS_OUTCOMES = {"HV": ("H", "V"), "DA": ("+", "-"), "RL": ("R", "L")}
-
-
 def compose(transforms: tuple[ModeTransform, ...], modes: Iterable[Mode]
             ) -> ModeTransform:
     """One column per mode of `modes`: `transforms` composed in propagation

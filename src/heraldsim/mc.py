@@ -17,19 +17,22 @@ manifest records the numpy version.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .analysis import (EfficiencyEstimate, FidelityEstimate, PauliCorrelation,
-                       correlation_from_counts, eff_exp, fidelity_phi_plus)
+from .analysis import (Estimate, correlation_from_counts, eff_exp,
+                       fidelity_phi_plus)
 from .config import ExperimentConfig
 from .detect import (THRESHOLD, basis_rotations, click_pattern_probabilities,
                      sixfold_outcomes)
-from .elements import BASIS_OUTCOMES, SOURCE_MODES, compose
+from .elements import SOURCE_MODES, compose
 from .fock import ConfigError, MixedState, make_vacuum
 from .source import dephased_source
+
+# each basis's two outcomes, one letter each; a two-arm outcome is labelled
+# by its arms' letters, "HV", "+-", ..., in every record and output
+BASIS_OUTCOMES = {"HV": "HV", "DA": "+-", "RL": "RL"}
 
 
 @dataclass(frozen=True)
@@ -38,16 +41,14 @@ class CountRecord:
     pulses: int
     n_t: int
     n_s: int
-    outcomes: dict[tuple[str, str], int]
+    outcomes: dict[str, int]
 
 
 @dataclass(frozen=True)
 class McResult:
     records: tuple[CountRecord, ...]
-    efficiency: EfficiencyEstimate | None
-    fidelity: FidelityEstimate | None
-    seed: int
-    pulses_per_basis: int
+    efficiency: Estimate | None
+    fidelity: Estimate | None
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class BasisTables:
     pattern_probs: np.ndarray            # per pattern, over the whole mixture
     is_trigger: np.ndarray               # per pattern
     outcome_index: np.ndarray            # per pattern, -1 if not a six-fold
-    outcome_labels: tuple[tuple[str, str], ...]
+    outcome_labels: tuple[str, ...]
     fock_terms: int                      # post-circuit terms, all branches
     truncated_weight: float              # source tail counted as vacuum
 
@@ -83,8 +84,8 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
     circuit = config.circuit()
     tables = []
     for basis in (config.bases or (("HV", "HV"),)):
-        outcome_labels = tuple(product(BASIS_OUTCOMES[basis[0]],
-                                       BASIS_OUTCOMES[basis[1]]))
+        outcome_labels = tuple(a + b for a in BASIS_OUTCOMES[basis[0]]
+                               for b in BASIS_OUTCOMES[basis[1]])
         # source modes -> this basis's detector modes, composed once; every
         # branch is built in detector modes through it
         to_detectors = compose(
@@ -121,8 +122,8 @@ def pattern_sums(tables: BasisTables, per_pattern: np.ndarray
     vector: counts of a histogram, or probabilities of `pattern_probs`."""
     sums = {"n_t": per_pattern[tables.is_trigger].sum(),
             "n_s": per_pattern[tables.outcome_index >= 0].sum()}
-    for k, (a, b) in enumerate(tables.outcome_labels):
-        sums[a + b] = per_pattern[tables.outcome_index == k].sum()
+    for k, label in enumerate(tables.outcome_labels):
+        sums[label] = per_pattern[tables.outcome_index == k].sum()
     return sums
 
 
@@ -141,7 +142,7 @@ def run_experiment(config: ExperimentConfig,
         records.append(CountRecord(
             basis=t.basis, pulses=config.pulses, n_t=int(sums["n_t"]),
             n_s=int(sums["n_s"]),
-            outcomes={(a, b): int(sums[a + b]) for a, b in t.outcome_labels}))
+            outcomes={label: int(sums[label]) for label in t.outcome_labels}))
 
     n_t = sum(r.n_t for r in records)
     n_s = sum(r.n_s for r in records)
@@ -152,15 +153,14 @@ def run_experiment(config: ExperimentConfig,
     except ConfigError:
         pass
     return McResult(records=tuple(records), efficiency=efficiency,
-                    fidelity=fidelity, seed=config.seed,
-                    pulses_per_basis=config.pulses)
+                    fidelity=fidelity)
 
 
 _CORRELATION_BASIS = {("DA", "DA"): "xx", ("RL", "RL"): "yy", ("HV", "HV"): "zz"}
 
 
 def estimate_fidelity(records: list[CountRecord] | tuple[CountRecord, ...]
-                      ) -> FidelityEstimate:
+                      ) -> Estimate:
     """Fidelity to Phi+ from counts in the three complementary bases."""
     found: dict[str, tuple[float, float]] = {}
     for record in records:
@@ -173,7 +173,4 @@ def estimate_fidelity(records: list[CountRecord] | tuple[CountRecord, ...]
     if missing:
         raise ConfigError("fidelity needs counts in all three bases; missing "
                           + ", ".join(sorted(missing)))
-    corr = PauliCorrelation(
-        xx=found["xx"][0], yy=found["yy"][0], zz=found["zz"][0],
-        sigma_xx=found["xx"][1], sigma_yy=found["yy"][1], sigma_zz=found["zz"][1])
-    return fidelity_phi_plus(corr)
+    return fidelity_phi_plus(found)

@@ -198,7 +198,12 @@ def herald(state: PureState | MixedState, trigger_detectors: list[DetectorSpec],
            output_arms: tuple[str, str] = OUTPUT_ARMS) -> HeraldResult:
     """Condition on all four triggers firing, with trigger losses dilated."""
     trig_modes = [d.mode for d in trigger_detectors]
-    arm_modes = [(arm, pol) for arm in output_arms for pol in ("x", "y")]
+    # each arm's polarization labels as the state carries them, sorted;
+    # x and y on an arm no photon reaches
+    carried = {m for _, pure in as_mixed(state).branches for m in pure.modes}
+    arm_modes = [(arm, pol) for arm in output_arms
+                 for pol in sorted(p for a, p in carried if a == arm)
+                 or ("x", "y")]
     herald_p = good_p = 0.0
     rho = np.zeros((4, 4), dtype=complex)
     for weight, pure in dilate(state, trigger_detectors):
@@ -239,17 +244,16 @@ def sixfold_probability(state: PureState | MixedState,
     """Exclusive six-fold probability: every trigger fires, the selected
     detector of each output arm clicks and the other output detectors
     stay silent."""
+    ports = {arm: sorted((d for d in output_detectors if d.mode[0] == arm),
+                         key=lambda d: d.mode[1]) for arm in output_arms}
     rotated = []
     for weight, pure in as_mixed(state).branches:
         for arm, b in zip(output_arms, basis):
-            pure = substitute_modes(
-                pure, measurement_rotation(arm, b).extended(pure.occupied_modes()))
+            pols = tuple(d.mode[1] for d in ports[arm])
+            pure = substitute_modes(pure, measurement_rotation(arm, b, pols)
+                                    .extended(pure.occupied_modes()))
         rotated.append((weight, pure))
-    wanted = set()
-    for arm, o in zip(output_arms, outcome):
-        ports = sorted((d for d in output_detectors if d.mode[0] == arm),
-                       key=lambda d: d.mode[1])
-        wanted.add(ports[o].id)
+    wanted = {ports[arm][o].id for arm, o in zip(output_arms, outcome)}
 
     def p_event(det: DetectorSpec, n: int) -> float:
         # given n surviving photons: a trigger fires, a wanted output

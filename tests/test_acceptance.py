@@ -30,7 +30,7 @@ from heraldsim.detect import (
     threshold_detector,
 )
 from heraldsim.analysis import (
-    FidelityEstimate,
+    Estimate,
     chsh_werner_threshold,
     eff_exp,
     eff_theory,
@@ -216,7 +216,7 @@ def test_criterion_8_chsh_threshold_and_fidelity_properties(report):
     root = brentq(lambda f: best(f) - 2.0, 0.70, 0.85, xtol=1e-10)
     thr = chsh_werner_threshold()
     ok_thr = abs(thr - root) < 1e-6 and abs(thr - 0.780330) < 1e-6
-    ok_vio, n_sig = violates_chsh(FidelityEstimate(value=0.87, sigma=0.029))
+    ok_vio, n_sig = violates_chsh(Estimate(value=0.87, sigma=0.029))
     ok_vio = ok_vio and n_sig >= 3.0
 
     ideal = run_experiment(parse(BOOSTED_CONFIG))

@@ -9,9 +9,7 @@ from scipy.optimize import brentq, minimize
 from heraldsim.fock import ConfigError, mode
 from heraldsim.source import SpdcParams, coupling_from_rate
 from heraldsim.analysis import (
-    EfficiencyEstimate,
-    FidelityEstimate,
-    PauliCorrelation,
+    Estimate,
     chsh_werner_threshold,
     correlation_from_counts,
     eff_exp,
@@ -111,14 +109,14 @@ def test_chsh_threshold_against_angle_optimization():
 
 
 def test_published_fidelity_violates_chsh_at_three_sigma():
-    ok, n_sigma = violates_chsh(FidelityEstimate(value=0.87, sigma=0.029))
+    ok, n_sigma = violates_chsh(Estimate(value=0.87, sigma=0.029))
     assert ok
     assert n_sigma == pytest.approx(3.09, abs=0.02)
     assert n_sigma >= 3.0
 
 
 def test_no_violation_below_threshold():
-    ok, n_sigma = violates_chsh(FidelityEstimate(value=0.75, sigma=0.01))
+    ok, n_sigma = violates_chsh(Estimate(value=0.75, sigma=0.01))
     assert not ok
 
 
@@ -127,15 +125,14 @@ def test_fidelity_from_correlations_dual_path():
     for f in (1.0, 0.92, 0.80):
         dm = werner_phi_plus(f)
         w = (4.0 * f - 1.0) / 3.0
-        corr = PauliCorrelation(xx=w, yy=-w, zz=w,
-                                sigma_xx=0.0, sigma_yy=0.0, sigma_zz=0.0)
+        corr = {"xx": (w, 0.0), "yy": (-w, 0.0), "zz": (w, 0.0)}
         est = fidelity_phi_plus(corr)
         assert est.value == pytest.approx(fidelity_to_phi_plus(dm), abs=1e-10)
         assert est.value == pytest.approx(f, abs=1e-10)
 
 
 def test_correlation_from_counts():
-    counts = {("H", "H"): 40, ("H", "V"): 10, ("V", "H"): 10, ("V", "V"): 40}
+    counts = {"HH": 40, "HV": 10, "VH": 10, "VV": 40}
     e, sigma = correlation_from_counts(counts)
     assert e == pytest.approx(0.6, abs=1e-12)
     assert sigma == pytest.approx(math.sqrt((1.0 - 0.36) / 100.0), rel=1e-10)

@@ -232,7 +232,7 @@ def test_click_probability_matches_dilation_oracle(kind, n, eta, dark):
 @pytest.fixture(scope="module")
 def paper_5050_states(paper_5050):
     """Post-circuit n = 3 and n = 4 states and the dephased source mixture
-    of the paper_5050 config."""
+    of the paper_5050 config, and the n = 3 state of ROTATED_ARM_5050."""
     circuit = paper_5050.circuit()
     mixture = dephased_source(paper_5050.source, paper_5050.noise)
     return {
@@ -240,6 +240,8 @@ def paper_5050_states(paper_5050):
         "n4": apply_circuit(n_pair_state(4), circuit),
         "dephased": MixedState(tuple((w, apply_circuit(s, circuit))
                                      for w, s in mixture.branches)),
+        "rotated_arm": apply_circuit(n_pair_state(3),
+                                     parse(ROTATED_ARM_5050).circuit()),
     }
 
 
@@ -254,11 +256,13 @@ def lossy_dark_detectors(config, trigger_kind):
 
 
 @pytest.mark.parametrize("kind", [THRESHOLD, NUMBER_RESOLVING])
-@pytest.mark.parametrize("which", ["n3", "n4", "dephased"])
+@pytest.mark.parametrize("which", ["n3", "n4", "dephased", "rotated_arm"])
 def test_closed_form_matches_dilation_oracle(paper_5050, paper_5050_states,
                                              which, kind):
+    # rotated_arm reads output arm c on the relabelled modes c:u, c:v
     state = paper_5050_states[which]
-    triggers, outputs = lossy_dark_detectors(paper_5050, kind)
+    config = parse(ROTATED_ARM_5050) if which == "rotated_arm" else paper_5050
+    triggers, outputs = lossy_dark_detectors(config, kind)
 
     got, want = herald(state, triggers), oracle.herald(state, triggers)
     assert got.herald_probability == pytest.approx(want.herald_probability,

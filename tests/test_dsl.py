@@ -244,6 +244,19 @@ def test_low_nmax_warning():
     assert any(d.startswith("warning") for d in diags)
 
 
+def test_unequal_splitters_warning():
+    # herald reports R, eff_theory and the four-pair correction at the
+    # first splitter's R; a config whose splitters differ is told so
+    text = fixture_text("paper_5050.exp")
+    second = "bs in=b refl=d trans=f R="
+    assert second + "0.486\n" in text
+    diags = validate(parse(text.replace(second + "0.486", second + "0.8")))
+    assert diags == [
+        "warning: bs R=0.486 in=a refl=c trans=e and bs R=0.8 in=b refl=d "
+        "trans=f differ in R; herald's R, eff_theory and four_pair_correction "
+        "use the first's R=0.486"]
+
+
 def config_text(p1, R, eta, visibility, pulses, seed, bases):
     basis_lines = "\n".join(f"basis {b1} {b2}" for b1, b2 in bases)
     return f"""
@@ -372,7 +385,9 @@ HOSTILE_VALUES = ["0", "-0", "1", "-1", "0.3", "0.5", "8", "90", "-90",
 def test_parser_raises_only_dsl_errors_on_mutated_text(config, data):
     lines = serialize(config).splitlines()
     for _ in range(data.draw(st.integers(1, 3))):
-        i = data.draw(st.integers(0, len(lines) - 1))
+        # a mutation can empty a line; the source line keeps its key= words
+        i = data.draw(st.sampled_from(
+            [k for k, line in enumerate(lines) if line.split()]))
         words = lines[i].split()
         j = data.draw(st.integers(0, len(words) - 1))
         key, eq, _ = words[j].partition("=")

@@ -211,17 +211,14 @@ def test_thread_count_invariance(boosted_result, tmp_path, threads):
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert [(tuple(r["basis"]), r["n_t"], r["n_s"], r["outcomes"])
             for r in summary["records"]] == [
-        (r.basis, r.n_t, r.n_s,
-         {a + b: c for (a, b), c in sorted(r.outcomes.items())})
+        (r.basis, r.n_t, r.n_s, r.outcomes)
         for r in boosted_result.records]
 
 
 def test_boosted_golden_records(boosted, boosted_tables):
     cfg = dataclasses.replace(boosted, pulses=300_000)
     result = run_experiment(cfg, tables=boosted_tables)
-    got = {r.basis: (r.n_t, r.n_s,
-                     {a + b: c for (a, b), c in r.outcomes.items()})
-           for r in result.records}
+    got = {r.basis: (r.n_t, r.n_s, r.outcomes) for r in result.records}
     assert got == BOOSTED_300K_RECORDS
 
 
@@ -258,8 +255,7 @@ def test_counts_within_binomial_tails(name, boosted, boosted_tables,
                    "paper_5050": (paper_5050, paper_5050_tables)}[name]
     result = run_experiment(cfg, tables=tables)
     for tab, rec in zip(tables, result.records):
-        observed = {"n_t": rec.n_t, "n_s": rec.n_s,
-                    **{a + b: c for (a, b), c in rec.outcomes.items()}}
+        observed = {"n_t": rec.n_t, "n_s": rec.n_s, **rec.outcomes}
         probs = mc.pattern_sums(tab, tab.pattern_probs)
         assert set(probs) == set(observed)
         for name, p in probs.items():
@@ -336,9 +332,9 @@ def test_ideal_visibility_gives_unit_fidelity(boosted_result):
     # so the anticorrelated outcomes never appear
     for rec in boosted_result.records:
         labels = sorted(rec.outcomes)
-        forbidden = {("HV", "HV"): [("H", "V"), ("V", "H")],
-                     ("DA", "DA"): [("+", "-"), ("-", "+")],
-                     ("RL", "RL"): [("R", "R"), ("L", "L")]}[rec.basis]
+        forbidden = {("HV", "HV"): ["HV", "VH"],
+                     ("DA", "DA"): ["+-", "-+"],
+                     ("RL", "RL"): ["RR", "LL"]}[rec.basis]
         for lab in forbidden:
             assert rec.outcomes[lab] == 0
 

@@ -4,7 +4,8 @@ perfbench imports `heraldsim` directly (`apply_circuit(state,
 config.circuit())`, `measurement_rotation(arm, basis).extended(...)`,
 `run_experiment(..., aggregate=True)` and more), and its own suite is not
 part of this one.  These tests import its harness and run its layer probes
-and herald check in process, writing nothing.
+and its herald, sweep and Monte Carlo checks in process; only the Monte
+Carlo run writes, under a temporary directory.
 """
 
 import json
@@ -15,6 +16,9 @@ import pytest
 
 from heraldsim import cli, fixture_path
 from heraldsim.dsl import parse
+from heraldsim.mc import precompute_outcome_tables
+
+from conftest import BOOSTED_CONFIG
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,3 +51,26 @@ def test_herald_report_passes_the_benchmark_check(perfbench, name):
     schema = checks.load_schema("herald.schema.json")
     assert checks.check_herald(json.dumps(cli._herald_report(cfg)),
                                checks.herald_reference(cfg), schema) == []
+
+
+def test_sweep_passes_the_benchmark_check(perfbench, capsys):
+    checks, _ = perfbench
+    path = fixture_path("paper_5050.exp")
+    assert cli.main(["sweep", str(path), "--r-min", "0.3", "--r-max", "0.9",
+                     "--steps", "2"]) == 0
+    reference = checks.sweep_reference(
+        parse(path.read_text(encoding="utf-8")), 0.3, 0.9, 2)
+    assert checks.check_sweep(capsys.readouterr().out, reference) == []
+
+
+def test_montecarlo_passes_the_benchmark_check(perfbench, tmp_path):
+    checks, _ = perfbench
+    path = tmp_path / "boosted.exp"
+    path.write_text(BOOSTED_CONFIG, encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["montecarlo", str(path), "--out", str(out)]) == 0
+    files = {f.name: f.read_bytes() for f in out.iterdir()}
+    cfg = parse(BOOSTED_CONFIG)
+    schema = checks.load_schema("summary.schema.json")
+    assert checks.check_montecarlo(files, cfg, precompute_outcome_tables(cfg),
+                                   schema) == []

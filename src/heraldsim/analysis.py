@@ -1,19 +1,23 @@
 """Closed-form estimators: efficiencies, fidelity, CHSH threshold, errors,
-and the four-pair correction.
+the four-pair correction, and heralds as curves in the splitter ratio.
 
-Error bars use first-order propagation on independent Poisson counts.  The
-four-pair correction builds its sectors with `source.pair_power_states`
-through the composed heralding circuit, substituting no state.
+Error bars use first-order propagation on independent Poisson counts.
+`herald_curves` builds source sectors once, with `source.pair_power_states`
+through a circuit whose splitters sit at R = 1/2, and keeps each sector's
+herald as a `detect.HeraldCurve`; a `sweep` row and the four-pair
+correction at any R evaluate such curves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .detect import herald, threshold_detector
-from .elements import TRIGGER_MODES, heralding_circuit
+from .detect import DetectorSpec, HeraldCurve, herald_curve, threshold_detector
+from .elements import (OUTPUT_ARMS, SOURCE_MODES, TRIGGER_MODES, ModeTransform,
+                       compose, heralding_elements, path_exponents)
 from .fock import ConfigError
 from .source import SpdcParams, pair_power_states, pair_probability
 
@@ -82,14 +86,38 @@ def violates_chsh(estimate: Estimate) -> tuple[bool, float]:
     return excess > 0.0, excess / estimate.sigma
 
 
+def herald_curves(powers: list[tuple[int, int]],
+                  transforms: tuple[ModeTransform, ...],
+                  trigger_detectors: list[DetectorSpec],
+                  output_arms: tuple[str, ...]) -> list[HeraldCurve]:
+    """The source branch P-^k P+^j |0> of each (k, j) of `powers` after the
+    circuit `transforms` (every splitter at R = 1/2), heralded on
+    `trigger_detectors` as a curve in the splitters' ratios."""
+    exponents = path_exponents(transforms)
+    return [herald_curve(state, trigger_detectors, output_arms, exponents)
+            for state in pair_power_states(powers,
+                                           compose(transforms, SOURCE_MODES))]
+
+
+@functools.lru_cache(maxsize=16)
+def four_pair_sectors(eta_t: float) -> tuple[HeraldCurve, ...]:
+    """The three- and four-pair sectors through `heralding_elements`,
+    heralded on threshold triggers of efficiency eta_t without dark counts,
+    as curves in R: built once per eta_t, so `four_pair_correction` at any
+    R and params evaluates them."""
+    triggers = [threshold_detector(f"t{i}", m, eta=eta_t)
+                for i, m in enumerate(TRIGGER_MODES, start=1)]
+    return tuple(herald_curves([(3, 0), (4, 0)], heralding_elements(0.5),
+                               triggers, OUTPUT_ARMS))
+
+
 def four_pair_correction(params: SpdcParams, R: float,
                          eta_t: float = 1.0) -> float:
     """Relative efficiency shift from adding the four-pair emission sector.
 
     Both sectors are pushed through the full enumeration (circuit, trigger
     losses, threshold clicks); sector weights are p_3 and p_4.  The two
-    sectors are built together from the pair operators taken once through
-    `heralding_circuit(R)`, sharing the P-^3 prefix.  The default
+    sectors are `four_pair_sectors(eta_t)` evaluated at R.  The default
     eta_t=1 classifies triggers by arrival (at least one photon per trigger
     mode), which reproduces the quoted ~4.5% size of the effect; at low
     trigger efficiency the four-pair and three-pair herald classes happen to
@@ -101,10 +129,7 @@ def four_pair_correction(params: SpdcParams, R: float,
     p4 = pair_probability(4, params.r)
     if p4 == 0.0:
         return 0.0
-    triggers = [threshold_detector(f"t{i}", m, eta=eta_t)
-                for i, m in enumerate(TRIGGER_MODES, start=1)]
-    res3, res4 = (herald(state, triggers) for state in pair_power_states(
-        [(3, 0), (4, 0)], heralding_circuit(R)))
+    res3, res4 = (curve.at(R) for curve in four_pair_sectors(eta_t))
     eff3 = res3.preparation_efficiency
     good = (p3 * res3.herald_probability * res3.preparation_efficiency
             + p4 * res4.herald_probability * res4.preparation_efficiency)

@@ -2,12 +2,17 @@
 
 Every command builds its source branches with `source.pair_power_states`
 from the pair operators taken through the composed circuit; none
-substitutes a state.
+substitutes a state.  `herald` builds the three-pair sector through the
+config's circuit at its declared ratios.  `sweep` builds the three-pair
+sector and the four-pair correction's sectors once, on the circuit with
+every splitter at R = 1/2, before it writes the header; each row then
+evaluates those curves at its R (`analysis.herald_curves`).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
-error names its stage, `runtime error in <stage>: ...`: `herald`,
-`four_pair_correction`, `row R=<R>` of a sweep, or a Monte Carlo run's
-`tables`, `sample` or `write`.
+error names its stage, `runtime error in <stage>: ...`: `herald` or
+`four_pair_correction` of a herald report, `sweep curve` (the build) or
+`row R=<R>` of a sweep, or a Monte Carlo run's `tables`, `sample` or
+`write`.
 """
 
 from __future__ import annotations
@@ -29,11 +34,11 @@ import numpy as np
 
 from . import __version__
 from .analysis import (chsh_werner_threshold, eff_theory, four_pair_correction,
-                       violates_chsh)
-from .config import COUNT_END, COUNT_LOW, BsDecl, ExperimentConfig
-from .detect import HeraldResult, decompose_s1, herald
-from .dsl import DslError, parse, validate
-from .fock import ConfigError, PureState
+                       four_pair_sectors, herald_curves, violates_chsh)
+from .config import COUNT_END, COUNT_LOW, ExperimentConfig
+from .detect import decompose_s1, herald
+from .dsl import DslError, parse, splitter_warnings, validate
+from .fock import ConfigError
 from .mc import pattern_sums, precompute_outcome_tables, run_experiment
 from .source import pair_power_states
 
@@ -76,21 +81,14 @@ def _load_config(path: str) -> ExperimentConfig:
     return config
 
 
-def _three_pair_herald(config: ExperimentConfig
-                       ) -> tuple[PureState, HeraldResult]:
-    """The three-pair state after the config's circuit, built from the pair
-    operators taken through the composed circuit, and its herald on the
-    config's triggers."""
-    [state] = pair_power_states([(3, 0)], config.circuit())
-    return state, herald(state, config.trigger_detectors(),
-                         output_arms=config.output_arms())
-
-
 def _herald_report(config: ExperimentConfig) -> dict:
     R = config.beam_splitter_R()
     eta_t = config.mean_trigger_eta()
     with _stage("herald"):
-        state, result = _three_pair_herald(config)
+        # the three-pair state after the config's circuit, at its own R
+        [state] = pair_power_states([(3, 0)], config.circuit())
+        result = herald(state, config.trigger_detectors(),
+                        output_arms=config.output_arms())
         trigger_modes = tuple(d.mode for d in config.trigger_detectors())
         decomp = decompose_s1(state, trigger_modes=trigger_modes,
                               output_arms=config.output_arms())
@@ -114,6 +112,8 @@ def _herald_report(config: ExperimentConfig) -> dict:
 
 def cmd_herald(args) -> int:
     config = _load_config(args.config)
+    for warning in splitter_warnings(config):
+        print(warning, file=sys.stderr)
     report = _herald_report(config)
     if args.json:
         json.dump(report, sys.stdout, indent=2)
@@ -145,18 +145,25 @@ def cmd_sweep(args) -> int:
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{flag} {value} outside [0, 1]")
     eta_t = config.mean_trigger_eta()
+    four_pair = config.source.n_max >= 4
+    with _stage("sweep curve"):
+        # every splitter of the config swept together; four_pair_sectors
+        # keeps its curves per eta_t, so each row's four_pair_correction,
+        # like its herald, only evaluates a curve built here
+        [curve] = herald_curves([(3, 0)], config.transforms(R=0.5),
+                                config.trigger_detectors(),
+                                config.output_arms())
+        if four_pair:
+            four_pair_sectors(eta_t)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["R", "eff_theory", "eff_exact_enumerated",
                      "four_pair_corrected"])
     for i in range(args.steps):
         R = args.r_min + (args.r_max - args.r_min) * i / (args.steps - 1)
-        swept = dataclasses.replace(config, elements=tuple(
-            dataclasses.replace(e, R=R) if isinstance(e, BsDecl) else e
-            for e in config.elements))
         with _stage(f"row R={R:.9g}"):
-            _, result = _three_pair_herald(swept)
+            result = curve.at(R)
             exact = result.preparation_efficiency if result.heralded else 0.0
-            if config.source.n_max >= 4 and R > 0.0:
+            if four_pair and R > 0.0:
                 shift = four_pair_correction(config.source, R, eta_t)
                 corrected = exact * (1.0 + shift)
             else:

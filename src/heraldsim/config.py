@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .detect import DetectorSpec
 from .elements import (SOURCE_MODES, ModeTransform, beam_splitter, compose,
@@ -74,10 +75,18 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}={getattr(self, name)} outside "
                                   f"[{low}, 2^63)")
 
+    def transforms(self, R: float | None = None
+                   ) -> tuple[ModeTransform, ...]:
+        """The declared elements' transforms in propagation order; with `R`,
+        every beam splitter's at R instead of its declared ratio."""
+        decls = (dataclasses.replace(d, R=R)
+                 if R is not None and isinstance(d, BsDecl) else d
+                 for d in self.elements)
+        return tuple(filter(None, map(element_transform, decls)))
+
     def circuit(self) -> ModeTransform:
         """The declared elements composed on the source modes."""
-        transforms = filter(None, map(element_transform, self.elements))
-        return compose(tuple(transforms), SOURCE_MODES)
+        return compose(self.transforms(), SOURCE_MODES)
 
     def detector_by_id(self, det_id: str) -> DetectorSpec:
         for det in self.detectors:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -227,45 +228,101 @@ def _output_arm_modes(state: PureState | MixedState,
     return arm_modes
 
 
-def herald(state: PureState | MixedState,
-           trigger_detectors: list[DetectorSpec],
-           output_arms: tuple[str, ...] = OUTPUT_ARMS) -> HeraldResult:
-    """Condition on all four trigger detectors firing.
+@dataclass(frozen=True)
+class HeraldCurve:
+    """A herald as a function of the circuit's splitter ratios.
+
+    A term of the state built with every splitter at R = 1/2 whose photons
+    were reflected A_s and transmitted B_s times at splitter s has, at
+    ratios R_s, its probability times prod_s (2 R_s)^A_s (2 T_s)^B_s.  Per
+    distinct monomial (row (A_1, B_1, A_2, B_2, ...) of `monomials`) the
+    curve keeps the herald weight sum p_click |amp|^2 and the unnormalized
+    conditional state sum_g p_g v_g v_g^dag, so evaluating it is a weighted
+    sum."""
+
+    monomials: np.ndarray  # (K, 2 S) int
+    weights: np.ndarray    # (K,)
+    rhos: np.ndarray       # (K, 4, 4) complex
+
+    def at(self, *R: float) -> HeraldResult:
+        """The herald with splitter s at ratio R[s], or with every splitter
+        at R[0] when one ratio is given."""
+        ratios = R * (self.monomials.shape[1] // 2) if len(R) == 1 else R
+        base = np.array([b for r in ratios
+                         for b in (2.0 * r, 2.0 * (1.0 - r))])
+        factors = np.prod(base ** self.monomials, axis=1)
+        herald_p = float(factors @ self.weights)
+        if herald_p <= 0.0:
+            return HeraldResult(0.0, np.zeros((4, 4), dtype=complex), 0.0,
+                                False)
+        rho = (factors @ self.rhos.reshape(len(factors), 16)).reshape(4, 4)
+        return HeraldResult(herald_p, rho / herald_p,
+                            float(np.trace(rho).real) / herald_p, True)
+
+
+def herald_curve(state: PureState | MixedState,
+                 trigger_detectors: list[DetectorSpec],
+                 output_arms: tuple[str, ...],
+                 exponents: Mapping[Mode, tuple[int, ...]]) -> HeraldCurve:
+    """Condition on all four trigger detectors firing, as a curve in the
+    splitter ratios.
 
     Each term of `state`, the post-circuit state, is weighted by the product
-    of the triggers' `click_probability`.  The terms of one source branch
-    with the same trigger counts are one coherent output state; its part
-    with one photon per output arm, on either of the arm's two polarization
-    modes (`_output_arm_modes`), and nothing else is a vector over the qubit
-    basis (first, first), (first, second), (second, first), (second,
-    second).  The weighted sum of their outer products over the herald
-    probability is the conditional density matrix; its trace is the
-    preparation efficiency.
+    of the triggers' `click_probability`, and scales with the splitter
+    ratios by the monomial its photons' `exponents` (`path_exponents` of
+    the circuit, every splitter at R = 1/2; a mode it does not list does
+    not scale) add up to.  The terms of one source branch with the same
+    trigger counts and monomial are one coherent output state (in a tree
+    circuit an output arm's two modes share one path, so the monomial
+    splits none); its part with one photon per output arm, on either of the
+    arm's two polarization modes (`_output_arm_modes`), and nothing else is
+    a vector over the qubit basis (first, first), (first, second), (second,
+    first), (second, second), and scales as a unit.  The weighted sum of
+    their outer products over the herald probability is the conditional
+    density matrix; its trace is the preparation efficiency.
     """
     if len(trigger_detectors) != 4:
         raise ConfigError("heralding requires exactly four trigger detectors")
     arm_modes = _output_arm_modes(state, output_arms)
-    branch, counts, amps = occupations(
-        state, [d.mode for d in trigger_detectors] + arm_modes)
+    read = [d.mode for d in trigger_detectors] + arm_modes
+    # every other mode of the state too, for the photons' exponents
+    modes = read + sorted({m for _, pure in as_mixed(state).branches
+                           for m in pure.modes} - set(read))
+    branch, counts, amps = occupations(state, modes)
+    width = len(next(iter(exponents.values()), ()))
+    per_mode = np.array([exponents.get(m, (0,) * width) for m in modes],
+                        np.int64).reshape(len(modes), width)
+    monomials, term_k = np.unique(counts[:, :-1] @ per_mode, axis=0,
+                                  return_inverse=True)
+    term_k = term_k.ravel()
     p_click = np.prod([_event_probabilities(det, counts[:, i])
                        for i, det in enumerate(trigger_detectors)], axis=0)
-    herald_p = float(np.sum(p_click * np.abs(amps) ** 2))
-    if herald_p <= 0.0:
-        return HeraldResult(0.0, np.zeros((4, 4), dtype=complex), 0.0, False)
+    weight = p_click * np.abs(amps) ** 2
 
-    x0, y0, x1, y1, elsewhere = counts[:, 4:].T
-    qubit = (x0 + y0 == 1) & (x1 + y1 == 1) & (elsewhere == 0)
+    x0, y0, x1, y1 = counts[:, 4:8].T
+    qubit = (x0 + y0 == 1) & (x1 + y1 == 1) & (counts[:, 8:].sum(axis=1) == 0)
     groups, group = np.unique(
-        np.column_stack([branch[qubit], counts[qubit, :4]]), axis=0,
-        return_inverse=True)
+        np.column_stack([term_k[qubit], branch[qubit], counts[qubit, :4]]),
+        axis=0, return_inverse=True)
     group = group.ravel()
     vectors = np.zeros((len(groups), 4), dtype=complex)
     vectors[group, 2 * y0[qubit] + y1[qubit]] = amps[qubit]
     group_p = np.zeros(len(groups))
     group_p[group] = p_click[qubit]
-    rho = np.einsum("g,gi,gj->ij", group_p, vectors, vectors.conj())
-    return HeraldResult(herald_p, rho / herald_p,
-                        float(np.trace(rho).real) / herald_p, True)
+    by_monomial = [(term_k == k, groups[:, 0] == k)
+                   for k in range(len(monomials))]
+    return HeraldCurve(monomials, np.array(
+        [np.sum(weight[terms]) for terms, _ in by_monomial]), np.array(
+        [np.einsum("g,gi,gj->ij", group_p[sel], vectors[sel],
+                   vectors[sel].conj()) for _, sel in by_monomial]))
+
+
+def herald(state: PureState | MixedState,
+           trigger_detectors: list[DetectorSpec],
+           output_arms: tuple[str, ...] = OUTPUT_ARMS) -> HeraldResult:
+    """Condition on all four trigger detectors firing: `herald_curve` of
+    `state` with no splitter exponents, so exact for the state as built."""
+    return herald_curve(state, trigger_detectors, output_arms, {}).at()
 
 
 def decompose_s1(state: PureState,

@@ -299,6 +299,17 @@ def serialize(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def splitter_warnings(config: ExperimentConfig) -> list[str]:
+    """Warnings for `herald`, which reports R, eff_theory and the four-pair
+    correction at the first splitter's R: one per splitter whose R differs.
+    `sweep` sets every splitter's R and `montecarlo` reads none of them."""
+    splitters = [d for d in config.elements if isinstance(d, BsDecl)]
+    return [f"warning: {_element_line(splitters[0])} and "
+            f"{_element_line(other)} differ in R; herald's R, eff_theory and "
+            f"four_pair_correction use the first's R={_fmt(splitters[0].R)}"
+            for other in splitters[1:] if other.R != splitters[0].R]
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """Cross-reference checks; returns diagnostics instead of raising."""
     diagnostics: list[str] = []
@@ -317,13 +328,6 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.source.n_max < 3:
         diagnostics.append(f"warning: nmax={config.source.n_max} cannot "
                            "emit the three pairs a herald needs")
-    # `herald` reports R, eff_theory and the four-pair correction at one R
-    splitters = [d for d in config.elements if isinstance(d, BsDecl)]
-    for other in (d for d in splitters[1:] if d.R != splitters[0].R):
-        diagnostics.append(f"warning: {_element_line(splitters[0])} and "
-                           f"{_element_line(other)} differ in R; herald's R, "
-                           "eff_theory and four_pair_correction use the "
-                           f"first's R={_fmt(splitters[0].R)}")
 
     # walk the transforms `config.circuit()` composes, from the source
     # modes; `live` maps each mode that carries light to the stanza feeding it

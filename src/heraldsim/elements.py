@@ -45,15 +45,20 @@ class ModeTransform:
                    default=0.0)
 
 
+class SplitterTransform(ModeTransform):
+    """A beam splitter's map: each column's first entry is the reflected
+    output, its second the transmitted one."""
+
+
 def beam_splitter(R: float, input: str, reflected_out: str,
-                  transmitted_out: str) -> ModeTransform:
+                  transmitted_out: str) -> SplitterTransform:
     """Non-polarizing partial-reflecting beam splitter, intensity R + T = 1."""
     if not (0.0 <= R <= 1.0):
         raise ConfigError(f"beam splitter R={R} outside [0, 1]")
     r, t = math.sqrt(R) + 0.0j, math.sqrt(1.0 - R) + 0.0j
-    return ModeTransform({(input, pol): ((r, (reflected_out, pol)),
-                                         (t, (transmitted_out, pol)))
-                          for pol in (POL_H, POL_V)})
+    return SplitterTransform({(input, pol): ((r, (reflected_out, pol)),
+                                             (t, (transmitted_out, pol)))
+                              for pol in (POL_H, POL_V)})
 
 
 def half_wave_plate(angle_deg: float, target: str,
@@ -123,11 +128,44 @@ def compose(transforms: tuple[ModeTransform, ...], modes: Iterable[Mode]
     return transform
 
 
+def path_exponents(transforms: tuple[ModeTransform, ...]
+                   ) -> dict[Mode, tuple[int, ...]]:
+    """Per mode that light from `SOURCE_MODES` reaches through `transforms`,
+    how often it was reflected and how often transmitted at each splitter,
+    in propagation order: (a_1, b_1, a_2, b_2, ...).
+
+    The transforms are walked as `dsl.validate` walks them, keeping every
+    entry, a splitter's zero one at R = 0 or 1 too.  In a circuit where no
+    two elements feed one mode, each entry of the composed map into mode m
+    is then c (sqrt R_1)^a_1 (sqrt T_1)^b_1 ... with c free of every R;
+    a transform that feeds one mode along two different paths raises
+    ConfigError."""
+    n_splitters = sum(isinstance(t, SplitterTransform) for t in transforms)
+    zero = (0,) * (2 * n_splitters)
+    exponents = dict.fromkeys(SOURCE_MODES, zero)
+    splitter = 0
+    for transform in transforms:
+        # read every input before writing: an output may reuse an input label
+        paths = {m: exponents.pop(m, zero) for m in transform.columns}
+        fed: dict[Mode, tuple[int, ...]] = {}
+        for m, column in transform.columns.items():
+            for k, (_, out) in enumerate(column):
+                path = list(paths[m])
+                if isinstance(transform, SplitterTransform):
+                    path[2 * splitter + k] += 1
+                if fed.setdefault(out, tuple(path)) != tuple(path):
+                    raise ConfigError(f"mode {out[0]}:{out[1]} is fed along "
+                                      "two paths that scale differently in R")
+        exponents.update(fed)
+        splitter += isinstance(transform, SplitterTransform)
+    return exponents
+
+
 def apply_circuit(state: PureState, circuit: ModeTransform) -> PureState:
     return substitute_modes(state, compose((circuit,), state.occupied_modes()))
 
 
-def heralding_circuit(R: float) -> ModeTransform:
+def heralding_elements(R: float) -> tuple[ModeTransform, ...]:
     """The heralded-source circuit: two partial BS and a trigger-arm HWP.
 
     Source arm a splits into output c and trigger e; arm b into output d and
@@ -136,11 +174,14 @@ def heralding_circuit(R: float) -> ModeTransform:
     the (spatial, polarization) algebra already keeps apart, so they add no
     transform.  Trigger modes: e.x, e.y, f.xp, f.yp; output arms: c, d.
     """
-    return compose((
-        beam_splitter(R, "a", reflected_out="c", transmitted_out="e"),
-        beam_splitter(R, "b", reflected_out="d", transmitted_out="f"),
-        half_wave_plate(-22.5, "f"),
-    ), SOURCE_MODES)
+    return (beam_splitter(R, "a", reflected_out="c", transmitted_out="e"),
+            beam_splitter(R, "b", reflected_out="d", transmitted_out="f"),
+            half_wave_plate(-22.5, "f"))
+
+
+def heralding_circuit(R: float) -> ModeTransform:
+    """`heralding_elements(R)` composed on the source modes."""
+    return compose(heralding_elements(R), SOURCE_MODES)
 
 
 TRIGGER_MODES: tuple[Mode, ...] = (("e", "x"), ("e", "y"),

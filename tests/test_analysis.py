@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, minimize, minimize_scalar
 
 from heraldsim.fock import ConfigError, mode
 from heraldsim.source import SpdcParams, coupling_from_rate
@@ -16,10 +16,12 @@ from heraldsim.analysis import (
     eff_theory,
     fidelity_phi_plus,
     four_pair_correction,
+    herald_curves,
     violates_chsh,
 )
 from heraldsim.detect import (click_probability, fidelity_to_phi_plus,
-                              threshold_detector)
+                              pnr_detector, threshold_detector)
+from heraldsim.elements import OUTPUT_ARMS, TRIGGER_MODES, heralding_elements
 
 
 def test_eff_theory_formula():
@@ -158,3 +160,46 @@ def test_four_pair_correction_grows_with_pumping():
 def test_four_pair_correction_needs_four_pair_sector():
     with pytest.raises(ConfigError):
         four_pair_correction(SpdcParams(r=0.1, n_max=3), 0.486)
+
+
+def heralding_curve(make_trigger, eta=1.0):
+    """The three-pair herald through `heralding_elements` as a curve in R."""
+    triggers = [make_trigger(f"t{i}", m, eta=eta)
+                for i, m in enumerate(TRIGGER_MODES, start=1)]
+    [curve] = herald_curves([(3, 0)], heralding_elements(0.5), triggers,
+                            OUTPUT_ARMS)
+    return curve
+
+
+@pytest.mark.parametrize("make_trigger", [threshold_detector, pnr_detector])
+def test_ideal_heralded_weight_is_one_monomial(make_trigger):
+    # ideal triggers herald the one-photon-per-arm part, one photon per
+    # trigger mode: two reflections and four transmissions, so herald
+    # probability x efficiency is T^4 R^2 / 2 (criterion 6), the monomial
+    # (2R)^1 (2T)^2 per splitter times 1/128
+    curve = heralding_curve(make_trigger)
+    traces = np.trace(curve.rhos, axis1=1, axis2=2).real
+    [only] = np.flatnonzero(np.abs(traces) > 1e-15)
+    assert curve.monomials[only].tolist() == [1, 2, 1, 2]
+    assert traces[only] == pytest.approx(1.0 / 128.0, rel=1e-14)
+
+    def heralded(R):
+        res = curve.at(R)
+        return res.herald_probability * res.preparation_efficiency
+    for R in (0.2, 1.0 / 3.0, 0.5, 0.9):
+        assert heralded(R) == pytest.approx((1 - R) ** 4 * R ** 2 / 2,
+                                            rel=1e-13)
+    best = minimize_scalar(lambda R: -heralded(R), bounds=(0.01, 0.99),
+                           method="bounded", options={"xatol": 1e-12})
+    assert 1.0 - best.x == pytest.approx(2.0 / 3.0, abs=1e-6)
+
+
+def test_curve_efficiency_matches_formula_on_criterion_2_grid():
+    # dark-free threshold triggers: the curve's efficiency is eff_theory
+    worst = 0.0
+    for eta in np.linspace(0.1, 1.0, 5):
+        curve = heralding_curve(threshold_detector, float(eta))
+        for R in np.linspace(0.3, 0.7, 5):
+            worst = max(worst, abs(curve.at(float(R)).preparation_efficiency
+                                   - eff_theory(float(R), float(eta))))
+    assert worst < 1e-10

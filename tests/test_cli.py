@@ -417,7 +417,8 @@ def _fail(*args, **kwargs):
 @pytest.mark.parametrize("command, stage_function, stage", [
     ("herald", "herald", "herald"),
     ("herald", "four_pair_correction", "four_pair_correction"),
-    ("sweep", "herald", "row R=0.3"),
+    ("sweep", "herald_curves", "sweep curve"),
+    ("sweep", "four_pair_sectors", "sweep curve"),
     ("sweep", "four_pair_correction", "row R=0.3"),
     ("montecarlo", "precompute_outcome_tables", "tables"),
     ("montecarlo", "run_experiment", "sample"),
@@ -434,6 +435,47 @@ def test_runtime_error_names_its_stage(command, stage_function, stage,
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert f"runtime error in {stage}: injected failure" in err
+
+
+@pytest.mark.parametrize("error, code", [(RuntimeError, 3), (ConfigError, 2)])
+def test_sweep_curve_failure_writes_no_row(error, code, monkeypatch, capsys):
+    # the curves are built before the header: a failed build leaves stdout
+    # empty, a runtime error exits 3 naming the stage, a config error exits 2
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+    monkeypatch.setattr(cli, "herald_curves", fail)
+    argv = ["sweep", str(fixture_path("paper_5050.exp")), "--steps", "2"]
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == ("runtime error in sweep curve: injected "
+                                    "failure" if code == 3
+                                    else "error: injected failure")
+
+
+def test_unequal_splitters_warning(tmp_path, capsys):
+    # herald reports R, eff_theory and the four-pair correction at the
+    # first splitter's R and says so; sweep sets every splitter's R and
+    # montecarlo reads none, so neither warns
+    text = fixture_text("paper_5050.exp")
+    second = "bs in=b refl=d trans=f R="
+    assert second + "0.486\n" in text
+    text = text.replace(second + "0.486", second + "0.8")
+    assert validate(parse(text)) == []
+    path = tmp_path / "unequal.exp"
+    path.write_text(text, encoding="utf-8")
+    warning = ("warning: bs R=0.486 in=a refl=c trans=e and bs R=0.8 in=b "
+               "refl=d trans=f differ in R; herald's R, eff_theory and "
+               "four_pair_correction use the first's R=0.486")
+    for argv, warned in (
+            (["herald", str(path), "--json"], True),
+            (["sweep", str(path), "--steps", "2"], False),
+            (["montecarlo", str(path), "--pulses", "1000",
+              "--out", str(tmp_path / "run")], False)):
+        assert cli.main(argv) == 0
+        err = capsys.readouterr().err
+        assert (warning in err.splitlines() if warned
+                else "differ in R" not in err), (argv, err)
 
 
 def test_configuration_error_inside_a_stage_exits_two(monkeypatch, capsys):

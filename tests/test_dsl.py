@@ -244,19 +244,6 @@ def test_low_nmax_warning():
     assert any(d.startswith("warning") for d in diags)
 
 
-def test_unequal_splitters_warning():
-    # herald reports R, eff_theory and the four-pair correction at the
-    # first splitter's R; a config whose splitters differ is told so
-    text = fixture_text("paper_5050.exp")
-    second = "bs in=b refl=d trans=f R="
-    assert second + "0.486\n" in text
-    diags = validate(parse(text.replace(second + "0.486", second + "0.8")))
-    assert diags == [
-        "warning: bs R=0.486 in=a refl=c trans=e and bs R=0.8 in=b refl=d "
-        "trans=f differ in R; herald's R, eff_theory and four_pair_correction "
-        "use the first's R=0.486"]
-
-
 def config_text(p1, R, eta, visibility, pulses, seed, bases):
     basis_lines = "\n".join(f"basis {b1} {b2}" for b1, b2 in bases)
     return f"""

@@ -1,26 +1,36 @@
-"""The exact path's pair sectors against the circuit-substitution route.
+"""The exact path's pair sectors against the routes they replaced.
 
 `herald`, `sweep` and `four_pair_correction` build their three- and
 four-pair sectors with `source.pair_power_states` from the pair operators
-taken through the composed circuit.  The reference kept here is the route
-they replaced: the normalized n-pair source state substituted through the
-circuit with `apply_circuit`, then heralded.
+taken through the composed circuit.  The first reference kept here is the
+route that building replaced: the normalized n-pair source state
+substituted through the circuit with `apply_circuit`, then heralded.
+
+`sweep` and `four_pair_correction` build each sector once, with every
+splitter at R = 1/2, and evaluate its herald as a curve in R
+(`analysis.herald_curves`).  The second reference is the route the curves
+replaced: every sweep row rebuilds its sectors through the circuit at its
+own R.
 """
 
+import contextlib
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
-from heraldsim import source
-from heraldsim.analysis import four_pair_correction
+from heraldsim import analysis, cli, source
+from heraldsim.analysis import four_pair_correction, herald_curves
 from heraldsim.detect import herald, threshold_detector
 from heraldsim.dsl import parse
-from heraldsim.elements import TRIGGER_MODES, apply_circuit, heralding_circuit
+from heraldsim.elements import (SOURCE_MODES, TRIGGER_MODES, apply_circuit,
+                                compose, heralding_circuit)
 from heraldsim.source import (SpdcParams, coupling_from_rate, n_pair_state,
                               pair_power_states, pair_probability)
 
-from conftest import RELABELLED_5050, fixture_text
+from conftest import BOOSTED_CONFIG, RELABELLED_5050, fixture_text
 
 FIXTURES = ("paper_5050.exp", "paper_6040.exp", "paper_7030.exp")
 
@@ -81,8 +91,8 @@ def test_sectors_match_substitution_route(circuit, triggers, arms):
                                 rel_tol=1e-12, abs_tol=0.0), (n, name)
 
 
-@pytest.mark.parametrize("R", [0.3, 0.486, 1.0])
-@pytest.mark.parametrize("eta_t", [0.167, 1.0])
+@pytest.mark.parametrize("R", [0.0, 0.1, 0.3, 0.486, 0.95, 1.0])
+@pytest.mark.parametrize("eta_t", [0.167, 0.5, 1.0])
 def test_four_pair_correction_matches_substitution_route(R, eta_t):
     params = parse(fixture_text("paper_5050.exp")).source
     assert math.isclose(four_pair_correction(params, R, eta_t),
@@ -144,3 +154,118 @@ def test_repeated_call_is_bit_identical(with_map):
         assert a.modes == b.modes and a.base == b.base
         assert np.array_equal(a.keys, b.keys)
         assert np.array_equal(a.amps, b.amps)
+
+
+# paper_5050 with number-resolving triggers
+PNR_5050 = "\n".join(
+    line.replace("kind=threshold", "kind=pnr")
+    if line.startswith("detector id=t") else line
+    for line in fixture_text("paper_5050.exp").splitlines()) + "\n"
+
+
+def per_row_herald(config, R):
+    """A sweep row's herald on the per-row route: the three-pair sector
+    built through the config's circuit with every splitter at R."""
+    [state] = pair_power_states(
+        [(3, 0)], compose(config.transforms(R=R), SOURCE_MODES))
+    return herald(state, config.trigger_detectors(), config.output_arms())
+
+
+def per_row_sweep(config, r_min, r_max, steps):
+    """The `sweep` CSV on the per-row route, the four-pair correction
+    substituted through `heralding_circuit(R)` row by row."""
+    eta_t = config.mean_trigger_eta()
+    lines = ["R,eff_theory,eff_exact_enumerated,four_pair_corrected"]
+    for i in range(steps):
+        R = r_min + (r_max - r_min) * i / (steps - 1)
+        result = per_row_herald(config, R)
+        exact = result.preparation_efficiency if result.heralded else 0.0
+        corrected = exact
+        if config.source.n_max >= 4 and R > 0.0:
+            corrected = exact * (1.0 + reference_four_pair_correction(
+                config.source, R, eta_t))
+        lines.append(f"{R:.9g},{analysis.eff_theory(R, eta_t):.9g},"
+                     f"{exact:.9g},{corrected:.9g}")
+    return "\n".join(lines) + "\n"
+
+
+def run_sweep(text, tmp_path, *args):
+    path = tmp_path / "config.exp"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["sweep", str(path), *args]) == 0
+    return out.getvalue()
+
+
+def sweep_curve(config):
+    [curve] = herald_curves([(3, 0)], config.transforms(R=0.5),
+                            config.trigger_detectors(), config.output_arms())
+    return curve
+
+
+def assert_same_herald(got, want):
+    assert got.heralded == want.heralded
+    for name in ("herald_probability", "preparation_efficiency"):
+        assert math.isclose(getattr(got, name), getattr(want, name),
+                            rel_tol=1e-12, abs_tol=0.0), name
+    scale = max(np.abs(want.conditional_dm).max(), 1e-300)
+    assert np.abs(got.conditional_dm - want.conditional_dm).max() \
+        <= 1e-12 * scale
+
+
+SWEPT_TEXTS = {name: fixture_text(name) for name in FIXTURES}
+SWEPT_TEXTS.update(relabelled=RELABELLED_5050, pnr=PNR_5050)
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT_TEXTS))
+def test_sweep_curve_matches_per_row_route(name):
+    config = parse(SWEPT_TEXTS[name])
+    curve = sweep_curve(config)
+    for R in (0.0, 0.1, 0.3, 0.486, 0.5, 0.7, 0.95, 1.0):
+        assert_same_herald(curve.at(R), per_row_herald(config, R))
+
+
+def test_one_build_serves_splitters_of_different_R():
+    text = fixture_text("paper_5050.exp").replace(
+        "bs in=b refl=d trans=f R=0.486", "bs in=b refl=d trans=f R=0.8")
+    config = parse(text)
+    [state] = pair_power_states([(3, 0)], config.circuit())
+    assert_same_herald(sweep_curve(config).at(0.486, 0.8),
+                       herald(state, config.trigger_detectors(),
+                              config.output_arms()))
+
+
+@pytest.mark.parametrize("name", ["paper_5050.exp", "relabelled", "pnr"])
+def test_sweep_edge_rows_match_per_row_route(name, tmp_path):
+    text = SWEPT_TEXTS[name]
+    got = run_sweep(text, tmp_path, "--r-min", "0", "--r-max", "1",
+                    "--steps", "5")
+    assert got == per_row_sweep(parse(text), 0.0, 1.0, 5)
+
+
+def test_ideal_dark_sweep_at_full_reflection_heralds_nothing(tmp_path):
+    # no dark counts: at R = 1 no photon reaches a trigger
+    config = parse(BOOSTED_CONFIG)
+    for result in (sweep_curve(config).at(1.0), per_row_herald(config, 1.0)):
+        assert not result.heralded and result.herald_probability == 0.0
+    rows = list(csv.reader(io.StringIO(run_sweep(
+        BOOSTED_CONFIG, tmp_path, "--r-min", "0.5", "--r-max", "1",
+        "--steps", "2"))))
+    assert rows[-1] == ["1", "1", "0", "0"]
+
+
+def test_sweep_skips_the_four_pair_correction_at_zero_reflection(
+        monkeypatch, tmp_path):
+    evaluated = []
+
+    def spy(params, R, eta_t):
+        evaluated.append(R)
+        return four_pair_correction(params, R, eta_t)
+    monkeypatch.setattr(cli, "four_pair_correction", spy)
+    out = run_sweep(fixture_text("paper_5050.exp"), tmp_path,
+                    "--r-min", "0", "--r-max", "1", "--steps", "5")
+    assert evaluated == [0.25, 0.5, 0.75, 1.0]
+    first = next(csv.DictReader(io.StringIO(out)))
+    assert first["R"] == "0"
+    assert first["four_pair_corrected"] == first["eff_exact_enumerated"]

@@ -13,6 +13,11 @@ error names its stage, `runtime error in <stage>: ...`: `herald` or
 `four_pair_correction` of a herald report, `sweep curve` (the build) or
 `row R=<R>` of a sweep, or a Monte Carlo run's `tables`, `sample` or
 `write`.
+
+This module imports only the numpy-free `config`, `dsl` and `elements`;
+each command loads its config before it imports the engine it runs, and
+only `montecarlo` loads `mc`.  `main` first defaults OPENBLAS_NUM_THREADS
+to 1: no BLAS call here needs a second thread, and an idle one spins.
 """
 
 from __future__ import annotations
@@ -30,17 +35,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .analysis import (chsh_werner_threshold, eff_theory, four_pair_correction,
-                       four_pair_sectors, herald_curves, violates_chsh)
 from .config import COUNT_END, COUNT_LOW, ExperimentConfig
-from .detect import decompose_s1, herald
 from .dsl import DslError, parse, splitter_warnings, validate
-from .fock import ConfigError
-from .mc import pattern_sums, precompute_outcome_tables, run_experiment
-from .source import pair_power_states
+from .elements import ConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,18 +80,19 @@ def _load_config(path: str) -> ExperimentConfig:
 
 
 def _herald_report(config: ExperimentConfig) -> dict:
+    from . import analysis, detect, source
     R = config.beam_splitter_R()
     eta_t = config.mean_trigger_eta()
     with _stage("herald"):
         # the three-pair state after the config's circuit, at its own R
-        [state] = pair_power_states([(3, 0)], config.circuit())
-        result = herald(state, config.trigger_detectors(),
-                        output_arms=config.output_arms())
+        [state] = source.pair_power_states([(3, 0)], config.circuit())
+        result = detect.herald(state, config.trigger_detectors(),
+                               output_arms=config.output_arms())
         trigger_modes = tuple(d.mode for d in config.trigger_detectors())
-        decomp = decompose_s1(state, trigger_modes=trigger_modes,
-                              output_arms=config.output_arms())
+        decomp = detect.decompose_s1(state, trigger_modes=trigger_modes,
+                                     output_arms=config.output_arms())
     with _stage("four_pair_correction"):
-        correction = (four_pair_correction(config.source, R, eta_t)
+        correction = (analysis.four_pair_correction(config.source, R, eta_t)
                       if config.source.n_max >= 4 else None)
     return {
         "config_digest": config.digest(),
@@ -103,7 +102,7 @@ def _herald_report(config: ExperimentConfig) -> dict:
         "preparation_efficiency": (result.preparation_efficiency
                                    if result.heralded else None),
         "heralded": result.heralded,
-        "eff_theory": eff_theory(R, eta_t),
+        "eff_theory": analysis.eff_theory(R, eta_t),
         "four_pair_correction": correction,
         "s1": {"alpha_sq": decomp.alpha_sq, "beta_sq": decomp.beta_sq,
                "gamma_sq": decomp.gamma_sq},
@@ -144,17 +143,18 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--r-min", args.r_min), ("--r-max", args.r_max)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{flag} {value} outside [0, 1]")
+    from . import analysis
     eta_t = config.mean_trigger_eta()
     four_pair = config.source.n_max >= 4
     with _stage("sweep curve"):
         # every splitter of the config swept together; four_pair_sectors
         # keeps its curves per eta_t, so each row's four_pair_correction,
         # like its herald, only evaluates a curve built here
-        [curve] = herald_curves([(3, 0)], config.transforms(R=0.5),
-                                config.trigger_detectors(),
-                                config.output_arms())
+        [curve] = analysis.herald_curves(
+            [(3, 0)], config.transforms(R=0.5), config.trigger_detectors(),
+            config.output_arms())
         if four_pair:
-            four_pair_sectors(eta_t)
+            analysis.four_pair_sectors(eta_t)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["R", "eff_theory", "eff_exact_enumerated",
                      "four_pair_corrected"])
@@ -164,16 +164,17 @@ def cmd_sweep(args) -> int:
             result = curve.at(R)
             exact = result.preparation_efficiency if result.heralded else 0.0
             if four_pair and R > 0.0:
-                shift = four_pair_correction(config.source, R, eta_t)
+                shift = analysis.four_pair_correction(config.source, R, eta_t)
                 corrected = exact * (1.0 + shift)
             else:
                 corrected = exact
-        writer.writerow([f"{R:.9g}", f"{eff_theory(R, eta_t):.9g}",
+        writer.writerow([f"{R:.9g}", f"{analysis.eff_theory(R, eta_t):.9g}",
                          f"{exact:.9g}", f"{corrected:.9g}"])
     return EXIT_OK
 
 
 def _summary_payload(config: ExperimentConfig, result) -> dict:
+    from . import analysis
     payload = {
         "config_digest": config.digest(),
         "seed": config.seed,
@@ -187,8 +188,8 @@ def _summary_payload(config: ExperimentConfig, result) -> dict:
         payload["eff_exp"] = dataclasses.asdict(result.efficiency)
     if result.fidelity is not None:
         payload["fidelity"] = dataclasses.asdict(result.fidelity)
-        violated, n_sigma = violates_chsh(result.fidelity)
-        payload["chsh"] = {"threshold": chsh_werner_threshold(),
+        violated, n_sigma = analysis.violates_chsh(result.fidelity)
+        payload["chsh"] = {"threshold": analysis.chsh_werner_threshold(),
                            "violates": violated,
                            "n_sigmas": (n_sigma if math.isfinite(n_sigma)
                                         else None)}
@@ -198,11 +199,12 @@ def _summary_payload(config: ExperimentConfig, result) -> dict:
 def _expected_vs_observed(tables, records) -> dict:
     """Per basis: n_t, n_s and each outcome count, the exact expectation
     pulses * q[mask].sum() next to the observed count, with its z-score."""
+    from . import mc
     report = {}
     for t, r in zip(tables, records):
         observed = {"n_t": r.n_t, "n_s": r.n_s, **r.outcomes}
         rows = report["_".join(t.basis)] = {}
-        for name, p in pattern_sums(t, t.pattern_probs).items():
+        for name, p in mc.pattern_sums(t, t.pattern_probs).items():
             mean, sigma = r.pulses * p, math.sqrt(r.pulses * p * (1.0 - p))
             rows[name] = {"expected": mean, "observed": observed[name],
                           "z": ((observed[name] - mean) / sigma
@@ -240,7 +242,9 @@ def cmd_montecarlo(args) -> int:
         value = getattr(args, name)
         if value is not None and not low <= value < COUNT_END:
             raise ConfigError(f"--{name} {value} outside [{low}, 2^63)")
+    t_load = time.perf_counter()
     config = _load_config(args.config)
+    load_s = time.perf_counter() - t_load
     if args.pulses is not None:
         config = dataclasses.replace(config, pulses=args.pulses)
     if args.seed is not None:
@@ -250,12 +254,15 @@ def cmd_montecarlo(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     print(f"running {len(config.bases) or 1} basis settings, "
           f"{config.pulses} pulses each", file=sys.stderr)
+    t_import = time.perf_counter()
+    import numpy as np
+    from . import mc
     t0 = time.perf_counter()
     with _stage("tables"):
-        tables = precompute_outcome_tables(config)
+        tables = mc.precompute_outcome_tables(config)
     t1 = time.perf_counter()
     with _stage("sample"):
-        result = run_experiment(config, tables=tables)
+        result = mc.run_experiment(config, tables=tables)
     t2 = time.perf_counter()
 
     with _stage("write"):
@@ -273,7 +280,8 @@ def cmd_montecarlo(args) -> int:
             "started": started,
             "finished": datetime.datetime.now(
                 datetime.timezone.utc).isoformat(),
-            "stages": {"tables_s": t1 - t0, "sample_s": t2 - t1,
+            "stages": {"load_s": load_s, "import_s": t0 - t_import,
+                       "tables_s": t1 - t0, "sample_s": t2 - t1,
                        "write_s": t3 - t2},
             "tables": {"branches": len(tables[0].branch_weights),
                        "patterns": len(tables[0].is_trigger),
@@ -328,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,21 +1,109 @@
-"""Experiment configuration: circuit declarations, detectors, run settings."""
+"""Experiment configuration: source, circuit declarations, detectors, run
+settings.  It imports no numpy, so a config reads and checks without it."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
-from .detect import DetectorSpec
-from .elements import (SOURCE_MODES, ModeTransform, beam_splitter, compose,
-                       half_wave_plate)
-from .fock import ConfigError
-from .source import SourceNoise, SpdcParams
+from .elements import (SOURCE_MODES, ConfigError, Mode, ModeTransform,
+                       beam_splitter, compose, half_wave_plate)
 
 # the lowest pulse count and seed; both lie below COUNT_END because numpy's
 # Philox key and multinomial count are int64
 COUNT_LOW = {"pulses": 1, "seed": 0}
 COUNT_END = 2 ** 63
+
+THRESHOLD = "threshold"
+NUMBER_RESOLVING = "pnr"
+
+
+@dataclass(frozen=True)
+class SpdcParams:
+    r: float
+    n_max: int = 4
+
+    def __post_init__(self):
+        if self.r < 0:
+            raise ConfigError(f"coupling r={self.r} must be >= 0")
+        if self.n_max < 1:
+            raise ConfigError(f"n_max={self.n_max} must be >= 1")
+
+
+@dataclass(frozen=True)
+class SourceNoise:
+    visibility: float = 1.0
+
+    def __post_init__(self):
+        if not (0.0 <= self.visibility <= 1.0):
+            raise ConfigError(f"visibility {self.visibility} outside [0, 1]")
+
+
+def pair_probability(n: int, r: float) -> float:
+    """p_n = (n+1) tanh^{2n}(r) / cosh^4(r)."""
+    if n < 0:
+        raise ConfigError("pair count must be >= 0")
+    if r == 0.0:
+        return 1.0 if n == 0 else 0.0
+    return (n + 1) * math.tanh(r) ** (2 * n) / math.cosh(r) ** 4
+
+
+def coupling_from_rate(p1: float) -> float:
+    """Invert p_1(r) = 2 tanh^2(r)/cosh^4(r) on its increasing branch: with
+    x = tanh^2(r), p_1 = 2x(1-x)^2 rises on [0, 1/3] to 8/27.  The cubic's
+    smallest root by the trigonometric formula, then one Newton step for the
+    relative precision its cancellation loses at small p_1."""
+    if p1 < 0:
+        raise ConfigError(f"p1={p1} must be >= 0")
+    if p1 > 8.0 / 27.0:
+        raise ConfigError(f"p1={p1} exceeds achievable maximum {8.0 / 27.0:.6g}")
+    x = (2.0 + 2.0 * math.cos(
+        (math.acos(min(6.75 * p1 - 1.0, 1.0)) + 2.0 * math.pi) / 3.0)) / 3.0
+    slope = 2.0 * (1.0 - x) * (1.0 - 3.0 * x)
+    if slope > 0.0:  # zero at the peak; the tangent never crosses past it
+        x -= (2.0 * x * (1.0 - x) ** 2 - p1) / slope
+    return math.atanh(math.sqrt(x))
+
+
+@dataclass(frozen=True)
+class DetectorSpec:
+    id: str
+    mode: Mode
+    kind: str = THRESHOLD
+    coupling: float = 1.0   # detection efficiency eta
+    dark_rate: float = 0.0  # counts / second
+    window: float = 0.0     # coincidence window, seconds
+
+    def __post_init__(self):
+        if self.kind not in (THRESHOLD, NUMBER_RESOLVING):
+            raise ConfigError(f"unknown detector kind {self.kind!r}")
+        if not (0.0 <= self.coupling <= 1.0):
+            raise ConfigError(f"detector {self.id}: efficiency outside [0, 1]")
+        if not (self.dark_rate >= 0.0 and self.window >= 0.0):
+            raise ConfigError(f"detector {self.id}: negative dark rate or window")
+        if not (0.0 <= self.dark_probability < 1.0):
+            raise ConfigError(f"detector {self.id}: dark probability outside [0, 1)")
+
+    @property
+    def eta(self) -> float:
+        return self.coupling
+
+    @property
+    def dark_probability(self) -> float:
+        return self.dark_rate * self.window
+
+
+def threshold_detector(id: str, mode: Mode, eta: float = 1.0,
+                       dark_rate: float = 0.0, window: float = 0.0
+                       ) -> DetectorSpec:
+    return DetectorSpec(id=id, mode=mode, kind=THRESHOLD, coupling=eta,
+                        dark_rate=dark_rate, window=window)
+
+
+def pnr_detector(id: str, mode: Mode, eta: float = 1.0) -> DetectorSpec:
+    return DetectorSpec(id=id, mode=mode, kind=NUMBER_RESOLVING, coupling=eta)
 
 
 @dataclass(frozen=True)

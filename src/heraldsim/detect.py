@@ -20,52 +20,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .elements import (OUTPUT_ARMS, POL_H, POL_V, TRIGGER_MODES, ModeTransform,
-                       compose, measurement_rotation)
-from .fock import (ConfigError, MixedState, Mode, PureState, as_mixed, places,
-                   substitute_modes)
-
-THRESHOLD = "threshold"
-NUMBER_RESOLVING = "pnr"
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    id: str
-    mode: Mode
-    kind: str = THRESHOLD
-    coupling: float = 1.0   # detection efficiency eta
-    dark_rate: float = 0.0  # counts / second
-    window: float = 0.0     # coincidence window, seconds
-
-    def __post_init__(self):
-        if self.kind not in (THRESHOLD, NUMBER_RESOLVING):
-            raise ConfigError(f"unknown detector kind {self.kind!r}")
-        if not (0.0 <= self.coupling <= 1.0):
-            raise ConfigError(f"detector {self.id}: efficiency outside [0, 1]")
-        if not (self.dark_rate >= 0.0 and self.window >= 0.0):
-            raise ConfigError(f"detector {self.id}: negative dark rate or window")
-        if not (0.0 <= self.dark_probability < 1.0):
-            raise ConfigError(f"detector {self.id}: dark probability outside [0, 1)")
-
-    @property
-    def eta(self) -> float:
-        return self.coupling
-
-    @property
-    def dark_probability(self) -> float:
-        return self.dark_rate * self.window
-
-
-def threshold_detector(id: str, mode: Mode, eta: float = 1.0,
-                       dark_rate: float = 0.0, window: float = 0.0
-                       ) -> DetectorSpec:
-    return DetectorSpec(id=id, mode=mode, kind=THRESHOLD, coupling=eta,
-                        dark_rate=dark_rate, window=window)
-
-
-def pnr_detector(id: str, mode: Mode, eta: float = 1.0) -> DetectorSpec:
-    return DetectorSpec(id=id, mode=mode, kind=NUMBER_RESOLVING, coupling=eta)
+# detector declarations live in `config`; importable from here as before
+from .config import (NUMBER_RESOLVING, THRESHOLD, DetectorSpec, pnr_detector,
+                     threshold_detector)
+from .elements import (OUTPUT_ARMS, POL_H, POL_V, TRIGGER_MODES, ConfigError,
+                       Mode, ModeTransform, compose, measurement_rotation)
+from .fock import MixedState, PureState, as_mixed, places, substitute_modes
 
 
 def click_probability(det: DetectorSpec, n: int) -> float:

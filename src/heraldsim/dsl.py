@@ -28,13 +28,11 @@ import math
 import re
 from dataclasses import dataclass
 
-from .config import (COUNT_END, COUNT_LOW, BsDecl, ElementDecl,
-                     ExperimentConfig, HwpDecl, PbsDecl, element_transform)
-from .detect import NUMBER_RESOLVING, THRESHOLD, DetectorSpec
-from .elements import SOURCE_MODES
-from .fock import ConfigError
-from .source import (SourceNoise, SpdcParams, coupling_from_rate,
-                     pair_probability)
+from .config import (COUNT_END, COUNT_LOW, NUMBER_RESOLVING, THRESHOLD,
+                     BsDecl, DetectorSpec, ElementDecl, ExperimentConfig,
+                     HwpDecl, PbsDecl, SourceNoise, SpdcParams,
+                     coupling_from_rate, element_transform, pair_probability)
+from .elements import SOURCE_MODES, ConfigError
 
 BASES = ("HV", "DA", "RL")
 

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .fock import ConfigError, Mode, PureState, substitute_modes
+if TYPE_CHECKING:
+    from .fock import PureState
+
+Mode = tuple[str, str]
 
 POL_H = "x"
 POL_V = "y"
@@ -24,6 +27,10 @@ LOSSLESS_ATOL = 1e-9
 
 # the two SPDC arms, where every circuit starts
 SOURCE_MODES: tuple[Mode, ...] = (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
+
+
+class ConfigError(Exception):
+    """Invalid configuration (duplicate modes, unmapped modes, bad ranges)."""
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,7 @@ def path_exponents(transforms: tuple[ModeTransform, ...]
 
 
 def apply_circuit(state: PureState, circuit: ModeTransform) -> PureState:
+    from .fock import substitute_modes
     return substitute_modes(state, compose((circuit,), state.occupied_modes()))
 
 

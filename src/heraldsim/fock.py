@@ -16,22 +16,16 @@ from __future__ import annotations
 import math
 import types
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .elements import ModeTransform
+from .elements import ConfigError, Mode, ModeTransform
 
-Mode = tuple[str, str]
 # Occupation pattern: sorted ((spatial, pol), count) pairs, counts > 0.
 FockKey = tuple[tuple[Mode, int], ...]
 
 DROP_TOL = 1e-12
-
-
-class ConfigError(Exception):
-    """Invalid configuration (duplicate modes, unmapped modes, bad ranges)."""
 
 
 class TruncationError(Exception):

@@ -10,58 +10,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .elements import SOURCE_MODES, ModeTransform
-from .fock import (ONE, ConfigError, MixedState, Mode, Polynomial, PureState,
-                   places)
-
-
-@dataclass(frozen=True)
-class SpdcParams:
-    r: float
-    n_max: int = 4
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ConfigError(f"coupling r={self.r} must be >= 0")
-        if self.n_max < 1:
-            raise ConfigError(f"n_max={self.n_max} must be >= 1")
-
-
-@dataclass(frozen=True)
-class SourceNoise:
-    visibility: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.visibility <= 1.0):
-            raise ConfigError(f"visibility {self.visibility} outside [0, 1]")
-
-
-def pair_probability(n: int, r: float) -> float:
-    """p_n = (n+1) tanh^{2n}(r) / cosh^4(r)."""
-    if n < 0:
-        raise ConfigError("pair count must be >= 0")
-    if r == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return (n + 1) * math.tanh(r) ** (2 * n) / math.cosh(r) ** 4
-
-
-def coupling_from_rate(p1: float) -> float:
-    """Invert p_1(r) = 2 tanh^2(r)/cosh^4(r) on its increasing branch: with
-    x = tanh^2(r), p_1 = 2x(1-x)^2 rises on [0, 1/3] to 8/27.  The cubic's
-    smallest root by the trigonometric formula, then one Newton step for the
-    relative precision its cancellation loses at small p_1."""
-    if p1 < 0:
-        raise ConfigError(f"p1={p1} must be >= 0")
-    if p1 > 8.0 / 27.0:
-        raise ConfigError(f"p1={p1} exceeds achievable maximum {8.0 / 27.0:.6g}")
-    x = (2.0 + 2.0 * math.cos(
-        (math.acos(min(6.75 * p1 - 1.0, 1.0)) + 2.0 * math.pi) / 3.0)) / 3.0
-    slope = 2.0 * (1.0 - x) * (1.0 - 3.0 * x)
-    if slope > 0.0:  # zero at the peak; the tangent never crosses past it
-        x -= (2.0 * x * (1.0 - x) ** 2 - p1) / slope
-    return math.atanh(math.sqrt(x))
+# source declarations live in `config`; importable from here as before
+from .config import SourceNoise, SpdcParams, coupling_from_rate, pair_probability
+from .elements import SOURCE_MODES, Mode, ModeTransform
+from .fock import ONE, MixedState, Polynomial, PureState, places
 
 
 def _pair_polynomials(transform: ModeTransform,

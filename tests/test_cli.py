@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import heraldsim
-from heraldsim import cli, fixture_path, schema_path
+from heraldsim import analysis, cli, detect, fixture_path, mc, schema_path
 from heraldsim.dsl import DslError, parse, validate
 from heraldsim.fock import ConfigError
 from heraldsim.source import truncation_deficit
@@ -414,6 +414,14 @@ def _fail(*args, **kwargs):
     raise RuntimeError("injected failure")
 
 
+# the module that defines each stage function: a command imports the engine
+# only when it runs, and looks the function up there
+STAGE_OWNER = {"herald": detect, "four_pair_correction": analysis,
+               "herald_curves": analysis, "four_pair_sectors": analysis,
+               "precompute_outcome_tables": mc, "run_experiment": mc,
+               "_write_outputs": cli}
+
+
 @pytest.mark.parametrize("command, stage_function, stage", [
     ("herald", "herald", "herald"),
     ("herald", "four_pair_correction", "four_pair_correction"),
@@ -426,7 +434,7 @@ def _fail(*args, **kwargs):
 ])
 def test_runtime_error_names_its_stage(command, stage_function, stage,
                                        monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(cli, stage_function, _fail)
+    monkeypatch.setattr(STAGE_OWNER[stage_function], stage_function, _fail)
     argv = [command, str(fixture_path("paper_5050.exp"))]
     if command == "sweep":
         argv += ["--steps", "2"]
@@ -443,7 +451,7 @@ def test_sweep_curve_failure_writes_no_row(error, code, monkeypatch, capsys):
     # empty, a runtime error exits 3 naming the stage, a config error exits 2
     def fail(*args, **kwargs):
         raise error("injected failure")
-    monkeypatch.setattr(cli, "herald_curves", fail)
+    monkeypatch.setattr(analysis, "herald_curves", fail)
     argv = ["sweep", str(fixture_path("paper_5050.exp")), "--steps", "2"]
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
@@ -481,7 +489,7 @@ def test_unequal_splitters_warning(tmp_path, capsys):
 def test_configuration_error_inside_a_stage_exits_two(monkeypatch, capsys):
     def bad_layout(*args, **kwargs):
         raise ConfigError("bad layout")
-    monkeypatch.setattr(cli, "herald", bad_layout)
+    monkeypatch.setattr(detect, "herald", bad_layout)
     assert cli.main(["herald", str(fixture_path("paper_5050.exp"))]) == 2
     err = capsys.readouterr().err
     assert "error: bad layout" in err and "runtime error" not in err
@@ -634,8 +642,11 @@ def test_montecarlo_manifest_telemetry(boosted_file, tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     stages = manifest["stages"]
-    assert set(stages) == {"tables_s", "sample_s", "write_s"}
+    assert list(stages) == ["load_s", "import_s", "tables_s", "sample_s",
+                            "write_s"]
     assert all(v >= 0.0 for v in stages.values())
+    # a fresh interpreter: the engine import is real work
+    assert stages["import_s"] > 0.0
     tables = manifest["tables"]
     assert tables["branches"] >= 1 and tables["patterns"] == 256
     assert set(tables["fock_terms"]) == {"HV_HV", "DA_DA", "RL_RL"}
@@ -681,6 +692,71 @@ def test_cli_import_leaves_scipy_unloaded():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Runs in a fresh interpreter: imports heraldsim.cli, parses and validates
+# every bundled fixture, then calls `main` on each argv of the JSON list in
+# argv[1].  Prints, per step, its exit code and which of WATCHED it left
+# loaded.
+STARTUP_PROBE = """\
+import contextlib, io, json, sys
+from pathlib import Path
+WATCHED = ("numpy", "numpy.random", "heraldsim.mc")
+
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
+
+import heraldsim.cli
+from heraldsim.dsl import parse, validate
+steps = [("import heraldsim.cli", 0, loaded())]
+fixtures = Path(heraldsim.__file__).parent / "fixtures"
+for path in sorted(fixtures.glob("*.exp")):
+    validate(parse(path.read_text(encoding="utf-8")))
+steps.append(("parse and validate", 0, loaded()))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = heraldsim.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    steps.append((" ".join(argv), code, loaded()))
+print(json.dumps(steps))
+"""
+
+
+def startup_steps(*argvs):
+    proc = run_python("-c", STARTUP_PROBE, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_reading_and_checking_a_config_loads_no_numpy(tmp_path):
+    rejected = tmp_path / "no_herald.exp"
+    rejected.write_text(BAD_LAYOUTS["no_herald"][0], encoding="utf-8")
+    steps = startup_steps(["--version"], ["herald", str(rejected)])
+    assert [code for _, code, _ in steps] == [0, 0, 0, 2], steps
+    assert all(watched == [] for _, _, watched in steps), steps
+
+
+def test_exact_commands_load_no_sampler():
+    path = str(fixture_path("paper_5050.exp"))
+    steps = startup_steps(["herald", path], ["sweep", path, "--steps", "2"])
+    assert [code for _, code, _ in steps] == [0, 0, 0, 0], steps
+    # the engine ran on numpy, without mc and numpy.random
+    assert [watched for _, _, watched in steps[2:]] == [["numpy"]] * 2
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_main_defaults_openblas_to_one_thread(preset, expected, monkeypatch):
+    # set first, so the variable's original state is restored afterwards
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset or "")
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    with pytest.raises(SystemExit), \
+            contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--version"])
+    assert os.environ["OPENBLAS_NUM_THREADS"] == expected
 
 
 def test_montecarlo_env_var_out_dir(boosted_file, tmp_path):

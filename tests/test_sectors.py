@@ -262,7 +262,7 @@ def test_sweep_skips_the_four_pair_correction_at_zero_reflection(
     def spy(params, R, eta_t):
         evaluated.append(R)
         return four_pair_correction(params, R, eta_t)
-    monkeypatch.setattr(cli, "four_pair_correction", spy)
+    monkeypatch.setattr(analysis, "four_pair_correction", spy)
     out = run_sweep(fixture_text("paper_5050.exp"), tmp_path,
                     "--r-min", "0", "--r-max", "1", "--steps", "5")
     assert evaluated == [0.25, 0.5, 0.75, 1.0]

@@ -37,7 +37,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import COUNT_END, COUNT_LOW, ExperimentConfig
-from .dsl import DslError, parse, splitter_warnings, validate
+from .dsl import parse, splitter_warnings, validate
 from .elements import ConfigError
 
 EXIT_OK = 0
@@ -45,6 +45,7 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 OUT_DIR_ENV = "HERALDSIM_OUT"
+MIN_SIXFOLDS = 10  # fewer expected in a basis draw a warning
 
 
 class StageError(Exception):
@@ -67,15 +68,15 @@ def _load_config(path: str) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise DslError(f"cannot read {path}: {exc}", 0, 0)
+        raise ConfigError(f"cannot read {path}: {exc}")
     config = parse(text)
     diagnostics = validate(config)
     errors = [d for d in diagnostics if d.startswith("error")]
     for diag in diagnostics:
         print(diag, file=sys.stderr)
     if errors:
-        raise DslError(f"{path}: configuration invalid", 0, 0,
-                       "fix the diagnostics above")
+        raise ConfigError(f"{path}: configuration invalid (fix the "
+                          "diagnostics above)")
     return config
 
 
@@ -139,7 +140,7 @@ def cmd_herald(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     if args.steps < 2:
-        raise DslError(f"steps={args.steps} must be >= 2", 0, 0)
+        raise ConfigError(f"--steps {args.steps} must be >= 2")
     for flag, value in (("--r-min", args.r_min), ("--r-max", args.r_max)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{flag} {value} outside [0, 1]")
@@ -256,11 +257,23 @@ def cmd_montecarlo(args) -> int:
           f"{config.pulses} pulses each", file=sys.stderr)
     t_import = time.perf_counter()
     import numpy as np
-    from . import mc
+    from . import fock, mc
     t0 = time.perf_counter()
     with _stage("tables"):
-        tables = mc.precompute_outcome_tables(config)
+        try:
+            tables = mc.precompute_outcome_tables(config)
+        except fock.TruncationError as exc:
+            raise ConfigError(f"source nmax={config.source.n_max} is too "
+                              f"large for the click tables: {exc}") from exc
     t1 = time.perf_counter()
+    p, name = min((t.sixfold_probability_per_pulse(), "_".join(t.basis))
+                  for t in tables)
+    if config.pulses * p < MIN_SIXFOLDS:
+        need = (f"pulses {math.ceil(MIN_SIXFOLDS / p)}" if p
+                else "no pulse count")
+        print(f"warning: basis {name} expects {config.pulses * p:.3g} "
+              f"six-folds at pulses {config.pulses}, too few for estimates; "
+              f"{need} would give {MIN_SIXFOLDS}", file=sys.stderr)
     with _stage("sample"):
         result = mc.run_experiment(config, tables=tables)
     t2 = time.perf_counter()

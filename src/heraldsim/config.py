@@ -112,7 +112,6 @@ class BsDecl:
     reflected_out: str
     transmitted_out: str
     R: float
-    kind: str = "bs"
 
 
 @dataclass(frozen=True)
@@ -120,13 +119,11 @@ class HwpDecl:
     target: str
     angle_deg: float
     out_pols: tuple[str, str]
-    kind: str = "hwp"
 
 
 @dataclass(frozen=True)
 class PbsDecl:
     target: str
-    kind: str = "pbs"
 
 
 ElementDecl = BsDecl | HwpDecl | PbsDecl

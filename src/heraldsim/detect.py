@@ -100,39 +100,17 @@ def click_pattern_probabilities(state: PureState | MixedState,
     return acc.sum(axis=0)
 
 
-def _arm_ports(output_detectors: list[DetectorSpec], arm: str) -> list[int]:
-    """The indices of the two output detectors on `arm` by polarization
-    label: the first registers H, + or R after the measurement rotation."""
-    ports = sorted((i for i, d in enumerate(output_detectors)
-                    if d.mode[0] == arm),
-                   key=lambda i: output_detectors[i].mode[1])
-    if len(ports) != 2:
-        ids = [output_detectors[i].id for i in ports]
-        raise ConfigError("six-fold counting needs exactly two detectors "
-                          f"on output arm {arm!r}; it has {ids}")
-    return ports
-
-
-def basis_rotations(output_detectors: list[DetectorSpec],
-                    output_arms: tuple[str, ...], basis: tuple[str, str]
-                    ) -> tuple[ModeTransform, ...]:
-    """Each output arm's measurement rotation in `basis`, onto the modes of
-    its two detectors in the order `sixfold_outcomes` reads them."""
-    return tuple(measurement_rotation(arm, b, tuple(
-        output_detectors[i].mode[1] for i in _arm_ports(output_detectors, arm))
-    ) for arm, b in zip(output_arms, basis))
-
-
-def sixfold_outcomes(trigger_detectors: list[DetectorSpec],
-                     output_detectors: list[DetectorSpec],
-                     output_arms: tuple[str, ...]
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The six-fold rule on the click patterns of the triggers followed by
-    the output detectors (bit i = detector i clicked): per pattern, whether
-    every trigger clicked, and the outcome 2 o_0 + o_1, or -1 unless every
-    trigger and exactly one port of each output arm clicked.  Each of the two
-    arms holds exactly two ports (`_arm_ports`); o_a = 0 if the first
-    clicked."""
+def sixfold_rule(trigger_detectors: list[DetectorSpec],
+                 output_detectors: list[DetectorSpec],
+                 output_arms: tuple[str, ...], basis: tuple[str, str]
+                 ) -> tuple[tuple[ModeTransform, ...], np.ndarray, np.ndarray]:
+    """One basis setting's six-fold read-out on the click patterns of the
+    triggers then the output detectors (bit i = detector i clicked).  Each
+    of the two output arms needs exactly two detectors; sorted by label,
+    the first registers the basis's first outcome (H, + or R) after the
+    arm's rotation, also returned.  Per pattern: whether every trigger
+    clicked, and the outcome 2 o_0 + o_1 (o_a = 0 if arm a's first
+    clicked), or -1 unless every trigger and one detector per arm clicked."""
     if len(output_arms) != 2:
         raise ConfigError("six-fold counting needs exactly two output arms; "
                           f"the output detectors sit on arms {list(output_arms)}")
@@ -140,14 +118,20 @@ def sixfold_outcomes(trigger_detectors: list[DetectorSpec],
     patterns = np.arange(1 << (n_trig + len(output_detectors)))
     all_triggers = (1 << n_trig) - 1
     is_trigger = (patterns & all_triggers) == all_triggers
-    outcome = np.zeros_like(patterns)
-    valid = is_trigger
-    for arm in output_arms:
-        first, second = (patterns >> (n_trig + i) & 1
-                         for i in _arm_ports(output_detectors, arm))
+    outcome, valid, rotations = np.zeros_like(patterns), is_trigger, []
+    for arm, arm_basis in zip(output_arms, basis):
+        ports = sorted((d.mode[1], i) for i, d in enumerate(output_detectors)
+                       if d.mode[0] == arm)
+        if len(ports) != 2:
+            ids = [output_detectors[i].id for _, i in ports]
+            raise ConfigError("six-fold counting needs exactly two detectors "
+                              f"on output arm {arm!r}; it has {ids}")
+        rotations.append(measurement_rotation(
+            arm, arm_basis, tuple(pol for pol, _ in ports)))
+        first, second = (patterns >> (n_trig + i) & 1 for _, i in ports)
         valid = valid & (first != second)
         outcome = 2 * outcome + second
-    return is_trigger, np.where(valid, outcome, -1)
+    return tuple(rotations), is_trigger, np.where(valid, outcome, -1)
 
 
 @dataclass(frozen=True)
@@ -171,8 +155,8 @@ class HeraldResult:
 def _output_arm_modes(state: PureState | MixedState,
                       output_arms: tuple[str, ...]) -> list[Mode]:
     """Each output arm's two polarization modes in `state`, sorted by label
-    as `sixfold_outcomes` sorts ports.  An arm no photon reaches (R = 0)
-    gets x and y, which hold nothing."""
+    as `sixfold_rule` sorts an arm's detectors.  An arm no photon reaches
+    (R = 0) gets x and y, which hold nothing."""
     if len(output_arms) != 2:
         raise ConfigError("heralding needs exactly two output arms; the "
                           f"output detectors sit on arms {list(output_arms)}")
@@ -318,14 +302,13 @@ def sixfold_probability(state: PureState | MixedState,
 
     Output arms of `state`, the post-circuit state, are rotated into the
     measurement basis before detection.  Triggers fire as in `herald`.
-    `outcome` selects which port clicks in each arm as in
-    `sixfold_outcomes`, and the other output detectors stay silent,
+    `outcome` selects which detector clicks in each arm as in
+    `sixfold_rule`, and the other output detectors stay silent,
     matching coincidence-logic counting.  An output port's event is any
     reading of one or more photons, a threshold detector's click.
     """
-    _, outcomes = sixfold_outcomes(trigger_detectors, output_detectors,
-                                   output_arms)
-    rotations = basis_rotations(output_detectors, output_arms, basis)
+    rotations, _, outcomes = sixfold_rule(trigger_detectors, output_detectors,
+                                          output_arms, basis)
     rotated = MixedState(tuple(
         (w, substitute_modes(pure, compose(rotations, pure.occupied_modes())))
         for w, pure in as_mixed(state).branches))

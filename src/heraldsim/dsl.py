@@ -32,9 +32,9 @@ from .config import (COUNT_END, COUNT_LOW, NUMBER_RESOLVING, THRESHOLD,
                      BsDecl, DetectorSpec, ElementDecl, ExperimentConfig,
                      HwpDecl, PbsDecl, SourceNoise, SpdcParams,
                      coupling_from_rate, element_transform, pair_probability)
-from .elements import SOURCE_MODES, ConfigError
+from .elements import MEASUREMENT_BASES, SOURCE_MODES, ConfigError
 
-BASES = ("HV", "DA", "RL")
+BASES = tuple(MEASUREMENT_BASES)
 
 
 class DslError(ConfigError):
@@ -236,7 +236,7 @@ def parse(text: str) -> ExperimentConfig:
         elif word == "basis":
             if len(stanza.args) != 2:
                 raise DslError("basis needs exactly two settings", kw.line,
-                               kw.col, "e.g. basis HV HV")
+                               kw.col, f"e.g. basis {BASES[0]} {BASES[0]}")
             for tok in stanza.args:
                 if tok.text not in BASES:
                     raise DslError(f"basis must be one of {'/'.join(BASES)}, "

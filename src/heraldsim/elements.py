@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .fock import PureState
@@ -89,6 +89,21 @@ def half_wave_plate(angle_deg: float, target: str,
     return ModeTransform(columns)
 
 
+class Basis(NamedTuple):
+    outcomes: str  # the letters of its first and second outcome
+    pauli: str     # the component a same-basis correlation estimates
+    # per input polarization, its coefficients on each outcome's mode
+    rotation: tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
+_S = 1.0 / math.sqrt(2.0)
+MEASUREMENT_BASES: dict[str, Basis] = {
+    "HV": Basis("HV", "z", ((1.0, 0.0), (0.0, 1.0))),
+    "DA": Basis("+-", "x", ((_S, _S), (_S, -_S))),
+    "RL": Basis("RL", "y", ((_S, _S), (-1j * _S, 1j * _S))),
+}
+
+
 def measurement_rotation(spatial: str, basis: str,
                          pols: tuple[str, str] = (POL_H, POL_V)
                          ) -> ModeTransform:
@@ -96,19 +111,11 @@ def measurement_rotation(spatial: str, basis: str,
     measurement basis: after it the detector on (spatial, pols[0]) registers
     the first outcome of the basis (H, + or R) and (spatial, pols[1]) the
     second."""
-    hx: Mode = (spatial, pols[0])
-    vy: Mode = (spatial, pols[1])
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    if basis == "HV":
-        columns = {hx: ((1.0 + 0.0j, hx),), vy: ((1.0 + 0.0j, vy),)}
-    elif basis == "DA":
-        columns = {hx: ((inv_sqrt2 + 0.0j, hx), (inv_sqrt2 + 0.0j, vy)),
-                   vy: ((inv_sqrt2 + 0.0j, hx), (-inv_sqrt2 + 0.0j, vy))}
-    elif basis == "RL":
-        columns = {hx: ((inv_sqrt2 + 0.0j, hx), (inv_sqrt2 + 0.0j, vy)),
-                   vy: ((-1j * inv_sqrt2, hx), (1j * inv_sqrt2, vy))}
-    else:
+    if basis not in MEASUREMENT_BASES:
         raise ConfigError(f"unknown measurement basis {basis!r}")
+    modes = [(spatial, pol) for pol in pols]
+    columns = {m: tuple((complex(c), out) for c, out in zip(col, modes) if c)
+               for m, col in zip(modes, MEASUREMENT_BASES[basis].rotation)}
     return ModeTransform(columns)
 
 

@@ -4,14 +4,15 @@ Pulses are i.i.d. and a run reports only each basis setting's click-pattern
 histogram, which for N pulses is exactly Multinomial(N, q), where q is the
 exact pattern distribution of the source mixture (the truncated tail as
 vacuum) after the circuit and the basis rotation.  The circuit and each
-basis's rotations compose into one source -> detector map; the two pair
-operators are taken through it once and every source branch is built in
-detector modes from them (`source.pair_power_states`), with no per-branch
-substitution.  So each basis draws its histogram directly, as one
-multinomial from Philox keyed by (seed, basis index): sampling error is the
-only stochastic component, and the cost does not grow with N.  numpy does
-not promise stable `multinomial` streams across versions (NEP 19); the run
-manifest records the numpy version.
+basis's rotations (`detect.sixfold_rule`) compose into one source ->
+detector map; the two pair operators are taken through it once and every
+source branch is built in detector modes from them
+(`source.pair_power_states`), with no per-branch substitution.  So each
+basis draws its histogram directly, as one multinomial from Philox keyed by
+(seed, basis index): sampling error is the only stochastic component, and
+the cost does not grow with N.  numpy does not promise stable `multinomial`
+streams across versions (NEP 19); the run manifest records the numpy
+version.  Outcome letters come from `elements.MEASUREMENT_BASES`.
 """
 
 from __future__ import annotations
@@ -24,15 +25,10 @@ from numpy.random import Generator, Philox
 from .analysis import (Estimate, correlation_from_counts, eff_exp,
                        fidelity_phi_plus)
 from .config import ExperimentConfig
-from .detect import (THRESHOLD, basis_rotations, click_pattern_probabilities,
-                     sixfold_outcomes)
-from .elements import SOURCE_MODES, compose
+from .detect import THRESHOLD, click_pattern_probabilities, sixfold_rule
+from .elements import MEASUREMENT_BASES, SOURCE_MODES, compose
 from .fock import ConfigError, MixedState, make_vacuum
 from .source import dephased_source
-
-# each basis's two outcomes, one letter each; a two-arm outcome is labelled
-# by its arms' letters, "HV", "+-", ..., in every record and output
-BASIS_OUTCOMES = {"HV": "HV", "DA": "+-", "RL": "RL"}
 
 
 @dataclass(frozen=True)
@@ -78,18 +74,18 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
     if pnr := [d.id for d in detectors if d.kind != THRESHOLD]:
         raise ConfigError("Monte Carlo tables support threshold detectors "
                           f"only; not threshold: {', '.join(pnr)}")
-    arms = config.output_arms()
-    is_trigger, outcome_index = sixfold_outcomes(triggers, outputs, arms)
-
     circuit = config.circuit()
     tables = []
-    for basis in (config.bases or (("HV", "HV"),)):
-        outcome_labels = tuple(a + b for a in BASIS_OUTCOMES[basis[0]]
-                               for b in BASIS_OUTCOMES[basis[1]])
+    # no basis stanza: the table's first basis (H/V) on both arms
+    for basis in config.bases or (tuple(MEASUREMENT_BASES)[:1] * 2,):
+        rotations, is_trigger, outcome_index = sixfold_rule(
+            triggers, outputs, config.output_arms(), basis)
+        # one outcome letter per arm, "HV", "+-", ..., in every output
+        first, second = (MEASUREMENT_BASES[b].outcomes for b in basis)
+        outcome_labels = tuple(a + b for a in first for b in second)
         # source modes -> this basis's detector modes, composed once; every
         # branch is built in detector modes through it
-        to_detectors = compose(
-            (circuit, *basis_rotations(outputs, arms, basis)), SOURCE_MODES)
+        to_detectors = compose((circuit, *rotations), SOURCE_MODES)
         branches = list(dephased_source(config.source, config.noise,
                                         to_detectors).branches)
         fock_terms = sum(len(out) for _, out in branches)
@@ -156,20 +152,19 @@ def run_experiment(config: ExperimentConfig,
                     fidelity=fidelity)
 
 
-_CORRELATION_BASIS = {("DA", "DA"): "xx", ("RL", "RL"): "yy", ("HV", "HV"): "zz"}
-
-
 def estimate_fidelity(records: list[CountRecord] | tuple[CountRecord, ...]
                       ) -> Estimate:
-    """Fidelity to Phi+ from counts in the three complementary bases."""
+    """Fidelity to Phi+ from counts in the three complementary bases; a
+    record with both arms in one basis gives its Pauli correlation."""
     found: dict[str, tuple[float, float]] = {}
     for record in records:
-        component = _CORRELATION_BASIS.get(record.basis)
-        if component is None or component in found:
+        first, second = record.basis
+        component = 2 * MEASUREMENT_BASES[first].pauli
+        if first != second or component in found:
             continue
         if sum(record.outcomes.values()) > 0:
             found[component] = correlation_from_counts(record.outcomes)
-    missing = [c for c in ("xx", "yy", "zz") if c not in found]
+    missing = {2 * b.pauli for b in MEASUREMENT_BASES.values()} - set(found)
     if missing:
         raise ConfigError("fidelity needs counts in all three bases; missing "
                           + ", ".join(sorted(missing)))

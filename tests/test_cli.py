@@ -410,6 +410,65 @@ def test_herald_runs_every_layout_validation_accepts(text):
     assert code == (2 if errors else 0), (text, err.getvalue())
 
 
+@pytest.mark.parametrize("case, message", [
+    ("missing_file", "cannot read"),
+    ("invalid_config", "configuration invalid"),
+    ("one_sweep_step", "--steps 1 must be >= 2")])
+def test_command_line_errors_exit_two_without_a_fake_location(
+        case, message, boosted_file, tmp_path):
+    invalid = tmp_path / "no_herald.exp"
+    invalid.write_text(_without(PAPER_7030, "herald "), encoding="utf-8")
+    args = {"missing_file": ("herald", str(tmp_path / "missing.exp")),
+            "invalid_config": ("herald", str(invalid)),
+            "one_sweep_step": ("sweep", boosted_file, "--steps", "1")}[case]
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "line 0" not in proc.stderr
+
+
+def test_montecarlo_with_an_overflowing_nmax_exits_two(tmp_path):
+    # accepted by the validator; the click tables' packed keys overflow at
+    # once, before any table is built
+    path = tmp_path / "nmax200.exp"
+    path.write_text(SMALL_MC.replace("nmax=3", "nmax=200"), encoding="utf-8")
+    assert [d for d in validate(parse(path.read_text(encoding="utf-8")))
+            if d.startswith("error")] == []
+    proc = run_cli("montecarlo", str(path), "--out", str(tmp_path / "run"))
+    assert proc.returncode == 2, proc.stderr
+    assert "source nmax=200" in proc.stderr
+    assert "runtime error" not in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name, text, digest", [
+    # summary.json as written before the warning existed
+    ("paper_5050", fixture_text("paper_5050.exp"),
+     "51e577ec74d4d53368f406b05e68d63f3c668fc264f3d285adf9f8fde6fefe01"),
+    ("boosted", BOOSTED_CONFIG, None)])
+def test_montecarlo_warns_when_a_basis_expects_too_few_sixfolds(
+        name, text, digest, tmp_path):
+    path = tmp_path / f"{name}.exp"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "run"
+    proc = run_cli("montecarlo", str(path), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    warnings = [line for line in proc.stderr.splitlines()
+                if line.startswith("warning:")]
+    if digest is None:
+        assert warnings == []
+        return
+    # about 8e-6 six-folds per basis at the published brightness
+    [warning] = warnings
+    pulses = parse(text).pulses
+    assert f"at pulses {pulses}," in warning
+    needed = int(re.search(r"; pulses (\d+) would give 10$", warning)[1])
+    assert 1e11 < needed < 1e13
+    summary = (out / "summary.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == digest
+    assert json.loads(summary)["fidelity"] is None
+
+
 def _fail(*args, **kwargs):
     raise RuntimeError("injected failure")
 

@@ -88,8 +88,9 @@ def test_serialize_keeps_element_order():
     assert again.elements == cfg.elements
     assert validate(cfg) == validate(again) == []
     # sorted by kind, the plate lands behind the splitter: another circuit
+    kinds = (BsDecl, HwpDecl, PbsDecl)
     by_kind = dataclasses.replace(cfg, elements=tuple(sorted(
-        cfg.elements, key=lambda e: ("bs", "hwp", "pbs").index(e.kind))))
+        cfg.elements, key=lambda e: kinds.index(type(e)))))
     assert validate(by_kind) != []
     assert again.digest() == cfg.digest() != by_kind.digest()
     effs = [herald(apply_circuit(n_pair_state(3), c.circuit()),

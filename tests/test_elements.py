@@ -10,6 +10,7 @@ from heraldsim.dsl import parse
 from heraldsim.fock import ConfigError, mode, substitute_modes
 from heraldsim.elements import (
     LOSSLESS_ATOL,
+    MEASUREMENT_BASES,
     ModeTransform,
     TRIGGER_MODES,
     apply_circuit,
@@ -93,6 +94,35 @@ def test_measurement_rotations_are_isometries():
     for basis in ("HV", "DA", "RL"):
         dev = measurement_rotation("c", basis).gram_deviation()
         assert dev <= LOSSLESS_ATOL, f"{basis} rotation deviates by {dev}"
+
+
+# each basis's rotation written out coefficient by coefficient, per input
+# mode (first, second polarization label): (coefficient, output index)
+_S = 1.0 / math.sqrt(2.0)
+ROTATION_COLUMNS = {
+    "HV": (((1.0 + 0.0j, 0),), ((1.0 + 0.0j, 1),)),
+    "DA": (((_S + 0.0j, 0), (_S + 0.0j, 1)),
+           ((_S + 0.0j, 0), (-_S + 0.0j, 1))),
+    "RL": (((_S + 0.0j, 0), (_S + 0.0j, 1)),
+           ((-1j * _S, 0), (1j * _S, 1))),
+}
+
+
+@pytest.mark.parametrize("pols", [("x", "y"), ("u", "v")])
+def test_basis_table_transcribes_each_basis(pols):
+    assert list(MEASUREMENT_BASES) == ["HV", "DA", "RL"]
+    assert {b: (t.outcomes, t.pauli) for b, t in MEASUREMENT_BASES.items()} \
+        == {"HV": ("HV", "z"), "DA": ("+-", "x"), "RL": ("RL", "y")}
+    modes = [("c", p) for p in pols]
+    for basis, columns in ROTATION_COLUMNS.items():
+        got = measurement_rotation("c", basis, pols).columns
+        assert list(got) == modes
+        for m, want in zip(modes, columns):
+            # exact coefficients, zero entries dropped
+            assert got[m] == tuple((c, modes[k]) for c, k in want), basis
+            assert all(type(c) is complex for c, _ in got[m])
+    with pytest.raises(ConfigError, match="unknown measurement basis"):
+        measurement_rotation("c", "XY")
 
 
 def test_isometry_validation_catches_scaling():

@@ -13,6 +13,7 @@ from numpy.random import Philox
 from scipy import stats
 
 from heraldsim import cli, fixture_path, mc
+from heraldsim.analysis import correlation_from_counts
 from heraldsim.fock import ConfigError, MixedState, make_vacuum
 from heraldsim.dsl import parse
 from heraldsim.elements import apply_circuit, compose, measurement_rotation
@@ -362,6 +363,22 @@ def test_efficiency_estimate_matches_formula(boosted_result):
     n_s = sum(r.n_s for r in boosted_result.records)
     assert boosted_result.efficiency.value == pytest.approx(
         n_s / n_t, rel=1e-12)
+
+
+def test_estimate_fidelity_reads_each_correlation_from_its_basis(
+        monkeypatch):
+    counts = {("HV", "DA"): {"H+": 9, "H-": 1, "V+": 1, "V-": 9},
+              ("DA", "DA"): {"++": 7, "+-": 2, "-+": 1, "--": 5},
+              ("RL", "RL"): {"RR": 1, "RL": 6, "LR": 3, "LL": 2},
+              ("HV", "HV"): {"HH": 8, "HV": 1, "VH": 1, "VV": 3}}
+    records = [mc.CountRecord(basis, 100, 20, sum(c.values()), c)
+               for basis, c in counts.items()]
+    # the correlations handed to the fidelity formula, by Pauli component
+    monkeypatch.setattr(mc, "fidelity_phi_plus", lambda found: found)
+    assert estimate_fidelity(records) == {
+        "xx": correlation_from_counts(counts["DA", "DA"]),
+        "yy": correlation_from_counts(counts["RL", "RL"]),
+        "zz": correlation_from_counts(counts["HV", "HV"])}
 
 
 def test_estimate_fidelity_requires_all_bases(boosted_result):

@@ -3,17 +3,16 @@ the four-pair correction, and heralds as curves in the splitter ratio.
 
 Error bars use first-order propagation on independent Poisson counts.
 `herald_curves` builds source sectors once, with `source.pair_power_states`
-through a circuit whose splitters sit at R = 1/2, and keeps each sector's
-herald as a `detect.HeraldCurve`; a `sweep` row and the four-pair
-correction at any R evaluate such curves.
+through a circuit it takes as a function of the splitter ratio and builds
+at R = 1/2, as `detect.HeraldCurve`s.  Nothing is cached: a caller holds
+the curves it evaluates, as `sweep` holds them for every row.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .detect import DetectorSpec, HeraldCurve, herald_curve, threshold_detector
 from .elements import (OUTPUT_ARMS, SOURCE_MODES, TRIGGER_MODES, ModeTransform,
@@ -87,49 +86,39 @@ def violates_chsh(estimate: Estimate) -> tuple[bool, float]:
 
 
 def herald_curves(powers: list[tuple[int, int]],
-                  transforms: tuple[ModeTransform, ...],
+                  elements: Callable[[float], tuple[ModeTransform, ...]],
                   trigger_detectors: list[DetectorSpec],
                   output_arms: tuple[str, ...]) -> list[HeraldCurve]:
     """The source branch P-^k P+^j |0> of each (k, j) of `powers` after the
-    circuit `transforms` (every splitter at R = 1/2), heralded on
+    circuit `elements(R)` (`config.transforms` or `heralding_elements`),
+    built here with every splitter at R = 1/2, heralded on
     `trigger_detectors` as a curve in the splitters' ratios."""
+    transforms = elements(0.5)
     exponents = path_exponents(transforms)
     return [herald_curve(state, trigger_detectors, output_arms, exponents)
             for state in pair_power_states(powers,
                                            compose(transforms, SOURCE_MODES))]
 
 
-@functools.lru_cache(maxsize=16)
 def four_pair_sectors(eta_t: float) -> tuple[HeraldCurve, ...]:
     """The three- and four-pair sectors through `heralding_elements`,
     heralded on threshold triggers of efficiency eta_t without dark counts,
-    as curves in R: built once per eta_t, so `four_pair_correction` at any
-    R and params evaluates them."""
+    as curves in R for `four_pair_shift`."""
     triggers = [threshold_detector(f"t{i}", m, eta=eta_t)
                 for i, m in enumerate(TRIGGER_MODES, start=1)]
-    return tuple(herald_curves([(3, 0), (4, 0)], heralding_elements(0.5),
+    return tuple(herald_curves([(3, 0), (4, 0)], heralding_elements,
                                triggers, OUTPUT_ARMS))
 
 
-def four_pair_correction(params: SpdcParams, R: float,
-                         eta_t: float = 1.0) -> float:
-    """Relative efficiency shift from adding the four-pair emission sector.
-
-    Both sectors are pushed through the full enumeration (circuit, trigger
-    losses, threshold clicks); sector weights are p_3 and p_4.  The two
-    sectors are `four_pair_sectors(eta_t)` evaluated at R.  The default
-    eta_t=1 classifies triggers by arrival (at least one photon per trigger
-    mode), which reproduces the quoted ~4.5% size of the effect; at low
-    trigger efficiency the four-pair and three-pair herald classes happen to
-    have similar one-pair-per-arm fractions and the shift is much smaller.
-    """
-    if params.n_max < 4:
-        raise ConfigError("four-pair correction requires n_max >= 4")
+def four_pair_shift(params: SpdcParams, sectors: tuple[HeraldCurve, ...],
+                    R: float) -> float:
+    """Relative efficiency shift from adding the four-pair sector: the
+    three- and four-pair `sectors` evaluated at R, weighted by p_3 and p_4."""
     p3 = pair_probability(3, params.r)
     p4 = pair_probability(4, params.r)
     if p4 == 0.0:
         return 0.0
-    res3, res4 = (curve.at(R) for curve in four_pair_sectors(eta_t))
+    res3, res4 = (curve.at(R) for curve in sectors)
     eff3 = res3.preparation_efficiency
     good = (p3 * res3.herald_probability * res3.preparation_efficiency
             + p4 * res4.herald_probability * res4.preparation_efficiency)
@@ -138,3 +127,21 @@ def four_pair_correction(params: SpdcParams, R: float,
         return 0.0
     eff34 = good / trig
     return (eff34 - eff3) / eff3
+
+
+def four_pair_correction(params: SpdcParams, R: float,
+                         eta_t: float = 1.0) -> float:
+    """Relative efficiency shift from adding the four-pair emission sector.
+
+    Both sectors are pushed through the full enumeration (circuit, trigger
+    losses, threshold clicks); sector weights are p_3 and p_4.  The two
+    sectors are `four_pair_sectors(eta_t)`, built on each call and evaluated
+    at R by `four_pair_shift`.  The default eta_t=1 classifies triggers by
+    arrival (at least one photon per trigger mode), which reproduces the
+    quoted ~4.5% size of the effect; at low trigger efficiency the
+    four-pair and three-pair herald classes happen to have similar
+    one-pair-per-arm fractions and the shift is much smaller.
+    """
+    if params.n_max < 4:
+        raise ConfigError("four-pair correction requires n_max >= 4")
+    return four_pair_shift(params, four_pair_sectors(eta_t), R)

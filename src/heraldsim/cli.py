@@ -3,10 +3,11 @@
 Every command builds its source branches with `source.pair_power_states`
 from the pair operators taken through the composed circuit; none
 substitutes a state.  `herald` builds the three-pair sector through the
-config's circuit at its declared ratios.  `sweep` builds the three-pair
-sector and the four-pair correction's sectors once, on the circuit with
-every splitter at R = 1/2, before it writes the header; each row then
-evaluates those curves at its R (`analysis.herald_curves`).
+config's circuit at its declared ratios.  `sweep` holds the curves it
+evaluates: before it writes the header it builds the three-pair sector on
+the config's circuit (`analysis.herald_curves`, which builds at R = 1/2)
+and, at nmax >= 4, the four-pair correction's two sectors; each row then
+evaluates them at its R, the correction by `analysis.four_pair_shift`.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
 error names its stage, `runtime error in <stage>: ...`: `herald` or
@@ -37,7 +38,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import COUNT_END, COUNT_LOW, ExperimentConfig
-from .dsl import parse, splitter_warnings, validate
+from .dsl import four_pair_warnings, parse, splitter_warnings, validate
 from .elements import ConfigError
 
 EXIT_OK = 0
@@ -112,7 +113,7 @@ def _herald_report(config: ExperimentConfig) -> dict:
 
 def cmd_herald(args) -> int:
     config = _load_config(args.config)
-    for warning in splitter_warnings(config):
+    for warning in splitter_warnings(config) + four_pair_warnings(config):
         print(warning, file=sys.stderr)
     report = _herald_report(config)
     if args.json:
@@ -144,18 +145,18 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--r-min", args.r_min), ("--r-max", args.r_max)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{flag} {value} outside [0, 1]")
+    for warning in four_pair_warnings(config):
+        print(warning, file=sys.stderr)
     from . import analysis
     eta_t = config.mean_trigger_eta()
-    four_pair = config.source.n_max >= 4
     with _stage("sweep curve"):
-        # every splitter of the config swept together; four_pair_sectors
-        # keeps its curves per eta_t, so each row's four_pair_correction,
-        # like its herald, only evaluates a curve built here
+        # every splitter of the config swept together; each row only
+        # evaluates the curves held here
         [curve] = analysis.herald_curves(
-            [(3, 0)], config.transforms(R=0.5), config.trigger_detectors(),
+            [(3, 0)], config.transforms, config.trigger_detectors(),
             config.output_arms())
-        if four_pair:
-            analysis.four_pair_sectors(eta_t)
+        sectors = (analysis.four_pair_sectors(eta_t)
+                   if config.source.n_max >= 4 else None)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["R", "eff_theory", "eff_exact_enumerated",
                      "four_pair_corrected"])
@@ -164,8 +165,8 @@ def cmd_sweep(args) -> int:
         with _stage(f"row R={R:.9g}"):
             result = curve.at(R)
             exact = result.preparation_efficiency if result.heralded else 0.0
-            if four_pair and R > 0.0:
-                shift = analysis.four_pair_correction(config.source, R, eta_t)
+            if sectors and R > 0.0:
+                shift = analysis.four_pair_shift(config.source, sectors, R)
                 corrected = exact * (1.0 + shift)
             else:
                 corrected = exact

@@ -6,7 +6,7 @@ canonical serializer.
 composes) from the source modes: an element must read modes that carry
 light and may feed only modes that do not.  Diagnostics name an element by
 its canonical stanza.  The parser rejects an element whose two outputs
-coincide, which the walk cannot see.
+coincide, which the walk cannot see, and a repeated once-only stanza.
 
 Grammar (one stanza per line, `#` starts a comment):
 
@@ -35,6 +35,8 @@ from .config import (COUNT_END, COUNT_LOW, NUMBER_RESOLVING, THRESHOLD,
 from .elements import MEASUREMENT_BASES, SOURCE_MODES, ConfigError
 
 BASES = tuple(MEASUREMENT_BASES)
+# stanzas a config holds at most once; a second one is a located error
+ONCE_ONLY = frozenset({"source", "herald", *COUNT_LOW})
 
 
 class DslError(ConfigError):
@@ -141,17 +143,19 @@ def parse(text: str) -> ExperimentConfig:
     herald_ids: tuple[str, ...] = ()
     bases: list[tuple[str, str]] = []
     counts: dict[str, int] = {}  # pulses and seed, if given
+    seen: set[str] = set()
 
     for stanza in stanzas:
         kw = stanza.keyword
         word = kw.text
+        if word in ONCE_ONLY & seen:
+            raise DslError(f"duplicate {word} stanza", kw.line, kw.col,
+                           f"keep a single {word} line")
+        seen.add(word)
         if word == "source":
             if not stanza.args or stanza.args[0].text != "spdc":
                 raise DslError("source kind must be 'spdc'", kw.line, kw.col,
                                "write: source spdc p1=... nmax=... visibility=...")
-            if source is not None:
-                raise DslError("duplicate source stanza", kw.line, kw.col,
-                               "keep a single source line")
             args = _kv_args(Stanza(kw, stanza.args[1:]),
                             ["p1"], ["nmax", "visibility"])
             p1 = _float(args["p1"], "p1", 0.0, 1.0)
@@ -227,8 +231,6 @@ def parse(text: str) -> ExperimentConfig:
                                           coupling=eta, dark_rate=dark,
                                           window=window))
         elif word == "herald":
-            if herald_ids:
-                raise DslError("duplicate herald stanza", kw.line, kw.col)
             if not stanza.args:
                 raise DslError("herald needs trigger detector ids",
                                kw.line, kw.col, "list four detector ids")
@@ -308,6 +310,23 @@ def splitter_warnings(config: ExperimentConfig) -> list[str]:
             for other in splitters[1:] if other.R != splitters[0].R]
 
 
+def four_pair_warnings(config: ExperimentConfig) -> list[str]:
+    """A warning for `herald` and `sweep` when their four-pair correction
+    (nmax >= 4) cannot follow the config's triggers: it heralds on
+    dark-free threshold triggers at the triggers' mean efficiency, so a
+    number-resolving trigger, or efficiencies that differ, go unmodelled."""
+    triggers = config.trigger_detectors()
+    mean = config.mean_trigger_eta()
+    unequal = len({d.eta for d in triggers}) > 1
+    named = [f"{d.id!r} (kind={d.kind} eta={_fmt(d.eta)})" for d in triggers
+             if d.kind != THRESHOLD or (unequal and d.eta != mean)]
+    if config.source.n_max < 4 or not named:
+        return []
+    return [f"warning: four_pair_correction heralds on dark-free threshold "
+            f"triggers at their mean eta={_fmt(mean)}, not on triggers "
+            f"{', '.join(named)}"]
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """Cross-reference checks; returns diagnostics instead of raising."""
     diagnostics: list[str] = []
@@ -326,6 +345,10 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.source.n_max < 3:
         diagnostics.append(f"warning: nmax={config.source.n_max} cannot "
                            "emit the three pairs a herald needs")
+    for b1, b2 in dict.fromkeys(config.bases):
+        if (n := config.bases.count((b1, b2))) > 1:
+            diagnostics.append(f"error: basis {b1} {b2} is declared {n} "
+                               "times; each setting is drawn once")
 
     # walk the transforms `config.circuit()` composes, from the source
     # modes; `live` maps each mode that carries light to the stanza feeding it

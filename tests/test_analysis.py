@@ -166,7 +166,7 @@ def heralding_curve(make_trigger, eta=1.0):
     """The three-pair herald through `heralding_elements` as a curve in R."""
     triggers = [make_trigger(f"t{i}", m, eta=eta)
                 for i, m in enumerate(TRIGGER_MODES, start=1)]
-    [curve] = herald_curves([(3, 0)], heralding_elements(0.5), triggers,
+    [curve] = herald_curves([(3, 0)], heralding_elements, triggers,
                             OUTPUT_ARMS)
     return curve
 

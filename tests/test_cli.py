@@ -441,6 +441,19 @@ def test_montecarlo_with_an_overflowing_nmax_exits_two(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("pulses 7\n", "duplicate pulses stanza"),
+    ("basis HV HV\n", "error: basis HV HV is declared 2 times")])
+def test_montecarlo_rejects_a_repeated_stanza_before_writing(
+        extra, message, tmp_path, capsys):
+    path = tmp_path / "repeated.exp"
+    path.write_text(SMALL_MC + extra, encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["montecarlo", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, text, digest", [
     # summary.json as written before the warning existed
     ("paper_5050", fixture_text("paper_5050.exp"),
@@ -477,6 +490,7 @@ def _fail(*args, **kwargs):
 # only when it runs, and looks the function up there
 STAGE_OWNER = {"herald": detect, "four_pair_correction": analysis,
                "herald_curves": analysis, "four_pair_sectors": analysis,
+               "four_pair_shift": analysis,
                "precompute_outcome_tables": mc, "run_experiment": mc,
                "_write_outputs": cli}
 
@@ -486,7 +500,7 @@ STAGE_OWNER = {"herald": detect, "four_pair_correction": analysis,
     ("herald", "four_pair_correction", "four_pair_correction"),
     ("sweep", "herald_curves", "sweep curve"),
     ("sweep", "four_pair_sectors", "sweep curve"),
-    ("sweep", "four_pair_correction", "row R=0.3"),
+    ("sweep", "four_pair_shift", "row R=0.3"),
     ("montecarlo", "precompute_outcome_tables", "tables"),
     ("montecarlo", "run_experiment", "sample"),
     ("montecarlo", "_write_outputs", "write"),
@@ -543,6 +557,42 @@ def test_unequal_splitters_warning(tmp_path, capsys):
         err = capsys.readouterr().err
         assert (warning in err.splitlines() if warned
                 else "differ in R" not in err), (argv, err)
+
+
+PAPER_5050 = fixture_text("paper_5050.exp")
+T1 = "detector id=t1 mode=e:x kind=threshold eta=0.167"
+
+
+@pytest.mark.parametrize("text, named", [
+    (PAPER_5050.replace("id=t1 mode=e:x kind=threshold",
+                        "id=t1 mode=e:x kind=pnr"),
+     "'t1' (kind=pnr eta=0.167)"),
+    (PAPER_5050.replace(T1, T1.replace("0.167", "0.2")),
+     "'t1' (kind=threshold eta=0.2), 't2' (kind=threshold eta=0.167), "
+     "'t3' (kind=threshold eta=0.167), 't4' (kind=threshold eta=0.167)"),
+    *((fixture_text(name), None) for name in
+      ("paper_5050.exp", "paper_6040.exp", "paper_7030.exp"))],
+    ids=["pnr", "unequal_eta", "paper_5050", "paper_6040", "paper_7030"])
+def test_four_pair_warning_names_the_triggers_it_cannot_follow(
+        text, named, tmp_path, capsys):
+    # the correction heralds on dark-free threshold triggers at the mean
+    # eta; the fixtures' equal threshold triggers draw no warning
+    path = tmp_path / "config.exp"
+    path.write_text(text, encoding="utf-8")
+    config = parse(text)
+    mean = format(config.mean_trigger_eta(), ".9g")
+    for argv in (["herald", str(path), "--json"],
+                 ["sweep", str(path), "--steps", "2"]):
+        assert cli.main(argv) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if "four_pair_correction heralds" in line]
+        assert warnings == ([] if named is None else [
+            "warning: four_pair_correction heralds on dark-free threshold "
+            f"triggers at their mean eta={mean}, not on triggers {named}"])
+    # without a four-pair sector there is no correction to warn about
+    path.write_text(text.replace("nmax=4", "nmax=3"), encoding="utf-8")
+    assert cli.main(["herald", str(path), "--json"]) == 0
+    assert "four_pair_correction" not in capsys.readouterr().err
 
 
 def test_configuration_error_inside_a_stage_exits_two(monkeypatch, capsys):

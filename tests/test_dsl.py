@@ -107,6 +107,26 @@ def test_duplicate_detector_id_rejected():
     assert "duplicate" in str(err.value)
 
 
+@pytest.mark.parametrize("stanza", [
+    "source spdc p1=0.1 nmax=3", "herald t1 t2 t3 t4", "pulses 7", "seed 5"])
+def test_repeated_once_only_stanza_rejected_where_it_repeats(stanza):
+    # a second pulses or seed line used to replace the first silently
+    text = fixture_text("paper_5050.exp") + stanza + "\n"
+    word = stanza.split()[0]
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (len(text.splitlines()), 1)
+    assert f"duplicate {word} stanza" in str(err.value)
+    assert err.value.hint == f"keep a single {word} line"
+
+
+def test_repeated_basis_setting_is_an_error():
+    cfg = parse(BOOSTED_CONFIG + "basis DA DA\nbasis DA DA\n")
+    assert validate(cfg) == ["error: basis DA DA is declared 3 times; each "
+                             "setting is drawn once"]
+    assert validate(parse(BOOSTED_CONFIG + "basis DA HV\n")) == []
+
+
 def test_missing_source_reported_with_hint():
     text = BOOSTED_CONFIG.replace(
         "source spdc p1=0.25 nmax=3 visibility=1.0", "")

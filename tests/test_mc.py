@@ -16,7 +16,8 @@ from heraldsim import cli, fixture_path, mc
 from heraldsim.analysis import correlation_from_counts
 from heraldsim.fock import ConfigError, MixedState, make_vacuum
 from heraldsim.dsl import parse
-from heraldsim.elements import apply_circuit, compose, measurement_rotation
+from heraldsim.elements import (MEASUREMENT_BASES, apply_circuit, compose,
+                                measurement_rotation)
 from heraldsim.source import SOURCE_MODES, dephased_source, n_pair_state
 from heraldsim.detect import (click_pattern_probabilities, click_probability,
                               fidelity_to_phi_plus, herald,
@@ -28,7 +29,8 @@ from heraldsim.mc import (
 )
 
 import fock_oracle
-from conftest import BOOSTED_CONFIG
+from conftest import (BOOSTED_CONFIG, RELABELLED_5050, ROTATED_ARM_5050,
+                      fixture_text)
 from dilation_oracle import key_occupation
 
 # Click-pattern histograms {pattern: count} of paper_5050.exp at its seed
@@ -356,6 +358,79 @@ def test_dephased_fidelity_matches_enumeration():
     est = result.fidelity
     assert est.sigma > 0.0
     assert abs(est.value - exact) < 3.0 * est.sigma
+
+
+def table_estimates(config):
+    """The exact expectations of eff_exp and F: the Monte Carlo estimators
+    as ratios of `pattern_sums` over the tables' `pattern_probs`, with no
+    sampling.  A same-basis record gives its Pauli correlation."""
+    tables = precompute_outcome_tables(config)
+    sums = [mc.pattern_sums(t, t.pattern_probs) for t in tables]
+    eff = (sum(s["n_s"] for s in sums)
+           / (sum(s["n_t"] for s in sums) * config.mean_output_eta() ** 2))
+    corr = {}
+    for t, s in zip(tables, sums):
+        first, second = t.basis
+        if first == second:
+            same = sum(s[k] for k in t.outcome_labels if k[0] == k[1])
+            diff = sum(s[k] for k in t.outcome_labels if k[0] != k[1])
+            corr[2 * MEASUREMENT_BASES[first].pauli] = (
+                (same - diff) / (same + diff))
+    return eff, (1.0 + corr["xx"] - corr["yy"] + corr["zz"]) / 4.0
+
+
+def herald_estimates(config):
+    """Preparation efficiency and fidelity to Phi+ of the herald of the
+    config's dephased source mixture: what the state is."""
+    result = herald(dephased_source(config.source, config.noise,
+                                    config.circuit()),
+                    config.trigger_detectors(), config.output_arms())
+    eff = result.preparation_efficiency
+    return eff, fidelity_to_phi_plus(result.conditional_dm / eff)
+
+
+ORACLE_TEXTS = {name: fixture_text(name) for name in
+                ("paper_5050.exp", "paper_6040.exp", "paper_7030.exp")}
+ORACLE_TEXTS.update(relabelled=RELABELLED_5050, rotated_arm=ROTATED_ARM_5050)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TEXTS))
+def test_tables_measure_the_heralded_state_without_darks_at_nmax_3(name):
+    # at most three pairs, four trigger clicks leave at most one photon per
+    # output arm, and with no dark count a six-fold is exactly the herald's
+    # one-photon-per-arm part seen by both output detectors: two routes
+    # that share only `occupations` give the same numbers
+    config = parse(ORACLE_TEXTS[name])
+    config = dataclasses.replace(
+        config, source=dataclasses.replace(config.source, n_max=3),
+        detectors=tuple(dataclasses.replace(d, dark_rate=0.0)
+                        for d in config.detectors))
+    for got, want in zip(table_estimates(config), herald_estimates(config)):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+
+
+# (eff_exp, F) expected from the tables and of the herald, at the shipped
+# nmax 4 with dark counts: recorded, not bounded.  The four-pair sector
+# makes about a third of the six-folds, so the simulated measurement reads
+# a higher efficiency and a much lower fidelity than the state holds.
+SHIPPED_GAP = {
+    "paper_5050.exp": ((0.34385484532687316, 0.7972932902577994),
+                       (0.25594162537732135, 0.9095466433527829)),
+    "paper_6040.exp": ((0.4653852070226515, 0.798258416587494),
+                       (0.3340965168118666, 0.9268979349726627)),
+    "paper_7030.exp": ((0.657876558624215, 0.8021325236039747),
+                       (0.4564620928670616, 0.9477228351950486)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_GAP))
+def test_tables_and_herald_part_at_the_shipped_nmax(name):
+    config = parse(ORACLE_TEXTS[name])
+    assert config.source.n_max == 4
+    tables, state = SHIPPED_GAP[name]
+    for got, want in zip(table_estimates(config) + herald_estimates(config),
+                         tables + state):
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=0.0)
 
 
 def test_efficiency_estimate_matches_formula(boosted_result):

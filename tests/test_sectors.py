@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 from heraldsim import analysis, cli, source
-from heraldsim.analysis import four_pair_correction, herald_curves
+from heraldsim.analysis import (four_pair_correction, four_pair_shift,
+                                herald_curves)
 from heraldsim.detect import herald, threshold_detector
 from heraldsim.dsl import parse
 from heraldsim.elements import (SOURCE_MODES, TRIGGER_MODES, apply_circuit,
@@ -199,7 +200,7 @@ def run_sweep(text, tmp_path, *args):
 
 
 def sweep_curve(config):
-    [curve] = herald_curves([(3, 0)], config.transforms(R=0.5),
+    [curve] = herald_curves([(3, 0)], config.transforms,
                             config.trigger_detectors(), config.output_arms())
     return curve
 
@@ -259,10 +260,10 @@ def test_sweep_skips_the_four_pair_correction_at_zero_reflection(
         monkeypatch, tmp_path):
     evaluated = []
 
-    def spy(params, R, eta_t):
+    def spy(params, sectors, R):
         evaluated.append(R)
-        return four_pair_correction(params, R, eta_t)
-    monkeypatch.setattr(analysis, "four_pair_correction", spy)
+        return four_pair_shift(params, sectors, R)
+    monkeypatch.setattr(analysis, "four_pair_shift", spy)
     out = run_sweep(fixture_text("paper_5050.exp"), tmp_path,
                     "--r-min", "0", "--r-max", "1", "--steps", "5")
     assert evaluated == [0.25, 0.5, 0.75, 1.0]

@@ -4,8 +4,9 @@ the four-pair correction, and heralds as curves in the splitter ratio.
 Error bars use first-order propagation on independent Poisson counts.
 `herald_curves` builds source sectors once, with `source.pair_power_states`
 through a circuit it takes as a function of the splitter ratio and builds
-at R = 1/2, as `detect.HeraldCurve`s.  Nothing is cached: a caller holds
-the curves it evaluates, as `sweep` holds them for every row.
+at R = 1/2, as `detect.HeraldCurve`s; `four_pair_sectors` builds the
+four-pair correction's two on a config's own layout.  Nothing is cached: a
+caller holds the curves it evaluates, as `sweep` holds them for every row.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+from . import fixture_path
+from .config import ExperimentConfig
 from .detect import DetectorSpec, HeraldCurve, herald_curve, threshold_detector
-from .elements import (OUTPUT_ARMS, SOURCE_MODES, TRIGGER_MODES, ModeTransform,
-                       compose, heralding_elements, path_exponents)
+from .dsl import parse
+from .elements import SOURCE_MODES, ModeTransform, compose, path_exponents
 from .fock import ConfigError
 from .source import SpdcParams, pair_power_states, pair_probability
 
@@ -90,9 +93,9 @@ def herald_curves(powers: list[tuple[int, int]],
                   trigger_detectors: list[DetectorSpec],
                   output_arms: tuple[str, ...]) -> list[HeraldCurve]:
     """The source branch P-^k P+^j |0> of each (k, j) of `powers` after the
-    circuit `elements(R)` (`config.transforms` or `heralding_elements`),
-    built here with every splitter at R = 1/2, heralded on
-    `trigger_detectors` as a curve in the splitters' ratios."""
+    circuit `elements(R)` (a config's `transforms`), built here with every
+    splitter at R = 1/2, heralded on `trigger_detectors` as a curve in the
+    splitters' ratios."""
     transforms = elements(0.5)
     exponents = path_exponents(transforms)
     return [herald_curve(state, trigger_detectors, output_arms, exponents)
@@ -100,14 +103,15 @@ def herald_curves(powers: list[tuple[int, int]],
                                            compose(transforms, SOURCE_MODES))]
 
 
-def four_pair_sectors(eta_t: float) -> tuple[HeraldCurve, ...]:
-    """The three- and four-pair sectors through `heralding_elements`,
-    heralded on threshold triggers of efficiency eta_t without dark counts,
-    as curves in R for `four_pair_shift`."""
-    triggers = [threshold_detector(f"t{i}", m, eta=eta_t)
-                for i, m in enumerate(TRIGGER_MODES, start=1)]
-    return tuple(herald_curves([(3, 0), (4, 0)], heralding_elements,
-                               triggers, OUTPUT_ARMS))
+def four_pair_sectors(config: ExperimentConfig, eta_t: float
+                      ) -> tuple[HeraldCurve, ...]:
+    """The three- and four-pair sectors through the config's circuit, as
+    curves in R for `four_pair_shift`: heralded on dark-free threshold
+    triggers of efficiency eta_t on its trigger modes, read on its arms."""
+    triggers = [threshold_detector(d.id, d.mode, eta=eta_t)
+                for d in config.trigger_detectors()]
+    return tuple(herald_curves([(3, 0), (4, 0)], config.transforms,
+                               triggers, config.output_arms()))
 
 
 def four_pair_shift(params: SpdcParams, sectors: tuple[HeraldCurve, ...],
@@ -131,12 +135,11 @@ def four_pair_shift(params: SpdcParams, sectors: tuple[HeraldCurve, ...],
 
 def four_pair_correction(params: SpdcParams, R: float,
                          eta_t: float = 1.0) -> float:
-    """Relative efficiency shift from adding the four-pair emission sector.
-
-    Both sectors are pushed through the full enumeration (circuit, trigger
-    losses, threshold clicks); sector weights are p_3 and p_4.  The two
-    sectors are `four_pair_sectors(eta_t)`, built on each call and evaluated
-    at R by `four_pair_shift`.  The default eta_t=1 classifies triggers by
+    """Relative efficiency shift from adding the four-pair emission sector
+    in the published layout: `four_pair_shift` of `four_pair_sectors` of
+    the bundled `paper_5050.exp`, built on each call.  Only that fixture's
+    circuit, trigger modes and output arms are used; its source and
+    detector settings are not.  The default eta_t=1 classifies triggers by
     arrival (at least one photon per trigger mode), which reproduces the
     quoted ~4.5% size of the effect; at low trigger efficiency the
     four-pair and three-pair herald classes happen to have similar
@@ -144,4 +147,5 @@ def four_pair_correction(params: SpdcParams, R: float,
     """
     if params.n_max < 4:
         raise ConfigError("four-pair correction requires n_max >= 4")
-    return four_pair_shift(params, four_pair_sectors(eta_t), R)
+    layout = parse(fixture_path("paper_5050.exp").read_text(encoding="utf-8"))
+    return four_pair_shift(params, four_pair_sectors(layout, eta_t), R)

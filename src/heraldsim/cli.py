@@ -2,12 +2,14 @@
 
 Every command builds its source branches with `source.pair_power_states`
 from the pair operators taken through the composed circuit; none
-substitutes a state.  `herald` builds the three-pair sector through the
-config's circuit at its declared ratios.  `sweep` holds the curves it
-evaluates: before it writes the header it builds the three-pair sector on
-the config's circuit (`analysis.herald_curves`, which builds at R = 1/2)
-and, at nmax >= 4, the four-pair correction's two sectors; each row then
-evaluates them at its R, the correction by `analysis.four_pair_shift`.
+substitutes a state, and each reads only the config's own layout.
+`herald` builds the three-pair sector through the config's circuit at its
+declared ratios, `sweep` once at R = 1/2 as a curve in R
+(`analysis.herald_curves`).  At nmax >= 4 both build the four-pair
+correction's two sectors on the config's circuit, trigger modes and output
+arms (`analysis.four_pair_sectors`).  `sweep` builds all of them before
+it writes the header; each row evaluates them at its R, the correction by
+`analysis.four_pair_shift`.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
 error names its stage, `runtime error in <stage>: ...`: `herald` or
@@ -94,8 +96,9 @@ def _herald_report(config: ExperimentConfig) -> dict:
         decomp = detect.decompose_s1(state, trigger_modes=trigger_modes,
                                      output_arms=config.output_arms())
     with _stage("four_pair_correction"):
-        correction = (analysis.four_pair_correction(config.source, R, eta_t)
-                      if config.source.n_max >= 4 else None)
+        correction = (analysis.four_pair_shift(
+            config.source, analysis.four_pair_sectors(config, eta_t), R)
+            if config.source.n_max >= 4 else None)
     return {
         "config_digest": config.digest(),
         "R": R,
@@ -155,7 +158,7 @@ def cmd_sweep(args) -> int:
         [curve] = analysis.herald_curves(
             [(3, 0)], config.transforms, config.trigger_detectors(),
             config.output_arms())
-        sectors = (analysis.four_pair_sectors(eta_t)
+        sectors = (analysis.four_pair_sectors(config, eta_t)
                    if config.source.n_max >= 4 else None)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["R", "eff_theory", "eff_exact_enumerated",

@@ -23,8 +23,8 @@ import numpy as np
 # detector declarations live in `config`; importable from here as before
 from .config import (NUMBER_RESOLVING, THRESHOLD, DetectorSpec, pnr_detector,
                      threshold_detector)
-from .elements import (OUTPUT_ARMS, POL_H, POL_V, TRIGGER_MODES, ConfigError,
-                       Mode, ModeTransform, compose, measurement_rotation)
+from .elements import (POL_H, POL_V, ConfigError, Mode, ModeTransform,
+                       compose, measurement_rotation)
 from .fock import MixedState, PureState, as_mixed, places, substitute_modes
 
 
@@ -47,8 +47,8 @@ def occupations(state: PureState | MixedState, modes: list[Mode]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one read-out of a post-circuit state: per term, its branch index,
     its photon counts on `modes` (a mode listed twice counts in its first
-    column) with one last column for the photons on every other mode, and
-    its amplitude times the square root of its branch weight."""
+    column, a mode not listed in none), and its amplitude times the square
+    root of its branch weight."""
     column: dict[Mode, int] = {}
     for i, m in enumerate(modes):
         column.setdefault(m, i)
@@ -56,9 +56,8 @@ def occupations(state: PureState | MixedState, modes: list[Mode]
     rows, amps = [], []
     for weight, pure in branches:
         # state mode -> read-out column, applied to the key digits
-        to_column = np.zeros((len(pure.modes), len(modes) + 1), np.int64)
-        for i, m in enumerate(pure.modes):
-            to_column[i, column.get(m, len(modes))] = 1
+        at = np.array([column.get(m, -1) for m in pure.modes], np.int64)
+        to_column = (at[:, None] == np.arange(len(modes))).astype(np.int64)
         rows.append(pure.counts() @ to_column)
         amps.append(pure.amps * math.sqrt(weight))
     branch = np.repeat(np.arange(len(branches)),
@@ -72,11 +71,11 @@ def occupation_probabilities(state: PureState | MixedState, modes: list[Mode]
     (columns as `modes`, rows in lexicographic order), and their
     probabilities."""
     _, counts, amps = occupations(state, modes)
-    base = int(counts[:, :-1].max(initial=0)) + 1
+    base = int(counts.max(initial=0)) + 1
     # packed with the first column most significant: sorted keys are the
     # rows in lexicographic order
     place = places(base, len(modes))[::-1]
-    keys, inverse = np.unique(counts[:, :-1] @ place, return_inverse=True)
+    keys, inverse = np.unique(counts @ place, return_inverse=True)
     return keys[:, None] // place % base, np.bincount(
         inverse, weights=np.abs(amps) ** 2, minlength=len(keys))
 
@@ -236,7 +235,7 @@ def herald_curve(state: PureState | MixedState,
     width = len(next(iter(exponents.values()), ()))
     per_mode = np.array([exponents.get(m, (0,) * width) for m in modes],
                         np.int64).reshape(len(modes), width)
-    monomials, term_k = np.unique(counts[:, :-1] @ per_mode, axis=0,
+    monomials, term_k = np.unique(counts @ per_mode, axis=0,
                                   return_inverse=True)
     term_k = term_k.ravel()
     p_click = np.prod([_event_probabilities(det, counts[:, i])
@@ -263,16 +262,14 @@ def herald_curve(state: PureState | MixedState,
 
 def herald(state: PureState | MixedState,
            trigger_detectors: list[DetectorSpec],
-           output_arms: tuple[str, ...] = OUTPUT_ARMS) -> HeraldResult:
+           output_arms: tuple[str, ...]) -> HeraldResult:
     """Condition on all four trigger detectors firing: `herald_curve` of
     `state` with no splitter exponents, so exact for the state as built."""
     return herald_curve(state, trigger_detectors, output_arms, {}).at()
 
 
-def decompose_s1(state: PureState,
-                 trigger_modes: tuple[Mode, ...] = TRIGGER_MODES,
-                 output_arms: tuple[str, str] = OUTPUT_ARMS
-                 ) -> HeraldDecomposition:
+def decompose_s1(state: PureState, trigger_modes: tuple[Mode, ...],
+                 output_arms: tuple[str, str]) -> HeraldDecomposition:
     """Classify the lossless post-circuit state into trigger classes.
 
     alpha^2: exactly one photon per trigger mode and two output photons,
@@ -286,7 +283,7 @@ def decompose_s1(state: PureState,
     trig = counts[:, :len(trigger_modes)]
     fired = (trig >= 1).all(axis=1)
     alpha = (trig == 1).all(axis=1) & (
-        counts[:, len(trigger_modes):-1].sum(axis=1) == 2)
+        counts[:, len(trigger_modes):].sum(axis=1) == 2)
     return HeraldDecomposition(float(p[alpha].sum()),
                                float(p[fired & ~alpha].sum()),
                                float(p[~fired].sum()))
@@ -296,8 +293,8 @@ def sixfold_probability(state: PureState | MixedState,
                         trigger_detectors: list[DetectorSpec],
                         output_detectors: list[DetectorSpec],
                         basis: tuple[str, str],
-                        outcome: tuple[int, int] = (0, 0),
-                        output_arms: tuple[str, str] = OUTPUT_ARMS) -> float:
+                        outcome: tuple[int, int] = (0, 0), *,
+                        output_arms: tuple[str, str]) -> float:
     """Probability of a six-fold coincidence for one outcome pair.
 
     Output arms of `state`, the post-circuit state, are rotated into the

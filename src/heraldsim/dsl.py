@@ -312,9 +312,10 @@ def splitter_warnings(config: ExperimentConfig) -> list[str]:
 
 def four_pair_warnings(config: ExperimentConfig) -> list[str]:
     """A warning for `herald` and `sweep` when their four-pair correction
-    (nmax >= 4) cannot follow the config's triggers: it heralds on
-    dark-free threshold triggers at the triggers' mean efficiency, so a
-    number-resolving trigger, or efficiencies that differ, go unmodelled."""
+    (nmax >= 4) cannot follow the config's triggers: it heralds through the
+    config's circuit on the triggers' modes, but on dark-free threshold
+    triggers at their mean efficiency, so a number-resolving trigger, or
+    efficiencies that differ, go unmodelled."""
     triggers = config.trigger_detectors()
     mean = config.mean_trigger_eta()
     unequal = len({d.eta for d in triggers}) > 1

@@ -5,7 +5,8 @@ coefficients the annihilation-operator convention would use; for complex
 maps this fixes the conjugation convention).  Every element is lossless,
 an isometry on its declared input modes; detector loss is not a circuit
 element but part of the detector model in `heraldsim.detect`.  A circuit
-is its elements composed into one map (`compose`).
+is its elements composed into one map (`compose`).  No layout is built in:
+a config declares its elements, triggers and output arms.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ Mode = tuple[str, str]
 
 POL_H = "x"
 POL_V = "y"
-POL_DIAG = ("xp", "yp")  # x', y' labels after the trigger-arm wave plate
 
 LOSSLESS_ATOL = 1e-9
 
@@ -69,8 +69,7 @@ def beam_splitter(R: float, input: str, reflected_out: str,
 
 
 def half_wave_plate(angle_deg: float, target: str,
-                    output_polarizations: tuple[str, str] = POL_DIAG
-                    ) -> ModeTransform:
+                    output_polarizations: tuple[str, str]) -> ModeTransform:
     """HWP convention: h -> cos2t h' + sin2t v', v -> sin2t h' - cos2t v'.
 
     At -22.5 deg this reproduces f_x -> (f_x' - f_y')/sqrt(2) and
@@ -179,26 +178,3 @@ def apply_circuit(state: PureState, circuit: ModeTransform) -> PureState:
     from .fock import substitute_modes
     return substitute_modes(state, compose((circuit,), state.occupied_modes()))
 
-
-def heralding_elements(R: float) -> tuple[ModeTransform, ...]:
-    """The heralded-source circuit: two partial BS and a trigger-arm HWP.
-
-    Source arm a splits into output c and trigger e; arm b into output d and
-    trigger f.  The HWP rotates f into the diagonal (x', y') labels.  The
-    polarizing splitters that follow in the experiment only separate modes
-    the (spatial, polarization) algebra already keeps apart, so they add no
-    transform.  Trigger modes: e.x, e.y, f.xp, f.yp; output arms: c, d.
-    """
-    return (beam_splitter(R, "a", reflected_out="c", transmitted_out="e"),
-            beam_splitter(R, "b", reflected_out="d", transmitted_out="f"),
-            half_wave_plate(-22.5, "f"))
-
-
-def heralding_circuit(R: float) -> ModeTransform:
-    """`heralding_elements(R)` composed on the source modes."""
-    return compose(heralding_elements(R), SOURCE_MODES)
-
-
-TRIGGER_MODES: tuple[Mode, ...] = (("e", "x"), ("e", "y"),
-                                   ("f", "xp"), ("f", "yp"))
-OUTPUT_ARMS: tuple[str, str] = ("c", "d")

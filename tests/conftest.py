@@ -9,6 +9,28 @@ from heraldsim.elements import (beam_splitter, compose, half_wave_plate,
 from heraldsim.source import SOURCE_MODES
 
 
+# The published heralding layout, written out here independently of the
+# fixtures: source arm a splits into output c and trigger e, arm b into
+# output d and trigger f, and a wave plate at -22.5 deg turns trigger arm f
+# into the diagonal labels xp, yp.  The polarizing splitters that follow
+# only separate modes the (spatial, polarization) algebra keeps apart.
+POL_DIAG = ("xp", "yp")
+TRIGGER_MODES = (("e", "x"), ("e", "y"), ("f", "xp"), ("f", "yp"))
+OUTPUT_ARMS = ("c", "d")
+
+
+def heralding_elements(R):
+    """The published layout's transforms with both splitters at R."""
+    return (beam_splitter(R, "a", reflected_out="c", transmitted_out="e"),
+            beam_splitter(R, "b", reflected_out="d", transmitted_out="f"),
+            half_wave_plate(-22.5, "f", POL_DIAG))
+
+
+def heralding_circuit(R):
+    """`heralding_elements(R)` composed on the source modes."""
+    return compose(heralding_elements(R), SOURCE_MODES)
+
+
 # Small circuit with bright pumping and ideal detectors; trigger rates are
 # high enough for Monte Carlo statistics within a few million pulses.
 BOOSTED_CONFIG = """
@@ -73,6 +95,6 @@ def detector_map(R, angle, basis):
     return compose((
         beam_splitter(R, "a", reflected_out="c", transmitted_out="e"),
         beam_splitter(R, "b", reflected_out="d", transmitted_out="f"),
-        half_wave_plate(angle, "f"),
+        half_wave_plate(angle, "f", POL_DIAG),
         measurement_rotation("c", basis[0]),
         measurement_rotation("d", basis[1])), SOURCE_MODES)

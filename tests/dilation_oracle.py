@@ -22,9 +22,11 @@ from typing import Iterator
 import numpy as np
 
 from heraldsim.detect import THRESHOLD, DetectorSpec, HeraldResult
-from heraldsim.elements import OUTPUT_ARMS, ModeTransform, measurement_rotation
+from heraldsim.elements import ModeTransform, measurement_rotation
 from heraldsim.fock import (ConfigError, FockKey, MixedState, Mode, PureState,
                             as_mixed, mode_str, substitute_modes)
+
+from conftest import OUTPUT_ARMS
 
 ENV_PREFIX = "~"
 QUBIT_BASIS = [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]

@@ -15,7 +15,7 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 
 from heraldsim import fixture_path
 from heraldsim.dsl import parse
-from heraldsim.elements import TRIGGER_MODES, apply_circuit, heralding_circuit
+from heraldsim.elements import apply_circuit
 from heraldsim.source import (
     SpdcParams,
     coupling_from_rate,
@@ -39,7 +39,8 @@ from heraldsim.analysis import (
 )
 from heraldsim.mc import precompute_outcome_tables, run_experiment
 
-from conftest import BOOSTED_CONFIG, fixture_text
+from conftest import (BOOSTED_CONFIG, OUTPUT_ARMS, TRIGGER_MODES,
+                      fixture_text, heralding_circuit)
 
 
 @pytest.fixture
@@ -67,7 +68,7 @@ def test_criterion_1_ideal_herald_closed_form(report):
     for R in (0.3, 0.486, 0.57, 0.685):
         T = 1.0 - R
         st = apply_circuit(n_pair_state(3), heralding_circuit(R))
-        res = herald(st, trigger_set("pnr"))
+        res = herald(st, trigger_set("pnr"), OUTPUT_ARMS)
         dm = res.conditional_dm / np.trace(res.conditional_dm).real
         worst_prob = max(worst_prob,
                          abs(res.herald_probability - T ** 4 * R ** 2 / 2.0))
@@ -82,7 +83,8 @@ def test_criterion_2_threshold_efficiency_oracle_grid(report):
     for R in np.linspace(0.3, 0.7, 5):
         st = apply_circuit(n_pair_state(3), heralding_circuit(float(R)))
         for eta in np.linspace(0.1, 1.0, 5):
-            res = herald(st, trigger_set("threshold", eta=float(eta)))
+            res = herald(st, trigger_set("threshold", eta=float(eta)),
+                         OUTPUT_ARMS)
             worst = max(worst, abs(res.preparation_efficiency
                                    - eff_theory(float(R), float(eta))))
     ok = worst < 1e-10
@@ -233,7 +235,7 @@ def test_criterion_8_chsh_threshold_and_fidelity_properties(report):
         if st.max_photons() < 6:
             continue
         res = herald(apply_circuit(st, circuit),
-                     noisy_cfg.trigger_detectors())
+                     noisy_cfg.trigger_detectors(), OUTPUT_ARMS)
         rho += w * res.herald_probability * res.conditional_dm
     rho /= np.trace(rho).real
     exact = fidelity_to_phi_plus(rho)
@@ -254,7 +256,7 @@ def test_criterion_9_property_suites_present(report):
     norm_ok = abs(st.norm_sq() - 1.0) < 1e-10
 
     two = apply_circuit(n_pair_state(2), heralding_circuit(0.486))
-    res2 = herald(two, trigger_set("pnr"))
+    res2 = herald(two, trigger_set("pnr"), OUTPUT_ARMS)
     suppression_ok = res2.herald_probability * res2.preparation_efficiency < 1e-12
 
     ok = norm_ok and suppression_ok

@@ -21,7 +21,8 @@ from heraldsim.analysis import (
 )
 from heraldsim.detect import (click_probability, fidelity_to_phi_plus,
                               pnr_detector, threshold_detector)
-from heraldsim.elements import OUTPUT_ARMS, TRIGGER_MODES, heralding_elements
+
+from conftest import OUTPUT_ARMS, TRIGGER_MODES, heralding_elements
 
 
 def test_eff_theory_formula():

@@ -488,7 +488,7 @@ def _fail(*args, **kwargs):
 
 # the module that defines each stage function: a command imports the engine
 # only when it runs, and looks the function up there
-STAGE_OWNER = {"herald": detect, "four_pair_correction": analysis,
+STAGE_OWNER = {"herald": detect,
                "herald_curves": analysis, "four_pair_sectors": analysis,
                "four_pair_shift": analysis,
                "precompute_outcome_tables": mc, "run_experiment": mc,
@@ -497,7 +497,7 @@ STAGE_OWNER = {"herald": detect, "four_pair_correction": analysis,
 
 @pytest.mark.parametrize("command, stage_function, stage", [
     ("herald", "herald", "herald"),
-    ("herald", "four_pair_correction", "four_pair_correction"),
+    ("herald", "four_pair_sectors", "four_pair_correction"),
     ("sweep", "herald_curves", "sweep curve"),
     ("sweep", "four_pair_sectors", "sweep curve"),
     ("sweep", "four_pair_shift", "row R=0.3"),

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies
 from heraldsim.dsl import parse
 from heraldsim.fock import (ConfigError, FockKey, MixedState, PureState,
                             as_mixed, mode)
-from heraldsim.elements import (OUTPUT_ARMS, TRIGGER_MODES, apply_circuit,
-                                heralding_circuit)
+from heraldsim.elements import apply_circuit
 from heraldsim.source import dephased_source, n_pair_state
 from heraldsim.detect import (
     NUMBER_RESOLVING,
@@ -31,7 +30,8 @@ from heraldsim.detect import (
 from heraldsim.analysis import eff_theory
 
 import dilation_oracle as oracle
-from conftest import RELABELLED_5050, ROTATED_ARM_5050, fixture_text
+from conftest import (OUTPUT_ARMS, RELABELLED_5050, ROTATED_ARM_5050,
+                      TRIGGER_MODES, fixture_text, heralding_circuit)
 from dilation_oracle import key_occupation, qubit_index
 
 
@@ -125,7 +125,7 @@ def test_pnr_counts_are_binomial_under_loss():
 def test_ideal_herald_reproduces_closed_form(R):
     T = 1.0 - R
     st = apply_circuit(n_pair_state(3), heralding_circuit(R))
-    res = herald(st, trigger_set("pnr"))
+    res = herald(st, trigger_set("pnr"), OUTPUT_ARMS)
     assert res.herald_probability == pytest.approx(T ** 4 * R ** 2 / 2.0,
                                                    abs=1e-12)
     assert res.preparation_efficiency == pytest.approx(1.0, abs=1e-12)
@@ -137,7 +137,7 @@ def test_ideal_herald_reproduces_closed_form(R):
                                      (0.5, 0.5)])
 def test_threshold_efficiency_matches_formula(R, eta_t):
     st = apply_circuit(n_pair_state(3), heralding_circuit(R))
-    res = herald(st, trigger_set("threshold", eta=eta_t))
+    res = herald(st, trigger_set("threshold", eta=eta_t), OUTPUT_ARMS)
     assert res.preparation_efficiency == pytest.approx(
         eff_theory(R, eta_t), abs=1e-10)
 
@@ -146,7 +146,7 @@ def test_trigger_class_decomposition():
     R = 0.486
     T = 1.0 - R
     st = apply_circuit(n_pair_state(3), heralding_circuit(R))
-    d = decompose_s1(st)
+    d = decompose_s1(st, TRIGGER_MODES, OUTPUT_ARMS)
     total = d.alpha_sq + d.beta_sq + d.gamma_sq
     assert total == pytest.approx(1.0, abs=1e-10)
     # weight of the perfect four-photon trigger class
@@ -169,7 +169,8 @@ def test_sixfold_correlations_of_heralded_state():
         for o1 in (0, 1):
             for o2 in (0, 1):
                 probs[(o1, o2)] = sixfold_probability(
-                    st, trig, outs, (basis, basis), (o1, o2))
+                    st, trig, outs, (basis, basis), (o1, o2),
+                    output_arms=OUTPUT_ARMS)
         tot = sum(probs.values())
         same = probs[(0, 0)] + probs[(1, 1)]
         diff = probs[(0, 1)] + probs[(1, 0)]
@@ -189,7 +190,8 @@ def test_sixfold_scales_with_output_efficiency_squared():
                 for i, m in enumerate(
                     [mode("c", "x"), mode("c", "y"),
                      mode("d", "x"), mode("d", "y")], start=1)]
-        return sum(sixfold_probability(st, trig, outs, ("HV", "HV"), (a, b))
+        return sum(sixfold_probability(st, trig, outs, ("HV", "HV"), (a, b),
+                                       output_arms=OUTPUT_ARMS)
                    for a in (0, 1) for b in (0, 1))
 
     p_full = total(1.0)
@@ -200,7 +202,7 @@ def test_sixfold_scales_with_output_efficiency_squared():
 def test_herald_requires_four_triggers():
     st = apply_circuit(n_pair_state(3), heralding_circuit(0.5))
     with pytest.raises(ConfigError):
-        herald(st, trigger_set("pnr")[:3])
+        herald(st, trigger_set("pnr")[:3], OUTPUT_ARMS)
 
 
 def test_detector_parameter_validation():
@@ -264,7 +266,8 @@ def test_closed_form_matches_dilation_oracle(paper_5050, paper_5050_states,
     config = parse(ROTATED_ARM_5050) if which == "rotated_arm" else paper_5050
     triggers, outputs = lossy_dark_detectors(config, kind)
 
-    got, want = herald(state, triggers), oracle.herald(state, triggers)
+    got, want = (herald(state, triggers, OUTPUT_ARMS),
+                 oracle.herald(state, triggers))
     assert got.herald_probability == pytest.approx(want.herald_probability,
                                                    abs=1e-12)
     assert got.preparation_efficiency == pytest.approx(
@@ -272,7 +275,8 @@ def test_closed_form_matches_dilation_oracle(paper_5050, paper_5050_states,
     assert np.abs(got.conditional_dm - want.conditional_dm).max() <= 1e-12
 
     basis, outcome = ("DA", "RL"), (0, 1)
-    assert sixfold_probability(state, triggers, outputs, basis, outcome) == \
+    assert sixfold_probability(state, triggers, outputs, basis, outcome,
+                               output_arms=OUTPUT_ARMS) == \
         pytest.approx(oracle.sixfold_probability(state, triggers, outputs,
                                                  basis, outcome), abs=1e-12)
 
@@ -287,9 +291,10 @@ def test_sixfold_pnr_triggers_fire_as_in_herald(paper_5050, n):
                 for d in paper_5050.trigger_detectors()]
     outputs = [threshold_detector(d.id, d.mode)
                for d in paper_5050.output_detectors()]
-    res = herald(state, triggers)
+    res = herald(state, triggers, OUTPUT_ARMS)
     total = sum(sixfold_probability(state, triggers, outputs, ("HV", "HV"),
-                                    (a, b)) for a in (0, 1) for b in (0, 1))
+                                    (a, b), output_arms=OUTPUT_ARMS)
+                for a in (0, 1) for b in (0, 1))
     assert total == pytest.approx(
         res.herald_probability * res.preparation_efficiency, abs=1e-12)
 
@@ -333,7 +338,8 @@ def test_herald_of_mixture_matches_loop(paper_5050, paper_5050_states, kind):
         mixture, as_kind(paper_5050.trigger_detectors(), kind), OUTPUT_ARMS)
     for _, pure in mixture.branches:
         np.testing.assert_allclose(
-            dataclasses.astuple(decompose_s1(pure)),
+            dataclasses.astuple(decompose_s1(pure, TRIGGER_MODES,
+                                             OUTPUT_ARMS)),
             dataclasses.astuple(loop_decompose_s1(pure, TRIGGER_MODES,
                                                   OUTPUT_ARMS)),
             rtol=1e-12, atol=0.0)
@@ -363,12 +369,12 @@ def test_herald_rejects_output_layout_without_a_qubit():
         ((mode("c", pol), 1), (mode("d", "x"), 1)): 0.5
         for pol in ("u", "x", "y")})
     with pytest.raises(ConfigError, match=r"arm 'c' carries \['u', 'x', 'y'\]"):
-        herald(three_labels, trigger_set())
+        herald(three_labels, trigger_set(), OUTPUT_ARMS)
 
 
 def test_herald_on_an_arm_no_photon_reaches():
     # at R = 0 the output arms carry no mode at all: nothing is heralded
     # into them, which is not a layout error
     res = herald(apply_circuit(n_pair_state(3), heralding_circuit(0.0)),
-                 trigger_set("threshold"))
+                 trigger_set("threshold"), OUTPUT_ARMS)
     assert res.heralded and res.preparation_efficiency == 0.0

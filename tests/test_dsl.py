@@ -14,8 +14,8 @@ from heraldsim.fock import ConfigError
 from heraldsim.source import (SourceNoise, SpdcParams, coupling_from_rate,
                               n_pair_state, pair_probability)
 
-from conftest import (BOOSTED_CONFIG, RELABELLED_5050, ROTATED_ARM_5050,
-                      fixture_text)
+from conftest import (BOOSTED_CONFIG, OUTPUT_ARMS, RELABELLED_5050,
+                      ROTATED_ARM_5050, fixture_text)
 
 
 FIXTURES = ["paper_5050.exp", "paper_6040.exp", "paper_7030.exp"]
@@ -94,7 +94,7 @@ def test_serialize_keeps_element_order():
     assert validate(by_kind) != []
     assert again.digest() == cfg.digest() != by_kind.digest()
     effs = [herald(apply_circuit(n_pair_state(3), c.circuit()),
-                   c.trigger_detectors()).preparation_efficiency
+                   c.trigger_detectors(), OUTPUT_ARMS).preparation_efficiency
             for c in (cfg, again)]
     assert effs[1] == effs[0] == pytest.approx(0.2578539, abs=5e-8)
 

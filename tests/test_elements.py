@@ -12,18 +12,17 @@ from heraldsim.elements import (
     LOSSLESS_ATOL,
     MEASUREMENT_BASES,
     ModeTransform,
-    TRIGGER_MODES,
     apply_circuit,
     beam_splitter,
     compose,
     half_wave_plate,
-    heralding_circuit,
     measurement_rotation,
 )
 from heraldsim.source import n_pair_state
 from heraldsim.detect import herald, pnr_detector
 
-from conftest import RELABELLED_5050, fixture_text
+from conftest import (OUTPUT_ARMS, RELABELLED_5050, TRIGGER_MODES,
+                      fixture_text, heralding_circuit, heralding_elements)
 from dilation_oracle import loss_channel
 
 
@@ -65,11 +64,11 @@ def test_beam_splitter_intensity_check():
             beam_splitter(R, "a", reflected_out="c", transmitted_out="e")
     for angle in (-90.0, 90.5, float("nan")):
         with pytest.raises(ConfigError, match="outside"):
-            half_wave_plate(angle, "f")
+            half_wave_plate(angle, "f", ("xp", "yp"))
 
 
 def test_half_wave_plate_at_minus_22_5():
-    hw = half_wave_plate(-22.5, "f")
+    hw = half_wave_plate(-22.5, "f", ("xp", "yp"))
     cx = dict((m, amp) for amp, m in hw.columns[mode("f", "x")])
     cy = dict((m, amp) for amp, m in hw.columns[mode("f", "y")])
     s = 1.0 / math.sqrt(2.0)
@@ -134,6 +133,21 @@ def test_isometry_validation_catches_scaling():
     assert scaled.gram_deviation() == pytest.approx(1.0 - 0.81, abs=1e-12)
 
 
+@pytest.mark.parametrize("R", [0.0, 0.3, 0.5, 1.0])
+def test_paper_fixture_declares_the_published_layout(paper_5050, R):
+    # `analysis.four_pair_correction`, which the benchmark's herald check
+    # replays, reads its layout from this fixture: an edit to the fixture's
+    # circuit, triggers or arms would move its values without a trace
+    got, want = paper_5050.transforms(R), heralding_elements(R)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert g.columns == w.columns
+    assert tuple(d.mode for d in paper_5050.trigger_detectors()) \
+        == TRIGGER_MODES
+    assert paper_5050.output_arms() == OUTPUT_ARMS
+
+
 def test_heralding_circuit_structure():
     circ = heralding_circuit(0.486)
     st = apply_circuit(n_pair_state(1), circ)
@@ -147,7 +161,7 @@ def test_one_pair_cannot_trigger():
     st = apply_circuit(n_pair_state(1), heralding_circuit(0.5))
     triggers = [pnr_detector(f"t{i}", m)
                 for i, m in enumerate(TRIGGER_MODES, start=1)]
-    res = herald(st, triggers)
+    res = herald(st, triggers, OUTPUT_ARMS)
     assert res.herald_probability < 1e-12
     assert not res.heralded
 
@@ -158,7 +172,7 @@ def test_two_pair_herald_suppression():
     st = apply_circuit(n_pair_state(2), heralding_circuit(0.486))
     triggers = [pnr_detector(f"t{i}", m)
                 for i, m in enumerate(TRIGGER_MODES, start=1)]
-    res = herald(st, triggers)
+    res = herald(st, triggers, OUTPUT_ARMS)
     assert res.herald_probability * res.preparation_efficiency < 1e-12
 
 

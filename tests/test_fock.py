@@ -90,7 +90,7 @@ def test_substitution_preserves_norm_many_photons():
             st = apply_creation(st, mode(spatial, pol), max_photons=8)
     st = normalized(st)
     bs = beam_splitter(0.37, "a", reflected_out="c", transmitted_out="e")
-    hw = half_wave_plate(-22.5, "b")
+    hw = half_wave_plate(-22.5, "b", ("xp", "yp"))
     out = substitute_modes(st, bs.extended(st.occupied_modes()))
     out = substitute_modes(out, hw.extended(out.occupied_modes()))
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-10)

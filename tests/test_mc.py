@@ -29,8 +29,8 @@ from heraldsim.mc import (
 )
 
 import fock_oracle
-from conftest import (BOOSTED_CONFIG, RELABELLED_5050, ROTATED_ARM_5050,
-                      fixture_text)
+from conftest import (BOOSTED_CONFIG, OUTPUT_ARMS, RELABELLED_5050,
+                      ROTATED_ARM_5050, fixture_text)
 from dilation_oracle import key_occupation
 
 # Click-pattern histograms {pattern: count} of paper_5050.exp at its seed
@@ -188,7 +188,8 @@ def test_tables_match_exact_herald_probability(boosted, boosted_tables):
     circuit = boosted.circuit()
     total = 0.0
     for w, st in mix.branches:
-        res = herald(apply_circuit(st, circuit), boosted.trigger_detectors())
+        res = herald(apply_circuit(st, circuit), boosted.trigger_detectors(),
+                     OUTPUT_ARMS)
         total += w * res.herald_probability
     for tab in boosted_tables:
         assert tab.trigger_probability_per_pulse() == pytest.approx(
@@ -351,7 +352,8 @@ def test_dephased_fidelity_matches_enumeration():
     for w, st in mix.branches:
         if st.max_photons() < 6:
             continue
-        res = herald(apply_circuit(st, circuit), cfg.trigger_detectors())
+        res = herald(apply_circuit(st, circuit), cfg.trigger_detectors(),
+                     OUTPUT_ARMS)
         rho += w * res.herald_probability * res.conditional_dm
     rho /= np.trace(rho).real
     exact = fidelity_to_phi_plus(rho)
@@ -501,7 +503,7 @@ def test_relabelled_output_arm_is_measured_in_every_basis():
         for outcome in itertools.product((0, 1), repeat=2):
             got, want = (sixfold_probability(
                 st, cfg.trigger_detectors(), cfg.output_detectors(), basis,
-                outcome, cfg.output_arms())
+                outcome, output_arms=cfg.output_arms())
                 for st, cfg in zip(states, (relabelled, plain)))
             assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
@@ -547,7 +549,8 @@ def test_tables_and_sixfold_probability_agree(name, boosted, boosted_tables,
         from_tables = [tab.pattern_probs[p[0]] for p in patterns]
         direct = [sixfold_probability(
             mixture, cfg.trigger_detectors(), cfg.output_detectors(),
-            tab.basis, divmod(k, 2)) for k in range(4)]
+            tab.basis, divmod(k, 2), output_arms=OUTPUT_ARMS)
+            for k in range(4)]
         np.testing.assert_allclose(direct, from_tables, rtol=1e-12, atol=0.0)
 
 

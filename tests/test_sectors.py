@@ -16,22 +16,23 @@ own R.
 import contextlib
 import csv
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 from heraldsim import analysis, cli, source
-from heraldsim.analysis import (four_pair_correction, four_pair_shift,
-                                herald_curves)
+from heraldsim.analysis import (four_pair_correction, four_pair_sectors,
+                                four_pair_shift, herald_curves)
 from heraldsim.detect import herald, threshold_detector
-from heraldsim.dsl import parse
-from heraldsim.elements import (SOURCE_MODES, TRIGGER_MODES, apply_circuit,
-                                compose, heralding_circuit)
+from heraldsim.dsl import parse, validate
+from heraldsim.elements import SOURCE_MODES, apply_circuit, compose
 from heraldsim.source import (SpdcParams, coupling_from_rate, n_pair_state,
                               pair_power_states, pair_probability)
 
-from conftest import BOOSTED_CONFIG, RELABELLED_5050, fixture_text
+from conftest import (BOOSTED_CONFIG, OUTPUT_ARMS, RELABELLED_5050,
+                      TRIGGER_MODES, fixture_text, heralding_circuit)
 
 FIXTURES = ("paper_5050.exp", "paper_6040.exp", "paper_7030.exp")
 
@@ -48,10 +49,12 @@ def reference_four_pair_correction(params, R, eta_t):
     triggers = [threshold_detector(f"t{i}", m, eta=eta_t)
                 for i, m in enumerate(TRIGGER_MODES, start=1)]
     p3, p4 = pair_probability(3, params.r), pair_probability(4, params.r)
-    res3 = herald(reference_sector(3, heralding_circuit(R)), triggers)
+    res3 = herald(reference_sector(3, heralding_circuit(R)), triggers,
+                  OUTPUT_ARMS)
     if p4 == 0.0:
         return 0.0
-    res4 = herald(reference_sector(4, heralding_circuit(R)), triggers)
+    res4 = herald(reference_sector(4, heralding_circuit(R)), triggers,
+                  OUTPUT_ARMS)
     good = (p3 * res3.herald_probability * res3.preparation_efficiency
             + p4 * res4.herald_probability * res4.preparation_efficiency)
     trig = p3 * res3.herald_probability + p4 * res4.herald_probability
@@ -270,3 +273,55 @@ def test_sweep_skips_the_four_pair_correction_at_zero_reflection(
     first = next(csv.DictReader(io.StringIO(out)))
     assert first["R"] == "0"
     assert first["four_pair_corrected"] == first["eff_exact_enumerated"]
+
+
+# paper_5050 with its trigger-arm plate at 0 deg: a valid layout that is not
+# the published one, so a four-pair correction taken through the published
+# circuit would be silently wrong here
+PLATE_AT_ZERO_5050 = fixture_text("paper_5050.exp").replace("angle=-22.5",
+                                                            "angle=0")
+# `herald --json`'s four_pair_correction for the fixture itself
+PUBLISHED_CORRECTION = -0.004085273650801922
+
+
+def substituted_correction(config, R):
+    """The four-pair correction of `config` at R on the per-row route: each
+    sector substituted through the config's own circuit with every splitter
+    at R, heralded on dark-free threshold triggers of the mean efficiency on
+    the config's trigger modes and read on its output arms."""
+    circuit = compose(config.transforms(R=R), SOURCE_MODES)
+    triggers = [threshold_detector(d.id, d.mode, eta=config.mean_trigger_eta())
+                for d in config.trigger_detectors()]
+    (h3, e3), (h4, e4) = (
+        (res.herald_probability, res.preparation_efficiency)
+        for res in (herald(reference_sector(n, circuit), triggers,
+                           config.output_arms()) for n in (3, 4)))
+    p3, p4 = (pair_probability(n, config.source.r) for n in (3, 4))
+    return (p3 * h3 * e3 + p4 * h4 * e4) / (p3 * h3 + p4 * h4) / e3 - 1.0
+
+
+def test_four_pair_correction_follows_the_configs_circuit(tmp_path, capsys):
+    config = parse(PLATE_AT_ZERO_5050)
+    assert validate(config) == []
+    path = tmp_path / "plate_at_zero.exp"
+    path.write_text(PLATE_AT_ZERO_5050, encoding="utf-8")
+    assert cli.main(["herald", "--json", str(path)]) == 0
+    got = json.loads(capsys.readouterr().out)["four_pair_correction"]
+    sectors = four_pair_sectors(config, config.mean_trigger_eta())
+    want = four_pair_shift(config.source, sectors, config.beam_splitter_R())
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+    assert math.isclose(got, substituted_correction(
+        config, config.beam_splitter_R()), rel_tol=1e-12, abs_tol=0.0)
+    assert not math.isclose(got, PUBLISHED_CORRECTION, rel_tol=0.1)
+
+    rows = list(csv.DictReader(io.StringIO(run_sweep(PLATE_AT_ZERO_5050,
+                                                     tmp_path))))
+    for row in rows:
+        R, exact = float(row["R"]), float(row["eff_exact_enumerated"])
+        for shift in (four_pair_shift(config.source, sectors, R),
+                      substituted_correction(config, R)):
+            # the CSV holds 9 significant digits
+            assert math.isclose(float(row["four_pair_corrected"]),
+                                exact * (1.0 + shift), rel_tol=1e-8)
+    assert rows[-1]["R"] == "0.9"
+    assert rows[-1]["four_pair_corrected"] == "0.748849364"

@@ -115,9 +115,11 @@ def four_pair_sectors(config: ExperimentConfig, eta_t: float
 
 
 def four_pair_shift(params: SpdcParams, sectors: tuple[HeraldCurve, ...],
-                    R: float) -> float:
+                    R: float) -> float | None:
     """Relative efficiency shift from adding the four-pair sector: the
-    three- and four-pair `sectors` evaluated at R, weighted by p_3 and p_4."""
+    three- and four-pair `sectors` evaluated at R, weighted by p_3 and p_4.
+    None where it is undefined: the sectors never herald, or the three-pair
+    efficiency is 0."""
     p3 = pair_probability(3, params.r)
     p4 = pair_probability(4, params.r)
     if p4 == 0.0:
@@ -128,13 +130,13 @@ def four_pair_shift(params: SpdcParams, sectors: tuple[HeraldCurve, ...],
             + p4 * res4.herald_probability * res4.preparation_efficiency)
     trig = p3 * res3.herald_probability + p4 * res4.herald_probability
     if trig == 0.0 or eff3 == 0.0:
-        return 0.0
+        return None
     eff34 = good / trig
     return (eff34 - eff3) / eff3
 
 
 def four_pair_correction(params: SpdcParams, R: float,
-                         eta_t: float = 1.0) -> float:
+                         eta_t: float = 1.0) -> float | None:
     """Relative efficiency shift from adding the four-pair emission sector
     in the published layout: `four_pair_shift` of `four_pair_sectors` of
     the bundled `paper_5050.exp`, built on each call.  Only that fixture's

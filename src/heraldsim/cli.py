@@ -132,9 +132,10 @@ def cmd_herald(args) -> int:
     else:
         print("preparation efficiency: undefined (herald probability 0)")
     print(f"eff_theory: {report['eff_theory']:.6g}")
-    if report["four_pair_correction"] is not None:
-        print(f"four-pair relative correction: "
-              f"{report['four_pair_correction']:+.4%}")
+    if config.source.n_max >= 4:
+        shift = report["four_pair_correction"]
+        print("four-pair relative correction: "
+              + ("undefined" if shift is None else f"{shift:+.4%}"))
     s1 = report["s1"]
     print(f"trigger-class weights: alpha^2={s1['alpha_sq']:.6g} "
           f"beta^2={s1['beta_sq']:.6g} gamma^2={s1['gamma_sq']:.6g}")
@@ -168,11 +169,9 @@ def cmd_sweep(args) -> int:
         with _stage(f"row R={R:.9g}"):
             result = curve.at(R)
             exact = result.preparation_efficiency if result.heralded else 0.0
-            if sectors and R > 0.0:
-                shift = analysis.four_pair_shift(config.source, sectors, R)
-                corrected = exact * (1.0 + shift)
-            else:
-                corrected = exact
+            shift = (analysis.four_pair_shift(config.source, sectors, R)
+                     if sectors and R > 0.0 else None)
+            corrected = exact if shift is None else exact * (1.0 + shift)
         writer.writerow([f"{R:.9g}", f"{analysis.eff_theory(R, eta_t):.9g}",
                          f"{exact:.9g}", f"{corrected:.9g}"])
     return EXIT_OK
@@ -254,6 +253,10 @@ def cmd_montecarlo(args) -> int:
         config = dataclasses.replace(config, pulses=args.pulses)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    if config.mean_output_eta() == 0.0:  # eff_exp divides by it
+        raise ConfigError(f"{args.config}: output detectors " + ", ".join(
+            f"{d.id} eta={d.eta:g}" for d in config.output_detectors())
+            + " have mean eta 0, so no Monte Carlo efficiency is defined")
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -273,8 +276,9 @@ def cmd_montecarlo(args) -> int:
     p, name = min((t.sixfold_probability_per_pulse(), "_".join(t.basis))
                   for t in tables)
     if config.pulses * p < MIN_SIXFOLDS:
-        need = (f"pulses {math.ceil(MIN_SIXFOLDS / p)}" if p
-                else "no pulse count")
+        count = MIN_SIXFOLDS / p if p else math.inf
+        need = (f"pulses {math.ceil(count)}" if count < COUNT_END
+                else "no pulse count below 2^63")
         print(f"warning: basis {name} expects {config.pulses * p:.3g} "
               f"six-folds at pulses {config.pulses}, too few for estimates; "
               f"{need} would give {MIN_SIXFOLDS}", file=sys.stderr)

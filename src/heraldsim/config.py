@@ -26,7 +26,7 @@ class SpdcParams:
     n_max: int = 4
 
     def __post_init__(self):
-        if self.r < 0:
+        if not self.r >= 0:
             raise ConfigError(f"coupling r={self.r} must be >= 0")
         if self.n_max < 1:
             raise ConfigError(f"n_max={self.n_max} must be >= 1")
@@ -55,7 +55,7 @@ def coupling_from_rate(p1: float) -> float:
     x = tanh^2(r), p_1 = 2x(1-x)^2 rises on [0, 1/3] to 8/27.  The cubic's
     smallest root by the trigonometric formula, then one Newton step for the
     relative precision its cancellation loses at small p_1."""
-    if p1 < 0:
+    if not p1 >= 0:
         raise ConfigError(f"p1={p1} must be >= 0")
     if p1 > 8.0 / 27.0:
         raise ConfigError(f"p1={p1} exceeds achievable maximum {8.0 / 27.0:.6g}")
@@ -100,10 +100,6 @@ def threshold_detector(id: str, mode: Mode, eta: float = 1.0,
                        ) -> DetectorSpec:
     return DetectorSpec(id=id, mode=mode, kind=THRESHOLD, coupling=eta,
                         dark_rate=dark_rate, window=window)
-
-
-def pnr_detector(id: str, mode: Mode, eta: float = 1.0) -> DetectorSpec:
-    return DetectorSpec(id=id, mode=mode, kind=NUMBER_RESOLVING, coupling=eta)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 # detector declarations live in `config`; importable from here as before
-from .config import (NUMBER_RESOLVING, THRESHOLD, DetectorSpec, pnr_detector,
+from .config import (NUMBER_RESOLVING, THRESHOLD, DetectorSpec,
                      threshold_detector)
 from .elements import (POL_H, POL_V, ConfigError, Mode, ModeTransform,
                        compose, measurement_rotation)

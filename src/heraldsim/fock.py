@@ -32,10 +32,6 @@ class TruncationError(Exception):
     """Photon-number truncation exceeded."""
 
 
-def mode(spatial: str, pol: str) -> Mode:
-    return (spatial, pol)
-
-
 def mode_str(m: Mode) -> str:
     return f"{m[0]}.{m[1]}"
 
@@ -81,13 +77,12 @@ class Polynomial:
         return Polynomial.merged((self.keys[:, None] + other.keys).ravel(),
                                  (self.coefs[:, None] * other.coefs).ravel())
 
-    def on_vacuum(self, modes: tuple[Mode, ...], base: int,
-                  scale: float = 1.0) -> "PureState":
-        """The state `scale` P|0> on `modes` (keys in `base`): a monomial
+    def on_vacuum(self, modes: tuple[Mode, ...], base: int) -> "PureState":
+        """The state P|0> on `modes` (keys in `base`): a monomial
         prod_m (a_m^dag)^p_m makes sqrt(prod_m p_m!) |p>.  Terms at or
         below DROP_TOL are dropped."""
         digits = self.keys[:, None] // places(base, len(modes)) % base
-        amps = self.coefs * scale * np.prod(
+        amps = self.coefs * np.prod(
             np.sqrt([math.factorial(p) for p in range(base)])[digits], axis=1)
         keep = np.abs(amps) > DROP_TOL
         return PureState(modes, base, self.keys[keep], amps[keep])
@@ -101,34 +96,19 @@ class PureState:
     `modes` in a `base` above every term's photon number, and the terms'
     complex amplitudes."""
 
-    __slots__ = ("modes", "base", "keys", "amps", "_terms")
+    __slots__ = ("modes", "base", "keys", "amps")
 
     def __init__(self, modes: tuple[Mode, ...], base: int, keys: np.ndarray,
                  amps: np.ndarray):
         keys.flags.writeable = amps.flags.writeable = False
         self.modes, self.base, self.keys, self.amps = modes, base, keys, amps
-        self._terms = None
-
-    @classmethod
-    def from_terms(cls, terms: Mapping[FockKey, complex]) -> "PureState":
-        """From a {FockKey: amplitude} map, dropping terms at or below
-        DROP_TOL."""
-        terms = {k: a for k, a in terms.items() if abs(a) > DROP_TOL}
-        modes = tuple(sorted({m for key in terms for m, _ in key}))
-        base = max((sum(n for _, n in key) for key in terms), default=0) + 1
-        place = dict(zip(modes, places(base, len(modes)).tolist()))
-        return cls(modes, base, np.array(
-            [sum(n * place[m] for m, n in key) for key in terms], np.int64),
-            np.array(list(terms.values()), complex))
 
     @property
     def terms(self) -> Mapping[FockKey, complex]:
-        """Read-only {FockKey: amplitude} view, built on first use."""
-        if self._terms is None:
-            self._terms = types.MappingProxyType({
-                tuple((m, n) for m, n in zip(self.modes, row) if n): amp
-                for row, amp in zip(self.counts().tolist(), self.amps.tolist())})
-        return self._terms
+        """Read-only {FockKey: amplitude} view, built on each read."""
+        return types.MappingProxyType({
+            tuple((m, n) for m, n in zip(self.modes, row) if n): amp
+            for row, amp in zip(self.counts().tolist(), self.amps.tolist())})
 
     def counts(self) -> np.ndarray:
         """Photon counts, one row per term and one column per mode."""
@@ -139,9 +119,6 @@ class PureState:
 
     def occupied_modes(self) -> set[Mode]:
         return {m for m, n in zip(self.modes, self.counts().any(axis=0)) if n}
-
-    def max_photons(self) -> int:
-        return int(self.counts().sum(axis=1).max(initial=0))
 
     def __len__(self) -> int:
         return len(self.keys)

@@ -2,13 +2,12 @@
 
 Every source branch is P-^k P+^j |0>, k ideal and j phase-flipped pairs,
 where P-/+ = a_x^dag b_y^dag -/+ a_y^dag b_x^dag.  `pair_power_states`
-makes every branch by multiplying the two pair polynomials, in the source
-modes or taken once through a circuit composed on them.
+makes every branch, normalized, by multiplying the two pair polynomials,
+in the source modes or taken once through a circuit composed on them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 # source declarations live in `config`; importable from here as before
@@ -42,27 +41,18 @@ def _pair_polynomials(transform: ModeTransform,
 _SOURCE = ModeTransform({m: ((1.0, m),) for m in SOURCE_MODES})
 
 
-@functools.lru_cache(maxsize=64)
-def _source_scales(powers: tuple[tuple[int, int], ...]) -> tuple[float, ...]:
-    """1 / ||P-^k P+^j |0>|| on the source modes for each (k, j) of
-    `powers`; it depends on nothing else, so it is computed once."""
-    base = 2 * max(k + j for k, j in powers) + 1
-    modes, polys = _pair_polynomials(_SOURCE, powers, base)
-    return tuple(1.0 / math.sqrt(p.on_vacuum(modes, base).norm_sq())
-                 for p in polys)
-
-
 def pair_power_states(powers: list[tuple[int, int]],
                       transform: ModeTransform | None = None
                       ) -> list[PureState]:
-    """P-^k P+^j |0> for each (k, j) of `powers`, normalized by its norm on
-    the source modes.  With `transform` (columns on the source modes) P-/+
-    are taken through it once and the states are built in its output modes."""
+    """P-^k P+^j |0> for each (k, j) of `powers`, divided by its own norm.
+    With `transform` (columns on the source modes, an isometry as `compose`
+    makes it) P-/+ are taken through it once and the states are built in
+    its output modes, where each keeps its norm on the source modes."""
     powers = tuple((k, j) for k, j in powers)
     base = 2 * max(k + j for k, j in powers) + 1
     modes, polys = _pair_polynomials(transform or _SOURCE, powers, base)
-    return [poly.on_vacuum(modes, base, scale)
-            for poly, scale in zip(polys, _source_scales(powers))]
+    return [PureState(modes, base, st.keys, st.amps / math.sqrt(st.norm_sq()))
+            for st in (poly.on_vacuum(modes, base) for poly in polys)]
 
 
 def n_pair_state(n: int) -> PureState:
@@ -71,11 +61,6 @@ def n_pair_state(n: int) -> PureState:
     The unnormalized operator-power expansion has norm^2 = (n+1)(n!)^2.
     """
     return pair_power_states([(n, 0)])[0]
-
-
-def truncation_deficit(params: SpdcParams) -> float:
-    return 1.0 - sum(pair_probability(n, params.r)
-                     for n in range(params.n_max + 1))
 
 
 def dephased_branch_weights(n: int, visibility: float) -> list[float]:
@@ -97,9 +82,13 @@ def dephased_source(params: SpdcParams, noise: SourceNoise,
 
     The one-pair branch reproduces diagonal-basis visibility V exactly.
     """
-    cells = [(n, j, p_n * w) for n in range(params.n_max + 1)
-             if (p_n := pair_probability(n, params.r)) > 0.0
-             for j, w in enumerate(dephased_branch_weights(n, noise.visibility))
-             if w > 0.0]
+    cells = []
+    for n in range(params.n_max + 1):
+        # stop at the first p_n that is 0.0: p1 <= 8/27 keeps tanh^2 r <=
+        # 1/3, so p_(n+1)/p_n <= 2/3 and no later p_n is nonzero
+        if (p_n := pair_probability(n, params.r)) == 0.0:
+            break
+        cells += [(n, j, p_n * w) for j, w in enumerate(
+            dephased_branch_weights(n, noise.visibility)) if w > 0.0]
     states = pair_power_states([(n - j, j) for n, j, _ in cells], transform)
     return MixedState(tuple((w, st) for (_, _, w), st in zip(cells, states)))

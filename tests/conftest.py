@@ -3,10 +3,11 @@ import math
 import pytest
 
 from heraldsim import fixture_path
+from heraldsim.config import NUMBER_RESOLVING, DetectorSpec
 from heraldsim.dsl import parse
 from heraldsim.elements import (beam_splitter, compose, half_wave_plate,
                                 measurement_rotation)
-from heraldsim.source import SOURCE_MODES
+from heraldsim.source import SOURCE_MODES, pair_probability
 
 
 # The published heralding layout, written out here independently of the
@@ -29,6 +30,17 @@ def heralding_elements(R):
 def heralding_circuit(R):
     """`heralding_elements(R)` composed on the source modes."""
     return compose(heralding_elements(R), SOURCE_MODES)
+
+
+def pnr_detector(id, mode, eta=1.0):
+    """A dark-free number-resolving detector."""
+    return DetectorSpec(id=id, mode=mode, kind=NUMBER_RESOLVING, coupling=eta)
+
+
+def truncation_deficit(params):
+    """The source weight above nmax: 1 - sum of p_n for n <= nmax."""
+    return 1.0 - sum(pair_probability(n, params.r)
+                     for n in range(params.n_max + 1))
 
 
 # Small circuit with bright pumping and ideal detectors; trigger rates are
@@ -72,6 +84,12 @@ ROTATED_ARM_5050 = (fixture_text("paper_5050.exp").replace(
     "hwp on=f angle=-22.5 out=xp,yp\n",
     "hwp on=f angle=-22.5 out=xp,yp\nhwp on=c angle=10 out=u,v\n")
     .replace("mode=c:x", "mode=c:u").replace("mode=c:y", "mode=c:v"))
+
+# paper_5050 with triggers that click on dark counts alone, and with both
+# splitters at R=0: the four-pair correction is undefined on both
+DARK_TRIGGERS_5050 = fixture_text("paper_5050.exp").replace("eta=0.167",
+                                                           "eta=0")
+R_ZERO_5050 = fixture_text("paper_5050.exp").replace("R=0.486", "R=0")
 
 
 @pytest.fixture(scope="session")

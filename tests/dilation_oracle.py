@@ -27,6 +27,7 @@ from heraldsim.fock import (ConfigError, FockKey, MixedState, Mode, PureState,
                             as_mixed, mode_str, substitute_modes)
 
 from conftest import OUTPUT_ARMS
+from fock_oracle import from_terms
 
 ENV_PREFIX = "~"
 QUBIT_BASIS = [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
@@ -84,7 +85,7 @@ def branch_on_modes(state: PureState, env_modes) -> MixedState:
         if weight <= 0.0:
             continue
         scale = 1.0 / math.sqrt(weight)
-        branches.append((weight, PureState.from_terms(
+        branches.append((weight, from_terms(
             {k: a * scale for k, a in terms.items()})))
     return MixedState(tuple(branches))
 
@@ -191,7 +192,7 @@ def click_distribution(state: PureState | MixedState,
 def click_probability(det: DetectorSpec, n: int) -> float:
     """Probability that `det` registers its event on the single-mode Fock
     state |n>."""
-    state = PureState.from_terms({((det.mode, n),) if n else (): 1.0})
+    state = from_terms({((det.mode, n),) if n else (): 1.0})
     return sum(p for (reading,), p in click_distribution(state, [det]).items()
                if trigger_fires(det, reading))
 

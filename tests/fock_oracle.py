@@ -15,9 +15,11 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
+import numpy as np
+
 from heraldsim.elements import ModeTransform
-from heraldsim.fock import (ConfigError, FockKey, Mode, PureState,
-                            TruncationError, make_vacuum, mode_str)
+from heraldsim.fock import (DROP_TOL, ConfigError, FockKey, Mode, PureState,
+                            TruncationError, make_vacuum, mode_str, places)
 from heraldsim.source import dephased_branch_weights, pair_probability
 
 MAX_PHOTONS = 8
@@ -32,17 +34,34 @@ def photons(key: FockKey) -> int:
     return sum(n for _, n in key)
 
 
+def max_photons(state: PureState) -> int:
+    """The largest photon number of any of the state's terms."""
+    return max(map(photons, state.terms), default=0)
+
+
+def from_terms(terms: dict[FockKey, complex]) -> PureState:
+    """The `PureState` of a {FockKey: amplitude} map, dropping terms at or
+    below DROP_TOL."""
+    terms = {k: a for k, a in terms.items() if abs(a) > DROP_TOL}
+    modes = tuple(sorted({m for key in terms for m, _ in key}))
+    base = max(map(photons, terms), default=0) + 1
+    place = dict(zip(modes, places(base, len(modes)).tolist()))
+    return PureState(modes, base, np.array(
+        [sum(n * place[m] for m, n in key) for key in terms], np.int64),
+        np.array(list(terms.values()), complex))
+
+
 def add(u: PureState, v: PureState, factor: complex = 1.0) -> PureState:
     """u + factor v."""
     terms = dict(u.terms)
     for key, amp in v.terms.items():
         terms[key] = terms.get(key, 0.0) + factor * amp
-    return PureState.from_terms(terms)
+    return from_terms(terms)
 
 
 def normalized(state: PureState) -> PureState:
     scale = 1.0 / math.sqrt(state.norm_sq())
-    return PureState.from_terms({k: a * scale for k, a in state.terms.items()})
+    return from_terms({k: a * scale for k, a in state.terms.items()})
 
 
 def apply_creation(state: PureState, m: Mode,
@@ -58,7 +77,7 @@ def apply_creation(state: PureState, m: Mode,
         occ[m] = n + 1
         new_key = canonical_key(occ)
         terms[new_key] = terms.get(new_key, 0.0) + amp * math.sqrt(n + 1)
-    return PureState.from_terms(terms)
+    return from_terms(terms)
 
 
 def pair_operator(state: PureState, sign: float,
@@ -131,7 +150,7 @@ def substitute_modes(state: PureState, transform: ModeTransform) -> PureState:
     # a monomial is one int with its exponents over `out_modes` as digits in
     # base photons+1; no exponent reaches the base, so products add the ints
     out_modes = sorted({om for col in columns.values() for _, om in col})
-    base = state.max_photons() + 1
+    base = max_photons(state) + 1
     place = {om: base ** i for i, om in enumerate(out_modes)}
     cache: dict[tuple[Mode, int], list[tuple[complex, int]]] = {}
     unpacked: dict[int, tuple[FockKey, float]] = {}
@@ -163,4 +182,4 @@ def substitute_modes(state: PureState, transform: ModeTransform) -> PureState:
                     math.prod(math.factorial(p) for _, p in powers)))
             out_key, scale = entry
             out[out_key] = out.get(out_key, 0.0) + coef * scale
-    return PureState.from_terms(out)
+    return from_terms(out)

@@ -26,7 +26,6 @@ from heraldsim.source import (
 from heraldsim.detect import (
     fidelity_to_phi_plus,
     herald,
-    pnr_detector,
     threshold_detector,
 )
 from heraldsim.analysis import (
@@ -40,7 +39,8 @@ from heraldsim.analysis import (
 from heraldsim.mc import precompute_outcome_tables, run_experiment
 
 from conftest import (BOOSTED_CONFIG, OUTPUT_ARMS, TRIGGER_MODES,
-                      fixture_text, heralding_circuit)
+                      fixture_text, heralding_circuit, pnr_detector)
+from fock_oracle import max_photons
 
 
 @pytest.fixture
@@ -232,7 +232,7 @@ def test_criterion_8_chsh_threshold_and_fidelity_properties(report):
     circuit = noisy_cfg.circuit()
     rho = np.zeros((4, 4), dtype=complex)
     for w, st in mix.branches:
-        if st.max_photons() < 6:
+        if max_photons(st) < 6:
             continue
         res = herald(apply_circuit(st, circuit),
                      noisy_cfg.trigger_detectors(), OUTPUT_ARMS)

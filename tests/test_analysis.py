@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize, minimize_scalar
 
-from heraldsim.fock import ConfigError, mode
+from heraldsim.fock import ConfigError
 from heraldsim.source import SpdcParams, coupling_from_rate
 from heraldsim.analysis import (
     Estimate,
@@ -20,9 +20,10 @@ from heraldsim.analysis import (
     violates_chsh,
 )
 from heraldsim.detect import (click_probability, fidelity_to_phi_plus,
-                              pnr_detector, threshold_detector)
+                              threshold_detector)
 
-from conftest import OUTPUT_ARMS, TRIGGER_MODES, heralding_elements
+from conftest import (OUTPUT_ARMS, TRIGGER_MODES, heralding_elements,
+                      pnr_detector)
 
 
 def test_eff_theory_formula():
@@ -58,7 +59,7 @@ def test_eff_exp_validates_counts():
 def test_dark_count_ratio():
     # dark clicks on vacuum against clicks from one photon: n_d t / eta to
     # leading order in the dark probability
-    det = threshold_detector("s1", mode("c", "x"), eta=0.15,
+    det = threshold_detector("s1", ("c", "x"), eta=0.15,
                              dark_rate=300.0, window=12e-9)
     assert det.dark_probability / det.eta == pytest.approx(2.4e-5, rel=1e-12)
     ratio = click_probability(det, 0) / click_probability(det, 1)

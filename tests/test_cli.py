@@ -22,10 +22,10 @@ import heraldsim
 from heraldsim import analysis, cli, detect, fixture_path, mc, schema_path
 from heraldsim.dsl import DslError, parse, validate
 from heraldsim.fock import ConfigError
-from heraldsim.source import truncation_deficit
 
-from conftest import (BOOSTED_CONFIG, RELABELLED_5050, ROTATED_ARM_5050,
-                      fixture_text)
+from conftest import (BOOSTED_CONFIG, DARK_TRIGGERS_5050, R_ZERO_5050,
+                      RELABELLED_5050, ROTATED_ARM_5050, fixture_text,
+                      truncation_deficit)
 
 
 SMALL_MC = BOOSTED_CONFIG.replace("pulses 2000000", "pulses 200000")
@@ -113,18 +113,19 @@ R,eff_theory,eff_exact_enumerated,four_pair_corrected
 PACKAGE_ROOT = str(Path(heraldsim.__file__).resolve().parents[1])
 
 
-def run_python(*args, env_extra=None):
+def run_python(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
 
 
-def run_cli(*args, env_extra=None):
-    return run_python("-m", "heraldsim.cli", *args, env_extra=env_extra)
+def run_cli(*args, env_extra=None, timeout=None):
+    return run_python("-m", "heraldsim.cli", *args, env_extra=env_extra,
+                      timeout=timeout)
 
 
 @pytest.fixture()
@@ -163,6 +164,25 @@ def test_herald_with_zero_reflectivity(tmp_path):
     # nothing reaches the output arms, so the proper herald class is empty
     assert report["s1"]["alpha_sq"] == pytest.approx(0.0, abs=1e-12)
     assert report["eff_theory"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("text, efficiency", [
+    (DARK_TRIGGERS_5050, 0.14837732047202618), (R_ZERO_5050, 0.0)],
+    ids=["dark_triggers", "R_zero"])
+def test_herald_reports_an_undefined_four_pair_correction(
+        text, efficiency, tmp_path, capsys):
+    path = tmp_path / "edge.exp"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["herald", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["preparation_efficiency"] == pytest.approx(efficiency,
+                                                             rel=1e-12)
+    assert report["four_pair_correction"] is None
+    with open(schema_path("herald.schema.json"), encoding="utf-8") as fh:
+        jsonschema.validate(report, json.load(fh))
+    assert cli.main(["herald", str(path)]) == 0
+    assert ("four-pair relative correction: undefined"
+            in capsys.readouterr().out.splitlines())
 
 
 def test_config_error_exit_code(tmp_path):
@@ -439,6 +459,47 @@ def test_montecarlo_with_an_overflowing_nmax_exits_two(tmp_path):
     assert "source nmax=200" in proc.stderr
     assert "runtime error" not in proc.stderr
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("p1, code", [("0.047", 2), ("0", 0)])
+def test_montecarlo_ends_on_a_huge_nmax(p1, code, tmp_path):
+    # the source sum stops at the first pair number whose p_n is 0.0
+    path = tmp_path / "huge.exp"
+    path.write_text(fixture_text("paper_5050.exp").replace(
+        "p1=0.047 nmax=4", f"p1={p1} nmax=1000000000000"), encoding="utf-8")
+    out = tmp_path / "run"
+    proc = run_cli("montecarlo", str(path), "--out", str(out), timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert ("source nmax=1000000000000 is too large for the click "
+                "tables" in proc.stderr)
+        assert not out.exists()
+
+
+def test_montecarlo_refuses_output_detectors_of_mean_eta_0(tmp_path, capsys):
+    path = tmp_path / "blind.exp"
+    path.write_text(re.sub(r"(detector id=s\d) ", r"\1 eta=0 ", SMALL_MC),
+                    encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["montecarlo", str(path), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: output detectors ")
+    assert all(f"s{i} eta=0" in line for i in range(1, 5))
+    assert not out.exists()
+
+
+def test_montecarlo_warns_when_no_pulse_count_gives_ten_sixfolds(tmp_path,
+                                                                 capsys):
+    # p1=0: only dark counts make six-folds, about 1e-26 per pulse
+    path = tmp_path / "dark.exp"
+    path.write_text(fixture_text("paper_5050.exp").replace("p1=0.047",
+                                                           "p1=0"),
+                    encoding="utf-8")
+    assert cli.main(["montecarlo", str(path), "--out",
+                     str(tmp_path / "run")]) == 0
+    [warning] = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("warning:")]
+    assert warning.endswith("; no pulse count below 2^63 would give 10")
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from heraldsim.dsl import parse
-from heraldsim.fock import (ConfigError, FockKey, MixedState, PureState,
-                            as_mixed, mode)
+from heraldsim.fock import ConfigError, FockKey, MixedState, as_mixed
 from heraldsim.elements import apply_circuit
 from heraldsim.source import dephased_source, n_pair_state
 from heraldsim.detect import (
@@ -23,7 +22,6 @@ from heraldsim.detect import (
     decompose_s1,
     fidelity_to_phi_plus,
     herald,
-    pnr_detector,
     sixfold_probability,
     threshold_detector,
 )
@@ -31,8 +29,10 @@ from heraldsim.analysis import eff_theory
 
 import dilation_oracle as oracle
 from conftest import (OUTPUT_ARMS, RELABELLED_5050, ROTATED_ARM_5050,
-                      TRIGGER_MODES, fixture_text, heralding_circuit)
+                      TRIGGER_MODES, fixture_text, heralding_circuit,
+                      pnr_detector)
 from dilation_oracle import key_occupation, qubit_index
+from fock_oracle import from_terms
 
 
 def trigger_set(kind="pnr", eta=1.0, dark=0.0, window=0.0):
@@ -94,7 +94,7 @@ def loop_decompose_s1(state, trigger_modes, output_arms):
 
 
 def test_dark_click_probability_on_vacuum():
-    det = threshold_detector("d", mode("c", "x"), eta=1.0,
+    det = threshold_detector("d", ("c", "x"), eta=1.0,
                              dark_rate=300.0, window=12e-9)
     assert det.dark_probability == pytest.approx(3.6e-6, rel=1e-12)
     assert click_probability(det, 0) == pytest.approx(3.6e-6, rel=1e-12)
@@ -115,7 +115,7 @@ def test_pnr_counts_are_binomial_under_loss():
     # a number-resolving detector's event, a reading of exactly one, is the
     # k = 1 term of Binomial(n, eta)
     eta = 0.58
-    det = pnr_detector("d", mode("c", "x"), eta=eta)
+    det = pnr_detector("d", ("c", "x"), eta=eta)
     for n in range(5):
         expect = math.comb(n, 1) * eta * (1 - eta) ** (n - 1) if n else 0.0
         assert click_probability(det, n) == pytest.approx(expect, abs=1e-12)
@@ -161,7 +161,7 @@ def test_sixfold_correlations_of_heralded_state():
     st = apply_circuit(n_pair_state(3), heralding_circuit(0.486))
     trig = trigger_set("pnr")
     outs = [threshold_detector(f"s{i}", m) for i, m in enumerate(
-        [mode("c", "x"), mode("c", "y"), mode("d", "x"), mode("d", "y")],
+        [("c", "x"), ("c", "y"), ("d", "x"), ("d", "y")],
         start=1)]
 
     def correlation(basis):
@@ -188,8 +188,8 @@ def test_sixfold_scales_with_output_efficiency_squared():
     def total(eta_s):
         outs = [threshold_detector(f"s{i}", m, eta=eta_s)
                 for i, m in enumerate(
-                    [mode("c", "x"), mode("c", "y"),
-                     mode("d", "x"), mode("d", "y")], start=1)]
+                    [("c", "x"), ("c", "y"),
+                     ("d", "x"), ("d", "y")], start=1)]
         return sum(sixfold_probability(st, trig, outs, ("HV", "HV"), (a, b),
                                        output_arms=OUTPUT_ARMS)
                    for a in (0, 1) for b in (0, 1))
@@ -207,16 +207,16 @@ def test_herald_requires_four_triggers():
 
 def test_detector_parameter_validation():
     with pytest.raises(ConfigError):
-        threshold_detector("d", mode("c", "x"), eta=1.3)
+        threshold_detector("d", ("c", "x"), eta=1.3)
     with pytest.raises(ConfigError):
-        threshold_detector("d", mode("c", "x"), dark_rate=1e9, window=1.0)
+        threshold_detector("d", ("c", "x"), dark_rate=1e9, window=1.0)
 
 
 @pytest.mark.parametrize("dark, window", [(-300.0, -1e-9), (-300.0, 0.0),
                                           (0.0, -1e-9), (float("nan"), 1e-9)])
 def test_negative_dark_rate_or_window_rejected(dark, window):
     with pytest.raises(ConfigError, match="negative dark rate or window"):
-        threshold_detector("d", mode("c", "x"), dark_rate=dark, window=window)
+        threshold_detector("d", ("c", "x"), dark_rate=dark, window=window)
 
 
 @settings(max_examples=200, deadline=None)
@@ -225,7 +225,7 @@ def test_negative_dark_rate_or_window_rejected(dark, window):
        eta=strategies.floats(min_value=0.0, max_value=1.0),
        dark=strategies.floats(min_value=0.0, max_value=0.5, exclude_max=True))
 def test_click_probability_matches_dilation_oracle(kind, n, eta, dark):
-    det = DetectorSpec(id="d", mode=mode("c", "x"), kind=kind, coupling=eta,
+    det = DetectorSpec(id="d", mode=("c", "x"), kind=kind, coupling=eta,
                        dark_rate=dark, window=1.0)
     assert click_probability(det, n) == pytest.approx(
         oracle.click_probability(det, n), abs=1e-12)
@@ -365,8 +365,8 @@ def test_herald_rejects_output_layout_without_a_qubit():
         herald(state, trigger_set(), ("c",))
     with pytest.raises(ConfigError, match=r"\['c', 'd', 'e'\]"):
         herald(state, trigger_set(), ("c", "d", "e"))
-    three_labels = PureState.from_terms({
-        ((mode("c", pol), 1), (mode("d", "x"), 1)): 0.5
+    three_labels = from_terms({
+        ((("c", pol), 1), (("d", "x"), 1)): 0.5
         for pol in ("u", "x", "y")})
     with pytest.raises(ConfigError, match=r"arm 'c' carries \['u', 'x', 'y'\]"):
         herald(three_labels, trigger_set(), OUTPUT_ARMS)

@@ -7,7 +7,7 @@ import pytest
 
 from heraldsim.config import element_transform
 from heraldsim.dsl import parse
-from heraldsim.fock import ConfigError, mode, substitute_modes
+from heraldsim.fock import ConfigError, substitute_modes
 from heraldsim.elements import (
     LOSSLESS_ATOL,
     MEASUREMENT_BASES,
@@ -19,10 +19,11 @@ from heraldsim.elements import (
     measurement_rotation,
 )
 from heraldsim.source import n_pair_state
-from heraldsim.detect import herald, pnr_detector
+from heraldsim.detect import herald
 
 from conftest import (OUTPUT_ARMS, RELABELLED_5050, TRIGGER_MODES,
-                      fixture_text, heralding_circuit, heralding_elements)
+                      fixture_text, heralding_circuit, heralding_elements,
+                      pnr_detector)
 from dilation_oracle import loss_channel
 
 
@@ -42,8 +43,8 @@ def apply_elementwise(state, transforms):
 
 
 def max_amplitude_gap(a, b):
-    return max(abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0))
-               for k in set(a.terms) | set(b.terms))
+    a, b = a.terms, b.terms
+    return max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
 
 
 CIRCUIT_TEXTS = {name: fixture_text(name) for name in
@@ -53,9 +54,9 @@ CIRCUIT_TEXTS["relabelled"] = RELABELLED_5050
 
 def test_beam_splitter_amplitudes():
     bs = beam_splitter(0.486, "a", reflected_out="c", transmitted_out="e")
-    col = dict((m, amp) for amp, m in bs.columns[mode("a", "x")])
-    assert col[mode("c", "x")] == pytest.approx(math.sqrt(0.486))
-    assert col[mode("e", "x")] == pytest.approx(math.sqrt(0.514))
+    col = dict((m, amp) for amp, m in bs.columns[("a", "x")])
+    assert col[("c", "x")] == pytest.approx(math.sqrt(0.486))
+    assert col[("e", "x")] == pytest.approx(math.sqrt(0.514))
 
 
 def test_beam_splitter_intensity_check():
@@ -69,19 +70,19 @@ def test_beam_splitter_intensity_check():
 
 def test_half_wave_plate_at_minus_22_5():
     hw = half_wave_plate(-22.5, "f", ("xp", "yp"))
-    cx = dict((m, amp) for amp, m in hw.columns[mode("f", "x")])
-    cy = dict((m, amp) for amp, m in hw.columns[mode("f", "y")])
+    cx = dict((m, amp) for amp, m in hw.columns[("f", "x")])
+    cy = dict((m, amp) for amp, m in hw.columns[("f", "y")])
     s = 1.0 / math.sqrt(2.0)
-    assert cx[mode("f", "xp")] == pytest.approx(s)
-    assert cx[mode("f", "yp")] == pytest.approx(-s)
-    assert cy[mode("f", "xp")] == pytest.approx(-s)
-    assert cy[mode("f", "yp")] == pytest.approx(-s)
+    assert cx[("f", "xp")] == pytest.approx(s)
+    assert cx[("f", "yp")] == pytest.approx(-s)
+    assert cy[("f", "xp")] == pytest.approx(-s)
+    assert cy[("f", "yp")] == pytest.approx(-s)
 
 
 def test_loss_channel_column():
     eta = 0.167
-    lc = loss_channel(mode("e", "x"), eta)
-    col = dict((m, amp) for amp, m in lc.columns[mode("e", "x")])
+    lc = loss_channel(("e", "x"), eta)
+    col = dict((m, amp) for amp, m in lc.columns[("e", "x")])
     kept = [m for m in col if not m[0].startswith("~")]
     env = [m for m in col if m[0].startswith("~")]
     assert len(kept) == 1 and len(env) == 1
@@ -208,6 +209,6 @@ def test_compile_rejects_non_isometric_element():
         {m: tuple((0.9 * amp, om) for amp, om in col)
          for m, col in bs.columns.items()})
     with pytest.raises(ConfigError, match="deviates from an isometry by 0.19"):
-        compose((scaled,), {mode("a", "x"), mode("b", "y")})
+        compose((scaled,), {("a", "x"), ("b", "y")})
     with pytest.raises(ConfigError):
         apply_circuit(n_pair_state(1), scaled)

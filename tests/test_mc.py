@@ -350,7 +350,7 @@ def test_dephased_fidelity_matches_enumeration():
     circuit = cfg.circuit()
     rho = np.zeros((4, 4), dtype=complex)
     for w, st in mix.branches:
-        if st.max_photons() < 6:
+        if fock_oracle.max_photons(st) < 6:
             continue
         res = herald(apply_circuit(st, circuit), cfg.trigger_detectors(),
                      OUTPUT_ARMS)

@@ -18,7 +18,7 @@ from heraldsim import cli, fixture_path
 from heraldsim.dsl import parse
 from heraldsim.mc import precompute_outcome_tables
 
-from conftest import BOOSTED_CONFIG
+from conftest import BOOSTED_CONFIG, DARK_TRIGGERS_5050, R_ZERO_5050
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,6 +51,18 @@ def test_herald_report_passes_the_benchmark_check(perfbench, name):
     schema = checks.load_schema("herald.schema.json")
     assert checks.check_herald(json.dumps(cli._herald_report(cfg)),
                                checks.herald_reference(cfg), schema) == []
+
+
+@pytest.mark.parametrize("text", [DARK_TRIGGERS_5050, R_ZERO_5050],
+                         ids=["dark_triggers", "R_zero"])
+def test_undefined_four_pair_correction_passes_the_benchmark_check(
+        perfbench, text):
+    checks, _ = perfbench
+    cfg = parse(text)
+    report = cli._herald_report(cfg)
+    assert report["four_pair_correction"] is None
+    assert checks.check_herald(json.dumps(report), checks.herald_reference(cfg),
+                               checks.load_schema("herald.schema.json")) == []
 
 
 def test_sweep_passes_the_benchmark_check(perfbench, capsys):

@@ -22,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from heraldsim import analysis, cli, source
+from heraldsim import analysis, cli
 from heraldsim.analysis import (four_pair_correction, four_pair_sectors,
                                 four_pair_shift, herald_curves)
 from heraldsim.detect import herald, threshold_detector
@@ -59,7 +59,7 @@ def reference_four_pair_correction(params, R, eta_t):
             + p4 * res4.herald_probability * res4.preparation_efficiency)
     trig = p3 * res3.herald_probability + p4 * res4.herald_probability
     if trig == 0.0 or res3.preparation_efficiency == 0.0:
-        return 0.0
+        return None
     return (good / trig - res3.preparation_efficiency) \
         / res3.preparation_efficiency
 
@@ -85,8 +85,9 @@ def test_sectors_match_substitution_route(circuit, triggers, arms):
     built = pair_power_states([(3, 0), (4, 0)], circuit)
     for n, got in zip((3, 4), built):
         want = reference_sector(n, circuit)
-        assert set(got.terms) == set(want.terms)
-        assert max(abs(got.terms[k] - a) for k, a in want.terms.items()) \
+        got_terms, want_terms = got.terms, want.terms
+        assert set(got_terms) == set(want_terms)
+        assert max(abs(got_terms[k] - a) for k, a in want_terms.items()) \
             < 1e-12
         res, ref = herald(got, triggers, arms), herald(want, triggers, arms)
         assert res.heralded == ref.heralded
@@ -99,9 +100,13 @@ def test_sectors_match_substitution_route(circuit, triggers, arms):
 @pytest.mark.parametrize("eta_t", [0.167, 0.5, 1.0])
 def test_four_pair_correction_matches_substitution_route(R, eta_t):
     params = parse(fixture_text("paper_5050.exp")).source
-    assert math.isclose(four_pair_correction(params, R, eta_t),
-                        reference_four_pair_correction(params, R, eta_t),
-                        rel_tol=1e-12, abs_tol=0.0)
+    got = four_pair_correction(params, R, eta_t)
+    want = reference_four_pair_correction(params, R, eta_t)
+    # undefined at R = 0, where the three-pair efficiency is 0, and at
+    # R = 1, where no photon reaches the dark-free triggers
+    assert (got is None) == (want is None) == (R in (0.0, 1.0))
+    assert want is None or math.isclose(got, want, rel_tol=1e-12,
+                                        abs_tol=0.0)
 
 
 def test_four_pair_correction_matches_at_bright_pumping():
@@ -127,16 +132,17 @@ def closed_form_norm_sq(k, j):
                for m, c in enumerate(coefs))
 
 
-def test_memoized_source_norms_match_closed_form():
-    powers = tuple((k, n - k) for n in range(7) for k in range(n + 1))
-    scales = source._source_scales(powers)
-    for (k, j), scale in zip(powers, scales):
-        assert math.isclose(1.0 / scale ** 2, closed_form_norm_sq(k, j),
-                            rel_tol=1e-14), (k, j)
-    # one power at a time, as n_pair_state asks for them
-    for k, j in powers:
-        assert math.isclose(1.0 / source._source_scales(((k, j),))[0] ** 2,
-                            closed_form_norm_sq(k, j), rel_tol=1e-14)
+def test_source_norms_match_closed_form():
+    # each branch is divided by its own norm, and A^n |0> = n! |n, n> has
+    # coefficient 1 in P-^k P+^j, so its amplitude is n! / norm
+    for n in range(7):
+        for k in range(n + 1):
+            [state] = pair_power_states([(k, n - k)])
+            assert math.isclose(state.norm_sq(), 1.0, rel_tol=0.0,
+                                abs_tol=1e-14), (k, n - k)
+            key = ((("a", "x"), n), (("b", "y"), n)) if n else ()
+            want = math.factorial(n) / math.sqrt(closed_form_norm_sq(k, n - k))
+            assert abs(state.terms[key] - want) <= 1e-14 * want, (k, n - k)
 
 
 def test_closed_form_norm_of_n_pairs():
@@ -149,11 +155,8 @@ def test_closed_form_norm_of_n_pairs():
 def test_repeated_call_is_bit_identical(with_map):
     powers = [(3, 0), (2, 1), (4, 0), (1, 3)]
     transform = heralding_circuit(0.486) if with_map else None
-    source._source_scales.cache_clear()
     first = pair_power_states(powers, transform)
-    assert source._source_scales.cache_info().misses == 1
     second = pair_power_states(powers, transform)
-    assert source._source_scales.cache_info().hits == 1
     for a, b in zip(first, second):
         assert a.modes == b.modes and a.base == b.base
         assert np.array_equal(a.keys, b.keys)
@@ -184,10 +187,9 @@ def per_row_sweep(config, r_min, r_max, steps):
         R = r_min + (r_max - r_min) * i / (steps - 1)
         result = per_row_herald(config, R)
         exact = result.preparation_efficiency if result.heralded else 0.0
-        corrected = exact
-        if config.source.n_max >= 4 and R > 0.0:
-            corrected = exact * (1.0 + reference_four_pair_correction(
-                config.source, R, eta_t))
+        shift = (reference_four_pair_correction(config.source, R, eta_t)
+                 if config.source.n_max >= 4 and R > 0.0 else None)
+        corrected = exact if shift is None else exact * (1.0 + shift)
         lines.append(f"{R:.9g},{analysis.eff_theory(R, eta_t):.9g},"
                      f"{exact:.9g},{corrected:.9g}")
     return "\n".join(lines) + "\n"

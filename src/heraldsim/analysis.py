@@ -7,6 +7,11 @@ through a circuit it takes as a function of the splitter ratio and builds
 at R = 1/2, as `detect.HeraldCurve`s; `four_pair_sectors` builds the
 four-pair correction's two on a config's own layout.  Nothing is cached: a
 caller holds the curves it evaluates, as `sweep` holds them for every row.
+`four_pair_shift` is the one p_3/p_4 weighting of the two sectors' herald
+probabilities and efficiencies at one R: `herald` takes them from
+`HeraldCurve.at` (`sector_shift`), and each `sweep` row from one product
+over the sweep's stacked curves (`detect.stack_traces`), which costs a row
+about 15-18 us in process where three 4x4 conditional states cost 50-64 us.
 """
 
 from __future__ import annotations
@@ -114,25 +119,33 @@ def four_pair_sectors(config: ExperimentConfig, eta_t: float
                                triggers, config.output_arms()))
 
 
-def four_pair_shift(params: SpdcParams, sectors: tuple[HeraldCurve, ...],
-                    R: float) -> float | None:
+def four_pair_shift(params: SpdcParams, three: tuple[float, float],
+                    four: tuple[float, float]) -> float | None:
     """Relative efficiency shift from adding the four-pair sector: the
-    three- and four-pair `sectors` evaluated at R, weighted by p_3 and p_4.
-    None where it is undefined: the sectors never herald, or the three-pair
-    efficiency is 0."""
+    three- and four-pair sectors' herald probabilities and conditional-state
+    traces (preparation efficiencies), each a (herald, efficiency) pair at
+    one R, weighted by p_3 and p_4.  None where it is undefined: the
+    sectors never herald, or the three-pair efficiency is 0."""
     p3 = pair_probability(3, params.r)
     p4 = pair_probability(4, params.r)
     if p4 == 0.0:
         return 0.0
-    res3, res4 = (curve.at(R) for curve in sectors)
-    eff3 = res3.preparation_efficiency
-    good = (p3 * res3.herald_probability * res3.preparation_efficiency
-            + p4 * res4.herald_probability * res4.preparation_efficiency)
-    trig = p3 * res3.herald_probability + p4 * res4.herald_probability
+    (herald3, eff3), (herald4, eff4) = three, four
+    good = p3 * herald3 * eff3 + p4 * herald4 * eff4
+    trig = p3 * herald3 + p4 * herald4
     if trig == 0.0 or eff3 == 0.0:
         return None
     eff34 = good / trig
     return (eff34 - eff3) / eff3
+
+
+def sector_shift(params: SpdcParams, sectors: tuple[HeraldCurve, ...],
+                 R: float) -> float | None:
+    """`four_pair_shift` of the three- and four-pair `sectors` (as
+    `four_pair_sectors` builds them) evaluated at R."""
+    return four_pair_shift(params, *((res.herald_probability,
+                                      res.preparation_efficiency)
+                                     for res in (c.at(R) for c in sectors)))
 
 
 def four_pair_correction(params: SpdcParams, R: float,
@@ -150,4 +163,4 @@ def four_pair_correction(params: SpdcParams, R: float,
     if params.n_max < 4:
         raise ConfigError("four-pair correction requires n_max >= 4")
     layout = parse(fixture_path("paper_5050.exp").read_text(encoding="utf-8"))
-    return four_pair_shift(params, four_pair_sectors(layout, eta_t), R)
+    return sector_shift(params, four_pair_sectors(layout, eta_t), R)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -171,6 +171,15 @@ def _output_arm_modes(state: PureState | MixedState,
     return arm_modes
 
 
+def ratio_factors(monomials: np.ndarray, *R: float) -> np.ndarray:
+    """Each row (A_1, B_1, A_2, B_2, ...) of `monomials` as the factor
+    prod_s (2 R_s)^A_s (2 T_s)^B_s with splitter s at ratio R[s], or with
+    every splitter at R[0] when one ratio is given."""
+    ratios = R * (monomials.shape[1] // 2) if len(R) == 1 else R
+    base = np.array([b for r in ratios for b in (2.0 * r, 2.0 * (1.0 - r))])
+    return (base ** monomials).prod(axis=1)
+
+
 @dataclass(frozen=True)
 class HeraldCurve:
     """A herald as a function of the circuit's splitter ratios.
@@ -190,10 +199,7 @@ class HeraldCurve:
     def at(self, *R: float) -> HeraldResult:
         """The herald with splitter s at ratio R[s], or with every splitter
         at R[0] when one ratio is given."""
-        ratios = R * (self.monomials.shape[1] // 2) if len(R) == 1 else R
-        base = np.array([b for r in ratios
-                         for b in (2.0 * r, 2.0 * (1.0 - r))])
-        factors = np.prod(base ** self.monomials, axis=1)
+        factors = ratio_factors(self.monomials, *R)
         herald_p = float(factors @ self.weights)
         if herald_p <= 0.0:
             return HeraldResult(0.0, np.zeros((4, 4), dtype=complex), 0.0,
@@ -258,6 +264,25 @@ def herald_curve(state: PureState | MixedState,
         [np.sum(weight[terms]) for terms, _ in by_monomial]), np.array(
         [np.einsum("g,gi,gj->ij", group_p[sel], vectors[sel],
                    vectors[sel].conj()) for _, sel in by_monomial]))
+
+
+def stack_traces(curves: Sequence[HeraldCurve]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """`curves` of one circuit on one monomial table: their distinct
+    monomials, and per monomial the herald weight and conditional-state
+    trace of each curve in turn (columns 2 i and 2 i + 1 for curve i, 0
+    where it lacks the monomial).  `ratio_factors(monomials, R) @ table`
+    then gives every curve's herald probability and unnormalized trace
+    (herald probability times preparation efficiency) in one product."""
+    monomials, rows = np.unique(np.concatenate([c.monomials for c in curves]),
+                                axis=0, return_inverse=True)
+    ends = np.cumsum([len(c.weights) for c in curves])
+    table = np.zeros((len(monomials), 2 * len(curves)))
+    for i, (curve, at) in enumerate(zip(curves, np.split(rows.ravel(),
+                                                          ends[:-1]))):
+        table[at, 2 * i] = curve.weights
+        table[at, 2 * i + 1] = np.trace(curve.rhos, axis1=1, axis2=2).real
+    return monomials, table
 
 
 def herald(state: PureState | MixedState,

@@ -24,15 +24,16 @@ import pytest
 
 from heraldsim import analysis, cli
 from heraldsim.analysis import (four_pair_correction, four_pair_sectors,
-                                four_pair_shift, herald_curves)
+                                four_pair_shift, herald_curves, sector_shift)
 from heraldsim.detect import herald, threshold_detector
 from heraldsim.dsl import parse, validate
 from heraldsim.elements import SOURCE_MODES, apply_circuit, compose
 from heraldsim.source import (SpdcParams, coupling_from_rate, n_pair_state,
                               pair_power_states, pair_probability)
 
-from conftest import (BOOSTED_CONFIG, OUTPUT_ARMS, RELABELLED_5050,
-                      TRIGGER_MODES, fixture_text, heralding_circuit)
+from conftest import (BOOSTED_CONFIG, DARK_TRIGGERS_5050, OUTPUT_ARMS,
+                      RELABELLED_5050, TRIGGER_MODES, fixture_text,
+                      heralding_circuit)
 
 FIXTURES = ("paper_5050.exp", "paper_6040.exp", "paper_7030.exp")
 
@@ -242,12 +243,17 @@ def test_one_build_serves_splitters_of_different_R():
                               config.output_arms()))
 
 
-@pytest.mark.parametrize("name", ["paper_5050.exp", "relabelled", "pnr"])
-def test_sweep_edge_rows_match_per_row_route(name, tmp_path):
-    text = SWEPT_TEXTS[name]
+@pytest.mark.parametrize("text, steps", [
+    (SWEPT_TEXTS["paper_5050.exp"], 5), (RELABELLED_5050, 5), (PNR_5050, 5),
+    (PNR_5050, 21),
+    # the correction is undefined on every row: the dark-free sectors
+    # never herald at trigger eta 0
+    (DARK_TRIGGERS_5050, 5)],
+    ids=["paper_5050.exp", "relabelled", "pnr", "pnr-21", "dark_triggers"])
+def test_sweep_edge_rows_match_per_row_route(text, steps, tmp_path):
     got = run_sweep(text, tmp_path, "--r-min", "0", "--r-max", "1",
-                    "--steps", "5")
-    assert got == per_row_sweep(parse(text), 0.0, 1.0, 5)
+                    "--steps", str(steps))
+    assert got == per_row_sweep(parse(text), 0.0, 1.0, steps)
 
 
 def test_ideal_dark_sweep_at_full_reflection_heralds_nothing(tmp_path):
@@ -265,13 +271,20 @@ def test_sweep_skips_the_four_pair_correction_at_zero_reflection(
         monkeypatch, tmp_path):
     evaluated = []
 
-    def spy(params, sectors, R):
-        evaluated.append(R)
-        return four_pair_shift(params, sectors, R)
+    def spy(params, three, four):
+        evaluated.extend(three)
+        return four_pair_shift(params, three, four)
     monkeypatch.setattr(analysis, "four_pair_shift", spy)
     out = run_sweep(fixture_text("paper_5050.exp"), tmp_path,
                     "--r-min", "0", "--r-max", "1", "--steps", "5")
-    assert evaluated == [0.25, 0.5, 0.75, 1.0]
+    # the shift takes values, not R: its three-pair herald and efficiency
+    # name the rows it was called on
+    config = parse(fixture_text("paper_5050.exp"))
+    three = four_pair_sectors(config, config.mean_trigger_eta())[0]
+    assert evaluated == pytest.approx(
+        [v for R in (0.25, 0.5, 0.75, 1.0) for res in [three.at(R)]
+         for v in (res.herald_probability, res.preparation_efficiency)],
+        rel=1e-12, abs=0.0)
     first = next(csv.DictReader(io.StringIO(out)))
     assert first["R"] == "0"
     assert first["four_pair_corrected"] == first["eff_exact_enumerated"]
@@ -310,7 +323,7 @@ def test_four_pair_correction_follows_the_configs_circuit(tmp_path, capsys):
     assert cli.main(["herald", "--json", str(path)]) == 0
     got = json.loads(capsys.readouterr().out)["four_pair_correction"]
     sectors = four_pair_sectors(config, config.mean_trigger_eta())
-    want = four_pair_shift(config.source, sectors, config.beam_splitter_R())
+    want = sector_shift(config.source, sectors, config.beam_splitter_R())
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
     assert math.isclose(got, substituted_correction(
         config, config.beam_splitter_R()), rel_tol=1e-12, abs_tol=0.0)
@@ -320,7 +333,7 @@ def test_four_pair_correction_follows_the_configs_circuit(tmp_path, capsys):
                                                      tmp_path))))
     for row in rows:
         R, exact = float(row["R"]), float(row["eff_exact_enumerated"])
-        for shift in (four_pair_shift(config.source, sectors, R),
+        for shift in (sector_shift(config.source, sectors, R),
                       substituted_correction(config, R)):
             # the CSV holds 9 significant digits
             assert math.isclose(float(row["four_pair_corrected"]),

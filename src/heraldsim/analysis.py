@@ -10,8 +10,7 @@ caller holds the curves it evaluates, as `sweep` holds them for every row.
 `four_pair_shift` is the one p_3/p_4 weighting of the two sectors' herald
 probabilities and efficiencies at one R: `herald` takes them from
 `HeraldCurve.at` (`sector_shift`), and each `sweep` row from one product
-over the sweep's stacked curves (`detect.stack_traces`), which costs a row
-about 15-18 us in process where three 4x4 conditional states cost 50-64 us.
+over the sweep's stacked curves (`detect.CurveStack`).
 """
 
 from __future__ import annotations

@@ -8,12 +8,11 @@ declared ratios, `sweep` once at R = 1/2 as a curve in R
 (`analysis.herald_curves`).  At nmax >= 4 both build the four-pair
 correction's two sectors on the config's circuit, trigger modes and output
 arms (`analysis.four_pair_sectors`).  `sweep` builds all of them before
-it writes the header and stacks them on one monomial table of herald
-weights and conditional-state traces (`detect.stack_traces`).  Each row is
-one product over that table at its R, read as each curve's herald
-probability and efficiency, the correction by `analysis.four_pair_shift`:
-about 15-18 us per row in process on a 2-vCPU host, writing included,
-where evaluating three 4x4 conditional states per row took 50-64 us.
+it writes the header and stacks them on one monomial table
+(`detect.stack_curves`).  Each row is one product over that table at its
+R, read as each curve's herald probability and efficiency, the correction
+by `analysis.four_pair_shift`: about 15-18 us per row in process on a
+2-vCPU host, writing included.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
 error names its stage, `runtime error in <stage>: ...`: `herald` or
@@ -25,9 +24,10 @@ This module imports only the numpy-free `config`, `dsl` and `elements`;
 each command loads its config before it imports the engine it runs, and
 only `montecarlo` loads `mc`.  `main` first defaults OPENBLAS_NUM_THREADS
 to 1: no BLAS call here needs a second thread, and an idle one spins.
-Run as a module, it freezes the garbage collector once `main` returns, so
-the interpreter's final collections skip numpy's objects; `main` itself
-does not, because a caller may run it many times in one process.
+The `heraldsim` script and `python -m heraldsim.cli` both exit through
+`run`, which freezes the garbage collector once `main` returns, so the
+interpreter's final collections skip numpy's objects; `main` itself does
+not, because a caller may run it many times in one process.
 """
 
 from __future__ import annotations
@@ -170,20 +170,16 @@ def cmd_sweep(args) -> int:
             config.output_arms())
         if config.source.n_max >= 4:
             curves += analysis.four_pair_sectors(config, eta_t)
-        monomials, table = detect.stack_traces(curves)
+        stack = detect.stack_curves(curves)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["R", "eff_theory", "eff_exact_enumerated",
                      "four_pair_corrected"])
     for i in range(args.steps):
         R = args.r_min + (args.r_max - args.r_min) * i / (args.steps - 1)
         with _stage(f"row R={R:.9g}"):
-            values = (detect.ratio_factors(monomials, R) @ table).tolist()
-            # per curve (herald probability, efficiency), as HeraldCurve.at
-            heralds = [(h, t / h if h > 0.0 else 0.0)
-                       for h, t in zip(values[0::2], values[1::2])]
-            exact = heralds[0][1]
-            shift = (analysis.four_pair_shift(config.source, *heralds[1:])
-                     if len(heralds) > 1 and R > 0.0 else None)
+            [(_, exact), *sectors] = stack.at(R)
+            shift = (analysis.four_pair_shift(config.source, *sectors)
+                     if sectors and R > 0.0 else None)
             corrected = exact if shift is None else exact * (1.0 + shift)
         writer.writerow([f"{R:.9g}", f"{analysis.eff_theory(R, eta_t):.9g}",
                          f"{exact:.9g}", f"{corrected:.9g}"])
@@ -386,9 +382,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RUNTIME
 
 
-if __name__ == "__main__":
+def run() -> int:
+    """`main` for a process that exits once it returns."""
     code = main()
-    # numpy leaves ~23k tracked objects: frozen, the interpreter's final
-    # collections skip them and exit is ~25 ms sooner
+    # numpy leaves ~23k tracked objects; frozen, the interpreter's final
+    # collections skip them
     gc.freeze()
-    sys.exit(code)
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(run())

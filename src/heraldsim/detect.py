@@ -171,7 +171,7 @@ def _output_arm_modes(state: PureState | MixedState,
     return arm_modes
 
 
-def ratio_factors(monomials: np.ndarray, *R: float) -> np.ndarray:
+def _ratio_factors(monomials: np.ndarray, *R: float) -> np.ndarray:
     """Each row (A_1, B_1, A_2, B_2, ...) of `monomials` as the factor
     prod_s (2 R_s)^A_s (2 T_s)^B_s with splitter s at ratio R[s], or with
     every splitter at R[0] when one ratio is given."""
@@ -199,7 +199,7 @@ class HeraldCurve:
     def at(self, *R: float) -> HeraldResult:
         """The herald with splitter s at ratio R[s], or with every splitter
         at R[0] when one ratio is given."""
-        factors = ratio_factors(self.monomials, *R)
+        factors = _ratio_factors(self.monomials, *R)
         herald_p = float(factors @ self.weights)
         if herald_p <= 0.0:
             return HeraldResult(0.0, np.zeros((4, 4), dtype=complex), 0.0,
@@ -207,6 +207,25 @@ class HeraldCurve:
         rho = (factors @ self.rhos.reshape(len(factors), 16)).reshape(4, 4)
         return HeraldResult(herald_p, rho / herald_p,
                             float(np.trace(rho).real) / herald_p, True)
+
+
+@dataclass(frozen=True)
+class CurveStack:
+    """`HeraldCurve`s of one circuit on one monomial table (`stack_curves`):
+    per monomial, each curve's herald weight and conditional-state trace,
+    curve i in columns 2 i and 2 i + 1 of `table`.  Evaluating it is one
+    product for every curve, without their conditional states."""
+
+    monomials: np.ndarray  # (K, 2 S) int
+    table: np.ndarray      # (K, 2 C)
+
+    def at(self, *R: float) -> list[tuple[float, float]]:
+        """Each curve's (herald probability, preparation efficiency) at the
+        ratios of `HeraldCurve.at`; the efficiency is 0 where the curve
+        does not herald, as there."""
+        values = (_ratio_factors(self.monomials, *R) @ self.table).tolist()
+        return [(h, t / h if h > 0.0 else 0.0)
+                for h, t in zip(values[0::2], values[1::2])]
 
 
 def herald_curve(state: PureState | MixedState,
@@ -266,14 +285,10 @@ def herald_curve(state: PureState | MixedState,
                    vectors[sel].conj()) for _, sel in by_monomial]))
 
 
-def stack_traces(curves: Sequence[HeraldCurve]
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def stack_curves(curves: Sequence[HeraldCurve]) -> CurveStack:
     """`curves` of one circuit on one monomial table: their distinct
     monomials, and per monomial the herald weight and conditional-state
-    trace of each curve in turn (columns 2 i and 2 i + 1 for curve i, 0
-    where it lacks the monomial).  `ratio_factors(monomials, R) @ table`
-    then gives every curve's herald probability and unnormalized trace
-    (herald probability times preparation efficiency) in one product."""
+    trace of each curve in turn (0 where it lacks the monomial)."""
     monomials, rows = np.unique(np.concatenate([c.monomials for c in curves]),
                                 axis=0, return_inverse=True)
     ends = np.cumsum([len(c.weights) for c in curves])
@@ -282,7 +297,7 @@ def stack_traces(curves: Sequence[HeraldCurve]
                                                           ends[:-1]))):
         table[at, 2 * i] = curve.weights
         table[at, 2 * i + 1] = np.trace(curve.rhos, axis1=1, axis2=2).real
-    return monomials, table
+    return CurveStack(monomials, table)
 
 
 def herald(state: PureState | MixedState,

@@ -25,7 +25,7 @@ import pytest
 from heraldsim import analysis, cli
 from heraldsim.analysis import (four_pair_correction, four_pair_sectors,
                                 four_pair_shift, herald_curves, sector_shift)
-from heraldsim.detect import herald, threshold_detector
+from heraldsim.detect import herald, stack_curves, threshold_detector
 from heraldsim.dsl import parse, validate
 from heraldsim.elements import SOURCE_MODES, apply_circuit, compose
 from heraldsim.source import (SpdcParams, coupling_from_rate, n_pair_state,
@@ -241,6 +241,22 @@ def test_one_build_serves_splitters_of_different_R():
     assert_same_herald(sweep_curve(config).at(0.486, 0.8),
                        herald(state, config.trigger_detectors(),
                               config.output_arms()))
+
+
+@pytest.mark.parametrize("name", ["paper_5050.exp", "pnr"])
+def test_curve_stack_matches_each_curve(name):
+    config = parse(SWEPT_TEXTS[name])
+    curves = (sweep_curve(config),
+              *four_pair_sectors(config, config.mean_trigger_eta()))
+    stack = stack_curves(curves)
+    for R in ((0.0,), (0.3,), (0.486,), (1.0,), (0.486, 0.8)):
+        for got, curve in zip(stack.at(*R), curves, strict=True):
+            want = curve.at(*R)
+            assert math.isclose(got[0], want.herald_probability,
+                                rel_tol=1e-12, abs_tol=0.0)
+            assert math.isclose(got[1], want.preparation_efficiency
+                                if want.heralded else 0.0,
+                                rel_tol=1e-12, abs_tol=0.0)
 
 
 @pytest.mark.parametrize("text, steps", [

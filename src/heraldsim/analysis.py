@@ -2,15 +2,15 @@
 the four-pair correction, and heralds as curves in the splitter ratio.
 
 Error bars use first-order propagation on independent Poisson counts.
-`herald_curves` builds source sectors once, with `source.pair_power_states`
-through a circuit it takes as a function of the splitter ratio and builds
-at R = 1/2, as `detect.HeraldCurve`s; `four_pair_sectors` builds the
-four-pair correction's two on a config's own layout.  Nothing is cached: a
-caller holds the curves it evaluates, as `sweep` holds them for every row.
-`four_pair_shift` is the one p_3/p_4 weighting of the two sectors' herald
-probabilities and efficiencies at one R: `herald` takes them from
-`HeraldCurve.at` (`sector_shift`), and each `sweep` row from one product
-over the sweep's stacked curves (`detect.CurveStack`).
+`exact_curves` is the one exact route of `herald` and `sweep`: one
+`source.pair_power_states` build through a config's circuit at R = 1/2,
+heralded as `detect.HeraldCurve`s (`herald_curves`) on the config's
+triggers and, at nmax >= 4, on the four-pair correction's triggers
+(`four_pair_sectors`), stacked on one monomial table (`detect.CurveStack`).
+`herald` evaluates the stack once at the declared splitter ratios, each
+`sweep` row once at its R; `four_pair_shift` is the one p_3/p_4 weighting
+of the two sectors' herald probabilities and efficiencies there.  Nothing
+is cached: a caller holds the stack it evaluates.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Callable, Mapping
 
 from . import fixture_path
 from .config import ExperimentConfig
-from .detect import DetectorSpec, HeraldCurve, herald_curve, threshold_detector
+from .detect import (CurveStack, DetectorSpec, HeraldCurve, herald_curve,
+                     stack_curves, threshold_detector)
 from .dsl import parse
 from .elements import SOURCE_MODES, ModeTransform, compose, path_exponents
 from .fock import ConfigError
@@ -92,30 +93,43 @@ def violates_chsh(estimate: Estimate) -> tuple[bool, float]:
     return excess > 0.0, excess / estimate.sigma
 
 
-def herald_curves(powers: list[tuple[int, int]],
+def herald_curves(sectors: list[tuple[tuple[int, int], list[DetectorSpec]]],
                   elements: Callable[[float], tuple[ModeTransform, ...]],
-                  trigger_detectors: list[DetectorSpec],
                   output_arms: tuple[str, ...]) -> list[HeraldCurve]:
-    """The source branch P-^k P+^j |0> of each (k, j) of `powers` after the
-    circuit `elements(R)` (a config's `transforms`), built here with every
-    splitter at R = 1/2, heralded on `trigger_detectors` as a curve in the
-    splitters' ratios."""
+    """Per (power (k, j), triggers) of `sectors`, the source branch
+    P-^k P+^j |0> after the circuit `elements(R)` (a config's
+    `transforms`) heralded on `triggers` as a curve in the splitters'
+    ratios.  Every distinct branch is built once, in one
+    `pair_power_states` call, with every splitter at R = 1/2."""
     transforms = elements(0.5)
     exponents = path_exponents(transforms)
-    return [herald_curve(state, trigger_detectors, output_arms, exponents)
-            for state in pair_power_states(powers,
-                                           compose(transforms, SOURCE_MODES))]
+    powers = list(dict.fromkeys(power for power, _ in sectors))
+    states = dict(zip(powers, pair_power_states(
+        powers, compose(transforms, SOURCE_MODES))))
+    return [herald_curve(states[power], triggers, output_arms, exponents)
+            for power, triggers in sectors]
 
 
 def four_pair_sectors(config: ExperimentConfig, eta_t: float
-                      ) -> tuple[HeraldCurve, ...]:
-    """The three- and four-pair sectors through the config's circuit, as
-    curves in R for `four_pair_shift`: heralded on dark-free threshold
-    triggers of efficiency eta_t on its trigger modes, read on its arms."""
+                      ) -> list[tuple[tuple[int, int], list[DetectorSpec]]]:
+    """The four-pair correction's three- and four-pair sectors, as
+    `herald_curves` takes them: heralded on dark-free threshold triggers of
+    efficiency eta_t on the config's trigger modes."""
     triggers = [threshold_detector(d.id, d.mode, eta=eta_t)
                 for d in config.trigger_detectors()]
-    return tuple(herald_curves([(3, 0), (4, 0)], config.transforms,
-                               triggers, config.output_arms()))
+    return [((3, 0), triggers), ((4, 0), triggers)]
+
+
+def exact_curves(config: ExperimentConfig) -> CurveStack:
+    """The three-pair sector through the config's circuit on its own
+    triggers and, at nmax >= 4, the `four_pair_sectors` at the triggers'
+    mean efficiency, stacked: `(herald, eff), *sectors = stack.at(*R)`,
+    the correction `four_pair_shift(params, *sectors)`."""
+    sectors = [((3, 0), config.trigger_detectors())]
+    if config.source.n_max >= 4:
+        sectors += four_pair_sectors(config, config.mean_trigger_eta())
+    return stack_curves(herald_curves(sectors, config.transforms,
+                                      config.output_arms()))
 
 
 def four_pair_shift(params: SpdcParams, three: tuple[float, float],
@@ -138,15 +152,6 @@ def four_pair_shift(params: SpdcParams, three: tuple[float, float],
     return (eff34 - eff3) / eff3
 
 
-def sector_shift(params: SpdcParams, sectors: tuple[HeraldCurve, ...],
-                 R: float) -> float | None:
-    """`four_pair_shift` of the three- and four-pair `sectors` (as
-    `four_pair_sectors` builds them) evaluated at R."""
-    return four_pair_shift(params, *((res.herald_probability,
-                                      res.preparation_efficiency)
-                                     for res in (c.at(R) for c in sectors)))
-
-
 def four_pair_correction(params: SpdcParams, R: float,
                          eta_t: float = 1.0) -> float | None:
     """Relative efficiency shift from adding the four-pair emission sector
@@ -162,4 +167,6 @@ def four_pair_correction(params: SpdcParams, R: float,
     if params.n_max < 4:
         raise ConfigError("four-pair correction requires n_max >= 4")
     layout = parse(fixture_path("paper_5050.exp").read_text(encoding="utf-8"))
-    return sector_shift(params, four_pair_sectors(layout, eta_t), R)
+    return four_pair_shift(params, *stack_curves(herald_curves(
+        four_pair_sectors(layout, eta_t), layout.transforms,
+        layout.output_arms())).at(R))

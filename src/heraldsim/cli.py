@@ -3,22 +3,18 @@
 Every command builds its source branches with `source.pair_power_states`
 from the pair operators taken through the composed circuit; none
 substitutes a state, and each reads only the config's own layout.
-`herald` builds the three-pair sector through the config's circuit at its
-declared ratios, `sweep` once at R = 1/2 as a curve in R
-(`analysis.herald_curves`).  At nmax >= 4 both build the four-pair
-correction's two sectors on the config's circuit, trigger modes and output
-arms (`analysis.four_pair_sectors`).  `sweep` builds all of them before
-it writes the header and stacks them on one monomial table
-(`detect.stack_curves`).  Each row is one product over that table at its
-R, read as each curve's herald probability and efficiency, the correction
-by `analysis.four_pair_shift`: about 15-18 us per row in process on a
-2-vCPU host, writing included.
+`herald` and `sweep` evaluate one stack of curves in the splitter ratios,
+`analysis.exact_curves`: `herald` once, at the declared ratios, and `sweep`
+once per row, after it builds the stack and before it writes the header
+(about 15-18 us per row in process on a 2-vCPU host, writing included).
+`herald` builds the lossless three-pair state as declared only for its
+trigger-class weights (`detect.decompose_s1`).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
-error names its stage, `runtime error in <stage>: ...`: `herald` or
-`four_pair_correction` of a herald report, `sweep curve` (the build) or
-`row R=<R>` of a sweep, or a Monte Carlo run's `tables`, `sample` or
-`write`.
+error names its stage, `runtime error in <stage>: ...`: `herald curve`
+(the stack and its evaluation) or `s1` (the decomposition) of a herald
+report, `sweep curve` (the stack) or `row R=<R>` of a sweep, or a Monte
+Carlo run's `tables`, `sample` or `write`.
 
 This module imports only the numpy-free `config`, `dsl` and `elements`;
 each command loads its config before it imports the engine it runs, and
@@ -47,7 +43,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import COUNT_END, COUNT_LOW, ExperimentConfig
+from .config import COUNT_END, COUNT_LOW, BsDecl, ExperimentConfig
 from .dsl import four_pair_warnings, parse, splitter_warnings, validate
 from .elements import ConfigError
 
@@ -95,26 +91,25 @@ def _herald_report(config: ExperimentConfig) -> dict:
     from . import analysis, detect, source
     R = config.beam_splitter_R()
     eta_t = config.mean_trigger_eta()
-    with _stage("herald"):
-        # the three-pair state after the config's circuit, at its own R
+    with _stage("herald curve"):
+        # every splitter at its declared ratio, in propagation order
+        (herald_p, eff), *sectors = analysis.exact_curves(config).at(
+            *(d.R for d in config.elements if isinstance(d, BsDecl)))
+        correction = (analysis.four_pair_shift(config.source, *sectors)
+                      if sectors else None)
+    with _stage("s1"):
+        # the lossless three-pair state after the config's circuit
         [state] = source.pair_power_states([(3, 0)], config.circuit())
-        result = detect.herald(state, config.trigger_detectors(),
-                               output_arms=config.output_arms())
         trigger_modes = tuple(d.mode for d in config.trigger_detectors())
         decomp = detect.decompose_s1(state, trigger_modes=trigger_modes,
                                      output_arms=config.output_arms())
-    with _stage("four_pair_correction"):
-        correction = (analysis.sector_shift(
-            config.source, analysis.four_pair_sectors(config, eta_t), R)
-            if config.source.n_max >= 4 else None)
     return {
         "config_digest": config.digest(),
         "R": R,
         "eta_t": eta_t,
-        "herald_probability": result.herald_probability,
-        "preparation_efficiency": (result.preparation_efficiency
-                                   if result.heralded else None),
-        "heralded": result.heralded,
+        "herald_probability": herald_p,
+        "preparation_efficiency": eff if herald_p > 0.0 else None,
+        "heralded": herald_p > 0.0,
         "eff_theory": analysis.eff_theory(R, eta_t),
         "four_pair_correction": correction,
         "s1": {"alpha_sq": decomp.alpha_sq, "beta_sq": decomp.beta_sq,
@@ -159,18 +154,12 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"{flag} {value} outside [0, 1]")
     for warning in four_pair_warnings(config):
         print(warning, file=sys.stderr)
-    from . import analysis, detect
+    from . import analysis
     eta_t = config.mean_trigger_eta()
     with _stage("sweep curve"):
-        # every splitter of the config swept together: the three-pair curve
-        # on the config's triggers, then the four-pair correction's sectors,
-        # stacked so that each row is one product over their monomials
-        curves = analysis.herald_curves(
-            [(3, 0)], config.transforms, config.trigger_detectors(),
-            config.output_arms())
-        if config.source.n_max >= 4:
-            curves += analysis.four_pair_sectors(config, eta_t)
-        stack = detect.stack_curves(curves)
+        # every splitter of the config swept together: each row is one
+        # product over the stack's monomials
+        stack = analysis.exact_curves(config)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["R", "eff_theory", "eff_exact_enumerated",
                      "four_pair_corrected"])

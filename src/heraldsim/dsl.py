@@ -300,13 +300,14 @@ def serialize(config: ExperimentConfig) -> str:
 
 
 def splitter_warnings(config: ExperimentConfig) -> list[str]:
-    """Warnings for `herald`, which reports R, eff_theory and the four-pair
-    correction at the first splitter's R: one per splitter whose R differs.
-    `sweep` sets every splitter's R and `montecarlo` reads none of them."""
+    """Warnings for `herald`, which reports R and eff_theory at the first
+    splitter's R (its herald, efficiency and four-pair correction take each
+    splitter at its own): one per splitter whose R differs.  `sweep` sets
+    every splitter's R and `montecarlo` reads none of them."""
     splitters = [d for d in config.elements if isinstance(d, BsDecl)]
     return [f"warning: {_element_line(splitters[0])} and "
-            f"{_element_line(other)} differ in R; herald's R, eff_theory and "
-            f"four_pair_correction use the first's R={_fmt(splitters[0].R)}"
+            f"{_element_line(other)} differ in R; only herald's R and "
+            f"eff_theory use the first's R={_fmt(splitters[0].R)}"
             for other in splitters[1:] if other.R != splitters[0].R]
 
 

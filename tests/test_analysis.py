@@ -168,7 +168,7 @@ def heralding_curve(make_trigger, eta=1.0):
     """The three-pair herald through `heralding_elements` as a curve in R."""
     triggers = [make_trigger(f"t{i}", m, eta=eta)
                 for i, m in enumerate(TRIGGER_MODES, start=1)]
-    [curve] = herald_curves([(3, 0)], heralding_elements, triggers,
+    [curve] = herald_curves([((3, 0), triggers)], heralding_elements,
                             OUTPUT_ARMS)
     return curve
 

@@ -549,7 +549,7 @@ def _fail(*args, **kwargs):
 
 # the module that defines each stage function: a command imports the engine
 # only when it runs, and looks the function up there
-STAGE_OWNER = {"herald": detect,
+STAGE_OWNER = {"decompose_s1": detect,
                "herald_curves": analysis, "four_pair_sectors": analysis,
                "four_pair_shift": analysis,
                "precompute_outcome_tables": mc, "run_experiment": mc,
@@ -557,8 +557,9 @@ STAGE_OWNER = {"herald": detect,
 
 
 @pytest.mark.parametrize("command, stage_function, stage", [
-    ("herald", "herald", "herald"),
-    ("herald", "four_pair_sectors", "four_pair_correction"),
+    ("herald", "herald_curves", "herald curve"),
+    ("herald", "four_pair_sectors", "herald curve"),
+    ("herald", "decompose_s1", "s1"),
     ("sweep", "herald_curves", "sweep curve"),
     ("sweep", "four_pair_sectors", "sweep curve"),
     ("sweep", "four_pair_shift", "row R=0.3"),
@@ -596,9 +597,9 @@ def test_sweep_curve_failure_writes_no_row(error, code, monkeypatch, capsys):
 
 
 def test_unequal_splitters_warning(tmp_path, capsys):
-    # herald reports R, eff_theory and the four-pair correction at the
-    # first splitter's R and says so; sweep sets every splitter's R and
-    # montecarlo reads none, so neither warns
+    # herald reports R and eff_theory at the first splitter's R and says
+    # so; sweep sets every splitter's R and montecarlo reads none, so
+    # neither warns
     text = fixture_text("paper_5050.exp")
     second = "bs in=b refl=d trans=f R="
     assert second + "0.486\n" in text
@@ -607,8 +608,8 @@ def test_unequal_splitters_warning(tmp_path, capsys):
     path = tmp_path / "unequal.exp"
     path.write_text(text, encoding="utf-8")
     warning = ("warning: bs R=0.486 in=a refl=c trans=e and bs R=0.8 in=b "
-               "refl=d trans=f differ in R; herald's R, eff_theory and "
-               "four_pair_correction use the first's R=0.486")
+               "refl=d trans=f differ in R; only herald's R and eff_theory "
+               "use the first's R=0.486")
     for argv, warned in (
             (["herald", str(path), "--json"], True),
             (["sweep", str(path), "--steps", "2"], False),
@@ -659,7 +660,7 @@ def test_four_pair_warning_names_the_triggers_it_cannot_follow(
 def test_configuration_error_inside_a_stage_exits_two(monkeypatch, capsys):
     def bad_layout(*args, **kwargs):
         raise ConfigError("bad layout")
-    monkeypatch.setattr(detect, "herald", bad_layout)
+    monkeypatch.setattr(analysis, "herald_curves", bad_layout)
     assert cli.main(["herald", str(fixture_path("paper_5050.exp"))]) == 2
     err = capsys.readouterr().err
     assert "error: bad layout" in err and "runtime error" not in err

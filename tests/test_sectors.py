@@ -6,11 +6,12 @@ taken through the composed circuit.  The first reference kept here is the
 route that building replaced: the normalized n-pair source state
 substituted through the circuit with `apply_circuit`, then heralded.
 
-`sweep` and `four_pair_correction` build each sector once, with every
-splitter at R = 1/2, and evaluate its herald as a curve in R
-(`analysis.herald_curves`).  The second reference is the route the curves
+`herald`, `sweep` and `four_pair_correction` build each sector once, with
+every splitter at R = 1/2, and evaluate its herald as a curve in the
+splitter ratios (`analysis.herald_curves`, stacked by
+`analysis.exact_curves`).  The second reference is the route the curves
 replaced: every sweep row rebuilds its sectors through the circuit at its
-own R.
+own R, and `herald` through the circuit as declared.
 """
 
 import contextlib
@@ -23,8 +24,9 @@ import numpy as np
 import pytest
 
 from heraldsim import analysis, cli
-from heraldsim.analysis import (four_pair_correction, four_pair_sectors,
-                                four_pair_shift, herald_curves, sector_shift)
+from heraldsim.analysis import (exact_curves, four_pair_correction,
+                                four_pair_sectors, four_pair_shift,
+                                herald_curves)
 from heraldsim.detect import herald, stack_curves, threshold_detector
 from heraldsim.dsl import parse, validate
 from heraldsim.elements import SOURCE_MODES, apply_circuit, compose
@@ -206,9 +208,15 @@ def run_sweep(text, tmp_path, *args):
 
 
 def sweep_curve(config):
-    [curve] = herald_curves([(3, 0)], config.transforms,
-                            config.trigger_detectors(), config.output_arms())
+    [curve] = herald_curves([((3, 0), config.trigger_detectors())],
+                            config.transforms, config.output_arms())
     return curve
+
+
+def sector_curves(config):
+    """The four-pair correction's three- and four-pair sectors as curves."""
+    return herald_curves(four_pair_sectors(config, config.mean_trigger_eta()),
+                         config.transforms, config.output_arms())
 
 
 def assert_same_herald(got, want):
@@ -233,10 +241,13 @@ def test_sweep_curve_matches_per_row_route(name):
         assert_same_herald(curve.at(R), per_row_herald(config, R))
 
 
+# paper_5050 with its second splitter at R = 0.8, a valid config
+UNEQUAL_5050 = fixture_text("paper_5050.exp").replace(
+    "bs in=b refl=d trans=f R=0.486", "bs in=b refl=d trans=f R=0.8")
+
+
 def test_one_build_serves_splitters_of_different_R():
-    text = fixture_text("paper_5050.exp").replace(
-        "bs in=b refl=d trans=f R=0.486", "bs in=b refl=d trans=f R=0.8")
-    config = parse(text)
+    config = parse(UNEQUAL_5050)
     [state] = pair_power_states([(3, 0)], config.circuit())
     assert_same_herald(sweep_curve(config).at(0.486, 0.8),
                        herald(state, config.trigger_detectors(),
@@ -246,8 +257,7 @@ def test_one_build_serves_splitters_of_different_R():
 @pytest.mark.parametrize("name", ["paper_5050.exp", "pnr"])
 def test_curve_stack_matches_each_curve(name):
     config = parse(SWEPT_TEXTS[name])
-    curves = (sweep_curve(config),
-              *four_pair_sectors(config, config.mean_trigger_eta()))
+    curves = (sweep_curve(config), *sector_curves(config))
     stack = stack_curves(curves)
     for R in ((0.0,), (0.3,), (0.486,), (1.0,), (0.486, 0.8)):
         for got, curve in zip(stack.at(*R), curves, strict=True):
@@ -296,7 +306,7 @@ def test_sweep_skips_the_four_pair_correction_at_zero_reflection(
     # the shift takes values, not R: its three-pair herald and efficiency
     # name the rows it was called on
     config = parse(fixture_text("paper_5050.exp"))
-    three = four_pair_sectors(config, config.mean_trigger_eta())[0]
+    three, _ = sector_curves(config)
     assert evaluated == pytest.approx(
         [v for R in (0.25, 0.5, 0.75, 1.0) for res in [three.at(R)]
          for v in (res.herald_probability, res.preparation_efficiency)],
@@ -318,7 +328,7 @@ PUBLISHED_CORRECTION = -0.004085273650801922
 def substituted_correction(config, R):
     """The four-pair correction of `config` at R on the per-row route: each
     sector substituted through the config's own circuit with every splitter
-    at R, heralded on dark-free threshold triggers of the mean efficiency on
+    at R (as declared where R is None), heralded on dark-free threshold triggers of the mean efficiency on
     the config's trigger modes and read on its output arms."""
     circuit = compose(config.transforms(R=R), SOURCE_MODES)
     triggers = [threshold_detector(d.id, d.mode, eta=config.mean_trigger_eta())
@@ -338,8 +348,9 @@ def test_four_pair_correction_follows_the_configs_circuit(tmp_path, capsys):
     path.write_text(PLATE_AT_ZERO_5050, encoding="utf-8")
     assert cli.main(["herald", "--json", str(path)]) == 0
     got = json.loads(capsys.readouterr().out)["four_pair_correction"]
-    sectors = four_pair_sectors(config, config.mean_trigger_eta())
-    want = sector_shift(config.source, sectors, config.beam_splitter_R())
+    stack = exact_curves(config)
+    want = four_pair_shift(config.source,
+                           *stack.at(config.beam_splitter_R())[1:])
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
     assert math.isclose(got, substituted_correction(
         config, config.beam_splitter_R()), rel_tol=1e-12, abs_tol=0.0)
@@ -349,10 +360,29 @@ def test_four_pair_correction_follows_the_configs_circuit(tmp_path, capsys):
                                                      tmp_path))))
     for row in rows:
         R, exact = float(row["R"]), float(row["eff_exact_enumerated"])
-        for shift in (sector_shift(config.source, sectors, R),
+        for shift in (four_pair_shift(config.source, *stack.at(R)[1:]),
                       substituted_correction(config, R)):
             # the CSV holds 9 significant digits
             assert math.isclose(float(row["four_pair_corrected"]),
                                 exact * (1.0 + shift), rel_tol=1e-8)
     assert rows[-1]["R"] == "0.9"
     assert rows[-1]["four_pair_corrected"] == "0.748849364"
+
+
+def test_herald_takes_each_splitter_at_its_declared_R(tmp_path, capsys):
+    # herald, efficiency and four-pair correction all follow the declared
+    # circuit, not the first splitter's R
+    config = parse(UNEQUAL_5050)
+    assert validate(config) == []
+    path = tmp_path / "unequal.exp"
+    path.write_text(UNEQUAL_5050, encoding="utf-8")
+    assert cli.main(["herald", "--json", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    want = herald(reference_sector(3, config.circuit()),
+                  config.trigger_detectors(), config.output_arms())
+    for name in ("herald_probability", "preparation_efficiency"):
+        assert math.isclose(report[name], getattr(want, name),
+                            rel_tol=1e-12, abs_tol=0.0), name
+    assert math.isclose(report["four_pair_correction"],
+                        substituted_correction(config, None),
+                        rel_tol=1e-12, abs_tol=0.0)

@@ -4,13 +4,13 @@ the four-pair correction, and heralds as curves in the splitter ratio.
 Error bars use first-order propagation on independent Poisson counts.
 `exact_curves` is the one exact route of `herald` and `sweep`: one
 `source.pair_power_states` build through a config's circuit at R = 1/2,
-heralded as `detect.HeraldCurve`s (`herald_curves`) on the config's
-triggers and, at nmax >= 4, on the four-pair correction's triggers
-(`four_pair_sectors`), stacked on one monomial table (`detect.CurveStack`).
-`herald` evaluates the stack once at the declared splitter ratios, each
-`sweep` row once at its R; `four_pair_shift` is the one p_3/p_4 weighting
-of the two sectors' herald probabilities and efficiencies there.  Nothing
-is cached: a caller holds the stack it evaluates.
+heralded on the config's triggers and, at nmax >= 4, on the four-pair
+correction's (`four_pair_sectors`) as one `detect.CurveStack`
+(`herald_curves`).  `herald` evaluates it (`CurveStack.at`) once at the
+declared splitter ratios, each `sweep` row once at its R; `four_pair_shift`
+is the one p_3/p_4 weighting of the two sectors' herald probabilities and
+efficiencies there.  Nothing is cached: a caller holds the stack it
+evaluates.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Callable, Mapping
 
 from . import fixture_path
 from .config import ExperimentConfig
-from .detect import (CurveStack, DetectorSpec, HeraldCurve, herald_curve,
-                     stack_curves, threshold_detector)
+from .detect import (CurveStack, DetectorSpec, curve_stack,
+                     threshold_detector)
 from .dsl import parse
 from .elements import SOURCE_MODES, ModeTransform, compose, path_exponents
 from .fock import ConfigError
@@ -95,19 +95,18 @@ def violates_chsh(estimate: Estimate) -> tuple[bool, float]:
 
 def herald_curves(sectors: list[tuple[tuple[int, int], list[DetectorSpec]]],
                   elements: Callable[[float], tuple[ModeTransform, ...]],
-                  output_arms: tuple[str, ...]) -> list[HeraldCurve]:
-    """Per (power (k, j), triggers) of `sectors`, the source branch
-    P-^k P+^j |0> after the circuit `elements(R)` (a config's
-    `transforms`) heralded on `triggers` as a curve in the splitters'
-    ratios.  Every distinct branch is built once, in one
-    `pair_power_states` call, with every splitter at R = 1/2."""
+                  output_arms: tuple[str, ...]) -> CurveStack:
+    """Per (power (k, j), triggers) of `sectors`, curve i of the stack: the
+    source branch P-^k P+^j |0> after the circuit `elements(R)` (a config's
+    `transforms`) heralded on `triggers`.  Every distinct branch is built
+    once, in one `pair_power_states` call, with every splitter at R = 1/2."""
     transforms = elements(0.5)
     exponents = path_exponents(transforms)
     powers = list(dict.fromkeys(power for power, _ in sectors))
     states = dict(zip(powers, pair_power_states(
         powers, compose(transforms, SOURCE_MODES))))
-    return [herald_curve(states[power], triggers, output_arms, exponents)
-            for power, triggers in sectors]
+    return curve_stack([(states[power], triggers) for power, triggers
+                        in sectors], output_arms, exponents)
 
 
 def four_pair_sectors(config: ExperimentConfig, eta_t: float
@@ -128,8 +127,7 @@ def exact_curves(config: ExperimentConfig) -> CurveStack:
     sectors = [((3, 0), config.trigger_detectors())]
     if config.source.n_max >= 4:
         sectors += four_pair_sectors(config, config.mean_trigger_eta())
-    return stack_curves(herald_curves(sectors, config.transforms,
-                                      config.output_arms()))
+    return herald_curves(sectors, config.transforms, config.output_arms())
 
 
 def four_pair_shift(params: SpdcParams, three: tuple[float, float],
@@ -167,6 +165,6 @@ def four_pair_correction(params: SpdcParams, R: float,
     if params.n_max < 4:
         raise ConfigError("four-pair correction requires n_max >= 4")
     layout = parse(fixture_path("paper_5050.exp").read_text(encoding="utf-8"))
-    return four_pair_shift(params, *stack_curves(herald_curves(
+    return four_pair_shift(params, *herald_curves(
         four_pair_sectors(layout, eta_t), layout.transforms,
-        layout.output_arms())).at(R))
+        layout.output_arms()).at(R))

@@ -44,7 +44,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import COUNT_END, COUNT_LOW, BsDecl, ExperimentConfig
-from .dsl import four_pair_warnings, parse, splitter_warnings, validate
+from .dsl import (four_pair_warnings, parse, splitter_warnings,
+                  table_memory_diagnostics, validate)
 from .elements import ConfigError
 
 EXIT_OK = 0
@@ -255,6 +256,10 @@ def cmd_montecarlo(args) -> int:
         raise ConfigError(f"{args.config}: output detectors " + ", ".join(
             f"{d.id} eta={d.eta:g}" for d in config.output_detectors())
             + " have mean eta 0, so no Monte Carlo efficiency is defined")
+    for diag in table_memory_diagnostics(config):  # before numpy loads
+        if diag.startswith("error: "):
+            raise ConfigError(diag.removeprefix("error: "))
+        print(diag, file=sys.stderr)
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()

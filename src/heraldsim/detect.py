@@ -8,7 +8,9 @@ and dark-count probability d map the n photons reaching a detector to the
 probability that it registers its event.  Threshold under-counting (the
 beta-class escape patterns) follows from weighting each exact post-circuit
 occupation pattern with it.  Every read-out of a post-circuit state (herald,
-trigger classes, click patterns, six-folds) goes through `occupations`.
+trigger classes, click patterns, six-folds) goes through `occupations`.  A
+herald is one type, `CurveStack`: curves in the splitter ratios built by
+`curve_stack` in one pass, evaluated by `at` or, states too, `heralds`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .config import (NUMBER_RESOLVING, THRESHOLD, DetectorSpec,
                      threshold_detector)
 from .elements import (POL_H, POL_V, ConfigError, Mode, ModeTransform,
                        compose, measurement_rotation)
-from .fock import MixedState, PureState, as_mixed, places, substitute_modes
+from .fock import (MixedState, PureState, TruncationError, as_mixed,
+                   substitute_modes)
 
 
 def click_probability(det: DetectorSpec, n: int) -> float:
@@ -65,19 +68,27 @@ def occupations(state: PureState | MixedState, modes: list[Mode]
     return branch, np.concatenate(rows), np.concatenate(amps)
 
 
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a non-negative int array in lexicographic order,
+    and each row's index among them, by one sort of packed keys."""
+    sizes = rows.max(axis=0, initial=0) + 1
+    if math.prod(sizes.tolist()) >= 2 ** 63:
+        raise TruncationError(f"rows below {sizes.tolist()} overflow a "
+                              "64-bit packed key")
+    place = (np.cumprod(sizes[::-1]) // sizes[::-1])[::-1]  # mixed radix
+    keys, inverse = np.unique(rows @ place, return_inverse=True)
+    return keys[:, None] // place % sizes, inverse
+
+
 def occupation_probabilities(state: PureState | MixedState, modes: list[Mode]
                              ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct photon counts on `modes` in `state`, one int row each
     (columns as `modes`, rows in lexicographic order), and their
     probabilities."""
     _, counts, amps = occupations(state, modes)
-    base = int(counts.max(initial=0)) + 1
-    # packed with the first column most significant: sorted keys are the
-    # rows in lexicographic order
-    place = places(base, len(modes))[::-1]
-    keys, inverse = np.unique(counts @ place, return_inverse=True)
-    return keys[:, None] // place % base, np.bincount(
-        inverse, weights=np.abs(amps) ** 2, minlength=len(keys))
+    rows, inverse = _unique_rows(counts)
+    return rows, np.bincount(inverse, weights=np.abs(amps) ** 2,
+                             minlength=len(rows))
 
 
 def _event_probabilities(det: DetectorSpec, counts: np.ndarray) -> np.ndarray:
@@ -90,13 +101,20 @@ def _event_probabilities(det: DetectorSpec, counts: np.ndarray) -> np.ndarray:
 def click_pattern_probabilities(state: PureState | MixedState,
                                 detectors: list[DetectorSpec]) -> np.ndarray:
     """Probability over the 2^k click patterns (bit i = detector i
-    registered its `click_probability` event)."""
-    occ, p_occ = occupation_probabilities(state, [d.mode for d in detectors])
-    acc = p_occ[:, None]
-    for i, det in enumerate(detectors):
-        c = _event_probabilities(det, occ[:, i])[:, None]
-        acc = np.concatenate([acc * (1.0 - c), acc * c], axis=1)
-    return acc.sum(axis=0)
+    registered its `click_probability` event), detectors taken last to
+    first: each splits every row's patterns j into 2 j + bit, then the
+    rows that agree on the detectors still to come, adjacent in
+    lexicographic order, merge."""
+    occ, acc = occupation_probabilities(state, [d.mode for d in detectors])
+    acc = acc[:, None]
+    for i in reversed(range(len(detectors))):
+        c = _event_probabilities(detectors[i], occ[:, i])[:, None]
+        acc = np.stack([acc * (1.0 - c), acc * c], axis=2).reshape(
+            len(occ), -1)
+        starts = np.flatnonzero(np.r_[True, (occ[1:, :i] != occ[:-1, :i])
+                                      .any(axis=1)])
+        acc, occ = np.add.reduceat(acc, starts, axis=0), occ[starts]
+    return acc[0]
 
 
 def sixfold_rule(trigger_detectors: list[DetectorSpec],
@@ -181,131 +199,103 @@ def _ratio_factors(monomials: np.ndarray, *R: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HeraldCurve:
-    """A herald as a function of the circuit's splitter ratios.
-
-    A term of the state built with every splitter at R = 1/2 whose photons
-    were reflected A_s and transmitted B_s times at splitter s has, at
-    ratios R_s, its probability times prod_s (2 R_s)^A_s (2 T_s)^B_s.  Per
-    distinct monomial (row (A_1, B_1, A_2, B_2, ...) of `monomials`) the
-    curve keeps the herald weight sum p_click |amp|^2 and the unnormalized
-    conditional state sum_g p_g v_g v_g^dag, so evaluating it is a weighted
-    sum."""
-
-    monomials: np.ndarray  # (K, 2 S) int
-    weights: np.ndarray    # (K,)
-    rhos: np.ndarray       # (K, 4, 4) complex
-
-    def at(self, *R: float) -> HeraldResult:
-        """The herald with splitter s at ratio R[s], or with every splitter
-        at R[0] when one ratio is given."""
-        factors = _ratio_factors(self.monomials, *R)
-        herald_p = float(factors @ self.weights)
-        if herald_p <= 0.0:
-            return HeraldResult(0.0, np.zeros((4, 4), dtype=complex), 0.0,
-                                False)
-        rho = (factors @ self.rhos.reshape(len(factors), 16)).reshape(4, 4)
-        return HeraldResult(herald_p, rho / herald_p,
-                            float(np.trace(rho).real) / herald_p, True)
-
-
-@dataclass(frozen=True)
 class CurveStack:
-    """`HeraldCurve`s of one circuit on one monomial table (`stack_curves`):
-    per monomial, each curve's herald weight and conditional-state trace,
-    curve i in columns 2 i and 2 i + 1 of `table`.  Evaluating it is one
-    product for every curve, without their conditional states."""
+    """Heralds as curves in a circuit's splitter ratios (`curve_stack`): per
+    distinct monomial row (A_1, B_1, A_2, B_2, ...) and curve i, the herald
+    weight and conditional-state trace in columns 2 i and 2 i + 1 of
+    `table`, and the unnormalized conditional state in `rhos[:, i]`."""
 
     monomials: np.ndarray  # (K, 2 S) int
     table: np.ndarray      # (K, 2 C)
+    rhos: np.ndarray       # (K, C, 4, 4) complex
 
     def at(self, *R: float) -> list[tuple[float, float]]:
-        """Each curve's (herald probability, preparation efficiency) at the
-        ratios of `HeraldCurve.at`; the efficiency is 0 where the curve
-        does not herald, as there."""
+        """Each curve's (herald probability, preparation efficiency), 0
+        where it does not herald, with splitter s at ratio R[s] (every
+        splitter at R[0] if one is given): one product over `table`."""
         values = (_ratio_factors(self.monomials, *R) @ self.table).tolist()
         return [(h, t / h if h > 0.0 else 0.0)
                 for h, t in zip(values[0::2], values[1::2])]
 
+    def heralds(self, *R: float) -> list[HeraldResult]:
+        """Each curve's herald at the ratios of `at`, with its state."""
+        factors = _ratio_factors(self.monomials, *R)
+        return [HeraldResult(h, rho / h, float(np.trace(rho).real) / h, True)
+                if h > 0.0 else HeraldResult(0.0, np.zeros_like(rho), 0.0,
+                                             False)
+                for h, rho in zip((factors @ self.table[:, 0::2]).tolist(),
+                                  np.tensordot(factors, self.rhos, axes=1))]
 
-def herald_curve(state: PureState | MixedState,
-                 trigger_detectors: list[DetectorSpec],
-                 output_arms: tuple[str, ...],
-                 exponents: Mapping[Mode, tuple[int, ...]]) -> HeraldCurve:
-    """Condition on all four trigger detectors firing, as a curve in the
-    splitter ratios.
 
-    Each term of `state`, the post-circuit state, is weighted by the product
-    of the triggers' `click_probability`, and scales with the splitter
-    ratios by the monomial its photons' `exponents` (`path_exponents` of
-    the circuit, every splitter at R = 1/2; a mode it does not list does
-    not scale) add up to.  The terms of one source branch with the same
-    trigger counts and monomial are one coherent output state (in a tree
-    circuit an output arm's two modes share one path, so the monomial
-    splits none); its part with one photon per output arm, on either of the
-    arm's two polarization modes (`_output_arm_modes`), and nothing else is
-    a vector over the qubit basis (first, first), (first, second), (second,
-    first), (second, second), and scales as a unit.  The weighted sum of
-    their outer products over the herald probability is the conditional
-    density matrix; its trace is the preparation efficiency.
+def curve_stack(curves: Sequence[tuple[PureState | MixedState,
+                                       list[DetectorSpec]]],
+                output_arms: tuple[str, ...],
+                exponents: Mapping[Mode, tuple[int, ...]]) -> CurveStack:
+    """Each (post-circuit state, four triggers) of `curves` conditioned on
+    all four triggers firing, as curves in the splitter ratios on one
+    monomial table, in one pass over all their terms.
+
+    A term's probability, built with every splitter at R = 1/2, scales at
+    ratios R_s by prod_s (2 R_s)^A_s (2 T_s)^B_s, its photons' reflections
+    and transmissions summed from `exponents` (`path_exponents`; an
+    unlisted mode does not scale), and is weighted by its triggers'
+    `click_probability`.  The terms of one curve's branch with the same
+    trigger counts and monomial are one coherent state (in a tree circuit
+    an output arm's two modes share one path); its part with one photon per
+    output arm (`_output_arm_modes`) and nothing else is a qubit vector v_g
+    over (first, first), (first, second), (second, first), (second,
+    second), and sum_g p_g v_g v_g^dag over the herald probability is the
+    conditional density matrix, whose trace is the preparation efficiency.
     """
-    if len(trigger_detectors) != 4:
-        raise ConfigError("heralding requires exactly four trigger detectors")
-    arm_modes = _output_arm_modes(state, output_arms)
-    read = [d.mode for d in trigger_detectors] + arm_modes
-    # every other mode of the state too, for the photons' exponents
-    modes = read + sorted({m for _, pure in as_mixed(state).branches
-                           for m in pure.modes} - set(read))
-    branch, counts, amps = occupations(state, modes)
     width = len(next(iter(exponents.values()), ()))
-    per_mode = np.array([exponents.get(m, (0,) * width) for m in modes],
-                        np.int64).reshape(len(modes), width)
-    monomials, term_k = np.unique(counts @ per_mode, axis=0,
-                                  return_inverse=True)
-    term_k = term_k.ravel()
-    p_click = np.prod([_event_probabilities(det, counts[:, i])
-                       for i, det in enumerate(trigger_detectors)], axis=0)
-    weight = p_click * np.abs(amps) ** 2
-
-    x0, y0, x1, y1 = counts[:, 4:8].T
-    qubit = (x0 + y0 == 1) & (x1 + y1 == 1) & (counts[:, 8:].sum(axis=1) == 0)
-    groups, group = np.unique(
-        np.column_stack([term_k[qubit], branch[qubit], counts[qubit, :4]]),
-        axis=0, return_inverse=True)
-    group = group.ravel()
+    parts = []
+    for state, triggers in curves:
+        if len(triggers) != 4:
+            raise ConfigError("heralding requires exactly four trigger "
+                              "detectors")
+        read = [d.mode for d in triggers] + _output_arm_modes(state,
+                                                              output_arms)
+        # every other mode of the state too, for the photons' exponents
+        modes = read + sorted({m for _, pure in as_mixed(state).branches
+                               for m in pure.modes} - set(read))
+        branch, counts, amps = occupations(state, modes)
+        per_mode = np.array([exponents.get(m, (0,) * width) for m in modes],
+                            np.int64).reshape(len(modes), width)
+        p_click = np.prod([_event_probabilities(det, counts[:, i])
+                           for i, det in enumerate(triggers)], axis=0)
+        x0, y0, x1, y1 = counts[:, 4:8].T
+        qubit = (x0 + y0 == 1) & (x1 + y1 == 1) & ~counts[:, 8:].any(axis=1)
+        parts.append((counts @ per_mode,
+                      np.column_stack([branch, counts[:, :4]]), amps, p_click,
+                      np.where(qubit, 2 * y0 + y1, -1)))
+    curve = np.repeat(np.arange(len(parts)), [len(p[2]) for p in parts])
+    rows, keys, amps, p_click, index = map(np.concatenate, zip(*parts))
+    monomials, term_k = _unique_rows(rows)
+    # one cell per (monomial, curve), curve fastest
+    cells, cell = len(monomials) * len(parts), term_k * len(parts) + curve
+    weight, qubit = p_click * np.abs(amps) ** 2, index >= 0
+    table = np.column_stack([
+        np.bincount(cell, weights=weight, minlength=cells),
+        np.bincount(cell[qubit], weights=weight[qubit], minlength=cells)])
+    # one group per (cell, branch, trigger counts): v_g scaled by sqrt(p_g)
+    groups, group = _unique_rows(np.column_stack([cell, keys])[qubit])
     vectors = np.zeros((len(groups), 4), dtype=complex)
-    vectors[group, 2 * y0[qubit] + y1[qubit]] = amps[qubit]
-    group_p = np.zeros(len(groups))
-    group_p[group] = p_click[qubit]
-    by_monomial = [(term_k == k, groups[:, 0] == k)
-                   for k in range(len(monomials))]
-    return HeraldCurve(monomials, np.array(
-        [np.sum(weight[terms]) for terms, _ in by_monomial]), np.array(
-        [np.einsum("g,gi,gj->ij", group_p[sel], vectors[sel],
-                   vectors[sel].conj()) for _, sel in by_monomial]))
-
-
-def stack_curves(curves: Sequence[HeraldCurve]) -> CurveStack:
-    """`curves` of one circuit on one monomial table: their distinct
-    monomials, and per monomial the herald weight and conditional-state
-    trace of each curve in turn (0 where it lacks the monomial)."""
-    monomials, rows = np.unique(np.concatenate([c.monomials for c in curves]),
-                                axis=0, return_inverse=True)
-    ends = np.cumsum([len(c.weights) for c in curves])
-    table = np.zeros((len(monomials), 2 * len(curves)))
-    for i, (curve, at) in enumerate(zip(curves, np.split(rows.ravel(),
-                                                          ends[:-1]))):
-        table[at, 2 * i] = curve.weights
-        table[at, 2 * i + 1] = np.trace(curve.rhos, axis1=1, axis2=2).real
-    return CurveStack(monomials, table)
+    vectors[group, index[qubit]] = (amps * np.sqrt(p_click))[qubit]
+    rhos = np.zeros((cells, 4, 4), dtype=complex)
+    np.add.at(rhos, groups[:, 0],
+              vectors[:, :, None] * vectors[:, None, :].conj())
+    return CurveStack(monomials, table.reshape(len(monomials), -1),
+                      rhos.reshape(len(monomials), len(parts), 4, 4))
 
 
 def herald(state: PureState | MixedState,
            trigger_detectors: list[DetectorSpec],
            output_arms: tuple[str, ...]) -> HeraldResult:
-    """Condition on all four trigger detectors firing: `herald_curve` of
-    `state` with no splitter exponents, so exact for the state as built."""
-    return herald_curve(state, trigger_detectors, output_arms, {}).at()
+    """Condition on all four trigger detectors firing: `curve_stack` of
+    `state` alone with no splitter exponents, exact for the state as
+    built."""
+    return curve_stack([(state, trigger_detectors)], output_arms,
+                       {}).heralds()[0]
 
 
 def decompose_s1(state: PureState, trigger_modes: tuple[Mode, ...],

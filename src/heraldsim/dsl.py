@@ -37,6 +37,9 @@ from .elements import MEASUREMENT_BASES, SOURCE_MODES, ConfigError
 BASES = tuple(MEASUREMENT_BASES)
 # stanzas a config holds at most once; a second one is a located error
 ONCE_ONLY = frozenset({"source", "herald", *COUNT_LOW})
+# montecarlo's peak stays below a floor plus bytes per term of `table_terms`:
+# measured 38-132 MB on paper_5050 and paper_7030 at nmax 4-8, each below it
+TABLE_MB, TERM_BYTES, WARN_MB, LIMIT_MB = 40, 400, 1024, 16384
 
 
 class DslError(ConfigError):
@@ -327,6 +330,40 @@ def four_pair_warnings(config: ExperimentConfig) -> list[str]:
     return [f"warning: four_pair_correction heralds on dark-free threshold "
             f"triggers at their mean eta={_fmt(mean)}, not on triggers "
             f"{', '.join(named)}"]
+
+
+def table_terms(config: ExperimentConfig, stop: float = math.inf) -> int:
+    """A bound on the post-circuit Fock terms of `montecarlo`'s mixture,
+    summed until it passes `stop`: per pair number n up to nmax (or the
+    first p_n of 0.0), n + 1 branches below visibility 1 and one at 1, each
+    with n photons on the M_a and M_b modes a source arm feeds, so at most
+    C(n + M_a - 1, n) C(n + M_b - 1, n) terms."""
+    columns = config.circuit().columns
+    fed = [len({m for s, col in columns.items() if s[0] == a for _, m in col})
+           for a in {s for s, _ in SOURCE_MODES}]
+    terms = 0
+    for n in range(config.source.n_max + 1):
+        if terms > stop or pair_probability(n, config.source.r) == 0.0:
+            break
+        terms += ((n + 1 if config.noise.visibility < 1.0 else 1)
+                  * math.prod(math.comb(n + m - 1, n) for m in fed))
+    return terms
+
+
+def table_memory_diagnostics(config: ExperimentConfig) -> list[str]:
+    """An error where `montecarlo`'s tables may peak above LIMIT_MB, else a
+    warning above WARN_MB, naming the source stanza."""
+    limit = (LIMIT_MB - TABLE_MB) * 2 ** 20 / TERM_BYTES
+    terms = table_terms(config, stop=limit)
+    mb = TABLE_MB + terms * TERM_BYTES / 2 ** 20
+    source = serialize(config).splitlines()[0]
+    if terms > limit:
+        return [f"error: {source}: source nmax={config.source.n_max} is too "
+                f"large for the click tables, which would take over "
+                f"{LIMIT_MB:,} MB; lower nmax"]
+    return [f"warning: {source}: montecarlo's click tables may take up to "
+            f"{mb:,.0f} MB; lower nmax if that does not fit"
+            ] if mb > WARN_MB else []
 
 
 def validate(config: ExperimentConfig) -> list[str]:

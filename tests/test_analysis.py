@@ -168,9 +168,8 @@ def heralding_curve(make_trigger, eta=1.0):
     """The three-pair herald through `heralding_elements` as a curve in R."""
     triggers = [make_trigger(f"t{i}", m, eta=eta)
                 for i, m in enumerate(TRIGGER_MODES, start=1)]
-    [curve] = herald_curves([((3, 0), triggers)], heralding_elements,
-                            OUTPUT_ARMS)
-    return curve
+    return herald_curves([((3, 0), triggers)], heralding_elements,
+                         OUTPUT_ARMS)
 
 
 @pytest.mark.parametrize("make_trigger", [threshold_detector, pnr_detector])
@@ -180,13 +179,13 @@ def test_ideal_heralded_weight_is_one_monomial(make_trigger):
     # probability x efficiency is T^4 R^2 / 2 (criterion 6), the monomial
     # (2R)^1 (2T)^2 per splitter times 1/128
     curve = heralding_curve(make_trigger)
-    traces = np.trace(curve.rhos, axis1=1, axis2=2).real
+    traces = np.trace(curve.rhos[:, 0], axis1=1, axis2=2).real
     [only] = np.flatnonzero(np.abs(traces) > 1e-15)
     assert curve.monomials[only].tolist() == [1, 2, 1, 2]
     assert traces[only] == pytest.approx(1.0 / 128.0, rel=1e-14)
 
     def heralded(R):
-        res = curve.at(R)
+        [res] = curve.heralds(R)
         return res.herald_probability * res.preparation_efficiency
     for R in (0.2, 1.0 / 3.0, 0.5, 0.9):
         assert heralded(R) == pytest.approx((1 - R) ** 4 * R ** 2 / 2,
@@ -202,6 +201,7 @@ def test_curve_efficiency_matches_formula_on_criterion_2_grid():
     for eta in np.linspace(0.1, 1.0, 5):
         curve = heralding_curve(threshold_detector, float(eta))
         for R in np.linspace(0.3, 0.7, 5):
-            worst = max(worst, abs(curve.at(float(R)).preparation_efficiency
+            [res] = curve.heralds(float(R))
+            worst = max(worst, abs(res.preparation_efficiency
                                    - eff_theory(float(R), float(eta))))
     assert worst < 1e-10

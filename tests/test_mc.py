@@ -15,13 +15,13 @@ from scipy import stats
 from heraldsim import cli, fixture_path, mc
 from heraldsim.analysis import correlation_from_counts
 from heraldsim.fock import ConfigError, MixedState, make_vacuum
-from heraldsim.dsl import parse
+from heraldsim.dsl import parse, table_terms
 from heraldsim.elements import (MEASUREMENT_BASES, apply_circuit, compose,
                                 measurement_rotation)
 from heraldsim.source import SOURCE_MODES, dephased_source, n_pair_state
 from heraldsim.detect import (click_pattern_probabilities, click_probability,
                               fidelity_to_phi_plus, herald,
-                              sixfold_probability)
+                              occupation_probabilities, sixfold_probability)
 from heraldsim.mc import (
     estimate_fidelity,
     precompute_outcome_tables,
@@ -618,3 +618,45 @@ def test_tables_match_term_by_term_oracle(name):
         assert tab.fock_terms == terms, tab.basis
         np.testing.assert_allclose(tab.pattern_probs, probs, rtol=1e-12,
                                    atol=0.0, err_msg=str(tab.basis))
+
+
+def doubling_patterns(state, detectors):
+    """The click-pattern distribution by doubling: every distinct occupation
+    row widened to all 2^k patterns, one detector at a time (bit i =
+    detector i), then summed over rows."""
+    occ, p_occ = occupation_probabilities(state, [d.mode for d in detectors])
+    acc = p_occ[:, None]
+    for i, det in enumerate(detectors):
+        c = np.array([click_probability(det, int(n)) for n in occ[:, i]])
+        acc = np.concatenate([acc * (1.0 - c[:, None]), acc * c[:, None]],
+                             axis=1)
+    return acc.sum(axis=0)
+
+
+@pytest.mark.parametrize("name", ["paper_7030.exp@4", "paper_7030.exp@6"])
+def test_click_patterns_match_doubling_oracle(name):
+    # the mixture each basis's table reads, dark counts and tail included
+    cfg = oracle_config(name)
+    detectors = cfg.trigger_detectors() + cfg.output_detectors()
+    for basis in cfg.bases:
+        to_detectors = compose((cfg.circuit(), *(
+            measurement_rotation(arm, b)
+            for arm, b in zip(cfg.output_arms(), basis))), SOURCE_MODES)
+        branches = list(dephased_source(cfg.source, cfg.noise,
+                                        to_detectors).branches)
+        branches.append((1.0 - sum(w for w, _ in branches), make_vacuum()))
+        state = MixedState(tuple(branches))
+        np.testing.assert_allclose(
+            click_pattern_probabilities(state, detectors),
+            doubling_patterns(state, detectors), rtol=1e-12, atol=0.0,
+            err_msg=str(basis))
+
+
+@pytest.mark.parametrize("name", ["paper_7030.exp@4", "paper_7030.exp@6",
+                                  "boosted"])
+def test_table_terms_bound_the_built_terms(name):
+    # the memory guard's term count bounds every basis's Fock terms
+    cfg = oracle_config(name)
+    bound = table_terms(cfg)
+    for tab in precompute_outcome_tables(cfg):
+        assert tab.fock_terms <= bound, tab.basis

@@ -8,8 +8,8 @@ substituted through the circuit with `apply_circuit`, then heralded.
 
 `herald`, `sweep` and `four_pair_correction` build each sector once, with
 every splitter at R = 1/2, and evaluate its herald as a curve in the
-splitter ratios (`analysis.herald_curves`, stacked by
-`analysis.exact_curves`).  The second reference is the route the curves
+splitter ratios (`analysis.herald_curves`, one `detect.CurveStack` of
+every sector's curve).  The second reference is the route the curves
 replaced: every sweep row rebuilds its sectors through the circuit at its
 own R, and `herald` through the circuit as declared.
 """
@@ -27,7 +27,7 @@ from heraldsim import analysis, cli
 from heraldsim.analysis import (exact_curves, four_pair_correction,
                                 four_pair_sectors, four_pair_shift,
                                 herald_curves)
-from heraldsim.detect import herald, stack_curves, threshold_detector
+from heraldsim.detect import herald, threshold_detector
 from heraldsim.dsl import parse, validate
 from heraldsim.elements import SOURCE_MODES, apply_circuit, compose
 from heraldsim.source import (SpdcParams, coupling_from_rate, n_pair_state,
@@ -208,13 +208,13 @@ def run_sweep(text, tmp_path, *args):
 
 
 def sweep_curve(config):
-    [curve] = herald_curves([((3, 0), config.trigger_detectors())],
-                            config.transforms, config.output_arms())
-    return curve
+    """The three-pair sector on the config's triggers, a one-curve stack."""
+    return herald_curves([((3, 0), config.trigger_detectors())],
+                         config.transforms, config.output_arms())
 
 
 def sector_curves(config):
-    """The four-pair correction's three- and four-pair sectors as curves."""
+    """The four-pair correction's three- and four-pair sectors, stacked."""
     return herald_curves(four_pair_sectors(config, config.mean_trigger_eta()),
                          config.transforms, config.output_arms())
 
@@ -238,7 +238,7 @@ def test_sweep_curve_matches_per_row_route(name):
     config = parse(SWEPT_TEXTS[name])
     curve = sweep_curve(config)
     for R in (0.0, 0.1, 0.3, 0.486, 0.5, 0.7, 0.95, 1.0):
-        assert_same_herald(curve.at(R), per_row_herald(config, R))
+        assert_same_herald(curve.heralds(R)[0], per_row_herald(config, R))
 
 
 # paper_5050 with its second splitter at R = 0.8, a valid config
@@ -249,7 +249,7 @@ UNEQUAL_5050 = fixture_text("paper_5050.exp").replace(
 def test_one_build_serves_splitters_of_different_R():
     config = parse(UNEQUAL_5050)
     [state] = pair_power_states([(3, 0)], config.circuit())
-    assert_same_herald(sweep_curve(config).at(0.486, 0.8),
+    assert_same_herald(sweep_curve(config).heralds(0.486, 0.8)[0],
                        herald(state, config.trigger_detectors(),
                               config.output_arms()))
 
@@ -257,15 +257,36 @@ def test_one_build_serves_splitters_of_different_R():
 @pytest.mark.parametrize("name", ["paper_5050.exp", "pnr"])
 def test_curve_stack_matches_each_curve(name):
     config = parse(SWEPT_TEXTS[name])
-    curves = (sweep_curve(config), *sector_curves(config))
-    stack = stack_curves(curves)
+    # each curve built alone, on its own monomial table
+    curves = [herald_curves([sector], config.transforms, config.output_arms())
+              for sector in [((3, 0), config.trigger_detectors()),
+                             *four_pair_sectors(config,
+                                                config.mean_trigger_eta())]]
+    stack = exact_curves(config)
     for R in ((0.0,), (0.3,), (0.486,), (1.0,), (0.486, 0.8)):
         for got, curve in zip(stack.at(*R), curves, strict=True):
-            want = curve.at(*R)
+            [want] = curve.heralds(*R)
             assert math.isclose(got[0], want.herald_probability,
                                 rel_tol=1e-12, abs_tol=0.0)
             assert math.isclose(got[1], want.preparation_efficiency
                                 if want.heralded else 0.0,
+                                rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("name", ["paper_5050.exp", "pnr"])
+def test_stack_evaluations_agree(name):
+    # the table's trace column is the trace of the conditional states that
+    # `heralds` sums, so `at` is `heralds` without the states
+    stack = exact_curves(parse(SWEPT_TEXTS[name]))
+    np.testing.assert_allclose(
+        stack.table[:, 1::2], np.trace(stack.rhos, axis1=2, axis2=3).real,
+        rtol=1e-12, atol=0.0)
+    for R in ((0.0,), (0.3,), (0.486,), (1.0,), (0.486, 0.8)):
+        for (h, eff), want in zip(stack.at(*R), stack.heralds(*R),
+                                  strict=True):
+            assert math.isclose(h, want.herald_probability, rel_tol=1e-12,
+                                abs_tol=0.0)
+            assert math.isclose(eff, want.preparation_efficiency,
                                 rel_tol=1e-12, abs_tol=0.0)
 
 
@@ -285,7 +306,8 @@ def test_sweep_edge_rows_match_per_row_route(text, steps, tmp_path):
 def test_ideal_dark_sweep_at_full_reflection_heralds_nothing(tmp_path):
     # no dark counts: at R = 1 no photon reaches a trigger
     config = parse(BOOSTED_CONFIG)
-    for result in (sweep_curve(config).at(1.0), per_row_herald(config, 1.0)):
+    for result in (sweep_curve(config).heralds(1.0)[0],
+                   per_row_herald(config, 1.0)):
         assert not result.heralded and result.herald_probability == 0.0
     rows = list(csv.reader(io.StringIO(run_sweep(
         BOOSTED_CONFIG, tmp_path, "--r-min", "0.5", "--r-max", "1",
@@ -306,9 +328,9 @@ def test_sweep_skips_the_four_pair_correction_at_zero_reflection(
     # the shift takes values, not R: its three-pair herald and efficiency
     # name the rows it was called on
     config = parse(fixture_text("paper_5050.exp"))
-    three, _ = sector_curves(config)
+    sectors = sector_curves(config)
     assert evaluated == pytest.approx(
-        [v for R in (0.25, 0.5, 0.75, 1.0) for res in [three.at(R)]
+        [v for R in (0.25, 0.5, 0.75, 1.0) for res in sectors.heralds(R)[:1]
          for v in (res.herald_probability, res.preparation_efficiency)],
         rel=1e-12, abs=0.0)
     first = next(csv.DictReader(io.StringIO(out)))

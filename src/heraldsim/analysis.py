@@ -3,14 +3,10 @@ the four-pair correction, and heralds as curves in the splitter ratio.
 
 Error bars use first-order propagation on independent Poisson counts.
 `exact_curves` is the one exact route of `herald` and `sweep`: one
-`source.pair_power_states` build through a config's circuit at R = 1/2,
-heralded on the config's triggers and, at nmax >= 4, on the four-pair
-correction's (`four_pair_sectors`) as one `detect.CurveStack`
-(`herald_curves`).  `herald` evaluates it (`CurveStack.at`) once at the
-declared splitter ratios, each `sweep` row once at its R; `four_pair_shift`
-is the one p_3/p_4 weighting of the two sectors' herald probabilities and
-efficiencies there.  Nothing is cached: a caller holds the stack it
-evaluates.
+`detect.CurveStack` of the config's three-pair sector and, at nmax >= 4,
+of the four-pair correction's two sectors (`four_pair_sectors`), which
+`four_pair_shift` weights by p_3 and p_4.  Nothing is cached: a caller
+holds the stack it evaluates.
 """
 
 from __future__ import annotations
@@ -101,12 +97,11 @@ def herald_curves(sectors: list[tuple[tuple[int, int], list[DetectorSpec]]],
     `transforms`) heralded on `triggers`.  Every distinct branch is built
     once, in one `pair_power_states` call, with every splitter at R = 1/2."""
     transforms = elements(0.5)
-    exponents = path_exponents(transforms)
     powers = list(dict.fromkeys(power for power, _ in sectors))
     states = dict(zip(powers, pair_power_states(
         powers, compose(transforms, SOURCE_MODES))))
     return curve_stack([(states[power], triggers) for power, triggers
-                        in sectors], output_arms, exponents)
+                        in sectors], output_arms, path_exponents(transforms))
 
 
 def four_pair_sectors(config: ExperimentConfig, eta_t: float
@@ -137,8 +132,7 @@ def four_pair_shift(params: SpdcParams, three: tuple[float, float],
     traces (preparation efficiencies), each a (herald, efficiency) pair at
     one R, weighted by p_3 and p_4.  None where it is undefined: the
     sectors never herald, or the three-pair efficiency is 0."""
-    p3 = pair_probability(3, params.r)
-    p4 = pair_probability(4, params.r)
+    p3, p4 = (pair_probability(n, params.r) for n in (3, 4))
     if p4 == 0.0:
         return 0.0
     (herald3, eff3), (herald4, eff4) = three, four

@@ -1,14 +1,12 @@
 """Command-line front end: herald report, efficiency sweep, Monte Carlo runs.
 
 Every command builds its source branches with `source.pair_power_states`
-from the pair operators taken through the composed circuit; none
-substitutes a state, and each reads only the config's own layout.
-`herald` and `sweep` evaluate one stack of curves in the splitter ratios,
-`analysis.exact_curves`: `herald` once, at the declared ratios, and `sweep`
-once per row, after it builds the stack and before it writes the header
-(about 15-18 us per row in process on a 2-vCPU host, writing included).
-`herald` builds the lossless three-pair state as declared only for its
-trigger-class weights (`detect.decompose_s1`).
+through the config's own composed circuit; none substitutes a state.
+`herald` evaluates the stack of curves `analysis.exact_curves` once, at the
+declared splitter ratios, and `sweep` once per row, after it builds the
+stack and before it writes the header (about 15-18 us per row in process
+on a 2-vCPU host, writing included).  `herald` reads its trigger-class
+weights (`detect.decompose_s1`) off the lossless three-pair state.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
 error names its stage, `runtime error in <stage>: ...`: `herald curve`
@@ -21,9 +19,8 @@ each command loads its config before it imports the engine it runs, and
 only `montecarlo` loads `mc`.  `main` first defaults OPENBLAS_NUM_THREADS
 to 1: no BLAS call here needs a second thread, and an idle one spins.
 The `heraldsim` script and `python -m heraldsim.cli` both exit through
-`run`, which freezes the garbage collector once `main` returns, so the
-interpreter's final collections skip numpy's objects; `main` itself does
-not, because a caller may run it many times in one process.
+`run`, which freezes the garbage collector once `main` returns; `main`
+does not, because a caller may run it many times in one process.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ import csv
 import dataclasses
 import datetime
 import gc
-import io
 import json
 import math
 import os
@@ -45,7 +41,7 @@ from pathlib import Path
 from . import __version__
 from .config import COUNT_END, COUNT_LOW, BsDecl, ExperimentConfig
 from .dsl import (four_pair_warnings, parse, splitter_warnings,
-                  table_memory_diagnostics, validate)
+                  table_memory_warnings, validate)
 from .elements import ConfigError
 
 EXIT_OK = 0
@@ -79,10 +75,9 @@ def _load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read {path}: {exc}")
     config = parse(text)
     diagnostics = validate(config)
-    errors = [d for d in diagnostics if d.startswith("error")]
     for diag in diagnostics:
         print(diag, file=sys.stderr)
-    if errors:
+    if any(d.startswith("error") for d in diagnostics):
         raise ConfigError(f"{path}: configuration invalid (fix the "
                           "diagnostics above)")
     return config
@@ -222,13 +217,10 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, result
     outputs = []
     for record in result.records:
         name = f"counts_{record.basis[0]}_{record.basis[1]}.csv"
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["outcome", "count"])
-        writer.writerows(sorted(record.outcomes.items()))
-        writer.writerow(["n_t", record.n_t])
-        writer.writerow(["n_s", record.n_s])
-        (out_dir / name).write_text(buf.getvalue())
+        with (out_dir / name).open("w") as f:
+            csv.writer(f, lineterminator="\n").writerows(
+                [("outcome", "count"), *sorted(record.outcomes.items()),
+                 ("n_t", record.n_t), ("n_s", record.n_s)])
         outputs.append(name)
 
     summary = _summary_payload(config, result)
@@ -248,18 +240,15 @@ def cmd_montecarlo(args) -> int:
     t_load = time.perf_counter()
     config = _load_config(args.config)
     load_s = time.perf_counter() - t_load
-    if args.pulses is not None:
-        config = dataclasses.replace(config, pulses=args.pulses)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = dataclasses.replace(config, **{
+        name: getattr(args, name) for name in COUNT_LOW
+        if getattr(args, name) is not None})
     if config.mean_output_eta() == 0.0:  # eff_exp divides by it
         raise ConfigError(f"{args.config}: output detectors " + ", ".join(
             f"{d.id} eta={d.eta:g}" for d in config.output_detectors())
             + " have mean eta 0, so no Monte Carlo efficiency is defined")
-    for diag in table_memory_diagnostics(config):  # before numpy loads
-        if diag.startswith("error: "):
-            raise ConfigError(diag.removeprefix("error: "))
-        print(diag, file=sys.stderr)
+    for warning in table_memory_warnings(config):  # before numpy loads
+        print(warning, file=sys.stderr)
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()

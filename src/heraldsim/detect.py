@@ -52,9 +52,7 @@ def occupations(state: PureState | MixedState, modes: list[Mode]
     its photon counts on `modes` (a mode listed twice counts in its first
     column, a mode not listed in none), and its amplitude times the square
     root of its branch weight."""
-    column: dict[Mode, int] = {}
-    for i, m in enumerate(modes):
-        column.setdefault(m, i)
+    column = {m: i for i, m in reversed(list(enumerate(modes)))}
     branches = as_mixed(state).branches
     rows, amps = [], []
     for weight, pure in branches:
@@ -235,18 +233,15 @@ def curve_stack(curves: Sequence[tuple[PureState | MixedState,
     all four triggers firing, as curves in the splitter ratios on one
     monomial table, in one pass over all their terms.
 
-    A term's probability, built with every splitter at R = 1/2, scales at
-    ratios R_s by prod_s (2 R_s)^A_s (2 T_s)^B_s, its photons' reflections
-    and transmissions summed from `exponents` (`path_exponents`; an
+    A term, built with every splitter at R = 1/2, scales at ratios R_s by
+    prod_s (2 R_s)^A_s (2 T_s)^B_s, its photons' `exponents` summed (an
     unlisted mode does not scale), and is weighted by its triggers'
-    `click_probability`.  The terms of one curve's branch with the same
-    trigger counts and monomial are one coherent state (in a tree circuit
-    an output arm's two modes share one path); its part with one photon per
-    output arm (`_output_arm_modes`) and nothing else is a qubit vector v_g
-    over (first, first), (first, second), (second, first), (second,
-    second), and sum_g p_g v_g v_g^dag over the herald probability is the
-    conditional density matrix, whose trace is the preparation efficiency.
-    """
+    `click_probability`.  A curve's terms of one branch, trigger counts and
+    monomial are one coherent state; its part with one photon per output
+    arm (`_output_arm_modes`) and nothing else is a qubit vector v_g over
+    (first, first), (first, second), (second, first), (second, second), and
+    sum_g p_g v_g v_g^dag over the herald probability is the conditional
+    state, whose trace is the preparation efficiency."""
     width = len(next(iter(exponents.values()), ()))
     parts = []
     for state, triggers in curves:
@@ -292,8 +287,7 @@ def herald(state: PureState | MixedState,
            trigger_detectors: list[DetectorSpec],
            output_arms: tuple[str, ...]) -> HeraldResult:
     """Condition on all four trigger detectors firing: `curve_stack` of
-    `state` alone with no splitter exponents, exact for the state as
-    built."""
+    `state` alone, without splitter exponents."""
     return curve_stack([(state, trigger_detectors)], output_arms,
                        {}).heralds()[0]
 
@@ -349,6 +343,5 @@ def sixfold_probability(state: PureState | MixedState,
 
 def fidelity_to_phi_plus(dm: np.ndarray) -> float:
     """Tr(rho |Phi+><Phi+|) on the (c,d) polarization qubit sector."""
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
-    return float(np.real(phi.conjugate() @ dm @ phi))
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    return float(np.real(phi @ dm @ phi))

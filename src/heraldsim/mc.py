@@ -17,6 +17,7 @@ version.  Outcome letters come from `elements.MEASUREMENT_BASES`.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,10 +145,8 @@ def run_experiment(config: ExperimentConfig,
     n_s = sum(r.n_s for r in records)
     efficiency = eff_exp(n_s, n_t, config.mean_output_eta()) if n_t else None
     fidelity = None
-    try:
+    with contextlib.suppress(ConfigError):
         fidelity = estimate_fidelity(records)
-    except ConfigError:
-        pass
     return McResult(records=tuple(records), efficiency=efficiency,
                     fidelity=fidelity)
 

@@ -448,8 +448,8 @@ def test_command_line_errors_exit_two_without_a_fake_location(
 
 
 def test_montecarlo_with_an_overflowing_nmax_exits_two(tmp_path):
-    # accepted by the validator; montecarlo's memory bound refuses it
-    # before any table is built
+    # accepted by the validator; the click tables' packed keys overflow at
+    # once, before any table is built
     path = tmp_path / "nmax200.exp"
     path.write_text(SMALL_MC.replace("nmax=3", "nmax=200"), encoding="utf-8")
     assert [d for d in validate(parse(path.read_text(encoding="utf-8")))
@@ -488,11 +488,12 @@ def test_montecarlo_refuses_output_detectors_of_mean_eta_0(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("nmax, refused", [(12, False), (16, True),
-                                           (2 ** 62, True)])
-def test_montecarlo_guards_table_memory_before_building(
-        nmax, refused, monkeypatch, tmp_path, capsys):
-    # the estimate reads the config alone: a table build fails the test
+@pytest.mark.parametrize("nmax, mb", [(12, "2,368"), (16, "16,841"),
+                                     (2 ** 62, "3,873,330,544,190")])
+def test_montecarlo_warns_of_table_memory_before_building(
+        nmax, mb, monkeypatch, tmp_path, capsys):
+    # the estimate reads the config alone and only warns; the table build
+    # then runs, patched here to fail
     def build(config):
         raise AssertionError("tables built")
     monkeypatch.setattr(mc, "precompute_outcome_tables", build)
@@ -502,20 +503,11 @@ def test_montecarlo_guards_table_memory_before_building(
     out = tmp_path / "run"
     code = cli.main(["montecarlo", str(path), "--out", str(out)])
     err = capsys.readouterr().err.splitlines()
-    source = f"source spdc nmax={nmax} p1=0.047 visibility=0.91: "
-    if refused:
-        assert code == 2
-        assert err == [f"error: {source}source nmax={nmax} is too large for "
-                       "the click tables, which would take over 16,384 MB; "
-                       "lower nmax"]
-    else:
-        # warned before the engine loads; the build then runs (and fails
-        # here)
-        assert code == 3
-        assert err[0] == (f"warning: {source}montecarlo's click tables may "
-                          "take up to 2,368 MB; lower nmax if that does not "
-                          "fit")
-        assert err[-1] == "runtime error in tables: tables built"
+    assert code == 3
+    assert err[0] == (f"warning: source spdc nmax={nmax} p1=0.047 "
+                      f"visibility=0.91: montecarlo's click tables may take "
+                      f"up to {mb} MB; lower nmax if that does not fit")
+    assert err[-1] == "runtime error in tables: tables built"
     assert not out.exists()
 
 

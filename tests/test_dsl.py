@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from heraldsim.config import BsDecl, ExperimentConfig, HwpDecl, PbsDecl
 from heraldsim.detect import NUMBER_RESOLVING, THRESHOLD, DetectorSpec, herald
 from heraldsim.dsl import (BASES, DslError, parse, serialize,
-                           table_memory_diagnostics, validate)
+                           table_memory_warnings, validate)
 from heraldsim.elements import apply_circuit
 from heraldsim.fock import ConfigError
 from heraldsim.source import (SourceNoise, SpdcParams, coupling_from_rate,
@@ -33,18 +33,18 @@ def test_fixtures_parse_clean(text):
     assert len(cfg.bases) == 3
 
 
-@pytest.mark.parametrize("nmax, kinds", [
-    (4, []), (8, []), (10, []), (11, ["warning"]), (15, ["warning"]),
-    (16, ["error"]), (2 ** 62, ["error"])])
-def test_table_memory_diagnostics_name_the_source_line(nmax, kinds):
+@pytest.mark.parametrize("nmax, warned", [
+    (4, False), (8, False), (10, False), (11, True), (16, True),
+    (2 ** 62, True)])
+def test_table_memory_warnings_name_the_source_line(nmax, warned):
     # a bound on the table build's peak from the config alone: nmax 10
-    # stays under 1 GB on the published layout, nmax 16 passes 16 GB
+    # stays under 1 GB on the published layout, nmax 11 passes it
     text = fixture_text("paper_7030.exp").replace("nmax=4", f"nmax={nmax}")
-    diagnostics = table_memory_diagnostics(parse(text))
-    assert [d.split(":")[0] for d in diagnostics] == kinds
-    for diag in diagnostics:
-        assert diag.split(": ")[1] == (f"source spdc nmax={nmax} p1=0.047 "
-                                       "visibility=0.91")
+    warnings = table_memory_warnings(parse(text))
+    assert len(warnings) == warned
+    for warning in warnings:
+        assert warning.split(": ")[:2] == [
+            "warning", f"source spdc nmax={nmax} p1=0.047 visibility=0.91"]
 
 
 def test_fixture_parameters_match_published_table():

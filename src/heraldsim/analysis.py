@@ -54,6 +54,12 @@ def eff_exp(n_s: int, n_t: int, eta_s: float) -> Estimate:
     return Estimate(value, sigma)
 
 
+def eff_exp_binomial_sigma(value: float, n_s: int, n_t: int) -> float:
+    """`eff_exp`'s standard error with n_s a binomial subset of n_t,
+    value sqrt(1/n_s - 1/n_t): 0 where n_s is 0 or n_t."""
+    return value * math.sqrt(1.0 / n_s - 1.0 / n_t) if 0 < n_s < n_t else 0.0
+
+
 def correlation_from_counts(counts: Mapping[str, int]) -> tuple[float, float]:
     """Expectation value (N_same - N_diff)/N_total and its standard error,
     from counts keyed by two-letter outcome labels ("HV", "+-", ...)."""

@@ -3,10 +3,11 @@
 Every command builds its source branches with `source.pair_power_states`
 through the config's own composed circuit; none substitutes a state.
 `herald` evaluates the stack of curves `analysis.exact_curves` once, at the
-declared splitter ratios, and `sweep` once per row, after it builds the
-stack and before it writes the header (about 15-18 us per row in process
-on a 2-vCPU host, writing included).  `herald` reads its trigger-class
-weights (`detect.decompose_s1`) off the lossless three-pair state.
+declared splitter ratios, and `sweep` once per row, each row written
+before the next is evaluated (about 16-21 us per row in process on a
+2-vCPU host, the write to an unbuffered stream included).  `herald` reads
+its trigger-class weights (`detect.decompose_s1`) off the lossless
+three-pair state.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
 error names its stage, `runtime error in <stage>: ...`: `herald curve`
@@ -156,18 +157,20 @@ def cmd_sweep(args) -> int:
         # every splitter of the config swept together: each row is one
         # product over the stack's monomials
         stack = analysis.exact_curves(config)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["R", "eff_theory", "eff_exact_enumerated",
-                     "four_pair_corrected"])
+    sys.stdout.write("R,eff_theory,eff_exact_enumerated,four_pair_corrected\n")
     for i in range(args.steps):
         R = args.r_min + (args.r_max - args.r_min) * i / (args.steps - 1)
-        with _stage(f"row R={R:.9g}"):
+        try:  # `_stage` of the row, without a context manager per row
             [(_, exact), *sectors] = stack.at(R)
             shift = (analysis.four_pair_shift(config.source, *sectors)
                      if sectors and R > 0.0 else None)
-            corrected = exact if shift is None else exact * (1.0 + shift)
-        writer.writerow([f"{R:.9g}", f"{analysis.eff_theory(R, eta_t):.9g}",
-                         f"{exact:.9g}", f"{corrected:.9g}"])
+        except ConfigError:
+            raise
+        except Exception as exc:
+            raise StageError(f"runtime error in row R={R:.9g}: {exc}") from exc
+        corrected = exact if shift is None else exact * (1.0 + shift)
+        sys.stdout.write(f"{R:.9g},{analysis.eff_theory(R, eta_t):.9g},"
+                         f"{exact:.9g},{corrected:.9g}\n")
     return EXIT_OK
 
 
@@ -256,7 +259,7 @@ def cmd_montecarlo(args) -> int:
           f"{config.pulses} pulses each", file=sys.stderr)
     t_import = time.perf_counter()
     import numpy as np
-    from . import fock, mc
+    from . import analysis, fock, mc
     t0 = time.perf_counter()
     with _stage("tables"):
         try:
@@ -283,6 +286,8 @@ def cmd_montecarlo(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs, summary_text = _write_outputs(out_dir, config, result)
         t3 = time.perf_counter()
+        n_s = sum(r.n_s for r in result.records)
+        n_t = sum(r.n_t for r in result.records)
         manifest = {
             "command": " ".join(sys.argv),
             "config_digest": config.digest(),
@@ -302,6 +307,10 @@ def cmd_montecarlo(args) -> int:
                                       for t in tables},
                        "truncated_weight": tables[0].truncated_weight},
             "expected": _expected_vs_observed(tables, result.records),
+            # summary.json's eff_exp sigma treats n_s and n_t as independent
+            "eff_exp_binomial_sigma": None if result.efficiency is None
+            else analysis.eff_exp_binomial_sigma(result.efficiency.value,
+                                                 n_s, n_t),
         }
         (out_dir / "manifest.json").write_text(
             json.dumps(manifest, indent=2) + "\n")

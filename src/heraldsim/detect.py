@@ -187,37 +187,40 @@ def _output_arm_modes(state: PureState | MixedState,
     return arm_modes
 
 
-def _ratio_factors(monomials: np.ndarray, *R: float) -> np.ndarray:
-    """Each row (A_1, B_1, A_2, B_2, ...) of `monomials` as the factor
-    prod_s (2 R_s)^A_s (2 T_s)^B_s with splitter s at ratio R[s], or with
-    every splitter at R[0] when one ratio is given."""
-    ratios = R * (monomials.shape[1] // 2) if len(R) == 1 else R
-    base = np.array([b for r in ratios for b in (2.0 * r, 2.0 * (1.0 - r))])
-    return (base ** monomials).prod(axis=1)
-
-
 @dataclass(frozen=True)
 class CurveStack:
     """Heralds as curves in a circuit's splitter ratios (`curve_stack`): per
     distinct monomial row (A_1, B_1, A_2, B_2, ...) and curve i, the herald
     weight and conditional-state trace in columns 2 i and 2 i + 1 of
-    `table`, and the unnormalized conditional state in `rhos[:, i]`."""
+    `table`, the unnormalized conditional state in `rhos[:, i]`, and each
+    row's exponent sums over the splitters (sum_s A_s, sum_s B_s)."""
 
     monomials: np.ndarray  # (K, 2 S) int
     table: np.ndarray      # (K, 2 C)
     rhos: np.ndarray       # (K, C, 4, 4) complex
+    sums: np.ndarray       # (2, K) float, integer-valued
+
+    def _factors(self, *R: float) -> np.ndarray:
+        """Each monomial row's factor prod_s (2 R_s)^A_s (2 T_s)^B_s with
+        splitter s at ratio R[s]; one ratio R puts every splitter at R,
+        (2 R)^sum A (2 T)^sum B."""
+        if len(R) == 1:
+            reflect, transmit = 2.0 * R[0], 2.0 * (1.0 - R[0])
+            return reflect ** self.sums[0] * transmit ** self.sums[1]
+        base = np.array([b for r in R for b in (2.0 * r, 2.0 * (1.0 - r))])
+        return (base ** self.monomials).prod(axis=1)
 
     def at(self, *R: float) -> list[tuple[float, float]]:
         """Each curve's (herald probability, preparation efficiency), 0
-        where it does not herald, with splitter s at ratio R[s] (every
-        splitter at R[0] if one is given): one product over `table`."""
-        values = (_ratio_factors(self.monomials, *R) @ self.table).tolist()
+        where it does not herald, at the ratios of `_factors`: one product
+        over `table`."""
+        values = (self._factors(*R) @ self.table).tolist()
         return [(h, t / h if h > 0.0 else 0.0)
                 for h, t in zip(values[0::2], values[1::2])]
 
     def heralds(self, *R: float) -> list[HeraldResult]:
         """Each curve's herald at the ratios of `at`, with its state."""
-        factors = _ratio_factors(self.monomials, *R)
+        factors = self._factors(*R)
         return [HeraldResult(h, rho / h, float(np.trace(rho).real) / h, True)
                 if h > 0.0 else HeraldResult(0.0, np.zeros_like(rho), 0.0,
                                              False)
@@ -280,7 +283,9 @@ def curve_stack(curves: Sequence[tuple[PureState | MixedState,
     np.add.at(rhos, groups[:, 0],
               vectors[:, :, None] * vectors[:, None, :].conj())
     return CurveStack(monomials, table.reshape(len(monomials), -1),
-                      rhos.reshape(len(monomials), len(parts), 4, 4))
+                      rhos.reshape(len(monomials), len(parts), 4, 4),
+                      monomials.reshape(len(monomials), width // 2, 2)
+                      .sum(axis=1).T.astype(float))
 
 
 def herald(state: PureState | MixedState,

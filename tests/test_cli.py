@@ -603,6 +603,26 @@ def test_runtime_error_names_its_stage(command, stage_function, stage,
     assert f"runtime error in {stage}: injected failure" in err
 
 
+def test_sweep_writes_each_row_before_the_next_is_evaluated(monkeypatch,
+                                                            capsys):
+    # the shift fails on its second call, the R = 0.6 row: the header and
+    # the R = 0.3 row are already out, unchanged, and nothing follows
+    argv = ["sweep", str(fixture_path("paper_5050.exp")), "--steps", "3"]
+    assert cli.main(argv) == 0
+    header, first, *_ = capsys.readouterr().out.splitlines()
+    shift, calls = analysis.four_pair_shift, []
+
+    def fail_second(*args):
+        calls.append(args)
+        return shift(*args) if len(calls) == 1 else _fail()
+    monkeypatch.setattr(analysis, "four_pair_shift", fail_second)
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == f"{header}\n{first}\n" and first.startswith("0.3,")
+    assert err.splitlines()[-1] == ("runtime error in row R=0.6: injected "
+                                    "failure")
+
+
 @pytest.mark.parametrize("error, code", [(RuntimeError, 3), (ConfigError, 2)])
 def test_sweep_curve_failure_writes_no_row(error, code, monkeypatch, capsys):
     # the curves are built before the header: a failed build leaves stdout
@@ -878,6 +898,35 @@ def test_montecarlo_manifest_telemetry(boosted_file, tmp_path):
     digest = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
     assert digest == ("6741ee4d3efae3efe58111e4b3f26b27"
                       "faf52173b0d1502830bd3cfd575ce574")
+
+
+def read_run(out):
+    return [json.loads((out / name).read_text(encoding="utf-8"))
+            for name in ("summary.json", "manifest.json")]
+
+
+def test_manifest_reports_eff_exp_binomial_sigma(boosted_file, tmp_path):
+    # n_s is a subset of n_t: value sqrt(1/n_s - 1/n_t), below the sigma
+    # of independent counts that summary.json reports
+    argv = ["montecarlo", boosted_file, "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 0
+    summary, manifest = read_run(tmp_path / "run")
+    n_s, n_t = (sum(r[n] for r in summary["records"]) for n in ("n_s", "n_t"))
+    assert 0 < n_s < n_t
+    eff, sigma = summary["eff_exp"], manifest["eff_exp_binomial_sigma"]
+    assert sigma == pytest.approx(
+        eff["value"] * math.sqrt(1.0 / n_s - 1.0 / n_t), rel=1e-12, abs=0.0)
+    assert 0.0 < sigma < eff["sigma"]
+    # no six-fold, or every herald a six-fold: no spread
+    assert analysis.eff_exp_binomial_sigma(0.0, 0, n_t) == 0.0
+    assert analysis.eff_exp_binomial_sigma(eff["value"], n_t, n_t) == 0.0
+    # no herald: eff_exp is null, and so is its sigma
+    argv = ["montecarlo", str(fixture_path("paper_5050.exp")), "--pulses",
+            "1000", "--out", str(tmp_path / "dark")]
+    assert cli.main(argv) == 0
+    summary, manifest = read_run(tmp_path / "dark")
+    assert summary["eff_exp"] is None
+    assert manifest["eff_exp_binomial_sigma"] is None
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -295,8 +295,12 @@ def test_stack_evaluations_agree(name):
     (PNR_5050, 21),
     # the correction is undefined on every row: the dark-free sectors
     # never herald at trigger eta 0
-    (DARK_TRIGGERS_5050, 5)],
-    ids=["paper_5050.exp", "relabelled", "pnr", "pnr-21", "dark_triggers"])
+    (DARK_TRIGGERS_5050, 5),
+    # two splitters declared at different R, both swept to each row's R:
+    # each row's factor comes from the exponents summed over the splitters
+    (UNEQUAL_5050, 5), (UNEQUAL_5050, 21)],
+    ids=["paper_5050.exp", "relabelled", "pnr", "pnr-21", "dark_triggers",
+         "unequal", "unequal-21"])
 def test_sweep_edge_rows_match_per_row_route(text, steps, tmp_path):
     got = run_sweep(text, tmp_path, "--r-min", "0", "--r-max", "1",
                     "--steps", str(steps))

@@ -5,8 +5,8 @@ Error bars use first-order propagation on independent Poisson counts.
 `exact_curves` is the one exact route of `herald` and `sweep`: one
 `detect.CurveStack` of the config's three-pair sector and, at nmax >= 4,
 of the four-pair correction's two sectors (`four_pair_sectors`), which
-`four_pair_shift` weights by p_3 and p_4.  Nothing is cached: a caller
-holds the stack it evaluates.
+`four_pair_shift` weights by the caller's p_3 and p_4.  Nothing is cached:
+a caller holds the stack it evaluates.
 """
 
 from __future__ import annotations
@@ -124,21 +124,21 @@ def exact_curves(config: ExperimentConfig) -> CurveStack:
     """The three-pair sector through the config's circuit on its own
     triggers and, at nmax >= 4, the `four_pair_sectors` at the triggers'
     mean efficiency, stacked: `(herald, eff), *sectors = stack.at(*R)`,
-    the correction `four_pair_shift(params, *sectors)`."""
+    the correction `four_pair_shift((p3, p4), *sectors)`."""
     sectors = [((3, 0), config.trigger_detectors())]
     if config.source.n_max >= 4:
         sectors += four_pair_sectors(config, config.mean_trigger_eta())
     return herald_curves(sectors, config.transforms, config.output_arms())
 
 
-def four_pair_shift(params: SpdcParams, three: tuple[float, float],
+def four_pair_shift(weights: tuple[float, float], three: tuple[float, float],
                     four: tuple[float, float]) -> float | None:
     """Relative efficiency shift from adding the four-pair sector: the
     three- and four-pair sectors' herald probabilities and conditional-state
     traces (preparation efficiencies), each a (herald, efficiency) pair at
-    one R, weighted by p_3 and p_4.  None where it is undefined: the
-    sectors never herald, or the three-pair efficiency is 0."""
-    p3, p4 = (pair_probability(n, params.r) for n in (3, 4))
+    one R, weighted by `weights` = (p_3, p_4).  None where it is undefined:
+    the sectors never herald, or the three-pair efficiency is 0."""
+    p3, p4 = weights
     if p4 == 0.0:
         return 0.0
     (herald3, eff3), (herald4, eff4) = three, four
@@ -165,6 +165,7 @@ def four_pair_correction(params: SpdcParams, R: float,
     if params.n_max < 4:
         raise ConfigError("four-pair correction requires n_max >= 4")
     layout = parse(fixture_path("paper_5050.exp").read_text(encoding="utf-8"))
-    return four_pair_shift(params, *herald_curves(
+    weights = tuple(pair_probability(n, params.r) for n in (3, 4))
+    return four_pair_shift(weights, *herald_curves(
         four_pair_sectors(layout, eta_t), layout.transforms,
         layout.output_arms()).at(R))

@@ -13,7 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
 error names its stage, `runtime error in <stage>: ...`: `herald curve`
 (the stack and its evaluation) or `s1` (the decomposition) of a herald
 report, `sweep curve` (the stack) or `row R=<R>` of a sweep, or a Monte
-Carlo run's `tables`, `sample` or `write`.
+Carlo run's `load`, `import`, `tables`, `sample` or `write` (timed stages).
 
 This module imports only the numpy-free `config`, `dsl` and `elements`;
 each command loads its config before it imports the engine it runs, and
@@ -40,7 +40,8 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import COUNT_END, COUNT_LOW, BsDecl, ExperimentConfig
+from .config import (COUNT_END, COUNT_LOW, BsDecl, ExperimentConfig,
+                     pair_probability)
 from .dsl import (four_pair_warnings, parse, splitter_warnings,
                   table_memory_warnings, validate)
 from .elements import ConfigError
@@ -58,15 +59,18 @@ class StageError(Exception):
 
 
 @contextlib.contextmanager
-def _stage(name: str):
-    """Re-raise a runtime failure inside the block as a StageError naming
-    `name`; configuration errors pass unchanged."""
+def _stage(name: str, times: dict[str, float] | None = None):
+    """Re-raise a block's runtime failure as a StageError naming `name` (a
+    ConfigError passes); with `times`, store its wall time as `<name>_s`."""
+    start = time.perf_counter()
     try:
         yield
     except ConfigError:
         raise
     except Exception as exc:
         raise StageError(f"runtime error in {name}: {exc}") from exc
+    if times is not None:
+        times[f"{name}_s"] = time.perf_counter() - start
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -92,7 +96,8 @@ def _herald_report(config: ExperimentConfig) -> dict:
         # every splitter at its declared ratio, in propagation order
         (herald_p, eff), *sectors = analysis.exact_curves(config).at(
             *(d.R for d in config.elements if isinstance(d, BsDecl)))
-        correction = (analysis.four_pair_shift(config.source, *sectors)
+        weights = tuple(pair_probability(n, config.source.r) for n in (3, 4))
+        correction = (analysis.four_pair_shift(weights, *sectors)
                       if sectors else None)
     with _stage("s1"):
         # the lossless three-pair state after the config's circuit
@@ -157,20 +162,22 @@ def cmd_sweep(args) -> int:
         # every splitter of the config swept together: each row is one
         # product over the stack's monomials
         stack = analysis.exact_curves(config)
+        weights = tuple(pair_probability(n, config.source.r) for n in (3, 4))
     sys.stdout.write("R,eff_theory,eff_exact_enumerated,four_pair_corrected\n")
     for i in range(args.steps):
         R = args.r_min + (args.r_max - args.r_min) * i / (args.steps - 1)
         try:  # `_stage` of the row, without a context manager per row
-            [(_, exact), *sectors] = stack.at(R)
-            shift = (analysis.four_pair_shift(config.source, *sectors)
+            [(herald_p, exact), *sectors] = stack.at(R)
+            shift = (analysis.four_pair_shift(weights, *sectors)
                      if sectors and R > 0.0 else None)
         except ConfigError:
             raise
         except Exception as exc:
             raise StageError(f"runtime error in row R={R:.9g}: {exc}") from exc
         corrected = exact if shift is None else exact * (1.0 + shift)
+        effs = f"{exact:.9g},{corrected:.9g}" if herald_p > 0.0 else ","
         sys.stdout.write(f"{R:.9g},{analysis.eff_theory(R, eta_t):.9g},"
-                         f"{exact:.9g},{corrected:.9g}\n")
+                         f"{effs}\n")
     return EXIT_OK
 
 
@@ -240,9 +247,9 @@ def cmd_montecarlo(args) -> int:
         value = getattr(args, name)
         if value is not None and not low <= value < COUNT_END:
             raise ConfigError(f"--{name} {value} outside [{low}, 2^63)")
-    t_load = time.perf_counter()
-    config = _load_config(args.config)
-    load_s = time.perf_counter() - t_load
+    times: dict[str, float] = {}  # the manifest's stages, in run order
+    with _stage("load", times):
+        config = _load_config(args.config)
     config = dataclasses.replace(config, **{
         name: getattr(args, name) for name in COUNT_LOW
         if getattr(args, name) is not None})
@@ -257,17 +264,15 @@ def cmd_montecarlo(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     print(f"running {len(config.bases) or 1} basis settings, "
           f"{config.pulses} pulses each", file=sys.stderr)
-    t_import = time.perf_counter()
-    import numpy as np
-    from . import analysis, fock, mc
-    t0 = time.perf_counter()
-    with _stage("tables"):
+    with _stage("import", times):
+        import numpy as np
+        from . import analysis, fock, mc
+    with _stage("tables", times):
         try:
             tables = mc.precompute_outcome_tables(config)
         except fock.TruncationError as exc:
             raise ConfigError(f"source nmax={config.source.n_max} is too "
                               f"large for the click tables: {exc}") from exc
-    t1 = time.perf_counter()
     p, name = min((t.sixfold_probability_per_pulse(), "_".join(t.basis))
                   for t in tables)
     if config.pulses * p < MIN_SIXFOLDS:
@@ -277,15 +282,14 @@ def cmd_montecarlo(args) -> int:
         print(f"warning: basis {name} expects {config.pulses * p:.3g} "
               f"six-folds at pulses {config.pulses}, too few for estimates; "
               f"{need} would give {MIN_SIXFOLDS}", file=sys.stderr)
-    with _stage("sample"):
+    with _stage("sample", times):
         result = mc.run_experiment(config, tables=tables)
-    t2 = time.perf_counter()
 
-    with _stage("write"):
+    with _stage("write", times):
         # made only now: a config the tables reject leaves no directory
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs, summary_text = _write_outputs(out_dir, config, result)
-        t3 = time.perf_counter()
+    with _stage("write"):
         n_s = sum(r.n_s for r in result.records)
         n_t = sum(r.n_t for r in result.records)
         manifest = {
@@ -298,9 +302,7 @@ def cmd_montecarlo(args) -> int:
             "started": started,
             "finished": datetime.datetime.now(
                 datetime.timezone.utc).isoformat(),
-            "stages": {"load_s": load_s, "import_s": t0 - t_import,
-                       "tables_s": t1 - t0, "sample_s": t2 - t1,
-                       "write_s": t3 - t2},
+            "stages": times,
             "tables": {"branches": len(tables[0].branch_weights),
                        "patterns": len(tables[0].is_trigger),
                        "fock_terms": {"_".join(t.basis): t.fock_terms

@@ -1,5 +1,6 @@
-"""Experiment configuration: source, circuit declarations, detectors, run
-settings.  It imports no numpy, so a config reads and checks without it."""
+"""Experiment configuration: the source and its branches (`source_cells`),
+circuit declarations, detectors, run settings.  It imports no numpy, so a
+config reads and checks without it."""
 
 from __future__ import annotations
 
@@ -48,6 +49,24 @@ def pair_probability(n: int, r: float) -> float:
     if r == 0.0:
         return 1.0 if n == 0 else 0.0
     return (n + 1) * math.tanh(r) ** (2 * n) / math.cosh(r) ** 4
+
+
+def source_cells(params: SpdcParams, noise: SourceNoise
+                 ) -> list[tuple[int, int, float]]:
+    """(n, j, weight) of each nonzero source branch P-^(n-j) P+^j |0>: n
+    pairs, j flipped, each with chance f = (1-V)/2, as a dephased pair (1-V)
+    is the singlet or its sigma_z flip: weight p_n C(n,j) (1-f)^(n-j) f^j."""
+    f = (1.0 - noise.visibility) / 2.0
+    cells = []
+    for n in range(params.n_max + 1):
+        # stop at the first p_n that is 0.0: p1 <= 8/27 keeps tanh^2 r <=
+        # 1/3, so p_(n+1)/p_n <= 2/3 and no later p_n is nonzero
+        if (p_n := pair_probability(n, params.r)) == 0.0:
+            break
+        for j in range(n + 1):
+            if (w := math.comb(n, j) * (1.0 - f) ** (n - j) * f ** j) > 0.0:
+                cells.append((n, j, p_n * w))
+    return cells
 
 
 def coupling_from_rate(p1: float) -> float:

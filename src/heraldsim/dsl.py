@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from .config import (COUNT_END, COUNT_LOW, NUMBER_RESOLVING, THRESHOLD,
                      BsDecl, DetectorSpec, ElementDecl, ExperimentConfig,
                      HwpDecl, PbsDecl, SourceNoise, SpdcParams,
-                     coupling_from_rate, element_transform, pair_probability)
+                     coupling_from_rate, element_transform, pair_probability,
+                     source_cells)
 from .elements import MEASUREMENT_BASES, SOURCE_MODES, ConfigError
 
 BASES = tuple(MEASUREMENT_BASES)
@@ -334,20 +335,14 @@ def four_pair_warnings(config: ExperimentConfig) -> list[str]:
 
 
 def table_terms(config: ExperimentConfig) -> int:
-    """A bound on the post-circuit Fock terms of `montecarlo`'s mixture: per
-    pair number n to nmax (or the first p_n of 0.0), n + 1 branches below
-    visibility 1 and one at 1, each of at most C(n + M_a - 1, n)
-    C(n + M_b - 1, n) terms over the M_a and M_b modes a source arm feeds."""
+    """A bound on the post-circuit Fock terms of `montecarlo`'s mixture: at
+    most C(n + M_a - 1, n) C(n + M_b - 1, n) per n-pair branch of
+    `config.source_cells`, over the M_a and M_b modes a source arm feeds."""
     columns = config.circuit().columns
     fed = [len({m for s, col in columns.items() if s[0] == a for _, m in col})
            for a in {s for s, _ in SOURCE_MODES}]
-    terms = 0
-    for n in range(config.source.n_max + 1):
-        if pair_probability(n, config.source.r) == 0.0:
-            break
-        terms += ((n + 1 if config.noise.visibility < 1.0 else 1)
-                  * math.prod(math.comb(n + m - 1, n) for m in fed))
-    return terms
+    return sum(math.prod(math.comb(n + m - 1, n) for m in fed)
+               for n, _, _ in source_cells(config.source, config.noise))
 
 
 def table_memory_warnings(config: ExperimentConfig) -> list[str]:

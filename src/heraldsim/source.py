@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 
 # source declarations live in `config`; importable from here as before
-from .config import SourceNoise, SpdcParams, coupling_from_rate, pair_probability
+from .config import (SourceNoise, SpdcParams, coupling_from_rate,
+                     pair_probability, source_cells)
 from .elements import SOURCE_MODES, Mode, ModeTransform
 from .fock import ONE, MixedState, Polynomial, PureState, places
 
@@ -63,32 +64,13 @@ def n_pair_state(n: int) -> PureState:
     return pair_power_states([(n, 0)])[0]
 
 
-def dephased_branch_weights(n: int, visibility: float) -> list[float]:
-    """Weight of the branch with j phase-flipped pairs out of n.
-
-    Each emitted pair is ideal with probability V and H/V-dephased with
-    probability 1-V; a dephased pair is an equal mixture of the singlet and
-    its one-arm sigma_z flip, so the flip probability per pair is (1-V)/2.
-    """
-    p_flip = (1.0 - visibility) / 2.0
-    return [math.comb(n, j) * (1.0 - p_flip) ** (n - j) * p_flip ** j
-            for j in range(n + 1)]
-
-
 def dephased_source(params: SpdcParams, noise: SourceNoise,
                     transform: ModeTransform | None = None) -> MixedState:
-    """Incoherent mixture over (pair number n, flipped pairs j), the branch
-    P-^(n-j) P+^j |0> of `pair_power_states`, through `transform` if given.
+    """The mixture of `config.source_cells`, each cell's branch
+    P-^(n-j) P+^j |0> by `pair_power_states`, through `transform` if given.
 
     The one-pair branch reproduces diagonal-basis visibility V exactly.
     """
-    cells = []
-    for n in range(params.n_max + 1):
-        # stop at the first p_n that is 0.0: p1 <= 8/27 keeps tanh^2 r <=
-        # 1/3, so p_(n+1)/p_n <= 2/3 and no later p_n is nonzero
-        if (p_n := pair_probability(n, params.r)) == 0.0:
-            break
-        cells += [(n, j, p_n * w) for j, w in enumerate(
-            dephased_branch_weights(n, noise.visibility)) if w > 0.0]
+    cells = source_cells(params, noise)
     states = pair_power_states([(n - j, j) for n, j, _ in cells], transform)
     return MixedState(tuple((w, st) for (_, _, w), st in zip(cells, states)))

@@ -20,7 +20,7 @@ import numpy as np
 from heraldsim.elements import ModeTransform
 from heraldsim.fock import (DROP_TOL, ConfigError, FockKey, Mode, PureState,
                             TruncationError, make_vacuum, mode_str, places)
-from heraldsim.source import dephased_branch_weights, pair_probability
+from heraldsim.source import pair_probability
 
 MAX_PHOTONS = 8
 
@@ -103,13 +103,17 @@ def pair_power_state(n_singlet: int, n_flipped: int) -> PureState:
 
 def dephased_branches(params, noise) -> list[tuple[float, PureState]]:
     """The source mixture, branch by branch, in the order of
-    `heraldsim.source.dephased_source`."""
+    `heraldsim.source.dephased_source`: j of n pairs flipped with weight
+    p_n C(n,j) (1-f)^(n-j) f^j, each pair flipped with chance
+    f = (1-V)/2."""
+    f = (1.0 - noise.visibility) / 2.0
     branches = []
     for n in range(params.n_max + 1):
         p_n = pair_probability(n, params.r)
         if p_n <= 0.0:
             continue
-        for j, w in enumerate(dephased_branch_weights(n, noise.visibility)):
+        for j in range(n + 1):
+            w = math.comb(n, j) * (1.0 - f) ** (n - j) * f ** j
             if w > 0.0:
                 branches.append((p_n * w, pair_power_state(n - j, j)))
     return branches

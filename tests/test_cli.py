@@ -603,6 +603,21 @@ def test_runtime_error_names_its_stage(command, stage_function, stage,
     assert f"runtime error in {stage}: injected failure" in err
 
 
+def test_montecarlo_import_failure_names_the_import_stage(monkeypatch, capsys,
+                                                          tmp_path):
+    # the engine import is a timed stage like the others, so its failure
+    # names it; no output directory is made
+    monkeypatch.delattr(heraldsim, "mc", raising=False)
+    monkeypatch.setitem(sys.modules, "heraldsim.mc", None)
+    out = tmp_path / "run"
+    argv = ["montecarlo", str(fixture_path("paper_5050.exp")),
+            "--pulses", "1000", "--out", str(out)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("runtime error in import: ")
+    assert "heraldsim.mc" in err[-1] and not out.exists()
+
+
 def test_sweep_writes_each_row_before_the_next_is_evaluated(monkeypatch,
                                                             capsys):
     # the shift fails on its second call, the R = 0.6 row: the header and

@@ -653,10 +653,15 @@ def test_click_patterns_match_doubling_oracle(name):
 
 
 @pytest.mark.parametrize("name", ["paper_7030.exp@4", "paper_7030.exp@6",
-                                  "boosted"])
+                                  "boosted", "paper_7030.exp@6 V=1"])
 def test_table_terms_bound_the_built_terms(name):
-    # the memory guard's term count bounds every basis's Fock terms
+    # the memory guard's term count bounds every basis's Fock terms, also
+    # at visibility 1, where no branch has a flipped pair
+    name, _, visibility = name.partition(" V=")
     cfg = oracle_config(name)
+    if visibility:
+        cfg = dataclasses.replace(cfg, noise=dataclasses.replace(
+            cfg.noise, visibility=float(visibility)))
     bound = table_terms(cfg)
     for tab in precompute_outcome_tables(cfg):
         assert tab.fock_terms <= bound, tab.basis

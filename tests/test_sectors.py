@@ -316,16 +316,17 @@ def test_ideal_dark_sweep_at_full_reflection_heralds_nothing(tmp_path):
     rows = list(csv.reader(io.StringIO(run_sweep(
         BOOSTED_CONFIG, tmp_path, "--r-min", "0.5", "--r-max", "1",
         "--steps", "2"))))
-    assert rows[-1] == ["1", "1", "0", "0"]
+    # a row that heralds nothing has no efficiency to write
+    assert rows[-1] == ["1", "1", "", ""]
 
 
 def test_sweep_skips_the_four_pair_correction_at_zero_reflection(
         monkeypatch, tmp_path):
     evaluated = []
 
-    def spy(params, three, four):
+    def spy(weights, three, four):
         evaluated.extend(three)
-        return four_pair_shift(params, three, four)
+        return four_pair_shift(weights, three, four)
     monkeypatch.setattr(analysis, "four_pair_shift", spy)
     out = run_sweep(fixture_text("paper_5050.exp"), tmp_path,
                     "--r-min", "0", "--r-max", "1", "--steps", "5")
@@ -375,8 +376,8 @@ def test_four_pair_correction_follows_the_configs_circuit(tmp_path, capsys):
     assert cli.main(["herald", "--json", str(path)]) == 0
     got = json.loads(capsys.readouterr().out)["four_pair_correction"]
     stack = exact_curves(config)
-    want = four_pair_shift(config.source,
-                           *stack.at(config.beam_splitter_R())[1:])
+    weights = tuple(pair_probability(n, config.source.r) for n in (3, 4))
+    want = four_pair_shift(weights, *stack.at(config.beam_splitter_R())[1:])
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
     assert math.isclose(got, substituted_correction(
         config, config.beam_splitter_R()), rel_tol=1e-12, abs_tol=0.0)
@@ -386,7 +387,7 @@ def test_four_pair_correction_follows_the_configs_circuit(tmp_path, capsys):
                                                      tmp_path))))
     for row in rows:
         R, exact = float(row["R"]), float(row["eff_exact_enumerated"])
-        for shift in (four_pair_shift(config.source, *stack.at(R)[1:]),
+        for shift in (four_pair_shift(weights, *stack.at(R)[1:]),
                       substituted_correction(config, R)):
             # the CSV holds 9 significant digits
             assert math.isclose(float(row["four_pair_corrected"]),

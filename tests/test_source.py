@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from heraldsim.config import source_cells
 from heraldsim.fock import ConfigError, make_vacuum, substitute_modes
 from heraldsim.source import (
     SOURCE_MODES,
     SourceNoise,
     SpdcParams,
     coupling_from_rate,
-    dephased_branch_weights,
     dephased_source,
     n_pair_state,
     pair_probability,
@@ -134,11 +134,21 @@ def test_truncation_deficit_small_at_paper_rate():
 
 
 def test_dephasing_branch_weights():
-    w = dephased_branch_weights(1, 0.91)
-    assert w == pytest.approx([0.955, 0.045], abs=1e-12)
+    params = SpdcParams(r=0.15, n_max=3)
+    cells = source_cells(params, SourceNoise(visibility=0.91))
+    p = [pair_probability(n, params.r) for n in range(4)]
+    assert [(n, j) for n, j, _ in cells] == [
+        (n, j) for n in range(4) for j in range(n + 1)]
+    assert [w / p[1] for n, j, w in cells if n == 1] == pytest.approx(
+        [0.955, 0.045], abs=1e-12)
     for n in (1, 2, 3):
-        assert sum(dephased_branch_weights(n, 0.91)) == pytest.approx(
+        assert sum(w for m, _, w in cells if m == n) / p[n] == pytest.approx(
             1.0, abs=1e-12)
+    # no flips at visibility 1; nothing past a p_n of 0.0
+    assert [(n, j) for n, j, _ in source_cells(
+        params, SourceNoise(visibility=1.0))] == [(n, 0) for n in range(4)]
+    assert source_cells(SpdcParams(r=0.0, n_max=50),
+                        SourceNoise(visibility=0.5)) == [(0, 0, 1.0)]
 
 
 def test_dephased_source_normalized():

@@ -4,8 +4,8 @@ Every command builds its source branches with `source.pair_power_states`
 through the config's own composed circuit; none substitutes a state.
 `herald` evaluates the stack of curves `analysis.exact_curves` once, at the
 declared splitter ratios, and `sweep` once per row, each row written
-before the next is evaluated (about 16-21 us per row in process on a
-2-vCPU host, the write to an unbuffered stream included).  `herald` reads
+before the next is evaluated (about 10-16 us per row in process on a
+2-vCPU host, the write to an in-memory stream included).  `herald` reads
 its trigger-class weights (`detect.decompose_s1`) off the lossless
 three-pair state.
 
@@ -16,12 +16,15 @@ report, `sweep curve` (the stack) or `row R=<R>` of a sweep, or a Monte
 Carlo run's `load`, `import`, `tables`, `sample` or `write` (timed stages).
 
 This module imports only the numpy-free `config`, `dsl` and `elements`;
-each command loads its config before it imports the engine it runs, and
-only `montecarlo` loads `mc`.  `main` first defaults OPENBLAS_NUM_THREADS
-to 1: no BLAS call here needs a second thread, and an idle one spins.
-The `heraldsim` script and `python -m heraldsim.cli` both exit through
-`run`, which freezes the garbage collector once `main` returns; `main`
-does not, because a caller may run it many times in one process.
+each command loads its config before it imports the engine it runs.
+`herald` and `sweep` run on `analysis`, `detect`, `source` and `fock`,
+which import no numpy; only `montecarlo` loads `mc`, and with it numpy.
+For that command `main` first defaults OPENBLAS_NUM_THREADS to 1 (no BLAS
+call here needs a second thread, and an idle one spins), and `run`, the
+exit of the `heraldsim` script and `python -m heraldsim.cli`, freezes the
+garbage collector once `main` returns, so the interpreter's final
+collections skip the objects numpy leaves; `main` does not, because a
+caller may run it many times in one process.
 """
 
 from __future__ import annotations
@@ -379,8 +382,8 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> int:
     """`main` for a process that exits once it returns."""
     code = main()
-    # numpy leaves ~23k tracked objects; frozen, the interpreter's final
-    # collections skip them
+    # numpy, once `montecarlo` loads it, leaves ~23k tracked objects;
+    # frozen, the interpreter's final collections skip them
     gc.freeze()
     return code
 

@@ -7,28 +7,33 @@ splitter into an unobserved mode, traced out, leaves nothing else).
 and dark-count probability d map the n photons reaching a detector to the
 probability that it registers its event.  Threshold under-counting (the
 beta-class escape patterns) follows from weighting each exact post-circuit
-occupation pattern with it.  Every read-out of a post-circuit state (herald,
-trigger classes, click patterns, six-folds) goes through `occupations`.  A
-herald is one type, `CurveStack`: curves in the splitter ratios built by
-`curve_stack` in one pass, evaluated by `at` or, states too, `heralds`.
+occupation pattern with it.  The exact read-outs of a post-circuit state
+(herald, trigger classes) go through `occupations`, on Python numbers; the
+click patterns and six-folds through its array twin in `mc`.  A herald is
+one type, `CurveStack`: curves in the splitter ratios built by
+`curve_stack` in one pass, evaluated by `at` or, with the conditional
+states, `heralds`.  Only the functions that return arrays (`states`,
+`heralds`, `herald`, `sixfold_probability`) load numpy, inside their
+bodies, so `herald` and `sweep` run without it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 # detector declarations live in `config`; importable from here as before
 from .config import (NUMBER_RESOLVING, THRESHOLD, DetectorSpec,
                      threshold_detector)
-from .elements import (POL_H, POL_V, ConfigError, Mode, ModeTransform,
-                       compose, measurement_rotation)
-from .fock import (MixedState, PureState, TruncationError, as_mixed,
-                   substitute_modes)
+from .elements import POL_H, POL_V, ConfigError, Mode, compose
+from .fock import MixedState, PureState, as_mixed, places, substitute_modes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def click_probability(det: DetectorSpec, n: int) -> float:
@@ -47,106 +52,25 @@ def click_probability(det: DetectorSpec, n: int) -> float:
 
 
 def occupations(state: PureState | MixedState, modes: list[Mode]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one read-out of a post-circuit state: per term, its branch index,
-    its photon counts on `modes` (a mode listed twice counts in its first
-    column, a mode not listed in none), and its amplitude times the square
-    root of its branch weight."""
+                ) -> list[tuple[int, tuple[int, ...], complex]]:
+    """The exact read-out of a post-circuit state: per term, its branch
+    index, its photon counts on `modes` (a mode listed twice counts in its
+    first column, a mode not listed in none), and its amplitude times the
+    square root of its branch weight.  `mc.occupation_probabilities` is
+    its array twin."""
     column = {m: i for i, m in reversed(list(enumerate(modes)))}
-    branches = as_mixed(state).branches
-    rows, amps = [], []
-    for weight, pure in branches:
-        # state mode -> read-out column, applied to the key digits
-        at = np.array([column.get(m, -1) for m in pure.modes], np.int64)
-        to_column = (at[:, None] == np.arange(len(modes))).astype(np.int64)
-        rows.append(pure.counts() @ to_column)
-        amps.append(pure.amps * math.sqrt(weight))
-    branch = np.repeat(np.arange(len(branches)),
-                       [len(pure) for _, pure in branches])
-    return branch, np.concatenate(rows), np.concatenate(amps)
-
-
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a non-negative int array in lexicographic order,
-    and each row's index among them, by one sort of packed keys."""
-    sizes = rows.max(axis=0, initial=0) + 1
-    if math.prod(sizes.tolist()) >= 2 ** 63:
-        raise TruncationError(f"rows below {sizes.tolist()} overflow a "
-                              "64-bit packed key")
-    place = (np.cumprod(sizes[::-1]) // sizes[::-1])[::-1]  # mixed radix
-    keys, inverse = np.unique(rows @ place, return_inverse=True)
-    return keys[:, None] // place % sizes, inverse
-
-
-def occupation_probabilities(state: PureState | MixedState, modes: list[Mode]
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct photon counts on `modes` in `state`, one int row each
-    (columns as `modes`, rows in lexicographic order), and their
-    probabilities."""
-    _, counts, amps = occupations(state, modes)
-    rows, inverse = _unique_rows(counts)
-    return rows, np.bincount(inverse, weights=np.abs(amps) ** 2,
-                             minlength=len(rows))
-
-
-def _event_probabilities(det: DetectorSpec, counts: np.ndarray) -> np.ndarray:
-    """`click_probability(det, n)` for every photon count n in `counts`."""
-    table = [click_probability(det, n)
-             for n in range(int(counts.max(initial=0)) + 1)]
-    return np.array(table)[counts]
-
-
-def click_pattern_probabilities(state: PureState | MixedState,
-                                detectors: list[DetectorSpec]) -> np.ndarray:
-    """Probability over the 2^k click patterns (bit i = detector i
-    registered its `click_probability` event), detectors taken last to
-    first: each splits every row's patterns j into 2 j + bit, then the
-    rows that agree on the detectors still to come, adjacent in
-    lexicographic order, merge."""
-    occ, acc = occupation_probabilities(state, [d.mode for d in detectors])
-    acc = acc[:, None]
-    for i in reversed(range(len(detectors))):
-        c = _event_probabilities(detectors[i], occ[:, i])[:, None]
-        acc = np.stack([acc * (1.0 - c), acc * c], axis=2).reshape(
-            len(occ), -1)
-        starts = np.flatnonzero(np.r_[True, (occ[1:, :i] != occ[:-1, :i])
-                                      .any(axis=1)])
-        acc, occ = np.add.reduceat(acc, starts, axis=0), occ[starts]
-    return acc[0]
-
-
-def sixfold_rule(trigger_detectors: list[DetectorSpec],
-                 output_detectors: list[DetectorSpec],
-                 output_arms: tuple[str, ...], basis: tuple[str, str]
-                 ) -> tuple[tuple[ModeTransform, ...], np.ndarray, np.ndarray]:
-    """One basis setting's six-fold read-out on the click patterns of the
-    triggers then the output detectors (bit i = detector i clicked).  Each
-    of the two output arms needs exactly two detectors; sorted by label,
-    the first registers the basis's first outcome (H, + or R) after the
-    arm's rotation, also returned.  Per pattern: whether every trigger
-    clicked, and the outcome 2 o_0 + o_1 (o_a = 0 if arm a's first
-    clicked), or -1 unless every trigger and one detector per arm clicked."""
-    if len(output_arms) != 2:
-        raise ConfigError("six-fold counting needs exactly two output arms; "
-                          f"the output detectors sit on arms {list(output_arms)}")
-    n_trig = len(trigger_detectors)
-    patterns = np.arange(1 << (n_trig + len(output_detectors)))
-    all_triggers = (1 << n_trig) - 1
-    is_trigger = (patterns & all_triggers) == all_triggers
-    outcome, valid, rotations = np.zeros_like(patterns), is_trigger, []
-    for arm, arm_basis in zip(output_arms, basis):
-        ports = sorted((d.mode[1], i) for i, d in enumerate(output_detectors)
-                       if d.mode[0] == arm)
-        if len(ports) != 2:
-            ids = [output_detectors[i].id for _, i in ports]
-            raise ConfigError("six-fold counting needs exactly two detectors "
-                              f"on output arm {arm!r}; it has {ids}")
-        rotations.append(measurement_rotation(
-            arm, arm_basis, tuple(pol for pol, _ in ports)))
-        first, second = (patterns >> (n_trig + i) & 1 for _, i in ports)
-        valid = valid & (first != second)
-        outcome = 2 * outcome + second
-    return tuple(rotations), is_trigger, np.where(valid, outcome, -1)
+    out = []
+    for b, (weight, pure) in enumerate(as_mixed(state).branches):
+        # state mode -> (read-out column, place value of its key digit)
+        at = [(column[m], p) for m, p in zip(
+            pure.modes, places(pure.base, len(pure.modes))) if m in column]
+        scale, base = math.sqrt(weight), pure.base
+        for key, amp in zip(pure.keys, pure.amps):
+            row = [0] * len(modes)
+            for i, p in at:
+                row[i] = key // p % base
+            out.append((b, tuple(row), amp * scale))
+    return out
 
 
 @dataclass(frozen=True)
@@ -190,42 +114,71 @@ def _output_arm_modes(state: PureState | MixedState,
 @dataclass(frozen=True)
 class CurveStack:
     """Heralds as curves in a circuit's splitter ratios (`curve_stack`): per
-    distinct monomial row (A_1, B_1, A_2, B_2, ...) and curve i, the herald
-    weight and conditional-state trace in columns 2 i and 2 i + 1 of
-    `table`, the unnormalized conditional state in `rhos[:, i]`, and each
-    row's exponent sums over the splitters (sum_s A_s, sum_s B_s)."""
+    distinct monomial (A_1, B_1, A_2, B_2, ...) of `monomials` and curve i,
+    the herald weight and conditional-state trace in columns 2 i and 2 i + 1
+    of `columns`; per curve, the same summed per distinct exponent sum
+    (sum_s A_s, sum_s B_s) of `sums`, over the run [lo, hi) of `sums` that
+    holds its nonzero weights, in `spans`; and per qubit term its monomial
+    index, curve, coherent group, qubit index and amplitude, for `states`."""
 
-    monomials: np.ndarray  # (K, 2 S) int
-    table: np.ndarray      # (K, 2 C)
-    rhos: np.ndarray       # (K, C, 4, 4) complex
-    sums: np.ndarray       # (2, K) float, integer-valued
+    monomials: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[float, ...], ...]
+    sums: tuple[tuple[int, int], ...]
+    spans: tuple[tuple[int, int, tuple[float, ...], tuple[float, ...]], ...]
+    qubits: tuple[tuple[int, int, tuple, int, complex], ...]
 
-    def _factors(self, *R: float) -> np.ndarray:
-        """Each monomial row's factor prod_s (2 R_s)^A_s (2 T_s)^B_s with
-        splitter s at ratio R[s]; one ratio R puts every splitter at R,
-        (2 R)^sum A (2 T)^sum B."""
+    def _factors(self, *R: float) -> list[float]:
+        """Each monomial's factor prod_s (2 R_s)^A_s (2 T_s)^B_s with
+        splitter s at ratio R[s]; one ratio R puts every splitter at R."""
         if len(R) == 1:
-            reflect, transmit = 2.0 * R[0], 2.0 * (1.0 - R[0])
-            return reflect ** self.sums[0] * transmit ** self.sums[1]
-        base = np.array([b for r in R for b in (2.0 * r, 2.0 * (1.0 - r))])
-        return (base ** self.monomials).prod(axis=1)
+            R *= max(map(len, self.monomials), default=0) // 2
+        base = [b for r in R for b in (2.0 * r, 2.0 * (1.0 - r))]
+        return [math.prod(b ** e for b, e in zip(base, row, strict=True))
+                for row in self.monomials]
 
     def at(self, *R: float) -> list[tuple[float, float]]:
         """Each curve's (herald probability, preparation efficiency), 0
-        where it does not herald, at the ratios of `_factors`: one product
-        over `table`."""
-        values = (self._factors(*R) @ self.table).tolist()
-        return [(h, t / h if h > 0.0 else 0.0)
-                for h, t in zip(values[0::2], values[1::2])]
+        where it does not herald, at the ratios of `_factors`; one ratio R
+        weighs the rows of `sums` by (2 R)^sum A (2 T)^sum B."""
+        if len(R) == 1:
+            reflect, transmit = 2.0 * R[0], 2.0 * (1.0 - R[0])
+            factors = [reflect ** a * transmit ** b for a, b in self.sums]
+            spans = self.spans
+        else:
+            factors = self._factors(*R)
+            spans = [(0, len(factors), *pair)
+                     for pair in zip(self.columns[::2], self.columns[1::2])]
+        mul, out = operator.mul, []
+        for lo, hi, herald, trace in spans:
+            f = factors[lo:hi]
+            h = sum(map(mul, f, herald))
+            out.append((h, sum(map(mul, f, trace)) / h if h > 0.0 else 0.0))
+        return out
+
+    def states(self) -> np.ndarray:
+        """The unnormalized conditional state sum_g p_g v_g v_g^dag per
+        monomial and curve, a (K, C, 4, 4) array built on each call."""
+        import numpy as np
+        vectors: dict[tuple, np.ndarray] = {}
+        for k, curve, group, index, amp in self.qubits:
+            vectors.setdefault((k, curve, group), np.zeros(4, complex))[
+                index] = amp
+        rhos = np.zeros((len(self.monomials), len(self.columns) // 2, 4, 4),
+                        dtype=complex)
+        for (k, curve, _), v in vectors.items():
+            rhos[k, curve] += np.outer(v, v.conj())
+        return rhos
 
     def heralds(self, *R: float) -> list[HeraldResult]:
-        """Each curve's herald at the ratios of `at`, with its state."""
+        """Each curve's herald at the ratios of `_factors`, with its state."""
+        import numpy as np
         factors = self._factors(*R)
+        rhos = np.tensordot(np.array(factors, float), self.states(), axes=1)
         return [HeraldResult(h, rho / h, float(np.trace(rho).real) / h, True)
                 if h > 0.0 else HeraldResult(0.0, np.zeros_like(rho), 0.0,
                                              False)
-                for h, rho in zip((factors @ self.table[:, 0::2]).tolist(),
-                                  np.tensordot(factors, self.rhos, axes=1))]
+                for h, rho in zip((sum(map(operator.mul, factors, column))
+                                   for column in self.columns[::2]), rhos)]
 
 
 def curve_stack(curves: Sequence[tuple[PureState | MixedState,
@@ -246,8 +199,14 @@ def curve_stack(curves: Sequence[tuple[PureState | MixedState,
     sum_g p_g v_g v_g^dag over the herald probability is the conditional
     state, whose trace is the preparation efficiency."""
     width = len(next(iter(exponents.values()), ()))
-    parts = []
-    for state, triggers in curves:
+    top = max(pure.base for state, _ in curves
+              for _, pure in as_mixed(state).branches)
+    # a monomial packed as digits in a radix above each of its exponents,
+    # so a term's packed monomial is its photons' packed exponents summed
+    radix = (top - 1) * max(itertools.chain(*exponents.values(), [0])) + 1
+    cells: dict[int, list[float]] = {}
+    qubits = []
+    for curve, (state, triggers) in enumerate(curves):
         if len(triggers) != 4:
             raise ConfigError("heralding requires exactly four trigger "
                               "detectors")
@@ -256,36 +215,48 @@ def curve_stack(curves: Sequence[tuple[PureState | MixedState,
         # every other mode of the state too, for the photons' exponents
         modes = read + sorted({m for _, pure in as_mixed(state).branches
                                for m in pure.modes} - set(read))
-        branch, counts, amps = occupations(state, modes)
-        per_mode = np.array([exponents.get(m, (0,) * width) for m in modes],
-                            np.int64).reshape(len(modes), width)
-        p_click = np.prod([_event_probabilities(det, counts[:, i])
-                           for i, det in enumerate(triggers)], axis=0)
-        x0, y0, x1, y1 = counts[:, 4:8].T
-        qubit = (x0 + y0 == 1) & (x1 + y1 == 1) & ~counts[:, 8:].any(axis=1)
-        parts.append((counts @ per_mode,
-                      np.column_stack([branch, counts[:, :4]]), amps, p_click,
-                      np.where(qubit, 2 * y0 + y1, -1)))
-    curve = np.repeat(np.arange(len(parts)), [len(p[2]) for p in parts])
-    rows, keys, amps, p_click, index = map(np.concatenate, zip(*parts))
-    monomials, term_k = _unique_rows(rows)
-    # one cell per (monomial, curve), curve fastest
-    cells, cell = len(monomials) * len(parts), term_k * len(parts) + curve
-    weight, qubit = p_click * np.abs(amps) ** 2, index >= 0
-    table = np.column_stack([
-        np.bincount(cell, weights=weight, minlength=cells),
-        np.bincount(cell[qubit], weights=weight[qubit], minlength=cells)])
-    # one group per (cell, branch, trigger counts): v_g scaled by sqrt(p_g)
-    groups, group = _unique_rows(np.column_stack([cell, keys])[qubit])
-    vectors = np.zeros((len(groups), 4), dtype=complex)
-    vectors[group, index[qubit]] = (amps * np.sqrt(p_click))[qubit]
-    rhos = np.zeros((cells, 4, 4), dtype=complex)
-    np.add.at(rhos, groups[:, 0],
-              vectors[:, :, None] * vectors[:, None, :].conj())
-    return CurveStack(monomials, table.reshape(len(monomials), -1),
-                      rhos.reshape(len(monomials), len(parts), 4, 4),
-                      monomials.reshape(len(monomials), width // 2, 2)
-                      .sum(axis=1).T.astype(float))
+        packed = [sum(e * radix ** s
+                      for s, e in enumerate(exponents.get(m, ())))
+                  for m in modes]
+        events = [[click_probability(det, n) for n in range(top)]
+                  for det in triggers]
+        for branch, counts, amp in occupations(state, modes):
+            p_click = math.prod(map(list.__getitem__, events, counts))
+            if p_click == 0.0:  # adds nothing to any curve
+                continue
+            weight = p_click * abs(amp) ** 2
+            monomial = sum(map(operator.mul, counts, packed))
+            cell = cells.setdefault(monomial, [0.0] * (2 * len(curves)))
+            cell[2 * curve] += weight
+            x0, y0, x1, y1 = counts[4:8]
+            if x0 + y0 == 1 == x1 + y1 and not any(counts[8:]):
+                cell[2 * curve + 1] += weight
+                qubits.append((monomial, curve, (branch, *counts[:4]),
+                               2 * y0 + y1, amp * math.sqrt(p_click)))
+    order = sorted(cells)
+    monomials = [tuple(m // radix ** s % radix for s in range(width))
+                 for m in order]
+    sums: dict[tuple[int, int], list[float]] = {}
+    for row, m in zip(monomials, order):
+        key = sum(row[::2]), sum(row[1::2])
+        sums[key] = list(map(operator.add, cells[m],
+                             sums.get(key, [0.0] * len(cells[m]))))
+    # by total A + B: a curve whose photons all meet the same number of
+    # splitters fills one run
+    groups = sorted(sums, key=lambda ab: (sum(ab), ab))
+    spans = []
+    for curve in range(len(curves)):
+        herald, trace = ([sums[g][2 * curve + i] for g in groups]
+                         for i in (0, 1))
+        used = [g for g, w in enumerate(herald) if w] or [0, -1]
+        lo, hi = used[0], used[-1] + 1
+        spans.append((lo, hi, tuple(herald[lo:hi]), tuple(trace[lo:hi])))
+    index = {m: k for k, m in enumerate(order)}
+    columns = (tuple(cells[m][i] for m in order)
+               for i in range(2 * len(curves)))
+    return CurveStack(tuple(monomials), tuple(columns), tuple(groups),
+                      tuple(spans),
+                      tuple((index[m], *rest) for m, *rest in qubits))
 
 
 def herald(state: PureState | MixedState,
@@ -307,15 +278,13 @@ def decompose_s1(state: PureState, trigger_modes: tuple[Mode, ...],
     gamma^2: everything else (no complete trigger).
     """
     arm_modes = sorted(m for m in state.occupied_modes() if m[0] in output_arms)
-    _, counts, amps = occupations(state, list(trigger_modes) + arm_modes)
-    p = np.abs(amps) ** 2
-    trig = counts[:, :len(trigger_modes)]
-    fired = (trig >= 1).all(axis=1)
-    alpha = (trig == 1).all(axis=1) & (
-        counts[:, len(trigger_modes):].sum(axis=1) == 2)
-    return HeraldDecomposition(float(p[alpha].sum()),
-                               float(p[fired & ~alpha].sum()),
-                               float(p[~fired].sum()))
+    n = len(trigger_modes)
+    weights = [0.0, 0.0, 0.0]  # alpha^2, beta^2, gamma^2
+    for _, counts, amp in occupations(state, list(trigger_modes) + arm_modes):
+        fired = all(counts[:n])
+        alpha = fired and set(counts[:n]) <= {1} and sum(counts[n:]) == 2
+        weights[0 if alpha else 1 if fired else 2] += abs(amp) ** 2
+    return HeraldDecomposition(*weights)
 
 
 def sixfold_probability(state: PureState | MixedState,
@@ -329,17 +298,19 @@ def sixfold_probability(state: PureState | MixedState,
     Output arms of `state`, the post-circuit state, are rotated into the
     measurement basis before detection.  Triggers fire as in `herald`.
     `outcome` selects which detector clicks in each arm as in
-    `sixfold_rule`, and the other output detectors stay silent,
+    `mc.sixfold_rule`, and the other output detectors stay silent,
     matching coincidence-logic counting.  An output port's event is any
-    reading of one or more photons, a threshold detector's click.
+    reading of one or more photons, a threshold detector's click.  The
+    pattern table is `mc`'s, so this loads numpy.
     """
+    from .mc import click_pattern_probabilities, sixfold_rule
     rotations, _, outcomes = sixfold_rule(trigger_detectors, output_detectors,
                                           output_arms, basis)
     rotated = MixedState(tuple(
         (w, substitute_modes(pure, compose(rotations, pure.occupied_modes())))
         for w, pure in as_mixed(state).branches))
     # the least pattern of the outcome: no output detector off the arms clicks
-    pattern = np.flatnonzero(outcomes == 2 * outcome[0] + outcome[1])[0]
+    pattern = outcomes.tolist().index(2 * outcome[0] + outcome[1])
     any_reading = [dataclasses.replace(d, kind=THRESHOLD)
                    for d in output_detectors]
     return float(click_pattern_probabilities(
@@ -347,6 +318,6 @@ def sixfold_probability(state: PureState | MixedState,
 
 
 def fidelity_to_phi_plus(dm: np.ndarray) -> float:
-    """Tr(rho |Phi+><Phi+|) on the (c,d) polarization qubit sector."""
-    phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    return float(np.real(phi @ dm @ phi))
+    """Tr(rho |Phi+><Phi+|) on the (c,d) polarization qubit sector: half
+    the sum of the corners of rho."""
+    return float((dm[0][0] + dm[0][3] + dm[3][0] + dm[3][3]).real) / 2.0

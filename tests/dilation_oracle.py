@@ -142,7 +142,8 @@ def trigger_fires(det: DetectorSpec, reading) -> bool:
 def _columns(pure: PureState, modes: list[Mode]) -> np.ndarray:
     """Photon counts of each term of `pure` on `modes`, one column per mode
     (zeros for a mode the state does not carry)."""
-    counts, out = pure.counts(), np.zeros((len(pure), len(modes)), np.int64)
+    counts = np.array(pure.counts(), np.int64).reshape(len(pure), -1)
+    out = np.zeros((len(pure), len(modes)), np.int64)
     for j, m in enumerate(modes):
         if m in pure.modes:
             out[:, j] = counts[:, pure.modes.index(m)]
@@ -224,12 +225,13 @@ def herald(state: PureState | MixedState, trigger_detectors: list[DetectorSpec],
             inverse, np.abs(pure.amps) ** 2, len(groups)))
         # the qubit part: one x- or y-polarized photon per output arm and
         # nothing on any other mode but the environment and the triggers
-        others = (pure.counts().sum(axis=1) - env.sum(axis=1)
-                  - trig.sum(axis=1) - arms.sum(axis=1))
+        others = (_columns(pure, list(pure.modes)).sum(axis=1)
+                  - env.sum(axis=1) - trig.sum(axis=1) - arms.sum(axis=1))
         x0, y0, x1, y1 = arms.T
         qubit = (x0 + y0 == 1) & (x1 + y1 == 1) & (others == 0)
         vectors = np.zeros((len(groups), 4), dtype=complex)
-        vectors[inverse[qubit], (2 * y0 + y1)[qubit]] = pure.amps[qubit]
+        vectors[inverse[qubit], (2 * y0 + y1)[qubit]] = np.asarray(
+            pure.amps)[qubit]
         group_w = weight * p_fire
         good_p += float(group_w @ (np.abs(vectors) ** 2).sum(axis=1))
         rho += np.einsum("g,gi,gj->ij", group_w, vectors, vectors.conj())

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-import numpy as np
-
 from heraldsim.elements import ModeTransform
 from heraldsim.fock import (DROP_TOL, ConfigError, FockKey, Mode, PureState,
                             TruncationError, make_vacuum, mode_str, places)
@@ -45,10 +43,10 @@ def from_terms(terms: dict[FockKey, complex]) -> PureState:
     terms = {k: a for k, a in terms.items() if abs(a) > DROP_TOL}
     modes = tuple(sorted({m for key in terms for m, _ in key}))
     base = max(map(photons, terms), default=0) + 1
-    place = dict(zip(modes, places(base, len(modes)).tolist()))
-    return PureState(modes, base, np.array(
-        [sum(n * place[m] for m, n in key) for key in terms], np.int64),
-        np.array(list(terms.values()), complex))
+    place = dict(zip(modes, places(base, len(modes))))
+    return PureState(modes, base,
+                     tuple(sum(n * place[m] for m, n in key) for key in terms),
+                     tuple(map(complex, terms.values())))
 
 
 def add(u: PureState, v: PureState, factor: complex = 1.0) -> PureState:

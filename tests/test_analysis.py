@@ -179,9 +179,9 @@ def test_ideal_heralded_weight_is_one_monomial(make_trigger):
     # probability x efficiency is T^4 R^2 / 2 (criterion 6), the monomial
     # (2R)^1 (2T)^2 per splitter times 1/128
     curve = heralding_curve(make_trigger)
-    traces = np.trace(curve.rhos[:, 0], axis1=1, axis2=2).real
+    traces = np.trace(curve.states()[:, 0], axis1=1, axis2=2).real
     [only] = np.flatnonzero(np.abs(traces) > 1e-15)
-    assert curve.monomials[only].tolist() == [1, 2, 1, 2]
+    assert list(curve.monomials[only]) == [1, 2, 1, 2]
     assert traces[only] == pytest.approx(1.0 / 128.0, rel=1e-14)
 
     def heralded(R):

@@ -997,12 +997,18 @@ def test_reading_and_checking_a_config_loads_no_numpy(tmp_path):
     assert all(watched == [] for _, _, watched in steps), steps
 
 
-def test_exact_commands_load_no_sampler():
-    path = str(fixture_path("paper_5050.exp"))
-    steps = startup_steps(["herald", path], ["sweep", path, "--steps", "2"])
-    assert [code for _, code, _ in steps] == [0, 0, 0, 0], steps
-    # the engine ran on numpy, without mc and numpy.random
-    assert [watched for _, _, watched in steps[2:]] == [["numpy"]] * 2
+def test_exact_commands_load_no_sampler(tmp_path):
+    paths = sorted(map(str, (Path(heraldsim.__file__).parent / "fixtures")
+                       .glob("*.exp")))
+    exact = [argv for path in paths
+             for argv in (["herald", path], ["sweep", path, "--steps", "2"])]
+    steps = startup_steps(*exact, ["montecarlo", paths[0], "--pulses", "1000",
+                                   "--out", str(tmp_path / "run")])
+    assert [code for _, code, _ in steps] == [0] * (len(exact) + 3), steps
+    # the exact engine runs on the standard library alone, on every fixture
+    assert [watched for _, _, watched in steps[2:-1]] == [[]] * len(exact)
+    # only the sampler loads numpy
+    assert steps[-1][2] == ["numpy", "numpy.random", "heraldsim.mc"]
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])

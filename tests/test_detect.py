@@ -17,7 +17,6 @@ from heraldsim.detect import (
     DetectorSpec,
     HeraldDecomposition,
     HeraldResult,
-    click_pattern_probabilities,
     click_probability,
     decompose_s1,
     fidelity_to_phi_plus,
@@ -26,6 +25,7 @@ from heraldsim.detect import (
     threshold_detector,
 )
 from heraldsim.analysis import eff_theory
+from heraldsim.mc import click_pattern_probabilities
 
 import dilation_oracle as oracle
 from conftest import (OUTPUT_ARMS, RELABELLED_5050, ROTATED_ARM_5050,

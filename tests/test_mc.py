@@ -1,6 +1,7 @@
 """Monte Carlo sampling: determinism, statistical and exact oracles."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -19,11 +20,12 @@ from heraldsim.dsl import parse, table_terms
 from heraldsim.elements import (MEASUREMENT_BASES, apply_circuit, compose,
                                 measurement_rotation)
 from heraldsim.source import SOURCE_MODES, dephased_source, n_pair_state
-from heraldsim.detect import (click_pattern_probabilities, click_probability,
-                              fidelity_to_phi_plus, herald,
-                              occupation_probabilities, sixfold_probability)
+from heraldsim.detect import (click_probability, fidelity_to_phi_plus, herald,
+                              sixfold_probability)
 from heraldsim.mc import (
+    click_pattern_probabilities,
     estimate_fidelity,
+    occupation_probabilities,
     precompute_outcome_tables,
     run_experiment,
 )
@@ -665,3 +667,49 @@ def test_table_terms_bound_the_built_terms(name):
     bound = table_terms(cfg)
     for tab in precompute_outcome_tables(cfg):
         assert tab.fock_terms <= bound, tab.basis
+
+
+# sha256 of each basis's `pattern_probs.tobytes()`, as the click tables
+# computed them before the exact path's Fock core left numpy
+PATTERN_PROBS_SHA256 = {
+    "paper_5050.exp@4": (
+        "bbb6679248866076ab8adb437c8cf9f0ced651b0b7b7616264a07ad1ad2cb5d7",
+        "965c99a4328a3be2feff43d3f7f2556576293e18e684661705fad5ce0d73ef3f",
+        "ff5633fd99d8373305097d6cdbcacd3b2987bc7d4f1789483af28449ee1dad17"),
+    "paper_5050.exp@6": (
+        "2315f4874e0994e2fdb39cbd4725a9d77268f4b608163f048ece1d84270d53f4",
+        "a47b0a92e34988fcb2b9b70931a46baf9ff8c41d8d698a7c0fd7e79235a28841",
+        "b839fceb5723a5cf9017dd0b467964a215b93764fcc2684363554a91cf100995"),
+    "paper_7030.exp@4": (
+        "2945b59ad3145b7b54ff6860bf290a2dbb1d38c1c9b517e49975e0079b642a22",
+        "4d070646bc67f1124e2b93c15c1bcd9dfcdcec224af420a8f7568151b14ec402",
+        "608114d6c455e5f7319dc2a5b858ffcc8d7b6731ce95bbdfdc83d70d9a0f68df"),
+    "paper_7030.exp@6": (
+        "ca013898ee87530ad67726c1bc7f8e8f619441aeef973bb3cdbb72a8f26f0036",
+        "f6d85f47ce0356cc917572c67ac207414c41025691b30bffd9eb50094b2e56e4",
+        "74ea4dbeb3569a8755d361c8ecbdee5294ee4d8c81090374d2cde0a1bb830f52"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_PROBS_SHA256))
+def test_array_branches_match_the_fock_core(name):
+    # the click tables build every branch on `mc.ArrayPolynomial`; the same
+    # chain on `fock.Polynomial` must give the same terms
+    cfg = oracle_config(name)
+    tables = precompute_outcome_tables(cfg)
+    assert [hashlib.sha256(tab.pattern_probs.tobytes()).hexdigest()
+            for tab in tables] == list(PATTERN_PROBS_SHA256[name])
+    for tab in tables:
+        rotations, _, _ = mc.sixfold_rule(
+            cfg.trigger_detectors(), cfg.output_detectors(),
+            cfg.output_arms(), tab.basis)
+        to_detectors = compose((cfg.circuit(), *rotations), SOURCE_MODES)
+        arrays, plain = (dephased_source(cfg.source, cfg.noise, to_detectors,
+                                         *polynomial).branches
+                         for polynomial in ((mc.ArrayPolynomial,), ()))
+        assert len(arrays) == len(plain) == len(tab.branch_weights) - 1
+        for (w_array, array), (w, state) in zip(arrays, plain):
+            assert (w_array, array.modes, array.base) == (w, state.modes,
+                                                          state.base)
+            assert array.keys.tolist() == list(state.keys)
+            assert max(map(abs, array.amps - state.amps)) <= 1e-15

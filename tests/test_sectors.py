@@ -162,8 +162,7 @@ def test_repeated_call_is_bit_identical(with_map):
     second = pair_power_states(powers, transform)
     for a, b in zip(first, second):
         assert a.modes == b.modes and a.base == b.base
-        assert np.array_equal(a.keys, b.keys)
-        assert np.array_equal(a.amps, b.amps)
+        assert a.keys == b.keys and a.amps == b.amps
 
 
 # paper_5050 with number-resolving triggers
@@ -279,8 +278,8 @@ def test_stack_evaluations_agree(name):
     # `heralds` sums, so `at` is `heralds` without the states
     stack = exact_curves(parse(SWEPT_TEXTS[name]))
     np.testing.assert_allclose(
-        stack.table[:, 1::2], np.trace(stack.rhos, axis1=2, axis2=3).real,
-        rtol=1e-12, atol=0.0)
+        np.transpose(stack.columns[1::2]),
+        np.trace(stack.states(), axis1=2, axis2=3).real, rtol=1e-12, atol=0.0)
     for R in ((0.0,), (0.3,), (0.486,), (1.0,), (0.486, 0.8)):
         for (h, eff), want in zip(stack.at(*R), stack.heralds(*R),
                                   strict=True):

@@ -8,13 +8,13 @@ and dark-count probability d map the n photons reaching a detector to the
 probability that it registers its event.  Threshold under-counting (the
 beta-class escape patterns) follows from weighting each exact post-circuit
 occupation pattern with it.  The exact read-outs of a post-circuit state
-(herald, trigger classes) go through `occupations`, on Python numbers; the
-click patterns and six-folds through its array twin in `mc`.  A herald is
-one type, `CurveStack`: curves in the splitter ratios built by
-`curve_stack` in one pass, evaluated by `at` or, with the conditional
-states, `heralds`.  Only the functions that return arrays (`states`,
-`heralds`, `herald`, `sixfold_probability`) load numpy, inside their
-bodies, so `herald` and `sweep` run without it.
+(herald, trigger classes) remap the columns of its photon-count rows in
+`occupations`, on Python numbers; the click patterns and six-folds in its
+array twin in `mc`.  A herald is one type, `CurveStack`: curves in the
+splitter ratios built by `curve_stack` in one pass, evaluated by `at` or,
+with the conditional states, `heralds`.  Only the functions that return
+arrays (`states`, `heralds`, `herald`, `sixfold_probability`) load numpy,
+inside their bodies, so `herald` and `sweep` run without it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .config import (NUMBER_RESOLVING, THRESHOLD, DetectorSpec,
                      threshold_detector)
 from .elements import POL_H, POL_V, ConfigError, Mode, compose
-from .fock import MixedState, PureState, as_mixed, places, substitute_modes
+from .fock import MixedState, PureState, as_mixed, substitute_modes
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,18 +58,12 @@ def occupations(state: PureState | MixedState, modes: list[Mode]
     first column, a mode not listed in none), and its amplitude times the
     square root of its branch weight.  `mc.occupation_probabilities` is
     its array twin."""
-    column = {m: i for i, m in reversed(list(enumerate(modes)))}
     out = []
     for b, (weight, pure) in enumerate(as_mixed(state).branches):
-        # state mode -> (read-out column, place value of its key digit)
-        at = [(column[m], p) for m, p in zip(
-            pure.modes, places(pure.base, len(pure.modes))) if m in column]
-        scale, base = math.sqrt(weight), pure.base
-        for key, amp in zip(pure.keys, pure.amps):
-            row = [0] * len(modes)
-            for i, p in at:
-                row[i] = key // p % base
-            out.append((b, tuple(row), amp * scale))
+        pick, scale = pure.columns(modes), math.sqrt(weight)
+        for row, amp in zip(pure.rows, pure.amps):
+            padded = (*row, 0)
+            out.append((b, tuple([padded[j] for j in pick]), amp * scale))
     return out
 
 
@@ -199,8 +193,8 @@ def curve_stack(curves: Sequence[tuple[PureState | MixedState,
     sum_g p_g v_g v_g^dag over the herald probability is the conditional
     state, whose trace is the preparation efficiency."""
     width = len(next(iter(exponents.values()), ()))
-    top = max(pure.base for state, _ in curves
-              for _, pure in as_mixed(state).branches)
+    top = max((sum(row) for state, _ in curves for _, pure in
+               as_mixed(state).branches for row in pure.rows), default=0) + 1
     # a monomial packed as digits in a radix above each of its exponents,
     # so a term's packed monomial is its photons' packed exponents summed
     radix = (top - 1) * max(itertools.chain(*exponents.values(), [0])) + 1

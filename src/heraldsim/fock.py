@@ -1,16 +1,16 @@
-"""Multi-mode bosonic Fock states as packed Python integers.
+"""Multi-mode bosonic Fock states and creation-operator polynomials.
 
 A mode is a (spatial, polarization) label pair.  A `PureState` is a sorted
-mode tuple, one packed key per term and the terms' complex amplitudes in the
-orthonormal Fock basis.  A key writes the term's photon counts as digits in
-base `base` over the mode tuple, the first mode least significant.  While
-the base exceeds every photon number involved, multiplying creation-operator
-monomials adds their keys, so a linear substitution of creation operators is
-polynomial multiplication on {key: coefficient} dicts.  Norms and
-probabilities are sums of |amplitude|^2.  States are not modified after
-construction.  Nothing here imports numpy: `mc` builds its branches with an
-array-backed twin of `Polynomial` and reads keys as int64, which `places`
-keeps below 2^63 for every state.
+mode tuple, one row of photon counts per term and the terms' complex
+amplitudes in the orthonormal Fock basis.  A `Polynomial` key is a Python
+int holding a monomial's exponents as digits in a base above every photon
+number involved, the first mode least significant: multiplying monomials
+adds their keys, so a linear substitution of creation operators is
+polynomial multiplication on {key: coefficient} dicts.  A key is decoded
+into its row once, on the vacuum.  Norms and probabilities are sums of
+|amplitude|^2.  States are not modified after construction.  Nothing here
+imports numpy: `mc` builds its branches with an array-backed twin of
+`Polynomial`, whose int64 keys it keeps below 2^63 itself.
 """
 
 from __future__ import annotations
@@ -39,16 +39,12 @@ def mode_str(m: Mode) -> str:
 
 def places(base: int, n_modes: int) -> list[int]:
     """Place value of each mode's digit in a packed key."""
-    if base ** n_modes >= 2 ** 63:
-        raise TruncationError(
-            f"{n_modes} modes holding up to {base - 1} photons overflow a "
-            "64-bit packed key")
     return [base ** i for i in range(n_modes)]
 
 
 class Polynomial(dict):
     """Creation-operator polynomial sum_k c_k prod_m (a_m^dag)^p_km as
-    {key: c_k}, the exponents p_km packed into the key as in `PureState`."""
+    {key: c_k}, the exponents p_km packed into the key by `places`."""
 
     @classmethod
     def merged(cls, pairs: Iterable[tuple[int, complex]]) -> "Polynomial":
@@ -82,63 +78,62 @@ class Polynomial(dict):
         return out
 
     def on_vacuum(self, modes: tuple[Mode, ...], base: int) -> "PureState":
-        """The state P|0> on `modes` (keys in `base`, ascending): a
-        monomial prod_m (a_m^dag)^p_m makes sqrt(prod_m p_m!) |p>.  Terms
-        at or below DROP_TOL are dropped."""
+        """The state P|0> on `modes` (keys in `base`, ascending): a monomial
+        prod_m (a_m^dag)^p_m makes sqrt(prod_m p_m!) |p>, its key decoded
+        into the row p.  Terms at or below DROP_TOL are dropped."""
         place = places(base, len(modes))
         root = [math.sqrt(math.factorial(p)) for p in range(base)]
-        keys, amps = [], []
+        rows, amps = [], []
         for key in sorted(self):
-            amp = self[key] * math.prod([root[key // p % base] for p in place])
+            row = tuple([key // p % base for p in place])
+            amp = self[key] * math.prod(map(root.__getitem__, row))
             if abs(amp) > DROP_TOL:
-                keys.append(key)
+                rows.append(row)
                 amps.append(amp)
-        return PureState(modes, base, tuple(keys), tuple(amps))
+        return PureState(modes, tuple(rows), tuple(amps))
 
     def unit_state(self, modes: tuple[Mode, ...], base: int) -> "PureState":
         """`on_vacuum` divided by its norm."""
         state = self.on_vacuum(modes, base)
         norm = math.sqrt(state.norm_sq())
-        return PureState(modes, base, state.keys,
-                         tuple(amp / norm for amp in state.amps))
+        return PureState(modes, state.rows, tuple(a / norm for a in state.amps))
 
 
 class PureState:
-    """Superposition of Fock basis states: packed keys over the sorted
-    `modes` in a `base` above every term's photon number, and the terms'
-    complex amplitudes, as tuples (arrays in `mc`'s branches)."""
+    """Fock basis superposition: per term, a row of photon counts on the
+    sorted `modes` and a complex amplitude; tuples, or arrays in `mc`."""
 
-    __slots__ = ("modes", "base", "keys", "amps")
+    __slots__ = ("modes", "rows", "amps")
 
-    def __init__(self, modes: tuple[Mode, ...], base: int,
-                 keys: Sequence[int], amps: Sequence[complex]):
-        self.modes, self.base, self.keys, self.amps = modes, base, keys, amps
+    def __init__(self, modes: tuple[Mode, ...],
+                 rows: Sequence[Sequence[int]], amps: Sequence[complex]):
+        self.modes, self.rows, self.amps = modes, rows, amps
 
     @property
     def terms(self) -> Mapping[FockKey, complex]:
         """Read-only {FockKey: amplitude} view, built on each read."""
         return types.MappingProxyType({
             tuple((m, n) for m, n in zip(self.modes, row) if n): amp
-            for row, amp in zip(self.counts(), self.amps)})
+            for row, amp in zip(self.rows, self.amps)})
 
-    def counts(self) -> list[tuple[int, ...]]:
-        """Photon counts, one row per term and one column per mode."""
-        place, base = places(self.base, len(self.modes)), self.base
-        return [tuple(key // p % base for p in place) for key in self.keys]
+    def columns(self, modes: Sequence[Mode]) -> list[int]:
+        """Each of `modes`' index in a row with a 0 appended: in `self.modes`,
+        or the 0 for a mode the state lacks or `modes` lists earlier."""
+        index = {m: j for j, m in enumerate(self.modes)}
+        return [index.pop(m, len(self.modes)) for m in modes]
 
     def norm_sq(self) -> float:
         return sum(amp.real ** 2 + amp.imag ** 2 for amp in self.amps)
 
     def occupied_modes(self) -> set[Mode]:
-        return {m for m, n in zip(self.modes, map(any, zip(*self.counts())))
-                if n}
+        return {m for m, n in zip(self.modes, map(any, zip(*self.rows))) if n}
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.rows)
 
 
 def make_vacuum() -> PureState:
-    return PureState((), 1, (0,), (1.0 + 0.0j,))
+    return PureState((), ((),), (1.0 + 0.0j,))
 
 
 def substitute_modes(state: PureState, transform: ModeTransform) -> PureState:
@@ -150,8 +145,7 @@ def substitute_modes(state: PureState, transform: ModeTransform) -> PureState:
     sqrt(prod_m n_m!); equal keys are merged and the result is put back on
     the orthonormal Fock basis.
     """
-    counts = state.counts()
-    occupied = [i for i, n in enumerate(map(any, zip(*counts))) if n]
+    occupied = [i for i, n in enumerate(map(any, zip(*state.rows))) if n]
     for i in occupied:
         if state.modes[i] not in transform.columns:
             raise ConfigError("transform has no column for occupied mode "
@@ -159,11 +153,11 @@ def substitute_modes(state: PureState, transform: ModeTransform) -> PureState:
     columns = {i: transform.columns[state.modes[i]] for i in occupied}
     out_modes = tuple(sorted({om for col in columns.values()
                               for _, om in col}))
-    base = max(map(sum, counts), default=0) + 1
+    base = max(map(sum, state.rows), default=0) + 1
     place = dict(zip(out_modes, places(base, len(out_modes))))
     linear = {i: Polynomial.linear(col, place) for i, col in columns.items()}
     terms = []
-    for row, amp in zip(counts, state.amps):
+    for row, amp in zip(state.rows, state.amps):
         term = Polynomial({0: amp / math.sqrt(math.prod(
             map(math.factorial, row)))})
         for i in occupied:

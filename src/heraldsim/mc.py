@@ -15,10 +15,11 @@ does not promise stable `multinomial` streams across versions (NEP 19); the
 run manifest records the numpy version.  Outcome letters come from
 `elements.MEASUREMENT_BASES`.
 
-The click tables read the branches with `occupation_probabilities`, the
-array twin of `detect.occupations`, which reads keys as int64
-(`fock.places` keeps them below 2^63).  This is the one module that
-imports numpy at load time; `herald` and `sweep` never load it.
+The branches' keys are int64, checked to stay below 2^63 before the first
+product (`_check_key_bound`), and their rows narrow; the tables read them
+with `occupation_probabilities`, the array twin of `detect.occupations`.
+This is the one module that imports numpy at load time; `herald` and
+`sweep` never load it.
 """
 
 from __future__ import annotations
@@ -33,17 +34,13 @@ from numpy.random import Generator, Philox
 
 from .analysis import (Estimate, correlation_from_counts, eff_exp,
                        fidelity_phi_plus)
-from .config import ExperimentConfig
+from .config import ExperimentConfig, source_cells
 from .detect import THRESHOLD, DetectorSpec, click_probability
 from .elements import (MEASUREMENT_BASES, SOURCE_MODES, ConfigError, Mode,
                        ModeTransform, compose, measurement_rotation)
 from .fock import (DROP_TOL, MixedState, PureState, TruncationError,
-                   as_mixed, make_vacuum, places)
+                   as_mixed, places)
 from .source import dephased_source
-
-
-def _places(base: int, n_modes: int) -> np.ndarray:
-    return np.array(places(base, n_modes), np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,20 +82,35 @@ class ArrayPolynomial:
             (self.coefs[:, None] * other.coefs).ravel())
 
     def unit_state(self, modes: tuple[Mode, ...], base: int) -> PureState:
-        """`fock.Polynomial.unit_state`, the keys and amplitudes arrays."""
-        digits = self.keys[:, None] // _places(base, len(modes)) % base
+        """`fock.Polynomial.unit_state`, the rows and amplitudes arrays, the
+        rows in the narrowest unsigned dtype that holds base - 1."""
+        place = np.array(places(base, len(modes)), np.int64)
+        rows = (self.keys[:, None] // place % base).astype(
+            np.min_scalar_type(base - 1))
         amps = self.coefs * np.prod(
-            np.sqrt([math.factorial(p) for p in range(base)])[digits], axis=1)
+            np.sqrt([math.factorial(p) for p in range(base)])[rows], axis=1)
         keep = np.abs(amps) > DROP_TOL
         amps = amps[keep]
-        return PureState(modes, base, self.keys[keep],
+        return PureState(modes, rows[keep],
                          amps / math.sqrt(float(np.vdot(amps, amps).real)))
+
+
+def _check_key_bound(config: ExperimentConfig,
+                     transform: ModeTransform) -> None:
+    """Raise `TruncationError` unless `dephased_source`'s int64 keys through
+    `transform` stay below 2^63: 2 n photons of the last (top) source sector
+    n, in base 2 n + 1 over the transform's output modes."""
+    photons = 2 * source_cells(config.source, config.noise)[-1][0]
+    n_modes = len({m for c in SOURCE_MODES for _, m in transform.columns[c]})
+    if (photons + 1) ** n_modes >= 2 ** 63:
+        raise TruncationError(f"{n_modes} modes holding up to {photons} "
+                              "photons overflow a 64-bit packed key")
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a non-negative int array in lexicographic order,
     and each row's index among them, by one sort of packed keys."""
-    sizes = rows.max(axis=0, initial=0) + 1
+    sizes = rows.max(axis=0, initial=0).astype(np.int64) + 1  # no uint8 wrap
     if math.prod(sizes.tolist()) >= 2 ** 63:
         raise TruncationError(f"rows below {sizes.tolist()} overflow a "
                               "64-bit packed key")
@@ -111,17 +123,13 @@ def occupation_probabilities(state: PureState | MixedState, modes: list[Mode]
                              ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct photon counts on `modes` in `state`, one int row each
     (columns as `modes`, rows in lexicographic order), and their
-    probabilities: the array twin of `detect.occupations`, which reads
-    the keys of either container as int64, summed per row."""
-    column = {m: i for i, m in reversed(list(enumerate(modes)))}
+    probabilities: the array twin of `detect.occupations`, summed per row
+    (an array branch's rows keep their dtype, tuple rows read as int64)."""
     rows, amps = [], []
     for weight, pure in as_mixed(state).branches:
-        # state mode -> read-out column, applied to the key digits
-        at = np.array([column.get(m, -1) for m in pure.modes], np.int64)
-        to_column = (at[:, None] == np.arange(len(modes))).astype(np.int64)
-        counts = (np.asarray(pure.keys, np.int64)[:, None]
-                  // _places(pure.base, len(pure.modes)) % pure.base)
-        rows.append(counts @ to_column)
+        counts = np.asarray(pure.rows, getattr(pure.rows, "dtype", np.int64)
+                            ).reshape(len(pure), len(pure.modes))
+        rows.append(np.pad(counts, ((0, 0), (0, 1)))[:, pure.columns(modes)])
         amps.append(np.asarray(pure.amps, complex) * math.sqrt(weight))
     rows, inverse = _unique_rows(np.concatenate(rows))
     return rows, np.bincount(inverse, np.abs(np.concatenate(amps)) ** 2,
@@ -237,14 +245,16 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
         # source modes -> this basis's detector modes, composed once; every
         # branch is built in detector modes through it
         to_detectors = compose((circuit, *rotations), SOURCE_MODES)
+        _check_key_bound(config, to_detectors)
         branches = list(dephased_source(config.source, config.noise,
                                         to_detectors, ArrayPolynomial)
                         .branches)
         fock_terms = sum(len(out) for _, out in branches)
         remainder = max(1.0 - sum(w for w, _ in branches), 0.0)
         if remainder > 0.0:
-            # truncated tail: treated as dark-count-only pulses
-            branches.append((remainder, make_vacuum()))
+            # truncated tail: dark-count-only pulses, on narrow rows too
+            branches.append((remainder,
+                             ArrayPolynomial.one().unit_state((), 1)))
         tables.append(BasisTables(
             basis=basis, branch_weights=np.array([w for w, _ in branches]),
             pattern_probs=click_pattern_probabilities(

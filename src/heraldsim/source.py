@@ -6,7 +6,8 @@ makes every branch, normalized, by multiplying the two pair polynomials,
 in the source modes or taken once through a circuit composed on them.  The
 one memoized P-^k P+^j chain takes its polynomial type: `fock.Polynomial`
 by default, or `mc.ArrayPolynomial`, its array-backed twin, for the click
-tables.
+tables.  Either decodes each packed key into a photon-count row once, in
+`unit_state`.
 """
 
 from __future__ import annotations

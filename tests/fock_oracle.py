@@ -17,7 +17,7 @@ from typing import Iterator
 
 from heraldsim.elements import ModeTransform
 from heraldsim.fock import (DROP_TOL, ConfigError, FockKey, Mode, PureState,
-                            TruncationError, make_vacuum, mode_str, places)
+                            TruncationError, make_vacuum, mode_str)
 from heraldsim.source import pair_probability
 
 MAX_PHOTONS = 8
@@ -42,10 +42,9 @@ def from_terms(terms: dict[FockKey, complex]) -> PureState:
     below DROP_TOL."""
     terms = {k: a for k, a in terms.items() if abs(a) > DROP_TOL}
     modes = tuple(sorted({m for key in terms for m, _ in key}))
-    base = max(map(photons, terms), default=0) + 1
-    place = dict(zip(modes, places(base, len(modes))))
-    return PureState(modes, base,
-                     tuple(sum(n * place[m] for m, n in key) for key in terms),
+    counts = [dict(key) for key in terms]
+    return PureState(modes,
+                     tuple(tuple(c.get(m, 0) for m in modes) for c in counts),
                      tuple(map(complex, terms.values())))
 
 

@@ -476,6 +476,42 @@ def test_montecarlo_ends_on_a_huge_nmax(p1, code, tmp_path):
         assert not out.exists()
 
 
+# paper_5050 with trigger arm e behind a 99% splitter whose dumped port x0
+# feeds a chain of six 50:50 splitters: 22 post-circuit modes holding up to
+# 8 photons, past a 64-bit packed key; NARROW_5050 is it without the chain
+NARROW_5050 = (fixture_text("paper_5050.exp")
+               .replace("bs in=b ", "bs in=e refl=e2 trans=x0 R=0.99\nbs in=b ")
+               .replace("pbs on=e\n", "pbs on=e2\n")
+               .replace("mode=e:", "mode=e2:"))
+WIDE_5050 = NARROW_5050.replace("pbs on=e2\n", "pbs on=e2\n" + "".join(
+    f"bs in=x{i} refl=y{i} trans=x{i + 1} R=0.5\n" for i in range(6)))
+
+
+def test_exact_commands_run_past_the_64_bit_key_bound(tmp_path):
+    # only the click tables pack keys as int64: herald and sweep read the
+    # wide layout as the narrow one, which the dumped chain does not touch
+    reports, sweeps = {}, {}
+    for name, text in (("narrow", NARROW_5050), ("wide", WIDE_5050)):
+        assert [d for d in validate(parse(text)) if d.startswith("error")] == []
+        path = tmp_path / f"{name}.exp"
+        path.write_text(text, encoding="utf-8")
+        herald, sweep = (run_cli(*command, str(path))
+                         for command in (("herald", "--json"), ("sweep",)))
+        assert herald.returncode == 0, herald.stderr
+        assert sweep.returncode == 0, sweep.stderr
+        reports[name] = json.loads(herald.stdout)
+        del reports[name]["config_digest"]
+        sweeps[name] = sweep.stdout
+    assert_matches_golden(reports["wide"], reports["narrow"], 1e-12, "wide")
+    assert sweeps["wide"] == sweeps["narrow"]
+    proc = run_cli("montecarlo", str(path), "--out", str(tmp_path / "run"))
+    assert proc.returncode == 2, proc.stderr
+    assert ("source nmax=4 is too large for the click tables: 22 modes "
+            "holding up to 8 photons overflow a 64-bit packed key"
+            in proc.stderr)
+    assert not (tmp_path / "run").exists()
+
+
 def test_montecarlo_refuses_output_detectors_of_mean_eta_0(tmp_path, capsys):
     path = tmp_path / "blind.exp"
     path.write_text(re.sub(r"(detector id=s\d) ", r"\1 eta=0 ", SMALL_MC),

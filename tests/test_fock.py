@@ -2,18 +2,21 @@
 array route against the term-by-term oracle."""
 
 import collections
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies
 
+from heraldsim import mc
+from heraldsim.dsl import parse
 from heraldsim.fock import TruncationError, make_vacuum, substitute_modes
 from heraldsim.elements import ModeTransform, beam_splitter, half_wave_plate
 from heraldsim.mc import occupation_probabilities
 from heraldsim.source import SOURCE_MODES
 
 import fock_oracle
-from conftest import detector_map
+from conftest import detector_map, fixture_text
 from dilation_oracle import branch_on_modes, loss_channel
 from fock_oracle import (add, apply_creation, canonical_key, from_terms,
                          max_photons, normalized)
@@ -178,7 +181,7 @@ def test_terms_view_round_trips_packed_keys():
         ((("a", "x"), 2), (("b", "y"), 1)): 0.6,
         ((("a", "y"), 3),): 0.8j, (): 1e-13})
     assert state.modes == (("a", "x"), ("a", "y"), ("b", "y"))
-    assert state.base == 4 and len(state) == 2
+    assert state.rows == ((2, 0, 1), (0, 3, 0)) and len(state) == 2
     assert dict(state.terms) == {
         ((("a", "x"), 2), (("b", "y"), 1)): 0.6,
         ((("a", "y"), 3),): 0.8j}
@@ -189,17 +192,27 @@ def test_terms_view_round_trips_packed_keys():
 
 
 def test_packed_key_overflow_is_a_truncation_error():
-    # keys are int64: base^modes must stay below 2^63.  One photon on each of
-    # 62 modes packs in base 2; a 63rd mode reaches 2^63
+    # the Fock core's keys are Python integers of any size: one photon on
+    # each of 63 modes packs in base 2 to 2^63, and a substitution spreading
+    # 3 photons over 32 output modes packs in base 4 to 4^32 = 2^64
     modes = [(f"m{i}", "x") for i in range(63)]
-    fits = from_terms({((m, 1),): 1.0 for m in modes[:62]})
-    assert fits.occupied_modes() == set(modes[:62])
-    with pytest.raises(TruncationError, match="63 modes holding up to 1 "):
-        from_terms({((m, 1),): 1.0 for m in modes})
-    # a substitution spreading 15 photons over 16 output modes needs base
-    # 16, and 16^16 = 2^64
-    state = from_terms({((("a", "x"), 15),): 1.0})
+    wide = from_terms({((m, 1),): 1.0 for m in modes})
+    assert wide.occupied_modes() == set(modes)
+    state = from_terms({((("a", "x"), 3),): 1.0})
     spread = ModeTransform({("a", "x"): tuple(
-        (0.25 + 0j, (f"o{i}", "x")) for i in range(16))})
-    with pytest.raises(TruncationError, match="16 modes holding up to 15 "):
-        substitute_modes(state, spread)
+        (1 / math.sqrt(32) + 0j, (f"o{i}", "x")) for i in range(32))})
+    got = substitute_modes(state, spread)
+    assert len(got) == math.comb(34, 3)
+    assert got.norm_sq() == pytest.approx(1.0, abs=1e-12)
+    got, want = got.terms, fock_oracle.substitute_modes(state, spread).terms
+    assert set(got) == set(want)
+    assert max(abs(got[k] - a) for k, a in want.items()) < 1e-12
+    # the click tables' keys are int64: paper_5050's 8 detector modes hold
+    # up to 2 nmax photons in base 2 nmax + 1, which reaches 2^63 at nmax 117
+    config = parse(fixture_text("paper_5050.exp"))
+    fits, overflows = (dataclasses.replace(config, source=dataclasses.replace(
+        config.source, n_max=n_max)) for n_max in (116, 117))
+    mc._check_key_bound(fits, fits.circuit())
+    with pytest.raises(TruncationError,
+                       match="8 modes holding up to 234 photons "):
+        mc.precompute_outcome_tables(overflows)

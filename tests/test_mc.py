@@ -21,7 +21,7 @@ from heraldsim.elements import (MEASUREMENT_BASES, apply_circuit, compose,
                                 measurement_rotation)
 from heraldsim.source import SOURCE_MODES, dephased_source, n_pair_state
 from heraldsim.detect import (click_probability, fidelity_to_phi_plus, herald,
-                              sixfold_probability)
+                              occupations, sixfold_probability)
 from heraldsim.mc import (
     click_pattern_probabilities,
     estimate_fidelity,
@@ -709,7 +709,38 @@ def test_array_branches_match_the_fock_core(name):
                          for polynomial in ((mc.ArrayPolynomial,), ()))
         assert len(arrays) == len(plain) == len(tab.branch_weights) - 1
         for (w_array, array), (w, state) in zip(arrays, plain):
-            assert (w_array, array.modes, array.base) == (w, state.modes,
-                                                          state.base)
-            assert array.keys.tolist() == list(state.keys)
+            assert (w_array, array.modes) == (w, state.modes)
+            assert array.rows.tolist() == list(map(list, state.rows))
             assert max(map(abs, array.amps - state.amps)) <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_PROBS_SHA256))
+def test_array_branch_rows_are_no_wider_than_int64_keys(name):
+    # a branch's photon-count rows are stored in the narrowest unsigned
+    # dtype that holds its counts: no more bytes than one int64 key per term
+    cfg = oracle_config(name)
+    for basis in cfg.bases:
+        rotations, _, _ = mc.sixfold_rule(
+            cfg.trigger_detectors(), cfg.output_detectors(),
+            cfg.output_arms(), basis)
+        to_detectors = compose((cfg.circuit(), *rotations), SOURCE_MODES)
+        for _, pure in dephased_source(cfg.source, cfg.noise, to_detectors,
+                                       mc.ArrayPolynomial).branches:
+            assert pure.rows.nbytes <= 8 * len(pure.rows), basis
+
+
+def test_occupation_read_outs_agree():
+    # `detect.occupations` summed per distinct row is what its array twin
+    # returns, also with a mode listed twice and a mode the state lacks
+    cfg = parse(fixture_text("paper_5050.exp"))
+    state = dephased_source(cfg.source, cfg.noise, cfg.circuit())
+    modes = [("e", "x"), ("c", "x"), ("e", "x"), ("z", "x"), ("f", "yp"),
+             ("d", "y")]
+    want = {}
+    for _, row, amp in occupations(state, modes):
+        want[row] = want.get(row, 0.0) + abs(amp) ** 2
+    rows, probs = occupation_probabilities(state, modes)
+    assert sorted(want) == list(map(tuple, rows.tolist()))
+    assert all(row[2] == row[3] == 0 for row in want)
+    assert max(abs(want[tuple(row)] - p)
+               for row, p in zip(rows.tolist(), probs)) <= 1e-15

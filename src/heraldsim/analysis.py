@@ -12,8 +12,7 @@ a caller holds the stack it evaluates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import fixture_path
 from .config import ExperimentConfig
@@ -25,8 +24,7 @@ from .fock import ConfigError
 from .source import SpdcParams, pair_power_states, pair_probability
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """An estimated quantity and its standard error."""
 
     value: float

@@ -15,10 +15,14 @@ error names its stage, `runtime error in <stage>: ...`: `herald curve`
 report, `sweep curve` (the stack) or `row R=<R>` of a sweep, or a Monte
 Carlo run's `load`, `import`, `tables`, `sample` or `write` (timed stages).
 
-This module imports only the numpy-free `config`, `dsl` and `elements`;
-each command loads its config before it imports the engine it runs.
-`herald` and `sweep` run on `analysis`, `detect`, `source` and `fock`,
-which import no numpy; only `montecarlo` loads `mc`, and with it numpy.
+This module imports only the numpy-free `config`, `dsl` and `elements`
+and the standard library every command uses; each command loads its
+config before it imports the engine it runs.  `herald` and `sweep` run on
+`analysis`, `detect`, `source` and `fock`, which import no numpy; only
+`montecarlo` loads `mc`, and with it numpy.  Of the rest of the standard
+library, `sweep` loads none, `herald` `hashlib` (the config digest) and,
+with `--json`, `json`, and `montecarlo` those and `datetime`; the count
+CSVs are written one f-string line each, without `csv`.
 For that command `main` first defaults OPENBLAS_NUM_THREADS to 1 (no BLAS
 call here needs a second thread, and an idle one spins), and `run`, the
 exit of the `heraldsim` script and `python -m heraldsim.cli`, freezes the
@@ -31,11 +35,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
-import datetime
 import gc
-import json
 import math
 import os
 import sys
@@ -128,6 +129,7 @@ def cmd_herald(args) -> int:
         print(warning, file=sys.stderr)
     report = _herald_report(config)
     if args.json:
+        import json
         json.dump(report, sys.stdout, indent=2)
         print()
         return EXIT_OK
@@ -196,9 +198,9 @@ def _summary_payload(config: ExperimentConfig, result) -> dict:
         "chsh": None,
     }
     if result.efficiency is not None:
-        payload["eff_exp"] = dataclasses.asdict(result.efficiency)
+        payload["eff_exp"] = result.efficiency._asdict()
     if result.fidelity is not None:
-        payload["fidelity"] = dataclasses.asdict(result.fidelity)
+        payload["fidelity"] = result.fidelity._asdict()
         violated, n_sigma = analysis.violates_chsh(result.fidelity)
         payload["chsh"] = {"threshold": analysis.chsh_werner_threshold(),
                            "violates": violated,
@@ -227,13 +229,14 @@ def _write_outputs(out_dir: Path, config: ExperimentConfig, result
                    ) -> tuple[list[str], str]:
     """Write each basis's count CSV and summary.json; returns the file names
     and the summary text."""
+    import json
     outputs = []
     for record in result.records:
         name = f"counts_{record.basis[0]}_{record.basis[1]}.csv"
-        with (out_dir / name).open("w") as f:
-            csv.writer(f, lineterminator="\n").writerows(
-                [("outcome", "count"), *sorted(record.outcomes.items()),
-                 ("n_t", record.n_t), ("n_s", record.n_s)])
+        # no field needs quoting: outcome labels are letters and + or -
+        rows = [("outcome", "count"), *sorted(record.outcomes.items()),
+                ("n_t", record.n_t), ("n_s", record.n_s)]
+        (out_dir / name).write_text("".join(f"{k},{v}\n" for k, v in rows))
         outputs.append(name)
 
     summary = _summary_payload(config, result)
@@ -264,6 +267,8 @@ def cmd_montecarlo(args) -> int:
         print(warning, file=sys.stderr)
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
 
+    import datetime
+    import json
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     print(f"running {len(config.bases) or 1} basis settings, "
           f"{config.pulses} pulses each", file=sys.stderr)

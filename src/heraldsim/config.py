@@ -5,7 +5,6 @@ config reads and checks without it."""
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -221,5 +220,7 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         """Structural digest; changes iff the canonical serialization does."""
+        import hashlib
+
         from .dsl import serialize
         return hashlib.sha256(serialize(self).encode()).hexdigest()

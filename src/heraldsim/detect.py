@@ -23,8 +23,7 @@ import dataclasses
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 # detector declarations live in `config`; importable from here as before
 from .config import (NUMBER_RESOLVING, THRESHOLD, DetectorSpec,
@@ -67,8 +66,7 @@ def occupations(state: PureState | MixedState, modes: list[Mode]
     return out
 
 
-@dataclass(frozen=True)
-class HeraldDecomposition:
+class HeraldDecomposition(NamedTuple):
     """Weights of the perfect-trigger, deficient-output and no-trigger
     classes of the post-circuit three-pair state."""
 
@@ -77,8 +75,7 @@ class HeraldDecomposition:
     gamma_sq: float
 
 
-@dataclass(frozen=True)
-class HeraldResult:
+class HeraldResult(NamedTuple):
     herald_probability: float
     conditional_dm: np.ndarray  # 4x4 over (c,d) polarization, trace = prep eff
     preparation_efficiency: float
@@ -105,8 +102,7 @@ def _output_arm_modes(state: PureState | MixedState,
     return arm_modes
 
 
-@dataclass(frozen=True)
-class CurveStack:
+class CurveStack(NamedTuple):
     """Heralds as curves in a circuit's splitter ratios (`curve_stack`): per
     distinct monomial (A_1, B_1, A_2, B_2, ...) of `monomials` and curve i,
     the herald weight and conditional-state trace in columns 2 i and 2 i + 1

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import (COUNT_END, COUNT_LOW, NUMBER_RESOLVING, THRESHOLD,
                      BsDecl, DetectorSpec, ElementDecl, ExperimentConfig,
                      HwpDecl, PbsDecl, SourceNoise, SpdcParams,
                      coupling_from_rate, element_transform, pair_probability,
                      source_cells)
-from .elements import MEASUREMENT_BASES, SOURCE_MODES, ConfigError
+from .elements import (MEASUREMENT_BASES, SOURCE_MODES, ConfigError,
+                       path_exponents)
 
 BASES = tuple(MEASUREMENT_BASES)
 # stanzas a config holds at most once; a second one is a located error
@@ -47,15 +48,13 @@ class DslError(ConfigError):
                          + (f" ({hint})" if hint else ""))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Stanza:
+class Stanza(NamedTuple):
     keyword: Token
     args: tuple[Token, ...]
 
@@ -307,13 +306,21 @@ def serialize(config: ExperimentConfig) -> str:
 def splitter_warnings(config: ExperimentConfig) -> list[str]:
     """Warnings for `herald`, which reports R and eff_theory at the first
     splitter's R (its herald, efficiency and four-pair correction take each
-    splitter at its own): one per splitter whose R differs.  `sweep` sets
-    every splitter's R and `montecarlo` reads none of them."""
+    splitter at its own): one per splitter whose R differs, among those
+    that light reaching a detector passes through (`path_exponents`).
+    `sweep` sets every splitter's R and `montecarlo` reads none of them."""
     splitters = [d for d in config.elements if isinstance(d, BsDecl)]
+    try:
+        paths = [path_exponents(config.transforms()).get(d.mode, ())
+                 for d in config.detectors]
+    except ConfigError:  # the curve stack reports it; every splitter warns
+        paths = [(1,) * 2 * len(splitters)]
     return [f"warning: {_element_line(splitters[0])} and "
             f"{_element_line(other)} differ in R; only herald's R and "
             f"eff_theory use the first's R={_fmt(splitters[0].R)}"
-            for other in splitters[1:] if other.R != splitters[0].R]
+            for s, other in enumerate(splitters[1:], start=1)
+            if other.R != splitters[0].R
+            and any(any(path[2 * s:2 * s + 2]) for path in paths)]
 
 
 def four_pair_warnings(config: ExperimentConfig) -> list[str]:

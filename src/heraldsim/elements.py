@@ -12,7 +12,6 @@ a config declares its elements, triggers and output arms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
@@ -33,8 +32,7 @@ class ConfigError(Exception):
     """Invalid configuration (duplicate modes, unmapped modes, bad ranges)."""
 
 
-@dataclass(frozen=True)
-class ModeTransform:
+class ModeTransform(NamedTuple):
     """Linear map on creation operators, one column per input mode."""
 
     columns: dict[Mode, tuple[tuple[complex, Mode], ...]]
@@ -55,6 +53,8 @@ class ModeTransform:
 class SplitterTransform(ModeTransform):
     """A beam splitter's map: each column's first entry is the reflected
     output, its second the transmitted one."""
+
+    __slots__ = ()
 
 
 def beam_splitter(R: float, input: str, reflected_out: str,

@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import types
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .elements import ConfigError, Mode, ModeTransform
 
@@ -168,8 +167,7 @@ def substitute_modes(state: PureState, transform: ModeTransform) -> PureState:
         out_modes, base)
 
 
-@dataclass(frozen=True)
-class MixedState:
+class MixedState(NamedTuple):
     """Probabilistic mixture of pure states (weights may be sub-normalized)."""
 
     branches: tuple[tuple[float, PureState], ...]

@@ -1,12 +1,15 @@
 """Command-line front end: exit codes, file outputs, schema conformance."""
 
+import ast
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -20,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import heraldsim
 from heraldsim import analysis, cli, detect, fixture_path, mc, schema_path
-from heraldsim.dsl import DslError, parse, validate
+from heraldsim.dsl import DslError, parse, splitter_warnings, validate
 from heraldsim.fock import ConfigError
 
 from conftest import (BOOSTED_CONFIG, DARK_TRIGGERS_5050, R_ZERO_5050,
@@ -490,7 +493,7 @@ WIDE_5050 = NARROW_5050.replace("pbs on=e2\n", "pbs on=e2\n" + "".join(
 def test_exact_commands_run_past_the_64_bit_key_bound(tmp_path):
     # only the click tables pack keys as int64: herald and sweep read the
     # wide layout as the narrow one, which the dumped chain does not touch
-    reports, sweeps = {}, {}
+    reports, sweeps, warnings = {}, {}, {}
     for name, text in (("narrow", NARROW_5050), ("wide", WIDE_5050)):
         assert [d for d in validate(parse(text)) if d.startswith("error")] == []
         path = tmp_path / f"{name}.exp"
@@ -502,8 +505,14 @@ def test_exact_commands_run_past_the_64_bit_key_bound(tmp_path):
         reports[name] = json.loads(herald.stdout)
         del reports[name]["config_digest"]
         sweeps[name] = sweep.stdout
+        warnings[name] = herald.stderr
     assert_matches_golden(reports["wide"], reports["narrow"], 1e-12, "wide")
     assert sweeps["wide"] == sweeps["narrow"]
+    # no detector sees the chain's R=0.5 splitters, so they draw no warning
+    assert warnings["wide"] == warnings["narrow"] == (
+        "warning: bs R=0.486 in=a refl=c trans=e and bs R=0.99 in=e refl=e2 "
+        "trans=x0 differ in R; only herald's R and eff_theory use the "
+        "first's R=0.486\n")
     proc = run_cli("montecarlo", str(path), "--out", str(tmp_path / "run"))
     assert proc.returncode == 2, proc.stderr
     assert ("source nmax=4 is too large for the click tables: 22 modes "
@@ -713,6 +722,22 @@ def test_unequal_splitters_warning(tmp_path, capsys):
         err = capsys.readouterr().err
         assert (warning in err.splitlines() if warned
                 else "differ in R" not in err), (argv, err)
+
+
+def test_splitter_warning_leaves_a_rejected_layout_to_the_curve_stack():
+    # the second plate on f reads f:x, which no element produces, beside
+    # f:y from the second splitter: validate rejects the layout and
+    # `path_exponents` finds f:q fed along two paths; the warning, which
+    # reads the same paths, still names the splitter of a different R
+    config = parse(fixture_text("paper_5050.exp")
+                   .replace("trans=f R=0.486", "trans=f R=0.8")
+                   .replace("out=xp,yp", "out=xp,y\nhwp on=f angle=0 out=q,yp"))
+    assert [d for d in validate(config) if d.startswith("error")]
+    assert [w.split(" differ")[0] for w in splitter_warnings(config)] == [
+        "warning: bs R=0.486 in=a refl=c trans=e and bs R=0.8 in=b refl=d "
+        "trans=f"]
+    with pytest.raises(ConfigError, match="fed along two paths"):
+        analysis.exact_curves(config)
 
 
 PAPER_5050 = fixture_text("paper_5050.exp")
@@ -989,16 +1014,20 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 # Runs in a fresh interpreter: imports heraldsim.cli, parses and validates
-# every bundled fixture, then calls `main` on each argv of the JSON list in
-# argv[1].  Prints, per step, its exit code and which of WATCHED it left
-# loaded.
+# every bundled fixture, then calls `main` on each argv of the list literal
+# in argv[1].  Prints, per step, its exit code and which of WATCHED it has
+# loaded that the bare interpreter did not hold.  It reads and writes
+# literals, not JSON, so that it loads no watched module itself.
 STARTUP_PROBE = """\
-import contextlib, io, json, sys
+import sys
+BARE = set(sys.modules)
+import ast, contextlib, io
 from pathlib import Path
-WATCHED = ("numpy", "numpy.random", "heraldsim.mc")
+WATCHED = ("numpy", "numpy.random", "heraldsim.mc", "json", "hashlib",
+           "datetime", "csv")
 
 def loaded():
-    return [m for m in WATCHED if m in sys.modules]
+    return [m for m in WATCHED if m in sys.modules and m not in BARE]
 
 import heraldsim.cli
 from heraldsim.dsl import parse, validate
@@ -1007,7 +1036,7 @@ fixtures = Path(heraldsim.__file__).parent / "fixtures"
 for path in sorted(fixtures.glob("*.exp")):
     validate(parse(path.read_text(encoding="utf-8")))
 steps.append(("parse and validate", 0, loaded()))
-for argv in json.loads(sys.argv[1]):
+for argv in ast.literal_eval(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -1015,14 +1044,14 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:
             code = exc.code
     steps.append((" ".join(argv), code, loaded()))
-print(json.dumps(steps))
+print(repr(steps))
 """
 
 
 def startup_steps(*argvs):
-    proc = run_python("-c", STARTUP_PROBE, json.dumps(argvs))
+    proc = run_python("-c", STARTUP_PROBE, repr(list(argvs)))
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return ast.literal_eval(proc.stdout)
 
 
 def test_reading_and_checking_a_config_loads_no_numpy(tmp_path):
@@ -1030,21 +1059,48 @@ def test_reading_and_checking_a_config_loads_no_numpy(tmp_path):
     rejected.write_text(BAD_LAYOUTS["no_herald"][0], encoding="utf-8")
     steps = startup_steps(["--version"], ["herald", str(rejected)])
     assert [code for _, code, _ in steps] == [0, 0, 0, 2], steps
+    # nor json, hashlib, datetime or csv: no command pays for them here
     assert all(watched == [] for _, _, watched in steps), steps
 
 
 def test_exact_commands_load_no_sampler(tmp_path):
     paths = sorted(map(str, (Path(heraldsim.__file__).parent / "fixtures")
                        .glob("*.exp")))
-    exact = [argv for path in paths
-             for argv in (["herald", path], ["sweep", path, "--steps", "2"])]
-    steps = startup_steps(*exact, ["montecarlo", paths[0], "--pulses", "1000",
-                                   "--out", str(tmp_path / "run")])
-    assert [code for _, code, _ in steps] == [0] * (len(exact) + 3), steps
-    # the exact engine runs on the standard library alone, on every fixture
-    assert [watched for _, _, watched in steps[2:-1]] == [[]] * len(exact)
-    # only the sampler loads numpy
-    assert steps[-1][2] == ["numpy", "numpy.random", "heraldsim.mc"]
+    sweeps = [["sweep", path, "--steps", "2"] for path in paths]
+    heralds = [["herald", path] for path in paths]
+    steps = startup_steps(*sweeps, *heralds, ["herald", paths[0], "--json"])
+    assert [code for _, code, _ in steps] == [0] * (len(paths) * 2 + 3), steps
+    # the exact engine runs on the standard library alone, on every
+    # fixture; of the watched modules `sweep` loads none, `herald` only
+    # hashlib (the config digest) and `--json` adds json
+    assert [watched for _, _, watched in steps[2:]] == (
+        [[]] * len(sweeps) + [["hashlib"]] * len(heralds)
+        + [["json", "hashlib"]]), steps
+    # only the sampler loads numpy; the count CSVs are written without csv
+    [*_, (_, code, watched)] = startup_steps(
+        ["montecarlo", paths[0], "--pulses", "1000", "--out",
+         str(tmp_path / "run")])
+    assert (code, watched) == (0, ["numpy", "numpy.random", "heraldsim.mc",
+                                   "json", "hashlib", "datetime"])
+
+
+def test_only_config_declarations_and_mc_records_are_dataclasses():
+    # a dataclass takes several times a NamedTuple's time to build at
+    # import; a class is one only where callers use a dataclass feature:
+    # `dataclasses.replace` and field checks on the config declarations,
+    # `vars` and `asdict` on `mc`'s classes, which only `montecarlo` loads
+    found = sorted(
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(heraldsim.__path__)
+        for name, obj in vars(importlib.import_module(
+            f"heraldsim.{info.name}")).items()
+        if isinstance(obj, type) and hasattr(obj, "__dataclass_fields__")
+        and obj.__module__ == f"heraldsim.{info.name}")
+    assert found == [
+        "config.BsDecl", "config.DetectorSpec", "config.ExperimentConfig",
+        "config.HwpDecl", "config.PbsDecl", "config.SourceNoise",
+        "config.SpdcParams", "mc.ArrayPolynomial", "mc.BasisTables",
+        "mc.CountRecord", "mc.McResult"]
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])

@@ -327,8 +327,7 @@ def test_herald_and_trigger_classes_match_loop(name, n, kind):
     trigger_modes = tuple(d.mode for d in cfg.trigger_detectors())
     got = decompose_s1(state, trigger_modes, arms)
     want = loop_decompose_s1(state, trigger_modes, arms)
-    np.testing.assert_allclose(dataclasses.astuple(got),
-                               dataclasses.astuple(want), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(tuple(got), tuple(want), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", [THRESHOLD, NUMBER_RESOLVING])
@@ -338,10 +337,8 @@ def test_herald_of_mixture_matches_loop(paper_5050, paper_5050_states, kind):
         mixture, as_kind(paper_5050.trigger_detectors(), kind), OUTPUT_ARMS)
     for _, pure in mixture.branches:
         np.testing.assert_allclose(
-            dataclasses.astuple(decompose_s1(pure, TRIGGER_MODES,
-                                             OUTPUT_ARMS)),
-            dataclasses.astuple(loop_decompose_s1(pure, TRIGGER_MODES,
-                                                  OUTPUT_ARMS)),
+            tuple(decompose_s1(pure, TRIGGER_MODES, OUTPUT_ARMS)),
+            tuple(loop_decompose_s1(pure, TRIGGER_MODES, OUTPUT_ARMS)),
             rtol=1e-12, atol=0.0)
 
 

@@ -2,11 +2,11 @@
 the four-pair correction, and heralds as curves in the splitter ratio.
 
 Error bars use first-order propagation on independent Poisson counts.
-`exact_curves` is the one exact route of `herald` and `sweep`: one
-`detect.CurveStack` of the config's three-pair sector and, at nmax >= 4,
-of the four-pair correction's two sectors (`four_pair_sectors`), which
-`four_pair_shift` weights by the caller's p_3 and p_4.  Nothing is cached:
-a caller holds the stack it evaluates.
+`herald_curves` of `exact_sectors` is the one exact route of `herald` and
+`sweep`: one `detect.CurveStack` of the config's three-pair sector and, at
+nmax >= 4, of the four-pair correction's two sectors (`four_pair_sectors`),
+which `four_pair_shift` weights by the caller's p_3 and p_4.  Nothing is
+cached: a caller holds the stack it evaluates.
 """
 
 from __future__ import annotations
@@ -118,15 +118,16 @@ def four_pair_sectors(config: ExperimentConfig, eta_t: float
     return [((3, 0), triggers), ((4, 0), triggers)]
 
 
-def exact_curves(config: ExperimentConfig) -> CurveStack:
-    """The three-pair sector through the config's circuit on its own
-    triggers and, at nmax >= 4, the `four_pair_sectors` at the triggers'
-    mean efficiency, stacked: `(herald, eff), *sectors = stack.at(*R)`,
-    the correction `four_pair_shift((p3, p4), *sectors)`."""
+def exact_sectors(config: ExperimentConfig
+                  ) -> list[tuple[tuple[int, int], list[DetectorSpec]]]:
+    """The three-pair sector on the config's own triggers and, at
+    nmax >= 4, the `four_pair_sectors` at the triggers' mean efficiency.
+    Stacked, `(herald, eff), *sectors = stack.at(*R)`, the correction
+    `four_pair_shift((p3, p4), *sectors)`."""
     sectors = [((3, 0), config.trigger_detectors())]
     if config.source.n_max >= 4:
         sectors += four_pair_sectors(config, config.mean_trigger_eta())
-    return herald_curves(sectors, config.transforms, config.output_arms())
+    return sectors
 
 
 def four_pair_shift(weights: tuple[float, float], three: tuple[float, float],
@@ -137,15 +138,12 @@ def four_pair_shift(weights: tuple[float, float], three: tuple[float, float],
     one R, weighted by `weights` = (p_3, p_4).  None where it is undefined:
     the sectors never herald, or the three-pair efficiency is 0."""
     p3, p4 = weights
-    if p4 == 0.0:
-        return 0.0
     (herald3, eff3), (herald4, eff4) = three, four
-    good = p3 * herald3 * eff3 + p4 * herald4 * eff4
     trig = p3 * herald3 + p4 * herald4
     if trig == 0.0 or eff3 == 0.0:
         return None
-    eff34 = good / trig
-    return (eff34 - eff3) / eff3
+    good = p3 * herald3 * eff3 + p4 * herald4 * eff4
+    return (good / trig - eff3) / eff3 if p4 else 0.0
 
 
 def four_pair_correction(params: SpdcParams, R: float,

@@ -2,18 +2,18 @@
 
 Every command builds its source branches with `source.pair_power_states`
 through the config's own composed circuit; none substitutes a state.
-`herald` evaluates the stack of curves `analysis.exact_curves` once, at the
-declared splitter ratios, and `sweep` once per row, each row written
-before the next is evaluated (about 10-16 us per row in process on a
-2-vCPU host, the write to an in-memory stream included).  `herald` reads
-its trigger-class weights (`detect.decompose_s1`) off the lossless
-three-pair state.
+`herald` evaluates the stack of curves `analysis.herald_curves` builds of
+`analysis.exact_sectors` once, at the declared splitter ratios, and `sweep`
+once per row, each row written before the next is evaluated (10-16 us per
+row in process on a 2-vCPU host, an in-memory write included).  `herald`
+stacks one more curve, the three-pair sector on ideal threshold triggers:
+its herald probability is alpha^2 + beta^2, its qubit-sector weight alpha^2.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
 error names its stage, `runtime error in <stage>: ...`: `herald curve`
-(the stack and its evaluation) or `s1` (the decomposition) of a herald
-report, `sweep curve` (the stack) or `row R=<R>` of a sweep, or a Monte
-Carlo run's `load`, `import`, `tables`, `sample` or `write` (timed stages).
+(the stack and its evaluation) of a herald report, `sweep curve` (the
+stack) or `row R=<R>` of a sweep, or a Monte Carlo run's `load`, `import`,
+`tables`, `sample` or `write` (timed stages).
 
 This module imports only the numpy-free `config`, `dsl` and `elements`
 and the standard library every command uses; each command loads its
@@ -45,7 +45,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import (COUNT_END, COUNT_LOW, BsDecl, ExperimentConfig,
-                     pair_probability)
+                     pair_probability, threshold_detector)
 from .dsl import (four_pair_warnings, parse, splitter_warnings,
                   table_memory_warnings, validate)
 from .elements import ConfigError
@@ -93,22 +93,22 @@ def _load_config(path: str) -> ExperimentConfig:
 
 
 def _herald_report(config: ExperimentConfig) -> dict:
-    from . import analysis, detect, source
+    from . import analysis
     R = config.beam_splitter_R()
     eta_t = config.mean_trigger_eta()
     with _stage("herald curve"):
+        # last, the trigger classes: the three-pair sector on ideal triggers
+        ideal = [threshold_detector(d.id, d.mode)
+                 for d in config.trigger_detectors()]
+        stack = analysis.herald_curves(
+            [*analysis.exact_sectors(config), ((3, 0), ideal)],
+            config.transforms, config.output_arms())
         # every splitter at its declared ratio, in propagation order
-        (herald_p, eff), *sectors = analysis.exact_curves(config).at(
+        (herald_p, eff), *sectors, (fired, qubit) = stack.at(
             *(d.R for d in config.elements if isinstance(d, BsDecl)))
         weights = tuple(pair_probability(n, config.source.r) for n in (3, 4))
         correction = (analysis.four_pair_shift(weights, *sectors)
                       if sectors else None)
-    with _stage("s1"):
-        # the lossless three-pair state after the config's circuit
-        [state] = source.pair_power_states([(3, 0)], config.circuit())
-        trigger_modes = tuple(d.mode for d in config.trigger_detectors())
-        decomp = detect.decompose_s1(state, trigger_modes=trigger_modes,
-                                     output_arms=config.output_arms())
     return {
         "config_digest": config.digest(),
         "R": R,
@@ -118,8 +118,8 @@ def _herald_report(config: ExperimentConfig) -> dict:
         "heralded": herald_p > 0.0,
         "eff_theory": analysis.eff_theory(R, eta_t),
         "four_pair_correction": correction,
-        "s1": {"alpha_sq": decomp.alpha_sq, "beta_sq": decomp.beta_sq,
-               "gamma_sq": decomp.gamma_sq},
+        "s1": {"alpha_sq": fired * qubit, "beta_sq": fired - fired * qubit,
+               "gamma_sq": 1.0 - fired},
     }
 
 
@@ -166,7 +166,8 @@ def cmd_sweep(args) -> int:
     with _stage("sweep curve"):
         # every splitter of the config swept together: each row is one
         # product over the stack's monomials
-        stack = analysis.exact_curves(config)
+        stack = analysis.herald_curves(analysis.exact_sectors(config),
+                                       config.transforms, config.output_arms())
         weights = tuple(pair_probability(n, config.source.r) for n in (3, 4))
     sys.stdout.write("R,eff_theory,eff_exact_enumerated,four_pair_corrected\n")
     for i in range(args.steps):

@@ -91,6 +91,32 @@ DARK_TRIGGERS_5050 = fixture_text("paper_5050.exp").replace("eta=0.167",
                                                            "eta=0")
 R_ZERO_5050 = fixture_text("paper_5050.exp").replace("R=0.486", "R=0")
 
+# paper_5050 with number-resolving triggers
+PNR_5050 = "\n".join(
+    line.replace("kind=threshold", "kind=pnr")
+    if line.startswith("detector id=t") else line
+    for line in fixture_text("paper_5050.exp").splitlines()) + "\n"
+
+# paper_5050 with its second splitter at R = 0.8, a valid config
+UNEQUAL_5050 = fixture_text("paper_5050.exp").replace(
+    "bs in=b refl=d trans=f R=0.486", "bs in=b refl=d trans=f R=0.8")
+
+# paper_5050 with its trigger-arm plate at 0 deg: a valid layout that is not
+# the published one, so a four-pair correction taken through the published
+# circuit would be silently wrong here
+PLATE_AT_ZERO_5050 = fixture_text("paper_5050.exp").replace("angle=-22.5",
+                                                            "angle=0")
+
+# paper_5050 with trigger arm e behind a 99% splitter whose dumped port x0
+# feeds a chain of six 50:50 splitters: 22 post-circuit modes holding up to
+# 8 photons, past a 64-bit packed key; NARROW_5050 is it without the chain
+NARROW_5050 = (fixture_text("paper_5050.exp")
+               .replace("bs in=b ", "bs in=e refl=e2 trans=x0 R=0.99\nbs in=b ")
+               .replace("pbs on=e\n", "pbs on=e2\n")
+               .replace("mode=e:", "mode=e2:"))
+WIDE_5050 = NARROW_5050.replace("pbs on=e2\n", "pbs on=e2\n" + "".join(
+    f"bs in=x{i} refl=y{i} trans=x{i + 1} R=0.5\n" for i in range(6)))
+
 
 @pytest.fixture(scope="session")
 def paper_5050():

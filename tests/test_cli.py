@@ -22,13 +22,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import heraldsim
-from heraldsim import analysis, cli, detect, fixture_path, mc, schema_path
+from heraldsim import (analysis, cli, fixture_path, mc, schema_path,
+                       source)
 from heraldsim.dsl import DslError, parse, splitter_warnings, validate
 from heraldsim.fock import ConfigError
 
-from conftest import (BOOSTED_CONFIG, DARK_TRIGGERS_5050, R_ZERO_5050,
-                      RELABELLED_5050, ROTATED_ARM_5050, fixture_text,
-                      truncation_deficit)
+from conftest import (BOOSTED_CONFIG, DARK_TRIGGERS_5050, NARROW_5050,
+                      R_ZERO_5050, RELABELLED_5050, ROTATED_ARM_5050,
+                      WIDE_5050, fixture_text, truncation_deficit)
 
 
 SMALL_MC = BOOSTED_CONFIG.replace("pulses 2000000", "pulses 200000")
@@ -479,17 +480,6 @@ def test_montecarlo_ends_on_a_huge_nmax(p1, code, tmp_path):
         assert not out.exists()
 
 
-# paper_5050 with trigger arm e behind a 99% splitter whose dumped port x0
-# feeds a chain of six 50:50 splitters: 22 post-circuit modes holding up to
-# 8 photons, past a 64-bit packed key; NARROW_5050 is it without the chain
-NARROW_5050 = (fixture_text("paper_5050.exp")
-               .replace("bs in=b ", "bs in=e refl=e2 trans=x0 R=0.99\nbs in=b ")
-               .replace("pbs on=e\n", "pbs on=e2\n")
-               .replace("mode=e:", "mode=e2:"))
-WIDE_5050 = NARROW_5050.replace("pbs on=e2\n", "pbs on=e2\n" + "".join(
-    f"bs in=x{i} refl=y{i} trans=x{i + 1} R=0.5\n" for i in range(6)))
-
-
 def test_exact_commands_run_past_the_64_bit_key_bound(tmp_path):
     # only the click tables pack keys as int64: herald and sweep read the
     # wide layout as the narrow one, which the dumped chain does not touch
@@ -617,8 +607,7 @@ def _fail(*args, **kwargs):
 
 # the module that defines each stage function: a command imports the engine
 # only when it runs, and looks the function up there
-STAGE_OWNER = {"decompose_s1": detect,
-               "herald_curves": analysis, "four_pair_sectors": analysis,
+STAGE_OWNER = {"herald_curves": analysis, "four_pair_sectors": analysis,
                "four_pair_shift": analysis,
                "precompute_outcome_tables": mc, "run_experiment": mc,
                "_write_outputs": cli}
@@ -627,7 +616,6 @@ STAGE_OWNER = {"decompose_s1": detect,
 @pytest.mark.parametrize("command, stage_function, stage", [
     ("herald", "herald_curves", "herald curve"),
     ("herald", "four_pair_sectors", "herald curve"),
-    ("herald", "decompose_s1", "s1"),
     ("sweep", "herald_curves", "sweep curve"),
     ("sweep", "four_pair_sectors", "sweep curve"),
     ("sweep", "four_pair_shift", "row R=0.3"),
@@ -737,7 +725,8 @@ def test_splitter_warning_leaves_a_rejected_layout_to_the_curve_stack():
         "warning: bs R=0.486 in=a refl=c trans=e and bs R=0.8 in=b refl=d "
         "trans=f"]
     with pytest.raises(ConfigError, match="fed along two paths"):
-        analysis.exact_curves(config)
+        analysis.herald_curves(analysis.exact_sectors(config),
+                               config.transforms, config.output_arms())
 
 
 PAPER_5050 = fixture_text("paper_5050.exp")
@@ -774,6 +763,25 @@ def test_four_pair_warning_names_the_triggers_it_cannot_follow(
     path.write_text(text.replace("nmax=4", "nmax=3"), encoding="utf-8")
     assert cli.main(["herald", str(path), "--json"]) == 0
     assert "four_pair_correction" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["herald", "sweep"])
+def test_each_exact_command_builds_its_states_once(command, monkeypatch,
+                                                   capsys):
+    # one `pair_power_states` call per command, wherever a module bound it:
+    # `herald` reads its trigger classes off the same stack as the rest
+    original, calls = source.pair_power_states, []
+
+    def spy(powers, *args, **kwargs):
+        calls.append(list(powers))
+        return original(powers, *args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("heraldsim")
+                and getattr(module, "pair_power_states", None) is original):
+            monkeypatch.setattr(module, "pair_power_states", spy)
+    assert cli.main([command, str(fixture_path("paper_5050.exp"))]) == 0
+    capsys.readouterr()
+    assert calls == [[(3, 0), (4, 0)]]
 
 
 def test_configuration_error_inside_a_stage_exits_two(monkeypatch, capsys):

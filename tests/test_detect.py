@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from heraldsim.dsl import parse
+from heraldsim import cli
+from heraldsim.dsl import parse, validate
 from heraldsim.fock import ConfigError, FockKey, MixedState, as_mixed
 from heraldsim.elements import apply_circuit
 from heraldsim.source import dephased_source, n_pair_state
@@ -28,9 +29,10 @@ from heraldsim.analysis import eff_theory
 from heraldsim.mc import click_pattern_probabilities
 
 import dilation_oracle as oracle
-from conftest import (OUTPUT_ARMS, RELABELLED_5050, ROTATED_ARM_5050,
-                      TRIGGER_MODES, fixture_text, heralding_circuit,
-                      pnr_detector)
+from conftest import (NARROW_5050, OUTPUT_ARMS, PLATE_AT_ZERO_5050,
+                      R_ZERO_5050, RELABELLED_5050, ROTATED_ARM_5050,
+                      TRIGGER_MODES, UNEQUAL_5050, WIDE_5050, fixture_text,
+                      heralding_circuit, pnr_detector)
 from dilation_oracle import key_occupation, qubit_index
 from fock_oracle import from_terms
 
@@ -340,6 +342,76 @@ def test_herald_of_mixture_matches_loop(paper_5050, paper_5050_states, kind):
             tuple(decompose_s1(pure, TRIGGER_MODES, OUTPUT_ARMS)),
             tuple(loop_decompose_s1(pure, TRIGGER_MODES, OUTPUT_ARMS)),
             rtol=1e-12, atol=0.0)
+
+
+def herald_and_loop_trigger_classes(text):
+    """`herald`'s (alpha^2, beta^2, gamma^2) of a config text, and
+    `loop_decompose_s1`'s of the three-pair state substituted through the
+    config's circuit."""
+    config = parse(text)
+    s1 = cli._herald_report(config)["s1"]
+    state = apply_circuit(n_pair_state(3), config.circuit())
+    want = loop_decompose_s1(
+        state, tuple(d.mode for d in config.trigger_detectors()),
+        config.output_arms())
+    return (s1["alpha_sq"], s1["beta_sq"], s1["gamma_sq"]), tuple(want)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(NARROW_5050, id="narrow"), pytest.param(WIDE_5050, id="wide"),
+    pytest.param(UNEQUAL_5050, id="unequal"),
+    pytest.param(PLATE_AT_ZERO_5050, id="plate_at_zero"),
+    pytest.param(R_ZERO_5050, id="R=0"),
+    pytest.param(fixture_text("paper_5050.exp").replace("R=0.486", "R=1"),
+                 id="R=1")])
+def test_herald_trigger_classes_match_loop(text):
+    # `herald` reads them off its curve on ideal threshold triggers; each
+    # source arm here feeds two triggers, where both definitions of
+    # alpha^2 agree
+    got, want = herald_and_loop_trigger_classes(text)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert min(got) >= 0.0
+    assert math.isclose(sum(got), 1.0, rel_tol=0.0, abs_tol=1e-12)
+    if parse(text).beam_splitter_R() == 1.0:  # no photon reaches a trigger
+        assert got[:2] == (0.0, 0.0)
+
+
+# paper_5050's splitters and efficiencies without dark counts, trigger arm
+# e split once more, so that source arm a feeds three triggers and arm b one
+THREE_ON_ONE_ARM = (fixture_text("paper_5050.exp")
+                    .replace("hwp on=f angle=-22.5 out=xp,yp\npbs on=e\n",
+                             "bs in=e refl=g trans=h R=0.5\npbs on=g\n"
+                             "pbs on=h\n")
+                    .replace(" dark=300 window=12e-9", "")
+                    .replace("mode=e:x", "mode=g:x")
+                    .replace("mode=e:y", "mode=g:y")
+                    .replace("mode=f:xp", "mode=h:x")
+                    .replace("mode=f:yp", "mode=f:x"))
+
+
+def test_trigger_classes_where_one_source_arm_feeds_three_triggers():
+    # a stated difference: `herald`'s alpha^2 is the qubit sector (one
+    # photon per output arm), which no three-pair term reaches here (four
+    # photons on arm a's side, two on arm b's); `decompose_s1` and its loop
+    # count two output photons anywhere, here both in arm d
+    config = parse(THREE_ON_ONE_ARM)
+    assert [d for d in validate(config) if d.startswith("error")] == []
+    report = cli._herald_report(config)
+    assert report["heralded"] and report["preparation_efficiency"] == 0.0
+    got, want = herald_and_loop_trigger_classes(THREE_ON_ONE_ARM)
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got, (0.0, 0.004362470401000005,
+                                     0.995637529599), rtol=1e-12, atol=0.0)
+    state = apply_circuit(n_pair_state(3), config.circuit())
+    for old in (want, tuple(decompose_s1(
+            state, tuple(d.mode for d in config.trigger_detectors()),
+            config.output_arms()))):
+        np.testing.assert_allclose(old, (0.0010303980588345985,
+                                         0.0033320723421654116,
+                                         0.9956375295990024), rtol=1e-12,
+                                   atol=0.0)
+    # both split the same fired weight alpha^2 + beta^2
+    assert math.isclose(got[0] + got[1], want[0] + want[1], rel_tol=1e-12)
 
 
 def test_herald_reads_each_arms_own_labels(paper_5050):

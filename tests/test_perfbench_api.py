@@ -18,7 +18,8 @@ from heraldsim import cli, fixture_path
 from heraldsim.dsl import parse
 from heraldsim.mc import precompute_outcome_tables
 
-from conftest import BOOSTED_CONFIG, DARK_TRIGGERS_5050, R_ZERO_5050
+from conftest import (BOOSTED_CONFIG, DARK_TRIGGERS_5050, PNR_5050,
+                      R_ZERO_5050, fixture_text)
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,10 +45,15 @@ def test_layer_probes_run(perfbench):
     assert probes["fock.terms_out"] > 0 and probes["mc.patterns"] == 256
 
 
-@pytest.mark.parametrize("name", ["paper_5050.exp", "paper_7030.exp"])
-def test_herald_report_passes_the_benchmark_check(perfbench, name):
+@pytest.mark.parametrize("text", [
+    *(pytest.param(fixture_text(name), id=name)
+      for name in ("paper_5050.exp", "paper_6040.exp", "paper_7030.exp")),
+    pytest.param(PNR_5050, id="pnr")])
+def test_herald_report_passes_the_benchmark_check(perfbench, text):
+    # the replay takes s1 from `decompose_s1` of a substituted state, an
+    # independent route to the trigger classes `herald` reads off its stack
     checks, _ = perfbench
-    cfg = parse(fixture_path(name).read_text(encoding="utf-8"))
+    cfg = parse(text)
     schema = checks.load_schema("herald.schema.json")
     assert checks.check_herald(json.dumps(cli._herald_report(cfg)),
                                checks.herald_reference(cfg), schema) == []

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from heraldsim import analysis, cli
-from heraldsim.analysis import (exact_curves, four_pair_correction,
+from heraldsim.analysis import (exact_sectors, four_pair_correction,
                                 four_pair_sectors, four_pair_shift,
                                 herald_curves)
 from heraldsim.detect import herald, threshold_detector
@@ -34,8 +34,9 @@ from heraldsim.source import (SpdcParams, coupling_from_rate, n_pair_state,
                               pair_power_states, pair_probability)
 
 from conftest import (BOOSTED_CONFIG, DARK_TRIGGERS_5050, OUTPUT_ARMS,
-                      RELABELLED_5050, TRIGGER_MODES, fixture_text,
-                      heralding_circuit)
+                      PLATE_AT_ZERO_5050, PNR_5050, R_ZERO_5050,
+                      RELABELLED_5050, TRIGGER_MODES, UNEQUAL_5050,
+                      fixture_text, heralding_circuit)
 
 FIXTURES = ("paper_5050.exp", "paper_6040.exp", "paper_7030.exp")
 
@@ -52,17 +53,15 @@ def reference_four_pair_correction(params, R, eta_t):
     triggers = [threshold_detector(f"t{i}", m, eta=eta_t)
                 for i, m in enumerate(TRIGGER_MODES, start=1)]
     p3, p4 = pair_probability(3, params.r), pair_probability(4, params.r)
-    res3 = herald(reference_sector(3, heralding_circuit(R)), triggers,
-                  OUTPUT_ARMS)
-    if p4 == 0.0:
-        return 0.0
-    res4 = herald(reference_sector(4, heralding_circuit(R)), triggers,
-                  OUTPUT_ARMS)
+    res3, res4 = (herald(reference_sector(n, heralding_circuit(R)), triggers,
+                         OUTPUT_ARMS) for n in (3, 4))
     good = (p3 * res3.herald_probability * res3.preparation_efficiency
             + p4 * res4.herald_probability * res4.preparation_efficiency)
     trig = p3 * res3.herald_probability + p4 * res4.herald_probability
     if trig == 0.0 or res3.preparation_efficiency == 0.0:
         return None
+    if p4 == 0.0:
+        return 0.0
     return (good / trig - res3.preparation_efficiency) \
         / res3.preparation_efficiency
 
@@ -164,13 +163,6 @@ def test_repeated_call_is_bit_identical(with_map):
         assert a.modes == b.modes and a.rows == b.rows and a.amps == b.amps
 
 
-# paper_5050 with number-resolving triggers
-PNR_5050 = "\n".join(
-    line.replace("kind=threshold", "kind=pnr")
-    if line.startswith("detector id=t") else line
-    for line in fixture_text("paper_5050.exp").splitlines()) + "\n"
-
-
 def per_row_herald(config, R):
     """A sweep row's herald on the per-row route: the three-pair sector
     built through the config's circuit with every splitter at R."""
@@ -205,6 +197,12 @@ def run_sweep(text, tmp_path, *args):
     return out.getvalue()
 
 
+def exact_curves(config):
+    """The stack `sweep` builds: `herald_curves` of `exact_sectors`."""
+    return herald_curves(exact_sectors(config), config.transforms,
+                         config.output_arms())
+
+
 def sweep_curve(config):
     """The three-pair sector on the config's triggers, a one-curve stack."""
     return herald_curves([((3, 0), config.trigger_detectors())],
@@ -237,11 +235,6 @@ def test_sweep_curve_matches_per_row_route(name):
     curve = sweep_curve(config)
     for R in (0.0, 0.1, 0.3, 0.486, 0.5, 0.7, 0.95, 1.0):
         assert_same_herald(curve.heralds(R)[0], per_row_herald(config, R))
-
-
-# paper_5050 with its second splitter at R = 0.8, a valid config
-UNEQUAL_5050 = fixture_text("paper_5050.exp").replace(
-    "bs in=b refl=d trans=f R=0.486", "bs in=b refl=d trans=f R=0.8")
 
 
 def test_one_build_serves_splitters_of_different_R():
@@ -341,11 +334,26 @@ def test_sweep_skips_the_four_pair_correction_at_zero_reflection(
     assert first["four_pair_corrected"] == first["eff_exact_enumerated"]
 
 
-# paper_5050 with its trigger-arm plate at 0 deg: a valid layout that is not
-# the published one, so a four-pair correction taken through the published
-# circuit would be silently wrong here
-PLATE_AT_ZERO_5050 = fixture_text("paper_5050.exp").replace("angle=-22.5",
-                                                            "angle=0")
+@pytest.mark.parametrize("text, p1, undefined", [
+    # R = 0: the three-pair efficiency is 0, whether or not p_4 underflows
+    (R_ZERO_5050, "1e-100", True), (R_ZERO_5050, "0.047", True),
+    # p1 = 0: nothing heralds; at 1e-100 p_3 is still above 0, p_4 is not
+    (fixture_text("paper_5050.exp"), "0", True),
+    (fixture_text("paper_5050.exp"), "1e-100", False)],
+    ids=["R_zero-1e-100", "R_zero-0.047", "paper_5050-0", "paper_5050-1e-100"])
+def test_undefined_four_pair_correction_is_not_a_silent_zero(
+        text, p1, undefined, tmp_path, capsys):
+    path = tmp_path / "config.exp"
+    path.write_text(text.replace("p1=0.047", f"p1={p1}"), encoding="utf-8")
+    assert cli.main(["herald", "--json", str(path)]) == 0
+    got = json.loads(capsys.readouterr().out)["four_pair_correction"]
+    assert got is None if undefined else (got == 0.0 and type(got) is float)
+    assert cli.main(["herald", str(path)]) == 0
+    assert ("four-pair relative correction: "
+            + ("undefined" if undefined else "+0.0000%")
+            in capsys.readouterr().out.splitlines())
+
+
 # `herald --json`'s four_pair_correction for the fixture itself
 PUBLISHED_CORRECTION = -0.004085273650801922
 

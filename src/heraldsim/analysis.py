@@ -122,7 +122,7 @@ def exact_sectors(config: ExperimentConfig
                   ) -> list[tuple[tuple[int, int], list[DetectorSpec]]]:
     """The three-pair sector on the config's own triggers and, at
     nmax >= 4, the `four_pair_sectors` at the triggers' mean efficiency.
-    Stacked, `(herald, eff), *sectors = stack.at(*R)`, the correction
+    Stacked, `(qubit, other), *sectors = stack.at(*R)`, the correction
     `four_pair_shift((p3, p4), *sectors)`."""
     sectors = [((3, 0), config.trigger_detectors())]
     if config.source.n_max >= 4:
@@ -133,17 +133,17 @@ def exact_sectors(config: ExperimentConfig
 def four_pair_shift(weights: tuple[float, float], three: tuple[float, float],
                     four: tuple[float, float]) -> float | None:
     """Relative efficiency shift from adding the four-pair sector: the
-    three- and four-pair sectors' herald probabilities and conditional-state
-    traces (preparation efficiencies), each a (herald, efficiency) pair at
-    one R, weighted by `weights` = (p_3, p_4).  None where it is undefined:
-    the sectors never herald, or the three-pair efficiency is 0."""
+    efficiency of the sectors' (qubit, non-qubit) weights `three` and `four`
+    at one R, summed with `weights` = (p_3, p_4), against the three-pair
+    sector's.  None where it is undefined: the sectors never herald, or
+    the three-pair sector has no qubit weight."""
     p3, p4 = weights
-    (herald3, eff3), (herald4, eff4) = three, four
-    trig = p3 * herald3 + p4 * herald4
-    if trig == 0.0 or eff3 == 0.0:
+    (q3, o3), (q4, o4) = three, four
+    trig = p3 * (q3 + o3) + p4 * (q4 + o4)
+    if trig == 0.0 or q3 == 0.0:
         return None
-    good = p3 * herald3 * eff3 + p4 * herald4 * eff4
-    return (good / trig - eff3) / eff3 if p4 else 0.0
+    # (p3 q3 + p4 q4) / trig over q3 / (q3 + o3), less 1; +0.0 where p4 is 0
+    return p4 * (q4 * o3 - q3 * o4) / (q3 * trig) if p4 else 0.0
 
 
 def four_pair_correction(params: SpdcParams, R: float,

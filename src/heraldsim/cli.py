@@ -5,9 +5,9 @@ through the config's own composed circuit; none substitutes a state.
 `herald` evaluates the stack of curves `analysis.herald_curves` builds of
 `analysis.exact_sectors` once, at the declared splitter ratios, and `sweep`
 once per row, each row written before the next is evaluated (10-16 us per
-row in process on a 2-vCPU host, an in-memory write included).  `herald`
-stacks one more curve, the three-pair sector on ideal threshold triggers:
-its herald probability is alpha^2 + beta^2, its qubit-sector weight alpha^2.
+row in process on a 2-vCPU host, an in-memory write included), each curve
+as its (qubit, non-qubit) weights.  `herald` stacks one more curve, the
+three-pair sector on ideal triggers, whose weights are alpha^2 and beta^2.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
 error names its stage, `runtime error in <stage>: ...`: `herald curve`
@@ -104,22 +104,23 @@ def _herald_report(config: ExperimentConfig) -> dict:
             [*analysis.exact_sectors(config), ((3, 0), ideal)],
             config.transforms, config.output_arms())
         # every splitter at its declared ratio, in propagation order
-        (herald_p, eff), *sectors, (fired, qubit) = stack.at(
+        (qubit, other), *sectors, (alpha_sq, beta_sq) = stack.at(
             *(d.R for d in config.elements if isinstance(d, BsDecl)))
         weights = tuple(pair_probability(n, config.source.r) for n in (3, 4))
         correction = (analysis.four_pair_shift(weights, *sectors)
                       if sectors else None)
+    herald_p = qubit + other
     return {
         "config_digest": config.digest(),
         "R": R,
         "eta_t": eta_t,
         "herald_probability": herald_p,
-        "preparation_efficiency": eff if herald_p > 0.0 else None,
+        "preparation_efficiency": qubit / herald_p if herald_p > 0.0 else None,
         "heralded": herald_p > 0.0,
         "eff_theory": analysis.eff_theory(R, eta_t),
         "four_pair_correction": correction,
-        "s1": {"alpha_sq": fired * qubit, "beta_sq": fired - fired * qubit,
-               "gamma_sq": 1.0 - fired},
+        "s1": {"alpha_sq": alpha_sq, "beta_sq": beta_sq,
+               "gamma_sq": 1.0 - (alpha_sq + beta_sq)},
     }
 
 
@@ -173,15 +174,16 @@ def cmd_sweep(args) -> int:
     for i in range(args.steps):
         R = args.r_min + (args.r_max - args.r_min) * i / (args.steps - 1)
         try:  # `_stage` of the row, without a context manager per row
-            [(herald_p, exact), *sectors] = stack.at(R)
+            [(qubit, other), *sectors] = stack.at(R)
             shift = (analysis.four_pair_shift(weights, *sectors)
                      if sectors and R > 0.0 else None)
         except ConfigError:
             raise
         except Exception as exc:
             raise StageError(f"runtime error in row R={R:.9g}: {exc}") from exc
-        corrected = exact if shift is None else exact * (1.0 + shift)
-        effs = f"{exact:.9g},{corrected:.9g}" if herald_p > 0.0 else ","
+        exact = qubit / (qubit + other) if qubit + other > 0.0 else None
+        effs = ("," if exact is None
+                else f"{exact:.9g},{exact * (1.0 + (shift or 0.0)):.9g}")
         sys.stdout.write(f"{R:.9g},{analysis.eff_theory(R, eta_t):.9g},"
                          f"{effs}\n")
     return EXIT_OK

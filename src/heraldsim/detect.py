@@ -105,8 +105,8 @@ def _output_arm_modes(state: PureState | MixedState,
 class CurveStack(NamedTuple):
     """Heralds as curves in a circuit's splitter ratios (`curve_stack`): per
     distinct monomial (A_1, B_1, A_2, B_2, ...) of `monomials` and curve i,
-    the herald weight and conditional-state trace in columns 2 i and 2 i + 1
-    of `columns`; per curve, the same summed per distinct exponent sum
+    the qubit-sector and non-qubit weights in columns 2 i and 2 i + 1 of
+    `columns`; per curve, the same summed per distinct exponent sum
     (sum_s A_s, sum_s B_s) of `sums`, over the run [lo, hi) of `sums` that
     holds its nonzero weights, in `spans`; and per qubit term its monomial
     index, curve, coherent group, qubit index and amplitude, for `states`."""
@@ -127,9 +127,9 @@ class CurveStack(NamedTuple):
                 for row in self.monomials]
 
     def at(self, *R: float) -> list[tuple[float, float]]:
-        """Each curve's (herald probability, preparation efficiency), 0
-        where it does not herald, at the ratios of `_factors`; one ratio R
-        weighs the rows of `sums` by (2 R)^sum A (2 T)^sum B."""
+        """Each curve's (qubit, non-qubit) weights at the ratios of
+        `_factors`, whose sum is its herald probability; one ratio R weighs
+        the rows of `sums` by (2 R)^sum A (2 T)^sum B."""
         if len(R) == 1:
             reflect, transmit = 2.0 * R[0], 2.0 * (1.0 - R[0])
             factors = [reflect ** a * transmit ** b for a, b in self.sums]
@@ -138,12 +138,10 @@ class CurveStack(NamedTuple):
             factors = self._factors(*R)
             spans = [(0, len(factors), *pair)
                      for pair in zip(self.columns[::2], self.columns[1::2])]
-        mul, out = operator.mul, []
-        for lo, hi, herald, trace in spans:
-            f = factors[lo:hi]
-            h = sum(map(mul, f, herald))
-            out.append((h, sum(map(mul, f, trace)) / h if h > 0.0 else 0.0))
-        return out
+        mul = operator.mul
+        return [(sum(map(mul, factors[lo:hi], qubit)),
+                 sum(map(mul, factors[lo:hi], other)))
+                for lo, hi, qubit, other in spans]
 
     def states(self) -> np.ndarray:
         """The unnormalized conditional state sum_g p_g v_g v_g^dag per
@@ -160,15 +158,15 @@ class CurveStack(NamedTuple):
         return rhos
 
     def heralds(self, *R: float) -> list[HeraldResult]:
-        """Each curve's herald at the ratios of `_factors`, with its state."""
+        """Each curve's herald at the ratios of `_factors`, with its state;
+        its probability and efficiency are those of `at`'s weights."""
         import numpy as np
-        factors = self._factors(*R)
-        rhos = np.tensordot(np.array(factors, float), self.states(), axes=1)
-        return [HeraldResult(h, rho / h, float(np.trace(rho).real) / h, True)
-                if h > 0.0 else HeraldResult(0.0, np.zeros_like(rho), 0.0,
-                                             False)
-                for h, rho in zip((sum(map(operator.mul, factors, column))
-                                   for column in self.columns[::2]), rhos)]
+        rhos = np.tensordot(np.array(self._factors(*R), float), self.states(),
+                            axes=1)
+        return [HeraldResult(q + o, rho / (q + o), q / (q + o), True)
+                if q + o > 0.0 else HeraldResult(0.0, np.zeros_like(rho), 0.0,
+                                                 False)
+                for (q, o), rho in zip(self.at(*R), rhos)]
 
 
 def curve_stack(curves: Sequence[tuple[PureState | MixedState,
@@ -185,9 +183,9 @@ def curve_stack(curves: Sequence[tuple[PureState | MixedState,
     `click_probability`.  A curve's terms of one branch, trigger counts and
     monomial are one coherent state; its part with one photon per output
     arm (`_output_arm_modes`) and nothing else is a qubit vector v_g over
-    (first, first), (first, second), (second, first), (second, second), and
-    sum_g p_g v_g v_g^dag over the herald probability is the conditional
-    state, whose trace is the preparation efficiency."""
+    (first, first), (first, second), (second, first), (second, second).
+    Their weight is the qubit weight, the other terms' the non-qubit
+    weight, and sum_g p_g v_g v_g^dag over both is the conditional state."""
     width = len(next(iter(exponents.values()), ()))
     top = max((sum(row) for state, _ in curves for _, pure in
                as_mixed(state).branches for row in pure.rows), default=0) + 1
@@ -217,10 +215,10 @@ def curve_stack(curves: Sequence[tuple[PureState | MixedState,
             weight = p_click * abs(amp) ** 2
             monomial = sum(map(operator.mul, counts, packed))
             cell = cells.setdefault(monomial, [0.0] * (2 * len(curves)))
-            cell[2 * curve] += weight
             x0, y0, x1, y1 = counts[4:8]
-            if x0 + y0 == 1 == x1 + y1 and not any(counts[8:]):
-                cell[2 * curve + 1] += weight
+            qubit = x0 + y0 == 1 == x1 + y1 and not any(counts[8:])
+            cell[2 * curve + (not qubit)] += weight
+            if qubit:
                 qubits.append((monomial, curve, (branch, *counts[:4]),
                                2 * y0 + y1, amp * math.sqrt(p_click)))
     order = sorted(cells)
@@ -236,11 +234,11 @@ def curve_stack(curves: Sequence[tuple[PureState | MixedState,
     groups = sorted(sums, key=lambda ab: (sum(ab), ab))
     spans = []
     for curve in range(len(curves)):
-        herald, trace = ([sums[g][2 * curve + i] for g in groups]
-                         for i in (0, 1))
-        used = [g for g, w in enumerate(herald) if w] or [0, -1]
+        qubit, other = ([sums[g][2 * curve + i] for g in groups]
+                        for i in (0, 1))
+        used = [g for g, w in enumerate(map(max, qubit, other)) if w] or [0, -1]
         lo, hi = used[0], used[-1] + 1
-        spans.append((lo, hi, tuple(herald[lo:hi]), tuple(trace[lo:hi])))
+        spans.append((lo, hi, tuple(qubit[lo:hi]), tuple(other[lo:hi])))
     index = {m: k for k, m in enumerate(order)}
     columns = (tuple(cells[m][i] for m in order)
                for i in range(2 * len(curves)))

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from heraldsim import cli
+from heraldsim import cli, fock
 from heraldsim.dsl import parse, validate
 from heraldsim.fock import ConfigError, FockKey, MixedState, as_mixed
 from heraldsim.elements import apply_circuit
-from heraldsim.source import dephased_source, n_pair_state
+from heraldsim.source import dephased_source, n_pair_state, pair_power_states
 from heraldsim.detect import (
     NUMBER_RESOLVING,
     THRESHOLD,
@@ -77,6 +77,14 @@ def loop_herald(state, trigger_detectors, output_arms=OUTPUT_ARMS):
     if herald_p <= 0.0:
         return HeraldResult(0.0, np.zeros((4, 4), dtype=complex), 0.0, False)
     return HeraldResult(herald_p, rho / herald_p, good_p / herald_p, True)
+
+
+def uncut(build, *args):
+    """`build(*args)` keeping every term (`fock.DROP_TOL` = 0), so that an
+    oracle built at the declared ratios holds at any ratio."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "DROP_TOL", 0.0)
+        return build(*args)
 
 
 def loop_decompose_s1(state, trigger_modes, output_arms):
@@ -147,7 +155,7 @@ def test_threshold_efficiency_matches_formula(R, eta_t):
 def test_trigger_class_decomposition():
     R = 0.486
     T = 1.0 - R
-    st = apply_circuit(n_pair_state(3), heralding_circuit(R))
+    st = uncut(apply_circuit, n_pair_state(3), heralding_circuit(R))
     d = decompose_s1(st, TRIGGER_MODES, OUTPUT_ARMS)
     total = d.alpha_sq + d.beta_sq + d.gamma_sq
     assert total == pytest.approx(1.0, abs=1e-10)
@@ -322,7 +330,7 @@ def as_kind(detectors, kind):
     ("relabelled", 3)])
 def test_herald_and_trigger_classes_match_loop(name, n, kind):
     cfg = parse(RELABELLED_5050 if name == "relabelled" else fixture_text(name))
-    state = apply_circuit(n_pair_state(n), cfg.circuit())
+    state = uncut(apply_circuit, n_pair_state(n), cfg.circuit())
     arms = cfg.output_arms()[:2]
     assert_herald_matches_loop(state, as_kind(cfg.trigger_detectors(), kind),
                                arms)
@@ -350,7 +358,7 @@ def herald_and_loop_trigger_classes(text):
     config's circuit."""
     config = parse(text)
     s1 = cli._herald_report(config)["s1"]
-    state = apply_circuit(n_pair_state(3), config.circuit())
+    state = uncut(apply_circuit, n_pair_state(3), config.circuit())
     want = loop_decompose_s1(
         state, tuple(d.mode for d in config.trigger_detectors()),
         config.output_arms())
@@ -402,7 +410,7 @@ def test_trigger_classes_where_one_source_arm_feeds_three_triggers():
     assert got[0] == 0.0
     np.testing.assert_allclose(got, (0.0, 0.004362470401000005,
                                      0.995637529599), rtol=1e-12, atol=0.0)
-    state = apply_circuit(n_pair_state(3), config.circuit())
+    state = uncut(apply_circuit, n_pair_state(3), config.circuit())
     for old in (want, tuple(decompose_s1(
             state, tuple(d.mode for d in config.trigger_detectors()),
             config.output_arms()))):
@@ -412,6 +420,21 @@ def test_trigger_classes_where_one_source_arm_feeds_three_triggers():
                                    atol=0.0)
     # both split the same fired weight alpha^2 + beta^2
     assert math.isclose(got[0] + got[1], want[0] + want[1], rel_tol=1e-12)
+
+
+def test_beta_sq_near_full_reflection():
+    # beta^2 (about 5e-26) is its own column of `herald`'s stack, not the
+    # herald less alpha^2 (about 5e-21); the oracle keeps the terms below
+    # DROP_TOL that beta^2 is made of at these ratios
+    config = parse(fixture_text("paper_5050.exp")
+                   .replace("R=0.486", "R=0.99999"))
+    s1 = cli._herald_report(config)["s1"]
+    [state] = uncut(pair_power_states, [(3, 0)], config.circuit())
+    trigger_modes = tuple(d.mode for d in config.trigger_detectors())
+    want = decompose_s1(state, trigger_modes, config.output_arms())
+    np.testing.assert_allclose((s1["alpha_sq"], s1["beta_sq"], s1["gamma_sq"]),
+                               tuple(want), rtol=1e-13, atol=0.0)
+    assert 4e-26 < s1["beta_sq"] < 6e-26
 
 
 def test_herald_reads_each_arms_own_labels(paper_5050):

@@ -27,9 +27,11 @@ from heraldsim import analysis, cli
 from heraldsim.analysis import (exact_sectors, four_pair_correction,
                                 four_pair_sectors, four_pair_shift,
                                 herald_curves)
-from heraldsim.detect import herald, threshold_detector
+from heraldsim.detect import curve_stack, herald, threshold_detector
 from heraldsim.dsl import parse, validate
-from heraldsim.elements import SOURCE_MODES, apply_circuit, compose
+from heraldsim.elements import (SOURCE_MODES, apply_circuit, compose,
+                                path_exponents)
+from heraldsim.fock import MixedState
 from heraldsim.source import (SpdcParams, coupling_from_rate, n_pair_state,
                               pair_power_states, pair_probability)
 
@@ -256,29 +258,48 @@ def test_curve_stack_matches_each_curve(name):
     stack = exact_curves(config)
     for R in ((0.0,), (0.3,), (0.486,), (1.0,), (0.486, 0.8)):
         for got, curve in zip(stack.at(*R), curves, strict=True):
-            [want] = curve.heralds(*R)
-            assert math.isclose(got[0], want.herald_probability,
-                                rel_tol=1e-12, abs_tol=0.0)
-            assert math.isclose(got[1], want.preparation_efficiency
-                                if want.heralded else 0.0,
-                                rel_tol=1e-12, abs_tol=0.0)
+            [want] = curve.at(*R)
+            for g, w in zip(got, want, strict=True):  # qubit, non-qubit
+                assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0)
 
 
 @pytest.mark.parametrize("name", ["paper_5050.exp", "pnr"])
 def test_stack_evaluations_agree(name):
-    # the table's trace column is the trace of the conditional states that
+    # the table's qubit column is the trace of the conditional states that
     # `heralds` sums, so `at` is `heralds` without the states
     stack = exact_curves(parse(SWEPT_TEXTS[name]))
     np.testing.assert_allclose(
-        np.transpose(stack.columns[1::2]),
+        np.transpose(stack.columns[::2]),
         np.trace(stack.states(), axis1=2, axis2=3).real, rtol=1e-12, atol=0.0)
     for R in ((0.0,), (0.3,), (0.486,), (1.0,), (0.486, 0.8)):
-        for (h, eff), want in zip(stack.at(*R), stack.heralds(*R),
-                                  strict=True):
-            assert math.isclose(h, want.herald_probability, rel_tol=1e-12,
-                                abs_tol=0.0)
-            assert math.isclose(eff, want.preparation_efficiency,
+        for (qubit, other), want in zip(stack.at(*R), stack.heralds(*R),
+                                        strict=True):
+            assert math.isclose(qubit + other, want.herald_probability,
                                 rel_tol=1e-12, abs_tol=0.0)
+            assert math.isclose(
+                qubit, np.trace(want.conditional_dm).real
+                * want.herald_probability, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("R", [(0.0,), (0.3,), (0.486,), (1.0,), (0.486, 0.8)])
+def test_stacked_mixture_weighs_its_sectors(R):
+    # each weight is a sum over the curve's terms, so the mixture's are its
+    # sectors' weighted by their pair probabilities; the efficiency is not
+    config = parse(UNEQUAL_5050)
+    transforms = config.transforms(0.5)
+    s3, s4 = pair_power_states([(3, 0), (4, 0)],
+                               compose(transforms, SOURCE_MODES))
+    p3, p4 = (pair_probability(n, config.source.r) for n in (3, 4))
+    triggers, arms = config.trigger_detectors(), config.output_arms()
+    exponents = path_exponents(transforms)
+    [mixture] = curve_stack([(MixedState(((p3, s3), (p4, s4))), triggers)],
+                            arms, exponents).at(*R)
+    three, four = curve_stack([(s3, triggers), (s4, triggers)], arms,
+                              exponents).at(*R)
+    assert sum(mixture) > 0.0
+    for got, w3, w4 in zip(mixture, three, four, strict=True):
+        assert math.isclose(got, p3 * w3 + p4 * w4, rel_tol=1e-12,
+                            abs_tol=0.0)
 
 
 @pytest.mark.parametrize("text, steps", [
@@ -321,13 +342,12 @@ def test_sweep_skips_the_four_pair_correction_at_zero_reflection(
     monkeypatch.setattr(analysis, "four_pair_shift", spy)
     out = run_sweep(fixture_text("paper_5050.exp"), tmp_path,
                     "--r-min", "0", "--r-max", "1", "--steps", "5")
-    # the shift takes values, not R: its three-pair herald and efficiency
-    # name the rows it was called on
+    # the shift takes values, not R: its three-pair qubit and non-qubit
+    # weights name the rows it was called on
     config = parse(fixture_text("paper_5050.exp"))
     sectors = sector_curves(config)
     assert evaluated == pytest.approx(
-        [v for R in (0.25, 0.5, 0.75, 1.0) for res in sectors.heralds(R)[:1]
-         for v in (res.herald_probability, res.preparation_efficiency)],
+        [v for R in (0.25, 0.5, 0.75, 1.0) for v in sectors.at(R)[0]],
         rel=1e-12, abs=0.0)
     first = next(csv.DictReader(io.StringIO(out)))
     assert first["R"] == "0"

@@ -187,14 +187,11 @@ class ExperimentConfig:
         """The declared elements composed on the source modes."""
         return compose(self.transforms(), SOURCE_MODES)
 
-    def detector_by_id(self, det_id: str) -> DetectorSpec:
-        for det in self.detectors:
-            if det.id == det_id:
-                return det
-        raise ConfigError(f"no detector with id {det_id!r}")
-
     def trigger_detectors(self) -> list[DetectorSpec]:
-        return [self.detector_by_id(i) for i in self.herald_ids]
+        by_id = {d.id: d for d in reversed(self.detectors)}  # first wins
+        if missing := [i for i in self.herald_ids if i not in by_id]:
+            raise ConfigError(f"no detector with id {missing[0]!r}")
+        return [by_id[i] for i in self.herald_ids]
 
     def output_detectors(self) -> list[DetectorSpec]:
         return [d for d in self.detectors if d.id not in self.herald_ids]

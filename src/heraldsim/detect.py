@@ -19,13 +19,13 @@ inside their bodies, so `herald` and `sweep` run without it.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import operator
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-# detector declarations live in `config`; importable from here as before
+# detector declarations live in `config`; perfbench and the tests import them
+# from here
 from .config import (NUMBER_RESOLVING, THRESHOLD, DetectorSpec,
                      threshold_detector)
 from .elements import POL_H, POL_V, ConfigError, Mode, compose
@@ -286,10 +286,10 @@ def sixfold_probability(state: PureState | MixedState,
     Output arms of `state`, the post-circuit state, are rotated into the
     measurement basis before detection.  Triggers fire as in `herald`.
     `outcome` selects which detector clicks in each arm as in
-    `mc.sixfold_rule`, and the other output detectors stay silent,
-    matching coincidence-logic counting.  An output port's event is any
-    reading of one or more photons, a threshold detector's click.  The
-    pattern table is `mc`'s, so this loads numpy.
+    `mc.sixfold_rule`, which also refuses any output detector that is not
+    threshold, and the other output detectors stay silent, matching
+    coincidence-logic counting.  The pattern table is `mc`'s, so this loads
+    numpy.
     """
     from .mc import click_pattern_probabilities, sixfold_rule
     rotations, _, outcomes = sixfold_rule(trigger_detectors, output_detectors,
@@ -299,13 +299,5 @@ def sixfold_probability(state: PureState | MixedState,
         for w, pure in as_mixed(state).branches))
     # the least pattern of the outcome: no output detector off the arms clicks
     pattern = outcomes.tolist().index(2 * outcome[0] + outcome[1])
-    any_reading = [dataclasses.replace(d, kind=THRESHOLD)
-                   for d in output_detectors]
     return float(click_pattern_probabilities(
-        rotated, list(trigger_detectors) + any_reading)[pattern])
-
-
-def fidelity_to_phi_plus(dm: np.ndarray) -> float:
-    """Tr(rho |Phi+><Phi+|) on the (c,d) polarization qubit sector: half
-    the sum of the corners of rho."""
-    return float((dm[0][0] + dm[0][3] + dm[3][0] + dm[3][3]).real) / 2.0
+        rotated, list(trigger_detectors) + list(output_detectors))[pattern])

@@ -355,7 +355,7 @@ def table_terms(config: ExperimentConfig) -> int:
 def table_memory_warnings(config: ExperimentConfig) -> list[str]:
     """A warning, naming the source stanza, where `montecarlo`'s tables may
     peak above 1 GB: 40 MB plus 400 bytes per `table_terms` term, above the
-    38-132 MB measured on paper_5050 and paper_7030 at nmax 4-8."""
+    37.8-98.8 MB measured on paper_5050 and paper_7030 at nmax 4-8."""
     mb = 40 + table_terms(config) * 400 / 2 ** 20
     return [f"warning: {_source_line(config)}: montecarlo's click tables may "
             f"take up to {mb:,.0f} MB; lower nmax if that does not fit"

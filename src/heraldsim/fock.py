@@ -131,10 +131,6 @@ class PureState:
         return len(self.rows)
 
 
-def make_vacuum() -> PureState:
-    return PureState((), ((),), (1.0 + 0.0j,))
-
-
 def substitute_modes(state: PureState, transform: ModeTransform) -> PureState:
     """Linear substitution of creation operators.
 

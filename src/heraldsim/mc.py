@@ -161,12 +161,17 @@ def sixfold_rule(trigger_detectors: list[DetectorSpec],
                  output_arms: tuple[str, ...], basis: tuple[str, str]
                  ) -> tuple[tuple[ModeTransform, ...], np.ndarray, np.ndarray]:
     """One basis setting's six-fold read-out on the click patterns of the
-    triggers then the output detectors (bit i = detector i clicked).  Each
-    of the two output arms needs exactly two detectors; sorted by label,
-    the first registers the basis's first outcome (H, + or R) after the
-    arm's rotation, also returned.  Per pattern: whether every trigger
-    clicked, and the outcome 2 o_0 + o_1 (o_a = 0 if arm a's first
-    clicked), or -1 unless every trigger and one detector per arm clicked."""
+    triggers then the output detectors (bit i = detector i registered its
+    `click_probability` event), the one place that decides which detectors
+    a six-fold reads: triggers of either kind, threshold output detectors
+    only.  Each of the two output arms needs exactly two detectors; sorted
+    by label, the first registers the basis's first outcome (H, + or R)
+    after the arm's rotation, also returned.  Per pattern: whether every
+    trigger fired, and the outcome 2 o_0 + o_1 (o_a = 0 if arm a's first
+    clicked), or -1 unless every trigger and one detector per arm did."""
+    if pnr := [d.id for d in output_detectors if d.kind != THRESHOLD]:
+        raise ConfigError("six-fold counting reads threshold output "
+                          f"detectors only; not threshold: {', '.join(pnr)}")
     if len(output_arms) != 2:
         raise ConfigError("six-fold counting needs exactly two output arms; "
                           f"the output detectors sit on arms {list(output_arms)}")
@@ -230,9 +235,6 @@ def precompute_outcome_tables(config: ExperimentConfig) -> list[BasisTables]:
     """Exact click-pattern distribution per basis setting."""
     triggers, outputs = config.trigger_detectors(), config.output_detectors()
     detectors = triggers + outputs
-    if pnr := [d.id for d in detectors if d.kind != THRESHOLD]:
-        raise ConfigError("Monte Carlo tables support threshold detectors "
-                          f"only; not threshold: {', '.join(pnr)}")
     circuit = config.circuit()
     tables = []
     # no basis stanza: the table's first basis (H/V) on both arms

@@ -12,7 +12,8 @@ tables.  Either decodes each packed key into a photon-count row once, in
 
 from __future__ import annotations
 
-# source declarations live in `config`; importable from here as before
+# source declarations live in `config`; perfbench and the tests import them
+# from here
 from .config import (SourceNoise, SpdcParams, coupling_from_rate,
                      pair_probability, source_cells)
 from .elements import SOURCE_MODES, Mode, ModeTransform

@@ -68,6 +68,13 @@ pulses 2000000
 seed 7
 """
 
+# the boosted config with number-resolving triggers t2 and t4, and with
+# those two lossy and dark as well (eta 0.7, dark-count probability 0.02)
+PNR_BOOSTED = (BOOSTED_CONFIG.replace("mode=e:y\n", "mode=e:y kind=pnr\n")
+               .replace("mode=f:yp\n", "mode=f:yp kind=pnr\n"))
+LOSSY_PNR_BOOSTED = PNR_BOOSTED.replace(
+    "kind=pnr\n", "kind=pnr eta=0.7 dark=0.02 window=1\n")
+
 
 def fixture_text(name):
     with open(fixture_path(name), encoding="utf-8") as fh:

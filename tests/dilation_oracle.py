@@ -198,6 +198,12 @@ def click_probability(det: DetectorSpec, n: int) -> float:
                if trigger_fires(det, reading))
 
 
+def fidelity_to_phi_plus(dm: np.ndarray) -> float:
+    """Tr(rho |Phi+><Phi+|) on the (c,d) polarization qubit sector: half
+    the sum of the corners of rho."""
+    return float((dm[0][0] + dm[0][3] + dm[3][0] + dm[3][3]).real) / 2.0
+
+
 def herald(state: PureState | MixedState, trigger_detectors: list[DetectorSpec],
            output_arms: tuple[str, str] = OUTPUT_ARMS) -> HeraldResult:
     """Condition on all four triggers firing, with trigger losses dilated."""

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from heraldsim.elements import ModeTransform
 from heraldsim.fock import (DROP_TOL, ConfigError, FockKey, Mode, PureState,
-                            TruncationError, make_vacuum, mode_str)
+                            TruncationError, mode_str)
 from heraldsim.source import pair_probability
 
 MAX_PHOTONS = 8
@@ -35,6 +35,10 @@ def photons(key: FockKey) -> int:
 def max_photons(state: PureState) -> int:
     """The largest photon number of any of the state's terms."""
     return max(map(photons, state.terms), default=0)
+
+
+def make_vacuum() -> PureState:
+    return PureState((), ((),), (1.0 + 0.0j,))
 
 
 def from_terms(terms: dict[FockKey, complex]) -> PureState:

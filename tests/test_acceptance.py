@@ -23,11 +23,7 @@ from heraldsim.source import (
     n_pair_state,
     pair_probability,
 )
-from heraldsim.detect import (
-    fidelity_to_phi_plus,
-    herald,
-    threshold_detector,
-)
+from heraldsim.detect import herald, threshold_detector
 from heraldsim.analysis import (
     Estimate,
     chsh_werner_threshold,
@@ -40,6 +36,7 @@ from heraldsim.mc import precompute_outcome_tables, run_experiment
 
 from conftest import (BOOSTED_CONFIG, OUTPUT_ARMS, TRIGGER_MODES,
                       fixture_text, heralding_circuit, pnr_detector)
+from dilation_oracle import fidelity_to_phi_plus
 from fock_oracle import max_photons
 
 

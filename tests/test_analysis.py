@@ -19,11 +19,11 @@ from heraldsim.analysis import (
     herald_curves,
     violates_chsh,
 )
-from heraldsim.detect import (click_probability, fidelity_to_phi_plus,
-                              threshold_detector)
+from heraldsim.detect import click_probability, threshold_detector
 
 from conftest import (OUTPUT_ARMS, TRIGGER_MODES, heralding_elements,
                       pnr_detector)
+from dilation_oracle import fidelity_to_phi_plus
 
 
 def test_eff_theory_formula():

@@ -28,8 +28,9 @@ from heraldsim.dsl import DslError, parse, splitter_warnings, validate
 from heraldsim.fock import ConfigError
 
 from conftest import (BOOSTED_CONFIG, DARK_TRIGGERS_5050, NARROW_5050,
-                      R_ZERO_5050, RELABELLED_5050, ROTATED_ARM_5050,
-                      WIDE_5050, fixture_text, truncation_deficit)
+                      PNR_BOOSTED, R_ZERO_5050, RELABELLED_5050,
+                      ROTATED_ARM_5050, WIDE_5050, fixture_text,
+                      truncation_deficit)
 
 
 SMALL_MC = BOOSTED_CONFIG.replace("pulses 2000000", "pulses 200000")
@@ -908,15 +909,15 @@ def test_montecarlo_rejects_arm_without_two_detectors(tmp_path):
 
 
 def test_montecarlo_rejects_number_resolving_detectors(tmp_path):
-    path = tmp_path / "pnr_triggers.exp"
-    path.write_text(SMALL_MC.replace("mode=e:y\n", "mode=e:y kind=pnr\n")
-                    .replace("mode=f:yp\n", "mode=f:yp kind=pnr\n"),
+    # number-resolving triggers t2 and t4 are read; output s2 is refused
+    path = tmp_path / "pnr_output.exp"
+    path.write_text(PNR_BOOSTED.replace("mode=c:y\n", "mode=c:y kind=pnr\n"),
                     encoding="utf-8")
     proc = run_cli("montecarlo", str(path), "--pulses", "1000",
                    "--out", str(tmp_path / "run"))
     assert proc.returncode == 2, proc.stderr
-    assert "threshold detectors only" in proc.stderr
-    assert "t2, t4" in proc.stderr
+    assert "threshold output detectors only; not threshold: s2\n" in \
+        proc.stderr
     assert not (tmp_path / "run").exists()
 
 

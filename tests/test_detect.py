@@ -20,7 +20,6 @@ from heraldsim.detect import (
     HeraldResult,
     click_probability,
     decompose_s1,
-    fidelity_to_phi_plus,
     herald,
     sixfold_probability,
     threshold_detector,
@@ -33,7 +32,7 @@ from conftest import (NARROW_5050, OUTPUT_ARMS, PLATE_AT_ZERO_5050,
                       R_ZERO_5050, RELABELLED_5050, ROTATED_ARM_5050,
                       TRIGGER_MODES, UNEQUAL_5050, WIDE_5050, fixture_text,
                       heralding_circuit, pnr_detector)
-from dilation_oracle import key_occupation, qubit_index
+from dilation_oracle import fidelity_to_phi_plus, key_occupation, qubit_index
 from fock_oracle import from_terms
 
 

@@ -272,6 +272,8 @@ def test_unknown_herald_id_diagnostic():
                                        "herald t1 t2 t3 zz"))
     diags = validate(cfg)
     assert any(d.startswith("error") and "zz" in d for d in diags)
+    with pytest.raises(ConfigError, match="no detector with id 'zz'"):
+        cfg.trigger_detectors()
 
 
 def test_low_nmax_warning():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies
 
 from heraldsim import mc
 from heraldsim.dsl import parse
-from heraldsim.fock import TruncationError, make_vacuum, substitute_modes
+from heraldsim.fock import TruncationError, substitute_modes
 from heraldsim.elements import ModeTransform, beam_splitter, half_wave_plate
 from heraldsim.mc import occupation_probabilities
 from heraldsim.source import SOURCE_MODES
@@ -19,7 +19,7 @@ import fock_oracle
 from conftest import detector_map, fixture_text
 from dilation_oracle import branch_on_modes, loss_channel
 from fock_oracle import (add, apply_creation, canonical_key, from_terms,
-                         max_photons, normalized)
+                         make_vacuum, max_photons, normalized)
 
 
 def n_photon_state(m, n, max_photons=10):

@@ -15,13 +15,13 @@ from scipy import stats
 
 from heraldsim import cli, fixture_path, mc
 from heraldsim.analysis import correlation_from_counts
-from heraldsim.fock import ConfigError, MixedState, make_vacuum
+from heraldsim.fock import ConfigError, MixedState
 from heraldsim.dsl import parse, table_terms
 from heraldsim.elements import (MEASUREMENT_BASES, apply_circuit, compose,
                                 measurement_rotation)
 from heraldsim.source import SOURCE_MODES, dephased_source, n_pair_state
-from heraldsim.detect import (click_probability, fidelity_to_phi_plus, herald,
-                              occupations, sixfold_probability)
+from heraldsim.detect import (click_probability, herald, occupations,
+                              sixfold_probability)
 from heraldsim.mc import (
     click_pattern_probabilities,
     estimate_fidelity,
@@ -30,10 +30,13 @@ from heraldsim.mc import (
     run_experiment,
 )
 
+import dilation_oracle
 import fock_oracle
-from conftest import (BOOSTED_CONFIG, OUTPUT_ARMS, RELABELLED_5050,
-                      ROTATED_ARM_5050, fixture_text)
-from dilation_oracle import key_occupation
+from conftest import (BOOSTED_CONFIG, LOSSY_PNR_BOOSTED, OUTPUT_ARMS,
+                      PNR_BOOSTED, RELABELLED_5050, ROTATED_ARM_5050,
+                      fixture_text)
+from dilation_oracle import fidelity_to_phi_plus, key_occupation
+from fock_oracle import make_vacuum
 
 # Click-pattern histograms {pattern: count} of paper_5050.exp at its seed
 # (42), 200000 pulses per basis, recorded from the one-multinomial-per-basis
@@ -473,11 +476,19 @@ def test_tables_reject_arm_without_two_detectors(boosted):
 
 
 def test_tables_reject_number_resolving(boosted):
-    det = dataclasses.replace(boosted.detectors[0], kind="pnr")
-    cfg = dataclasses.replace(
-        boosted, detectors=(det,) + tuple(boosted.detectors[1:]))
-    with pytest.raises(ConfigError):
+    # triggers may resolve photon number (PNR_BOOSTED builds its tables);
+    # an output detector may not, in the tables or in sixfold_probability
+    s1 = dataclasses.replace(boosted.detectors[4], kind="pnr")
+    cfg = dataclasses.replace(boosted, detectors=(
+        *boosted.detectors[:4], s1, *boosted.detectors[5:]))
+    assert s1.id == "s1" and s1 in cfg.output_detectors()
+    with pytest.raises(ConfigError, match="not threshold: s1$"):
         precompute_outcome_tables(cfg)
+    state = apply_circuit(n_pair_state(3), cfg.circuit())
+    with pytest.raises(ConfigError, match="not threshold: s1$"):
+        sixfold_probability(state, cfg.trigger_detectors(),
+                            cfg.output_detectors(), ("HV", "HV"),
+                            output_arms=cfg.output_arms())
 
 
 def plate_on_output_arm(out):
@@ -530,14 +541,21 @@ def test_pattern_vector_matches_loop(paper_5050, basis, eta, dark):
                                    rtol=0.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("name", ["boosted", "paper_5050"])
+@pytest.mark.parametrize("name", ["boosted", "paper_5050", "pnr_triggers",
+                                  "lossy_pnr_triggers"])
 def test_tables_and_sixfold_probability_agree(name, boosted, boosted_tables,
                                               paper_5050, paper_5050_tables):
     # two routes to the six-fold rates of the source mixture: the tables'
     # per-branch click patterns weighted by the branch weights, and
-    # sixfold_probability of the whole mixture after the config's circuit
-    cfg, tables = {"boosted": (boosted, boosted_tables),
-                   "paper_5050": (paper_5050, paper_5050_tables)}[name]
+    # sixfold_probability of the whole mixture after the config's circuit;
+    # on lossy, dark number-resolving triggers also the dilation oracle's
+    if name in ("boosted", "paper_5050"):
+        cfg, tables = {"boosted": (boosted, boosted_tables),
+                       "paper_5050": (paper_5050, paper_5050_tables)}[name]
+    else:
+        cfg = parse({"pnr_triggers": PNR_BOOSTED,
+                     "lossy_pnr_triggers": LOSSY_PNR_BOOSTED}[name])
+        tables = precompute_outcome_tables(cfg)
     source = dephased_source(cfg.source, cfg.noise).branches
     circuit = cfg.circuit()
     branches = [(w, apply_circuit(st, circuit)) for w, st in source]
@@ -554,6 +572,12 @@ def test_tables_and_sixfold_probability_agree(name, boosted, boosted_tables,
             tab.basis, divmod(k, 2), output_arms=OUTPUT_ARMS)
             for k in range(4)]
         np.testing.assert_allclose(direct, from_tables, rtol=1e-12, atol=0.0)
+        if name == "lossy_pnr_triggers":
+            dilated = [dilation_oracle.sixfold_probability(
+                mixture, cfg.trigger_detectors(), cfg.output_detectors(),
+                tab.basis, divmod(k, 2)) for k in range(4)]
+            np.testing.assert_allclose(dilated, from_tables, rtol=1e-12,
+                                       atol=0.0)
 
 
 def seeded_configs(workload, seed):

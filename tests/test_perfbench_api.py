@@ -19,7 +19,7 @@ from heraldsim.dsl import parse
 from heraldsim.mc import precompute_outcome_tables
 
 from conftest import (BOOSTED_CONFIG, DARK_TRIGGERS_5050, PNR_5050,
-                      R_ZERO_5050, fixture_text)
+                      PNR_BOOSTED, R_ZERO_5050, fixture_text)
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -82,13 +82,15 @@ def test_sweep_passes_the_benchmark_check(perfbench, capsys):
 
 
 def test_montecarlo_passes_the_benchmark_check(perfbench, tmp_path):
+    # threshold triggers, then number-resolving t2 and t4
     checks, _ = perfbench
-    path = tmp_path / "boosted.exp"
-    path.write_text(BOOSTED_CONFIG, encoding="utf-8")
-    out = tmp_path / "run"
-    assert cli.main(["montecarlo", str(path), "--out", str(out)]) == 0
-    files = {f.name: f.read_bytes() for f in out.iterdir()}
-    cfg = parse(BOOSTED_CONFIG)
     schema = checks.load_schema("summary.schema.json")
-    assert checks.check_montecarlo(files, cfg, precompute_outcome_tables(cfg),
-                                   schema) == []
+    for name, text in (("boosted", BOOSTED_CONFIG), ("pnr", PNR_BOOSTED)):
+        path = tmp_path / f"{name}.exp"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / name
+        assert cli.main(["montecarlo", str(path), "--out", str(out)]) == 0
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        cfg = parse(text)
+        assert checks.check_montecarlo(
+            files, cfg, precompute_outcome_tables(cfg), schema) == [], name

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from heraldsim.config import source_cells
-from heraldsim.fock import ConfigError, make_vacuum, substitute_modes
+from heraldsim.fock import ConfigError, substitute_modes
 from heraldsim.source import (
     SOURCE_MODES,
     SourceNoise,
@@ -21,7 +21,7 @@ from heraldsim.elements import ModeTransform
 
 import fock_oracle
 from conftest import detector_map, truncation_deficit
-from fock_oracle import add, apply_creation, max_photons
+from fock_oracle import add, apply_creation, make_vacuum, max_photons
 
 
 def test_pair_probability_form():

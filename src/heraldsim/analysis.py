@@ -5,23 +5,27 @@ Error bars use first-order propagation on independent Poisson counts.
 `herald_curves` of `exact_sectors` is the one exact route of `herald` and
 `sweep`: one `detect.CurveStack` of the config's three-pair sector and, at
 nmax >= 4, of the four-pair correction's two sectors (`four_pair_sectors`),
-which `four_pair_shift` weights by the caller's p_3 and p_4.  Nothing is
-cached: a caller holds the stack it evaluates.
+which `four_pair_shift` weights by the caller's p_3 and p_4.  The curves
+scale with the splitter paths of `dsl.walk`, the walk `validate` makes.
+Nothing is cached: a caller holds the stack it evaluates.  `detect` is
+imported only inside `herald_curves`, so `montecarlo`, which reads the
+estimators here, never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import fixture_path
-from .config import ExperimentConfig
-from .detect import (CurveStack, DetectorSpec, curve_stack,
-                     threshold_detector)
-from .dsl import parse
-from .elements import SOURCE_MODES, ModeTransform, compose, path_exponents
+from .config import DetectorSpec, ExperimentConfig, threshold_detector
+from .dsl import parse, walk
+from .elements import SOURCE_MODES, compose
 from .fock import ConfigError
 from .source import SpdcParams, pair_power_states, pair_probability
+
+if TYPE_CHECKING:
+    from .detect import CurveStack
 
 
 class Estimate(NamedTuple):
@@ -94,18 +98,22 @@ def violates_chsh(estimate: Estimate) -> tuple[bool, float]:
 
 
 def herald_curves(sectors: list[tuple[tuple[int, int], list[DetectorSpec]]],
-                  elements: Callable[[float], tuple[ModeTransform, ...]],
-                  output_arms: tuple[str, ...]) -> CurveStack:
+                  config: ExperimentConfig) -> CurveStack:
     """Per (power (k, j), triggers) of `sectors`, curve i of the stack: the
-    source branch P-^k P+^j |0> after the circuit `elements(R)` (a config's
-    `transforms`) heralded on `triggers`.  Every distinct branch is built
-    once, in one `pair_power_states` call, with every splitter at R = 1/2."""
-    transforms = elements(0.5)
+    source branch P-^k P+^j |0> after the config's circuit, heralded on
+    `triggers` and read on its output arms.  Every distinct branch is built
+    once, in one `pair_power_states` call, with every splitter at R = 1/2;
+    `dsl.walk`'s splitter paths make the curves, and its first error, if
+    any, is raised."""
+    from .detect import curve_stack
+    errors, paths = walk(config)
+    if errors:
+        raise ConfigError(errors[0])
     powers = list(dict.fromkeys(power for power, _ in sectors))
     states = dict(zip(powers, pair_power_states(
-        powers, compose(transforms, SOURCE_MODES))))
+        powers, compose(config.transforms(0.5), SOURCE_MODES))))
     return curve_stack([(states[power], triggers) for power, triggers
-                        in sectors], output_arms, path_exponents(transforms))
+                        in sectors], config.output_arms(), paths)
 
 
 def four_pair_sectors(config: ExperimentConfig, eta_t: float
@@ -163,5 +171,4 @@ def four_pair_correction(params: SpdcParams, R: float,
     layout = parse(fixture_path("paper_5050.exp").read_text(encoding="utf-8"))
     weights = tuple(pair_probability(n, params.r) for n in (3, 4))
     return four_pair_shift(weights, *herald_curves(
-        four_pair_sectors(layout, eta_t), layout.transforms,
-        layout.output_arms()).at(R))
+        four_pair_sectors(layout, eta_t), layout).at(R))

@@ -19,10 +19,10 @@ This module imports only the numpy-free `config`, `dsl` and `elements`
 and the standard library every command uses; each command loads its
 config before it imports the engine it runs.  `herald` and `sweep` run on
 `analysis`, `detect`, `source` and `fock`, which import no numpy; only
-`montecarlo` loads `mc`, and with it numpy.  Of the rest of the standard
-library, `sweep` loads none, `herald` `hashlib` (the config digest) and,
-with `--json`, `json`, and `montecarlo` those and `datetime`; the count
-CSVs are written one f-string line each, without `csv`.
+`montecarlo` loads `mc`, and with it numpy, but not `detect`.  Of the rest
+of the standard library, `sweep` loads none, `herald` `hashlib` (the config
+digest) and, with `--json`, `json`, and `montecarlo` those and `datetime`;
+the count CSVs are written one f-string line each, without `csv`.
 For that command `main` first defaults OPENBLAS_NUM_THREADS to 1 (no BLAS
 call here needs a second thread, and an idle one spins), and `run`, the
 exit of the `heraldsim` script and `python -m heraldsim.cli`, freezes the
@@ -101,8 +101,7 @@ def _herald_report(config: ExperimentConfig) -> dict:
         ideal = [threshold_detector(d.id, d.mode)
                  for d in config.trigger_detectors()]
         stack = analysis.herald_curves(
-            [*analysis.exact_sectors(config), ((3, 0), ideal)],
-            config.transforms, config.output_arms())
+            [*analysis.exact_sectors(config), ((3, 0), ideal)], config)
         # every splitter at its declared ratio, in propagation order
         (qubit, other), *sectors, (alpha_sq, beta_sq) = stack.at(
             *(d.R for d in config.elements if isinstance(d, BsDecl)))
@@ -168,7 +167,7 @@ def cmd_sweep(args) -> int:
         # every splitter of the config swept together: each row is one
         # product over the stack's monomials
         stack = analysis.herald_curves(analysis.exact_sectors(config),
-                                       config.transforms, config.output_arms())
+                                       config)
         weights = tuple(pair_probability(n, config.source.r) for n in (3, 4))
     sys.stdout.write("R,eff_theory,eff_exact_enumerated,four_pair_corrected\n")
     for i in range(args.steps):

@@ -1,6 +1,7 @@
 """Experiment configuration: the source and its branches (`source_cells`),
-circuit declarations, detectors, run settings.  It imports no numpy, so a
-config reads and checks without it."""
+circuit declarations, detectors and their click model
+(`click_probability`), run settings.  It imports no numpy, so a config
+reads and checks without it."""
 
 from __future__ import annotations
 
@@ -111,6 +112,21 @@ class DetectorSpec:
     @property
     def dark_probability(self) -> float:
         return self.dark_rate * self.window
+
+
+def click_probability(det: DetectorSpec, n: int) -> float:
+    """Probability that `det` registers its event when n photons reach it.
+
+    A threshold detector's event is any click: 1 - (1-eta)^n (1-d).  A
+    number-resolving detector's event is a reading of exactly one photon:
+    n eta (1-eta)^(n-1) (1-d) + (1-eta)^n d.
+    """
+    eta, d = det.eta, det.dark_probability
+    if det.kind == THRESHOLD:
+        # on vacuum the dark probability itself, not 1 - (1 - d)
+        return 1.0 - (1.0 - eta) ** n * (1.0 - d) if n else d
+    one_detected = n * eta * (1.0 - eta) ** (n - 1) if n else 0.0
+    return one_detected * (1.0 - d) + (1.0 - eta) ** n * d
 
 
 def threshold_detector(id: str, mode: Mode, eta: float = 1.0,

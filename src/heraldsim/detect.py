@@ -3,9 +3,10 @@
 Every detector measures its mode in the photon-number basis, so loss in
 front of it is binomial thinning of the photons that arrive (a beam
 splitter into an unobserved mode, traced out, leaves nothing else).
-`click_probability` is that model in closed form: detection efficiency eta
-and dark-count probability d map the n photons reaching a detector to the
-probability that it registers its event.  Threshold under-counting (the
+`click_probability` (in `config`, beside `DetectorSpec`, so `mc` reads it
+without this module) is that model in closed form: detection efficiency
+eta and dark-count probability d map the n photons reaching a detector to
+the probability that it registers its event.  Threshold under-counting (the
 beta-class escape patterns) follows from weighting each exact post-circuit
 occupation pattern with it.  The exact read-outs of a post-circuit state
 (herald, trigger classes) remap the columns of its photon-count rows in
@@ -24,30 +25,15 @@ import math
 import operator
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-# detector declarations live in `config`; perfbench and the tests import them
-# from here
+# detector declarations and their model live in `config`; perfbench and the
+# tests import them from here
 from .config import (NUMBER_RESOLVING, THRESHOLD, DetectorSpec,
-                     threshold_detector)
+                     click_probability, threshold_detector)
 from .elements import POL_H, POL_V, ConfigError, Mode, compose
 from .fock import MixedState, PureState, as_mixed, substitute_modes
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def click_probability(det: DetectorSpec, n: int) -> float:
-    """Probability that `det` registers its event when n photons reach it.
-
-    A threshold detector's event is any click: 1 - (1-eta)^n (1-d).  A
-    number-resolving detector's event is a reading of exactly one photon:
-    n eta (1-eta)^(n-1) (1-d) + (1-eta)^n d.
-    """
-    eta, d = det.eta, det.dark_probability
-    if det.kind == THRESHOLD:
-        # on vacuum the dark probability itself, not 1 - (1 - d)
-        return 1.0 - (1.0 - eta) ** n * (1.0 - d) if n else d
-    one_detected = n * eta * (1.0 - eta) ** (n - 1) if n else 0.0
-    return one_detected * (1.0 - d) + (1.0 - eta) ** n * d
 
 
 def occupations(state: PureState | MixedState, modes: list[Mode]

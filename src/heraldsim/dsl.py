@@ -1,12 +1,15 @@
 """Line-oriented experiment description language: parser, validator,
 canonical serializer.
 
-`validate` walks the transform of each declared element
-(`config.element_transform`, the ones `ExperimentConfig.circuit()`
-composes) from the source modes: an element must read modes that carry
-light and may feed only modes that do not.  Diagnostics name an element by
-its canonical stanza.  The parser rejects an element whose two outputs
-coincide, which the walk cannot see, and a repeated once-only stanza.
+`walk` is the one walk over a declared circuit: the transform of each
+element (`config.element_transform`, the ones `ExperimentConfig.circuit()`
+composes) from the source modes.  An element must read modes that carry
+light and may feed only modes that do not, and each `bs` stanza counts a
+reflection or a transmission on the modes it feeds.  `validate` reports
+its errors, `splitter_warnings` and `analysis.herald_curves` read its
+splitter paths.  Diagnostics name an element by its canonical stanza.  The
+parser rejects an element whose two outputs coincide, which the walk
+cannot see, and a repeated once-only stanza.
 
 Grammar (one stanza per line, `#` starts a comment):
 
@@ -33,8 +36,7 @@ from .config import (COUNT_END, COUNT_LOW, NUMBER_RESOLVING, THRESHOLD,
                      HwpDecl, PbsDecl, SourceNoise, SpdcParams,
                      coupling_from_rate, element_transform, pair_probability,
                      source_cells)
-from .elements import (MEASUREMENT_BASES, SOURCE_MODES, ConfigError,
-                       path_exponents)
+from .elements import MEASUREMENT_BASES, SOURCE_MODES, ConfigError, Mode
 
 BASES = tuple(MEASUREMENT_BASES)
 # stanzas a config holds at most once; a second one is a located error
@@ -307,14 +309,11 @@ def splitter_warnings(config: ExperimentConfig) -> list[str]:
     """Warnings for `herald`, which reports R and eff_theory at the first
     splitter's R (its herald, efficiency and four-pair correction take each
     splitter at its own): one per splitter whose R differs, among those
-    that light reaching a detector passes through (`path_exponents`).
+    that light reaching a detector passes through (its `walk` path).
     `sweep` sets every splitter's R and `montecarlo` reads none of them."""
     splitters = [d for d in config.elements if isinstance(d, BsDecl)]
-    try:
-        paths = [path_exponents(config.transforms()).get(d.mode, ())
-                 for d in config.detectors]
-    except ConfigError:  # the curve stack reports it; every splitter warns
-        paths = [(1,) * 2 * len(splitters)]
+    live = walk(config)[1]
+    paths = [live.get(d.mode, ()) for d in config.detectors]
     return [f"warning: {_element_line(splitters[0])} and "
             f"{_element_line(other)} differ in R; only herald's R and "
             f"eff_theory use the first's R={_fmt(splitters[0].R)}"
@@ -362,6 +361,50 @@ def table_memory_warnings(config: ExperimentConfig) -> list[str]:
             ] if mb > 1024 else []
 
 
+def walk(config: ExperimentConfig
+         ) -> tuple[list[str], dict[Mode, tuple[int, ...]]]:
+    """Walk the transforms `config.circuit()` composes from the source
+    modes.  Returns the errors of elements that read what carries no light
+    or feed a mode that already does, and each mode carrying light at the
+    end with its splitter path (a_1, b_1, a_2, b_2, ...): its reflections
+    and transmissions at each `bs` stanza.  Where it finds no error, each
+    entry of the composed map into mode m is c (sqrt R_1)^a_1 (sqrt
+    T_1)^b_1 ... with c free of every R."""
+    errors: list[str] = []
+    zero = (0,) * (2 * sum(isinstance(d, BsDecl) for d in config.elements))
+    # each mode that carries light: the stanza feeding it, and its path
+    live = dict.fromkeys(SOURCE_MODES, ("source", zero))
+    splitter = 0
+    for decl in config.elements:
+        stanza, transform = _element_line(decl), element_transform(decl)
+        if transform is None:
+            if not any(m[0] == decl.target for m in live):
+                errors.append(f"{stanza}: arm {decl.target!r} carries no "
+                              "modes")
+            continue
+        # read every input before writing: an output may reuse an input label
+        paths = {}
+        for m in transform.columns:
+            feeder, paths[m] = live.pop(m, (None, zero))
+            if feeder is None:
+                errors.append(f"{stanza} reads mode {m[0]}:{m[1]} which no "
+                              "element produces")
+        fed: dict[Mode, tuple[int, ...]] = {}
+        for m, column in transform.columns.items():
+            for k, (_, out) in enumerate(column):
+                path = list(paths[m])
+                if isinstance(decl, BsDecl):  # 0 reflected, 1 transmitted
+                    path[2 * splitter + k] += 1
+                fed.setdefault(out, tuple(path))
+        for m, path in fed.items():
+            if m in live:
+                errors.append(f"{stanza} and {live[m][0]} both feed mode "
+                              f"{m[0]}:{m[1]}")
+            live[m] = stanza, path
+        splitter += isinstance(decl, BsDecl)
+    return errors, {m: path for m, (_, path) in live.items()}
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """Cross-reference checks; returns diagnostics instead of raising."""
     diagnostics: list[str] = []
@@ -385,26 +428,8 @@ def validate(config: ExperimentConfig) -> list[str]:
             diagnostics.append(f"error: basis {b1} {b2} is declared {n} "
                                "times; each setting is drawn once")
 
-    # walk the transforms `config.circuit()` composes, from the source
-    # modes; `live` maps each mode that carries light to the stanza feeding it
-    live = dict.fromkeys(SOURCE_MODES, "source")
-    for decl in config.elements:
-        stanza, transform = _element_line(decl), element_transform(decl)
-        if transform is None:
-            if not any(m[0] == decl.target for m in live):
-                diagnostics.append(f"error: {stanza}: arm {decl.target!r} "
-                                   "carries no modes")
-            continue
-        for m in transform.columns:
-            if live.pop(m, None) is None:
-                diagnostics.append(f"error: {stanza} reads mode {m[0]}:{m[1]}"
-                                   " which no element produces")
-        for m in dict.fromkeys(m for col in transform.columns.values()
-                               for _, m in col):
-            if m in live:
-                diagnostics.append(f"error: {stanza} and {live[m]} both "
-                                   f"feed mode {m[0]}:{m[1]}")
-            live[m] = stanza
+    errors, live = walk(config)
+    diagnostics += [f"error: {e}" for e in errors]
     # each mode is read once: by one detector, and by no trigger if it lies
     # on an output arm, whose modes the herald reads together
     arms = config.output_arms()

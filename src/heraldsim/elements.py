@@ -4,9 +4,11 @@ Elements are expressed as linear maps on creation operators (the same real
 coefficients the annihilation-operator convention would use; for complex
 maps this fixes the conjugation convention).  Every element is lossless,
 an isometry on its declared input modes; detector loss is not a circuit
-element but part of the detector model in `heraldsim.detect`.  A circuit
-is its elements composed into one map (`compose`).  No layout is built in:
-a config declares its elements, triggers and output arms.
+element but part of the detector model (`config.click_probability`).  A
+circuit is its elements composed into one map (`compose`).  No layout is
+built in: a config declares its elements, triggers and output arms, and
+`dsl.walk` reads from those declarations how each mode's entries scale
+with the splitter ratios.
 """
 
 from __future__ import annotations
@@ -50,22 +52,16 @@ class ModeTransform(NamedTuple):
                    default=0.0)
 
 
-class SplitterTransform(ModeTransform):
-    """A beam splitter's map: each column's first entry is the reflected
-    output, its second the transmitted one."""
-
-    __slots__ = ()
-
-
 def beam_splitter(R: float, input: str, reflected_out: str,
-                  transmitted_out: str) -> SplitterTransform:
-    """Non-polarizing partial-reflecting beam splitter, intensity R + T = 1."""
+                  transmitted_out: str) -> ModeTransform:
+    """Non-polarizing partial-reflecting beam splitter, intensity R + T = 1.
+    Each column keeps both entries, reflected first, at R = 0 or 1 too."""
     if not (0.0 <= R <= 1.0):
         raise ConfigError(f"beam splitter R={R} outside [0, 1]")
     r, t = math.sqrt(R) + 0.0j, math.sqrt(1.0 - R) + 0.0j
-    return SplitterTransform({(input, pol): ((r, (reflected_out, pol)),
-                                             (t, (transmitted_out, pol)))
-                              for pol in (POL_H, POL_V)})
+    return ModeTransform({(input, pol): ((r, (reflected_out, pol)),
+                                         (t, (transmitted_out, pol)))
+                          for pol in (POL_H, POL_V)})
 
 
 def half_wave_plate(angle_deg: float, target: str,
@@ -139,39 +135,6 @@ def compose(transforms: tuple[ModeTransform, ...], modes: Iterable[Mode]
         raise ConfigError("circuit is not lossless: its composed map "
                           f"deviates from an isometry by {dev:.3g}")
     return transform
-
-
-def path_exponents(transforms: tuple[ModeTransform, ...]
-                   ) -> dict[Mode, tuple[int, ...]]:
-    """Per mode that light from `SOURCE_MODES` reaches through `transforms`,
-    how often it was reflected and how often transmitted at each splitter,
-    in propagation order: (a_1, b_1, a_2, b_2, ...).
-
-    The transforms are walked as `dsl.validate` walks them, keeping every
-    entry, a splitter's zero one at R = 0 or 1 too.  In a circuit where no
-    two elements feed one mode, each entry of the composed map into mode m
-    is then c (sqrt R_1)^a_1 (sqrt T_1)^b_1 ... with c free of every R;
-    a transform that feeds one mode along two different paths raises
-    ConfigError."""
-    n_splitters = sum(isinstance(t, SplitterTransform) for t in transforms)
-    zero = (0,) * (2 * n_splitters)
-    exponents = dict.fromkeys(SOURCE_MODES, zero)
-    splitter = 0
-    for transform in transforms:
-        # read every input before writing: an output may reuse an input label
-        paths = {m: exponents.pop(m, zero) for m in transform.columns}
-        fed: dict[Mode, tuple[int, ...]] = {}
-        for m, column in transform.columns.items():
-            for k, (_, out) in enumerate(column):
-                path = list(paths[m])
-                if isinstance(transform, SplitterTransform):
-                    path[2 * splitter + k] += 1
-                if fed.setdefault(out, tuple(path)) != tuple(path):
-                    raise ConfigError(f"mode {out[0]}:{out[1]} is fed along "
-                                      "two paths that scale differently in R")
-        exponents.update(fed)
-        splitter += isinstance(transform, SplitterTransform)
-    return exponents
 
 
 def apply_circuit(state: PureState, circuit: ModeTransform) -> PureState:

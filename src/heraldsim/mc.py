@@ -34,8 +34,8 @@ from numpy.random import Generator, Philox
 
 from .analysis import (Estimate, correlation_from_counts, eff_exp,
                        fidelity_phi_plus)
-from .config import ExperimentConfig, source_cells
-from .detect import THRESHOLD, DetectorSpec, click_probability
+from .config import (THRESHOLD, DetectorSpec, ExperimentConfig,
+                     click_probability, source_cells)
 from .elements import (MEASUREMENT_BASES, SOURCE_MODES, ConfigError, Mode,
                        ModeTransform, compose, measurement_rotation)
 from .fock import (DROP_TOL, MixedState, PureState, TruncationError,

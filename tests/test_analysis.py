@@ -20,9 +20,9 @@ from heraldsim.analysis import (
     violates_chsh,
 )
 from heraldsim.detect import click_probability, threshold_detector
+from heraldsim.dsl import parse
 
-from conftest import (OUTPUT_ARMS, TRIGGER_MODES, heralding_elements,
-                      pnr_detector)
+from conftest import TRIGGER_MODES, fixture_text, pnr_detector
 from dilation_oracle import fidelity_to_phi_plus
 
 
@@ -165,11 +165,11 @@ def test_four_pair_correction_needs_four_pair_sector():
 
 
 def heralding_curve(make_trigger, eta=1.0):
-    """The three-pair herald through `heralding_elements` as a curve in R."""
+    """The three-pair herald through the published layout as a curve in R."""
     triggers = [make_trigger(f"t{i}", m, eta=eta)
                 for i, m in enumerate(TRIGGER_MODES, start=1)]
-    return herald_curves([((3, 0), triggers)], heralding_elements,
-                         OUTPUT_ARMS)
+    return herald_curves([((3, 0), triggers)],
+                         parse(fixture_text("paper_5050.exp")))
 
 
 @pytest.mark.parametrize("make_trigger", [threshold_detector, pnr_detector])

@@ -715,9 +715,9 @@ def test_unequal_splitters_warning(tmp_path, capsys):
 
 def test_splitter_warning_leaves_a_rejected_layout_to_the_curve_stack():
     # the second plate on f reads f:x, which no element produces, beside
-    # f:y from the second splitter: validate rejects the layout and
-    # `path_exponents` finds f:q fed along two paths; the warning, which
-    # reads the same paths, still names the splitter of a different R
+    # f:y from the second splitter: validate rejects the layout and the
+    # curve stack raises the same error of `walk`; the warning, which
+    # reads the walk's paths, still names the splitter of a different R
     config = parse(fixture_text("paper_5050.exp")
                    .replace("trans=f R=0.486", "trans=f R=0.8")
                    .replace("out=xp,yp", "out=xp,y\nhwp on=f angle=0 out=q,yp"))
@@ -725,9 +725,9 @@ def test_splitter_warning_leaves_a_rejected_layout_to_the_curve_stack():
     assert [w.split(" differ")[0] for w in splitter_warnings(config)] == [
         "warning: bs R=0.486 in=a refl=c trans=e and bs R=0.8 in=b refl=d "
         "trans=f"]
-    with pytest.raises(ConfigError, match="fed along two paths"):
-        analysis.herald_curves(analysis.exact_sectors(config),
-                               config.transforms, config.output_arms())
+    with pytest.raises(ConfigError,
+                       match="reads mode f:x which no element produces"):
+        analysis.herald_curves(analysis.exact_sectors(config), config)
 
 
 PAPER_5050 = fixture_text("paper_5050.exp")
@@ -913,6 +913,10 @@ def test_montecarlo_rejects_number_resolving_detectors(tmp_path):
     path = tmp_path / "pnr_output.exp"
     path.write_text(PNR_BOOSTED.replace("mode=c:y\n", "mode=c:y kind=pnr\n"),
                     encoding="utf-8")
+    # the one layout the validator accepts and a command refuses: herald
+    # and sweep read the output arms, montecarlo counts threshold clicks
+    assert [d for d in validate(parse(path.read_text(encoding="utf-8")))
+            if d.startswith("error")] == []
     proc = run_cli("montecarlo", str(path), "--pulses", "1000",
                    "--out", str(tmp_path / "run"))
     assert proc.returncode == 2, proc.stderr
@@ -1033,7 +1037,7 @@ BARE = set(sys.modules)
 import ast, contextlib, io
 from pathlib import Path
 WATCHED = ("numpy", "numpy.random", "heraldsim.mc", "json", "hashlib",
-           "datetime", "csv")
+           "datetime", "csv", "heraldsim.detect")
 
 def loaded():
     return [m for m in WATCHED if m in sys.modules and m not in BARE]
@@ -1080,12 +1084,14 @@ def test_exact_commands_load_no_sampler(tmp_path):
     steps = startup_steps(*sweeps, *heralds, ["herald", paths[0], "--json"])
     assert [code for _, code, _ in steps] == [0] * (len(paths) * 2 + 3), steps
     # the exact engine runs on the standard library alone, on every
-    # fixture; of the watched modules `sweep` loads none, `herald` only
-    # hashlib (the config digest) and `--json` adds json
+    # fixture; of the watched modules `sweep` loads only the herald
+    # read-outs, `herald` also hashlib (the config digest) and `--json` json
     assert [watched for _, _, watched in steps[2:]] == (
-        [[]] * len(sweeps) + [["hashlib"]] * len(heralds)
-        + [["json", "hashlib"]]), steps
-    # only the sampler loads numpy; the count CSVs are written without csv
+        [["heraldsim.detect"]] * len(sweeps)
+        + [["hashlib", "heraldsim.detect"]] * len(heralds)
+        + [["json", "hashlib", "heraldsim.detect"]]), steps
+    # only the sampler loads numpy, and it never loads the herald
+    # read-outs; the count CSVs are written without csv
     [*_, (_, code, watched)] = startup_steps(
         ["montecarlo", paths[0], "--pulses", "1000", "--out",
          str(tmp_path / "run")])

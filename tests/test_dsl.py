@@ -1,7 +1,10 @@
 """Experiment description language: parsing, diagnostics, canonical form."""
 
 import dataclasses
+import itertools
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 from heraldsim.config import BsDecl, ExperimentConfig, HwpDecl, PbsDecl
 from heraldsim.detect import NUMBER_RESOLVING, THRESHOLD, DetectorSpec, herald
 from heraldsim.dsl import (BASES, DslError, parse, serialize,
-                           table_memory_warnings, validate)
+                           table_memory_warnings, validate, walk)
 from heraldsim.elements import apply_circuit
 from heraldsim.fock import ConfigError
 from heraldsim.source import (SourceNoise, SpdcParams, coupling_from_rate,
                               n_pair_state, pair_probability)
 
+import conftest
 from conftest import (BOOSTED_CONFIG, OUTPUT_ARMS, RELABELLED_5050,
                       ROTATED_ARM_5050, fixture_text)
 
@@ -424,3 +428,58 @@ def test_parser_raises_only_dsl_errors_on_mutated_text(config, data):
         parse("\n".join(lines))
     except DslError as err:
         assert err.line >= 0 and err.col >= 0
+
+
+def walked_layouts():
+    """The fixtures, every layout `conftest` declares and the benchmark's
+    `exact` and `mc_pulse` inputs of seeds 1-10, by name."""
+    layouts = {name: parse(fixture_text(name)) for name in FIXTURES}
+    layouts.update((name, parse(text)) for name, text in vars(conftest).items()
+                   if isinstance(text, str) and "source spdc" in text)
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    for workload in ("exact", "mc_pulse"):
+        for seed in range(1, 11):
+            for i, config in enumerate(inputs.workload_configs(workload,
+                                                               seed)):
+                layouts[f"{workload}-{seed}-{i}"] = config
+    return layouts
+
+
+WALKED = walked_layouts()
+
+
+def with_splitters(config, ratios):
+    """`config` with splitter s at ratios.get(s, 0.5), in declared order."""
+    splitters = itertools.count()
+    return dataclasses.replace(config, elements=tuple(
+        dataclasses.replace(d, R=ratios.get(next(splitters), 0.5))
+        if isinstance(d, BsDecl) else d for d in config.elements))
+
+
+@pytest.mark.parametrize("name", sorted(WALKED))
+def test_walk_paths_scale_the_composed_circuit(name):
+    # the oracle is the composed circuit itself: with splitter s at
+    # R = 0.2 and every other at 1/2, each entry into mode m scales by
+    # sqrt(0.2 / 0.5)^a_s sqrt(0.8 / 0.5)^b_s of the path the walk gives m
+    config = WALKED[name]
+    errors, paths = walk(config)
+    assert errors == []
+    half = with_splitters(config, {}).circuit().columns
+    n_splitters = sum(isinstance(d, BsDecl) for d in config.elements)
+    assert n_splitters and {len(p) for p in paths.values()} == {
+        2 * n_splitters}
+    for s in range(n_splitters):
+        tilted = with_splitters(config, {s: 0.2}).circuit().columns
+        assert tilted.keys() == half.keys()
+        for source, column in half.items():
+            got = {m: c for c, m in tilted[source]}
+            assert got.keys() == {m for _, m in column}
+            for c, m in column:
+                a, b = paths[m][2 * s:2 * s + 2]
+                want = c * math.sqrt(0.4) ** a * math.sqrt(1.6) ** b
+                assert abs(got[m] - want) <= 1e-12, (source, m, s)

@@ -28,9 +28,8 @@ from heraldsim.analysis import (exact_sectors, four_pair_correction,
                                 four_pair_sectors, four_pair_shift,
                                 herald_curves)
 from heraldsim.detect import curve_stack, herald, threshold_detector
-from heraldsim.dsl import parse, validate
-from heraldsim.elements import (SOURCE_MODES, apply_circuit, compose,
-                                path_exponents)
+from heraldsim.dsl import parse, validate, walk
+from heraldsim.elements import SOURCE_MODES, apply_circuit, compose
 from heraldsim.fock import MixedState
 from heraldsim.source import (SpdcParams, coupling_from_rate, n_pair_state,
                               pair_power_states, pair_probability)
@@ -201,20 +200,18 @@ def run_sweep(text, tmp_path, *args):
 
 def exact_curves(config):
     """The stack `sweep` builds: `herald_curves` of `exact_sectors`."""
-    return herald_curves(exact_sectors(config), config.transforms,
-                         config.output_arms())
+    return herald_curves(exact_sectors(config), config)
 
 
 def sweep_curve(config):
     """The three-pair sector on the config's triggers, a one-curve stack."""
-    return herald_curves([((3, 0), config.trigger_detectors())],
-                         config.transforms, config.output_arms())
+    return herald_curves([((3, 0), config.trigger_detectors())], config)
 
 
 def sector_curves(config):
     """The four-pair correction's three- and four-pair sectors, stacked."""
     return herald_curves(four_pair_sectors(config, config.mean_trigger_eta()),
-                         config.transforms, config.output_arms())
+                         config)
 
 
 def assert_same_herald(got, want):
@@ -251,7 +248,7 @@ def test_one_build_serves_splitters_of_different_R():
 def test_curve_stack_matches_each_curve(name):
     config = parse(SWEPT_TEXTS[name])
     # each curve built alone, on its own monomial table
-    curves = [herald_curves([sector], config.transforms, config.output_arms())
+    curves = [herald_curves([sector], config)
               for sector in [((3, 0), config.trigger_detectors()),
                              *four_pair_sectors(config,
                                                 config.mean_trigger_eta())]]
@@ -291,7 +288,7 @@ def test_stacked_mixture_weighs_its_sectors(R):
                                compose(transforms, SOURCE_MODES))
     p3, p4 = (pair_probability(n, config.source.r) for n in (3, 4))
     triggers, arms = config.trigger_detectors(), config.output_arms()
-    exponents = path_exponents(transforms)
+    exponents = walk(config)[1]
     [mixture] = curve_stack([(MixedState(((p3, s3), (p4, s4))), triggers)],
                             arms, exponents).at(*R)
     three, four = curve_stack([(s3, triggers), (s4, triggers)], arms,
